@@ -9,8 +9,7 @@
 //! pattern-driven traversal seed) versus |focal| (BFS count for
 //! node-driven).
 
-use crate::result::{CensusError, CountVector};
-use crate::spec::{CensusSpec, PtConfig};
+use crate::spec::CensusSpec;
 use ego_graph::Graph;
 use ego_matcher::MatchList;
 
@@ -28,19 +27,6 @@ pub fn choose(g: &Graph, spec: &CensusSpec<'_>, matches: &MatchList) -> crate::A
         crate::Algorithm::PtOpt
     } else {
         crate::Algorithm::NdPivot
-    }
-}
-
-/// Run the chosen algorithm.
-pub fn run_auto(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    config: &PtConfig,
-) -> Result<CountVector, CensusError> {
-    match choose(g, spec, matches) {
-        crate::Algorithm::PtOpt => crate::pt_opt::run(g, spec, matches, config),
-        _ => crate::nd_pivot::run(g, spec, matches),
     }
 }
 

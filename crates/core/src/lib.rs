@@ -103,43 +103,16 @@ pub fn run_census(
     run_census_with(g, spec, algorithm, &PtConfig::default())
 }
 
-/// [`run_census`] with explicit pattern-driven tuning parameters.
+/// [`run_census`] with explicit pattern-driven tuning parameters: the
+/// single-threaded case of [`run_census_exec`], whose drivers run the
+/// sequential algorithms unchanged at one thread.
 pub fn run_census_with(
     g: &Graph,
     spec: &CensusSpec<'_>,
     algorithm: Algorithm,
     config: &PtConfig,
 ) -> Result<CountVector, CensusError> {
-    spec.validate(g)?;
-    match algorithm {
-        Algorithm::NdBaseline => nd_bas::run(g, spec),
-        Algorithm::NdPivot => {
-            let matches = global_matches(g, spec.pattern());
-            nd_pivot::run(g, spec, &matches)
-        }
-        Algorithm::NdDiff => {
-            let matches = global_matches(g, spec.pattern());
-            nd_diff::run(g, spec, &matches)
-        }
-        Algorithm::PtBaseline => {
-            let matches = global_matches(g, spec.pattern());
-            pt_bas::run(g, spec, &matches)
-        }
-        Algorithm::PtRandom => {
-            let matches = global_matches(g, spec.pattern());
-            let mut cfg = config.clone();
-            cfg.ordering = PtOrdering::Random;
-            pt_opt::run(g, spec, &matches, &cfg)
-        }
-        Algorithm::PtOpt => {
-            let matches = global_matches(g, spec.pattern());
-            pt_opt::run(g, spec, &matches, config)
-        }
-        Algorithm::Auto => {
-            let matches = global_matches(g, spec.pattern());
-            chooser::run_auto(g, spec, &matches, config)
-        }
-    }
+    run_census_exec(g, spec, algorithm, config, &ExecConfig::sequential())
 }
 
 /// Find all distinct matches of a pattern in the full graph (the common

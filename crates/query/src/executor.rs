@@ -15,7 +15,7 @@ use crate::census_cache::CensusCache;
 use crate::error::QueryError;
 use crate::expr::{eval_predicate, RowContext};
 use crate::optimizer::{optimize_with, PassContext, OPTIMIZERS};
-use crate::parser::parse_query;
+use crate::parser::{parse_query, Statement};
 use crate::plan::{build_plan, CountHint, MatchHint, Plan, PlanNode, StatsBasis, ViewProbeJob};
 use crate::stats::{rank_algorithms, CostJob, GraphStats, PlannerCounters, StatsSlot, CONSIDERED};
 use crate::table::Table;
@@ -421,36 +421,32 @@ impl<'g> QueryEngine<'g> {
     /// optimized plan tree instead of results; `ANALYZE` profiles the
     /// graph and returns the statistics snapshot.
     pub fn execute(&self, sql: &str) -> Result<Table, QueryError> {
-        let trimmed = sql.trim_start();
-        if trimmed.len() >= 7 && trimmed[..7].eq_ignore_ascii_case("EXPLAIN") {
-            return self.explain(&trimmed[7..]);
-        }
-        if crate::parser::is_analyze_statement(sql) {
-            if !sql.trim().eq_ignore_ascii_case("ANALYZE") {
-                return Err(QueryError::Semantic(
-                    "ANALYZE takes no arguments; it profiles the whole graph".into(),
-                ));
-            }
-            return self.analyze();
-        }
-        if crate::parser::is_mutation_statement(sql) {
-            return Err(QueryError::Semantic(
+        match Statement::classify(sql) {
+            Statement::Explain(inner) => self.explain(inner),
+            Statement::Analyze(args) if args.trim().is_empty() => self.analyze(),
+            Statement::Analyze(_) => Err(QueryError::Semantic(
+                "ANALYZE takes no arguments; it profiles the whole graph".into(),
+            )),
+            Statement::Mutation => Err(QueryError::Semantic(
                 "the query engine is read-only; INSERT EDGE / DELETE EDGE must go through a \
                  mutation host (the server `update` op or `egocensus mutate`)"
                     .into(),
-            ));
-        }
-        if crate::parser::is_materialize_statement(sql) {
-            return self.execute_materialize(sql);
-        }
-        if crate::parser::is_drop_view_statement(sql) {
-            return self.execute_drop_view(sql);
-        }
-        let stmt = parse_query(sql)?;
-        match stmt.tables.len() {
-            1 => self.execute_single(&stmt),
-            2 => self.execute_pair(&stmt),
-            n => Err(QueryError::Semantic(format!("{n} tables unsupported"))),
+            )),
+            Statement::Materialize => self.execute_materialize(sql),
+            Statement::DropView => self.execute_drop_view(sql),
+            Statement::Subscribe(_) => Err(QueryError::Semantic(
+                "SUBSCRIBE registers a standing query; it must go through a subscription \
+                 host (the server `subscribe` op)"
+                    .into(),
+            )),
+            Statement::Select(sql) => {
+                let stmt = parse_query(sql)?;
+                match stmt.tables.len() {
+                    1 => self.execute_single(&stmt),
+                    2 => self.execute_pair(&stmt),
+                    n => Err(QueryError::Semantic(format!("{n} tables unsupported"))),
+                }
+            }
         }
     }
 
@@ -950,18 +946,9 @@ impl<'g> QueryEngine<'g> {
         let mut items = Vec::new();
         let mut jobs: Vec<BatchAgg<'_>> = Vec::new();
         for text in split_statements(sql) {
-            let trimmed = text.trim_start();
-            if trimmed.len() >= 7 && trimmed[..7].eq_ignore_ascii_case("EXPLAIN") {
-                items.push(Item::Direct(text));
-                continue;
-            }
-            if crate::parser::is_analyze_statement(&text)
-                || crate::parser::is_mutation_statement(&text)
-                || crate::parser::is_materialize_statement(&text)
-                || crate::parser::is_drop_view_statement(&text)
-            {
-                // Route through execute() (ANALYZE/view-maintenance
-                // semantics / the read-only mutation error).
+            if !matches!(Statement::classify(&text), Statement::Select(_)) {
+                // EXPLAIN, ANALYZE, view maintenance, and the read-only
+                // rejections keep their execute() semantics.
                 items.push(Item::Direct(text));
                 continue;
             }

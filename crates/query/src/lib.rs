@@ -62,16 +62,11 @@ pub use catalog::Catalog;
 pub use census_cache::{CensusCache, CensusCacheStats, CountMeta};
 pub use error::QueryError;
 pub use executor::QueryEngine;
-pub use parser::{
-    is_analyze_statement, is_drop_view_statement, is_materialize_statement, is_mutation_statement,
-    parse_drop_view, parse_materialize, parse_mutations,
-};
+pub use parser::{parse_drop_view, parse_materialize, parse_mutations, Statement};
 pub use plan::{build_plan, plan_statement, Plan, PlanNode, StatsBasis};
 pub use shard::ShardSpec;
 pub use stats::{GraphStats, PlannerCounters, StatsSlot};
-pub use subscribe::{
-    is_subscribe_statement, strip_subscribe, ChangedRow, SubscriptionAgg, SubscriptionSpec,
-};
+pub use subscribe::{strip_subscribe, ChangedRow, SubscriptionAgg, SubscriptionSpec};
 pub use table::Table;
 pub use value::Value;
 pub use views::{ViewEntry, ViewRegistry, ViewStats, DEFAULT_VIEW_BUDGET};

@@ -31,48 +31,58 @@ pub fn parse_query(sql: &str) -> Result<SelectStmt, QueryError> {
     Ok(stmt)
 }
 
-/// Does this statement start with a mutation verb (`INSERT` / `DELETE`)?
-/// Used to route statements between the read-only query engine and a
-/// mutation host.
-pub fn is_mutation_statement(sql: &str) -> bool {
-    let word: String = sql
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect();
-    word.eq_ignore_ascii_case("INSERT") || word.eq_ignore_ascii_case("DELETE")
+/// What a statement *is*, decided once from its leading keyword token.
+/// Every stage that treats statement families differently — the engine,
+/// the planner, the server session, the shard router — matches on this
+/// instead of sniffing the text itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Statement<'a> {
+    /// No other verb leads it: the whole text, parsed as a `SELECT`
+    /// (whose parser reports anything else as a syntax error).
+    Select(&'a str),
+    /// `EXPLAIN <select>`: the text after the verb.
+    Explain(&'a str),
+    /// `ANALYZE`: the text after the verb, which must be blank.
+    Analyze(&'a str),
+    /// `INSERT EDGE` / `DELETE EDGE`.
+    Mutation,
+    /// `MATERIALIZE <pattern> RADIUS k ...`.
+    Materialize,
+    /// `DROP VIEW <pattern> RADIUS k ...`.
+    DropView,
+    /// `SUBSCRIBE <select>`: the text after the verb.
+    Subscribe(&'a str),
 }
 
-/// Does this statement start with the `ANALYZE` verb? `ANALYZE` takes no
-/// arguments (the executor rejects trailing tokens with a clear error);
-/// it profiles the engine's graph into planner statistics.
-pub fn is_analyze_statement(sql: &str) -> bool {
-    let word: String = sql
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect();
-    word.eq_ignore_ascii_case("ANALYZE")
-}
-
-/// Does this statement start with the `MATERIALIZE` verb?
-pub fn is_materialize_statement(sql: &str) -> bool {
-    let word: String = sql
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect();
-    word.eq_ignore_ascii_case("MATERIALIZE")
-}
-
-/// Does this statement start with the `DROP` verb (i.e. `DROP VIEW`)?
-pub fn is_drop_view_statement(sql: &str) -> bool {
-    let word: String = sql
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect();
-    word.eq_ignore_ascii_case("DROP")
+impl<'a> Statement<'a> {
+    /// Classify `sql` by its first token under the lexer's identifier
+    /// rule (ASCII letters, digits, `_`), compared case-insensitively.
+    pub fn classify(sql: &'a str) -> Statement<'a> {
+        let body = sql.trim_start();
+        // Identifier bytes are ASCII, so the split lands on a char
+        // boundary whatever follows the keyword.
+        let len = body
+            .bytes()
+            .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
+            .count();
+        let (word, rest) = body.split_at(len);
+        let is = |verb: &str| word.eq_ignore_ascii_case(verb);
+        if is("EXPLAIN") {
+            Statement::Explain(rest)
+        } else if is("ANALYZE") {
+            Statement::Analyze(rest)
+        } else if is("INSERT") || is("DELETE") {
+            Statement::Mutation
+        } else if is("MATERIALIZE") {
+            Statement::Materialize
+        } else if is("DROP") {
+            Statement::DropView
+        } else if is("SUBSCRIBE") {
+            Statement::Subscribe(rest)
+        } else {
+            Statement::Select(sql)
+        }
+    }
 }
 
 /// Parse `MATERIALIZE <pattern> RADIUS k [SUBPATTERN sp] [MATCHES]`.
@@ -707,11 +717,37 @@ mod tests {
     }
 
     #[test]
-    fn mutation_statement_detection() {
-        assert!(is_mutation_statement("  insert edge (1, 2)"));
-        assert!(is_mutation_statement("DELETE EDGE (1, 2)"));
-        assert!(!is_mutation_statement("SELECT ID FROM nodes"));
-        assert!(!is_mutation_statement(""));
+    fn statements_classify_by_leading_keyword() {
+        use Statement::*;
+        for (sql, want) in [
+            ("SELECT ID FROM nodes", Select("SELECT ID FROM nodes")),
+            ("  select 1", Select("  select 1")),
+            ("", Select("")),
+            (
+                "explain SELECT ID FROM nodes",
+                Explain(" SELECT ID FROM nodes"),
+            ),
+            ("EXPLAIN(SELECT 1)", Explain("(SELECT 1)")),
+            ("ANALYZE", Analyze("")),
+            (" analyze  nodes", Analyze("  nodes")),
+            ("  insert edge (1, 2)", Mutation),
+            ("DELETE EDGE (1, 2)", Mutation),
+            ("  materialize tri radius 2", Materialize),
+            ("  drop view tri radius 2", DropView),
+            ("Subscribe SELECT 1", Subscribe(" SELECT 1")),
+            // The keyword is a whole token, not a prefix.
+            ("EXPLAINSELECT 1", Select("EXPLAINSELECT 1")),
+            ("INSERT_EDGE (1, 2)", Select("INSERT_EDGE (1, 2)")),
+            // Multi-byte text before or after the keyword never splits a
+            // character.
+            (
+                "\u{e9}\u{e9}\u{e9}\u{e9}SELECT ID FROM nodes",
+                Select("\u{e9}\u{e9}\u{e9}\u{e9}SELECT ID FROM nodes"),
+            ),
+            ("EXPLAIN\u{e9}", Explain("\u{e9}")),
+        ] {
+            assert_eq!(Statement::classify(sql), want, "{sql:?}");
+        }
     }
 
     #[test]
@@ -732,8 +768,6 @@ mod tests {
         assert!(parse_materialize("MATERIALIZE tri").is_err());
         assert!(parse_materialize("MATERIALIZE tri RADIUS -1").is_err());
         assert!(parse_materialize("MATERIALIZE tri RADIUS 2 extra").is_err());
-        assert!(is_materialize_statement("  materialize tri radius 2"));
-        assert!(!is_materialize_statement("SELECT ID FROM nodes"));
     }
 
     #[test]
@@ -751,8 +785,6 @@ mod tests {
         assert_eq!(d.subpattern.as_deref(), Some("hub"));
         assert!(parse_drop_view("DROP TABLE tri RADIUS 2").is_err());
         assert!(parse_drop_view("DROP VIEW tri").is_err());
-        assert!(is_drop_view_statement("  drop view tri radius 2"));
-        assert!(!is_drop_view_statement("SELECT ID FROM nodes"));
     }
 
     #[test]

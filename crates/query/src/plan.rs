@@ -19,7 +19,7 @@
 
 use crate::ast::{NeighborhoodAst, OrderKey, Projection, SelectStmt};
 use crate::error::QueryError;
-use crate::parser::{is_mutation_statement, parse_query};
+use crate::parser::{parse_query, Statement};
 use crate::shard::ShardSpec;
 use ego_census::{Algorithm, BatchStage};
 
@@ -313,34 +313,25 @@ pub fn build_plan(stmt: &SelectStmt) -> Plan {
 
 /// Parse one statement and build its logical plan — the catalog-free
 /// entry point front ends (the shard router) use to reason about a
-/// statement's shape without executing it. Mutations, `ANALYZE`, and
-/// `EXPLAIN` have no SELECT plan and error here.
+/// statement's shape without executing it. Only a `SELECT` has a plan;
+/// every other statement family errors here.
 pub fn plan_statement(sql: &str) -> Result<Plan, QueryError> {
-    let trimmed = sql.trim();
-    if is_mutation_statement(trimmed) {
-        return Err(QueryError::Semantic(
-            "mutation statements have no query plan".into(),
-        ));
+    Statement::classify(sql).plan()
+}
+
+impl Statement<'_> {
+    /// [`plan_statement`] for an already classified statement.
+    pub fn plan(&self) -> Result<Plan, QueryError> {
+        match self {
+            Statement::Select(text) => Ok(build_plan(&parse_query(text.trim())?)),
+            Statement::Explain(_) => Err(QueryError::Semantic(
+                "EXPLAIN wraps a statement; plan the inner statement".into(),
+            )),
+            _ => Err(QueryError::Semantic(
+                "only SELECT statements have a query plan".into(),
+            )),
+        }
     }
-    if crate::parser::is_analyze_statement(trimmed) {
-        return Err(QueryError::Semantic(
-            "ANALYZE has no query plan; it profiles the graph".into(),
-        ));
-    }
-    if crate::parser::is_materialize_statement(trimmed)
-        || crate::parser::is_drop_view_statement(trimmed)
-    {
-        return Err(QueryError::Semantic(
-            "view maintenance statements have no query plan".into(),
-        ));
-    }
-    if trimmed.len() >= 7 && trimmed[..7].eq_ignore_ascii_case("EXPLAIN") {
-        return Err(QueryError::Semantic(
-            "EXPLAIN wraps a statement; plan the inner statement".into(),
-        ));
-    }
-    let stmt = parse_query(trimmed)?;
-    Ok(build_plan(&stmt))
 }
 
 impl Plan {
@@ -561,6 +552,7 @@ mod tests {
         assert!(plan_statement("MATERIALIZE tri RADIUS 2").is_err());
         assert!(plan_statement("DROP VIEW tri RADIUS 2").is_err());
         assert!(plan_statement("EXPLAIN SELECT ID FROM nodes").is_err());
+        assert!(plan_statement("SUBSCRIBE SELECT ID FROM nodes").is_err());
         assert!(plan_statement("SELECT FROM").is_err());
     }
 

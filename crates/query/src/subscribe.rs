@@ -14,6 +14,7 @@
 //! `ORDER BY` / `LIMIT` are rejected: notifications are *row deltas*
 //! (focal, old, new), for which output ordering is meaningless.
 
+use crate::parser::Statement;
 use crate::value::Value;
 use ego_graph::NodeId;
 use ego_pattern::Pattern;
@@ -45,26 +46,13 @@ pub struct SubscriptionSpec {
     pub aggs: Vec<SubscriptionAgg>,
 }
 
-/// Does this statement start with the `SUBSCRIBE` verb?
-pub fn is_subscribe_statement(sql: &str) -> bool {
-    let word: String = sql
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_alphabetic())
-        .collect();
-    word.eq_ignore_ascii_case("SUBSCRIBE")
-}
-
 /// Strip a leading `SUBSCRIBE` verb, leaving the SELECT body. Statements
 /// without the verb pass through unchanged (the server's `subscribe` op
 /// makes the intent explicit, so the verb is optional there).
 pub fn strip_subscribe(sql: &str) -> &str {
-    let t = sql.trim_start();
-    if is_subscribe_statement(t) {
-        let n = t.chars().take_while(|c| c.is_ascii_alphabetic()).count();
-        &t[n..]
-    } else {
-        t
+    match Statement::classify(sql) {
+        Statement::Subscribe(body) => body,
+        _ => sql.trim_start(),
     }
 }
 
@@ -100,10 +88,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn subscribe_verb_detection_and_strip() {
-        assert!(is_subscribe_statement("  subscribe SELECT ID FROM nodes"));
-        assert!(is_subscribe_statement("SUBSCRIBE SELECT 1"));
-        assert!(!is_subscribe_statement("SELECT ID FROM nodes"));
+    fn subscribe_verb_strips() {
+        assert_eq!(strip_subscribe("  subscribe SELECT 1"), " SELECT 1");
         assert_eq!(
             strip_subscribe("SUBSCRIBE SELECT ID FROM nodes").trim(),
             "SELECT ID FROM nodes"

@@ -6,13 +6,12 @@
 //!
 //! Transient failures (a worker restarting, a connection reset) are
 //! absorbed by bounded retry with exponential backoff: connects retry
-//! unconditionally, and *idempotent* requests (`ping`, `query`,
-//! `explain`, `analyze`, `stats`) are re-sent over a fresh connection when the old
-//! one breaks. Non-idempotent requests (`define`, `update`, `shutdown`)
-//! are never silently re-sent — the caller must decide whether the
-//! side effect happened. Timeouts are not retried either: a slow server
-//! is not a dead one, and re-sending over the same stream would desync
-//! the request/response pairing.
+//! unconditionally, and requests whose [`crate::protocol::OPS`] row is
+//! marked *idempotent* are re-sent over a fresh connection when the old
+//! one breaks. The rest are never silently re-sent — the caller must
+//! decide whether the side effect happened. Timeouts are not retried
+//! either: a slow server is not a dead one, and re-sending over the same
+//! stream would desync the request/response pairing.
 
 use crate::protocol::{NotifyFrame, Request, Response, TableData};
 use ego_query::ShardSpec;
@@ -72,24 +71,6 @@ fn is_connection_error(e: &std::io::Error) -> bool {
             | ErrorKind::UnexpectedEof
             | ErrorKind::NotConnected
     )
-}
-
-impl Request {
-    /// True when re-sending the request after a connection failure
-    /// cannot change the outcome (`ping`/`query`/`explain`/`analyze`/
-    /// `stats`). `analyze` does write the stats snapshot, but profiling
-    /// is deterministic for a given graph — running it twice writes the
-    /// same bytes — so re-sending it is safe.
-    pub fn is_idempotent(&self) -> bool {
-        matches!(
-            self,
-            Request::Ping
-                | Request::Query { .. }
-                | Request::Explain { .. }
-                | Request::Analyze
-                | Request::Stats
-        )
-    }
 }
 
 /// A blocking protocol client.
@@ -470,66 +451,6 @@ impl Client {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-
-    #[test]
-    fn idempotency_classification() {
-        for (req, idempotent) in [
-            (Request::Ping, true),
-            (
-                Request::Query {
-                    sql: "SELECT 1".into(),
-                    shard: None,
-                },
-                true,
-            ),
-            (
-                Request::Explain {
-                    sql: "SELECT 1".into(),
-                },
-                true,
-            ),
-            (Request::Analyze, true),
-            (Request::Stats, true),
-            (
-                Request::Subscribe {
-                    sql: "SUBSCRIBE SELECT 1".into(),
-                    shard: None,
-                },
-                false,
-            ),
-            (Request::Unsubscribe { id: 1 }, false),
-            (
-                // Re-sending could double-evict under budget pressure.
-                Request::Materialize {
-                    sql: "MATERIALIZE t RADIUS 1".into(),
-                    shard: None,
-                },
-                false,
-            ),
-            (
-                // The second send errors (`no materialized view`).
-                Request::DropView {
-                    sql: "DROP VIEW t RADIUS 1".into(),
-                },
-                false,
-            ),
-            (
-                Request::Define {
-                    pattern: "PATTERN p { ?A; }".into(),
-                },
-                false,
-            ),
-            (
-                Request::Update {
-                    mutations: "INSERT EDGE (0, 1)".into(),
-                },
-                false,
-            ),
-            (Request::Shutdown, false),
-        ] {
-            assert_eq!(req.is_idempotent(), idempotent, "{req:?}");
-        }
-    }
 
     #[test]
     fn backoff_doubles_per_retry() {

@@ -11,11 +11,9 @@
 //!   [`QueryEngine`](ego_query::QueryEngine) and a pattern catalog
 //!   layered over a shared base catalog ([`ego_query::Catalog::layered`]),
 //!   so `define`s are per-session and can never shadow shared built-ins.
-//! * The wire protocol is line-delimited JSON ([`protocol`]): `ping` /
-//!   `define` / `query` / `explain` / `update` / `subscribe` /
-//!   `unsubscribe` / `stats` / `shutdown` requests, `table` / `error`
-//!   responses, plus asynchronous `notify` frames pushed to
-//!   subscribers.
+//! * The wire protocol is line-delimited JSON ([`protocol`]): one
+//!   request per op in [`protocol::OPS`], `table` / `error` responses,
+//!   plus asynchronous `notify` frames pushed to subscribers.
 //! * Concurrency is a bounded thread-per-connection pool over
 //!   `std::net` ([`server`]) — the build environment is offline, so no
 //!   async runtime — with per-request read/write timeouts and graceful
@@ -92,6 +90,9 @@ pub mod session;
 
 pub use cache::{CacheStats, QueryCache};
 pub use client::{Client, RetryPolicy};
-pub use protocol::{NotifyFrame, Request, Response, TableData};
-pub use server::{Server, ServerConfig, ShutdownHandle};
+pub use protocol::{NotifyFrame, OpSpec, Payload, Request, Response, Route, TableData, OPS};
+pub use server::{
+    serve_lines, LineHandler, LineLimits, Server, ServerConfig, ShutdownHandle,
+    MAX_REQUEST_LINE_BYTES,
+};
 pub use session::{NotifyQueue, ServerStats, Session, Shared, UpdateSummary};

@@ -50,7 +50,7 @@
 //! response arrives ([`crate::Client`] does this transparently).
 
 use crate::json::Json;
-use ego_query::{ShardSpec, Table, Value};
+use ego_query::{ShardSpec, Statement, Table, Value};
 
 /// A client request.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,66 +128,177 @@ pub enum Request {
     Shutdown,
 }
 
+/// How the shard router serves an op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// Answered from the router session's own state.
+    Local,
+    /// Forwarded whole to one worker, round-robin.
+    Proxy,
+    /// One leg per worker, merged by an op-specific rule.
+    Scatter,
+    /// Sent to every worker; the acknowledgments must agree byte for
+    /// byte.
+    Broadcast,
+}
+
+/// The one field a request carries besides `op` and `shard`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Payload {
+    /// Nothing.
+    None,
+    /// A string field of this name.
+    Text(&'static str),
+    /// A non-negative integer field of this name.
+    Id(&'static str),
+}
+
+/// A request's variable parts, as the codec moves them between a
+/// [`Request`] variant and its JSON fields.
+#[derive(Clone, Copy, Default)]
+struct Args<'a> {
+    text: &'a str,
+    id: u64,
+    shard: Option<ShardSpec>,
+}
+
+/// One protocol op: everything the codec, the `stats` table, the
+/// client's retry rule and the router's dispatch know about it.
+pub struct OpSpec {
+    /// The `op` string on the wire, and the `latency_<name>_*` stats key.
+    pub name: &'static str,
+    /// The payload field.
+    pub payload: Payload,
+    /// May the request carry a `shard: "i/n"` annotation?
+    pub shard: bool,
+    /// Can the request be re-sent after a connection failure without
+    /// changing the outcome? (`analyze` writes the stats snapshot, but
+    /// profiling is deterministic for a given graph, so running it
+    /// twice writes the same bytes.)
+    pub idempotent: bool,
+    /// How the shard router serves it.
+    pub route: Route,
+    build: fn(&Args<'_>) -> Request,
+}
+
+/// Every protocol op, in the order the unknown-op diagnostic lists them
+/// (which is also the order of [`crate::ServerStats::latency`]). Adding
+/// an op is one row here, one [`Request`] variant pointed at it in
+/// `Request::parts`, and one `Session::handle` arm.
+#[rustfmt::skip]
+pub const OPS: [OpSpec; 12] = {
+    use Payload::{Id, Text};
+    use Route::{Broadcast, Local, Proxy, Scatter};
+    [
+        OpSpec { name: "ping", payload: Payload::None, shard: false, idempotent: true, route: Local,
+                 build: |_| Request::Ping },
+        OpSpec { name: "define", payload: Text("pattern"), shard: false, idempotent: false, route: Broadcast,
+                 build: |a| Request::Define { pattern: a.text.into() } },
+        OpSpec { name: "query", payload: Text("sql"), shard: true, idempotent: true, route: Scatter,
+                 build: |a| Request::Query { sql: a.text.into(), shard: a.shard } },
+        OpSpec { name: "explain", payload: Text("sql"), shard: false, idempotent: true, route: Proxy,
+                 build: |a| Request::Explain { sql: a.text.into() } },
+        OpSpec { name: "analyze", payload: Payload::None, shard: false, idempotent: true, route: Broadcast,
+                 build: |_| Request::Analyze },
+        OpSpec { name: "update", payload: Text("mutations"), shard: false, idempotent: false, route: Broadcast,
+                 build: |a| Request::Update { mutations: a.text.into() } },
+        OpSpec { name: "subscribe", payload: Text("sql"), shard: true, idempotent: false, route: Scatter,
+                 build: |a| Request::Subscribe { sql: a.text.into(), shard: a.shard } },
+        OpSpec { name: "unsubscribe", payload: Id("id"), shard: false, idempotent: false, route: Local,
+                 build: |a| Request::Unsubscribe { id: a.id } },
+        OpSpec { name: "materialize", payload: Text("sql"), shard: true, idempotent: false, route: Broadcast,
+                 build: |a| Request::Materialize { sql: a.text.into(), shard: a.shard } },
+        OpSpec { name: "drop_view", payload: Text("sql"), shard: false, idempotent: false, route: Broadcast,
+                 build: |a| Request::DropView { sql: a.text.into() } },
+        OpSpec { name: "stats", payload: Payload::None, shard: false, idempotent: true, route: Scatter,
+                 build: |_| Request::Stats },
+        OpSpec { name: "shutdown", payload: Payload::None, shard: false, idempotent: false, route: Local,
+                 build: |_| Request::Shutdown },
+    ]
+};
+
 impl Request {
+    /// This request's row index in [`OPS`] and its variable parts. The
+    /// one exhaustive match over the variants: a new variant does not
+    /// compile until it is pointed at its row.
+    fn parts(&self) -> (usize, Args<'_>) {
+        let text = |text| Args {
+            text,
+            ..Args::default()
+        };
+        let sharded = |text, shard: &Option<ShardSpec>| Args {
+            text,
+            shard: *shard,
+            ..Args::default()
+        };
+        match self {
+            Request::Ping => (0, Args::default()),
+            Request::Define { pattern } => (1, text(pattern)),
+            Request::Query { sql, shard } => (2, sharded(sql, shard)),
+            Request::Explain { sql } => (3, text(sql)),
+            Request::Analyze => (4, Args::default()),
+            Request::Update { mutations } => (5, text(mutations)),
+            Request::Subscribe { sql, shard } => (6, sharded(sql, shard)),
+            Request::Unsubscribe { id } => (
+                7,
+                Args {
+                    id: *id,
+                    ..Args::default()
+                },
+            ),
+            Request::Materialize { sql, shard } => (8, sharded(sql, shard)),
+            Request::DropView { sql } => (9, text(sql)),
+            Request::Stats => (10, Args::default()),
+            Request::Shutdown => (11, Args::default()),
+        }
+    }
+
+    /// This request's row index in [`OPS`].
+    pub fn op_index(&self) -> usize {
+        self.parts().0
+    }
+
+    /// This request's row of [`OPS`].
+    pub fn op(&self) -> &'static OpSpec {
+        &OPS[self.op_index()]
+    }
+
+    /// True when re-sending the request after a connection failure
+    /// cannot change the outcome.
+    pub fn is_idempotent(&self) -> bool {
+        self.op().idempotent
+    }
+
+    /// The op a `query` request's statement has to itself, if it has
+    /// one: `ANALYZE`, `MATERIALIZE ...` and `DROP VIEW ...` sent through
+    /// `query` are served exactly as `analyze`, `materialize` and
+    /// `drop_view` would be, by a direct server and by the router alike.
+    pub fn dedicated(stmt: Statement<'_>, sql: &str, shard: Option<ShardSpec>) -> Option<Request> {
+        match stmt {
+            Statement::Analyze(args) if args.trim().is_empty() => Some(Request::Analyze),
+            Statement::Materialize => Some(Request::Materialize {
+                sql: sql.into(),
+                shard,
+            }),
+            Statement::DropView => Some(Request::DropView { sql: sql.into() }),
+            _ => None,
+        }
+    }
+
     /// Encode as a single-line JSON string (no trailing newline).
     pub fn encode(&self) -> String {
-        let obj = match self {
-            Request::Ping => vec![("op".to_string(), Json::Str("ping".into()))],
-            Request::Define { pattern } => vec![
-                ("op".to_string(), Json::Str("define".into())),
-                ("pattern".to_string(), Json::Str(pattern.clone())),
-            ],
-            Request::Query { sql, shard } => {
-                let mut fields = vec![
-                    ("op".to_string(), Json::Str("query".into())),
-                    ("sql".to_string(), Json::Str(sql.clone())),
-                ];
-                if let Some(s) = shard {
-                    fields.push(("shard".to_string(), Json::Str(s.to_string())));
-                }
-                fields
-            }
-            Request::Explain { sql } => vec![
-                ("op".to_string(), Json::Str("explain".into())),
-                ("sql".to_string(), Json::Str(sql.clone())),
-            ],
-            Request::Analyze => vec![("op".to_string(), Json::Str("analyze".into()))],
-            Request::Stats => vec![("op".to_string(), Json::Str("stats".into()))],
-            Request::Update { mutations } => vec![
-                ("op".to_string(), Json::Str("update".into())),
-                ("mutations".to_string(), Json::Str(mutations.clone())),
-            ],
-            Request::Subscribe { sql, shard } => {
-                let mut fields = vec![
-                    ("op".to_string(), Json::Str("subscribe".into())),
-                    ("sql".to_string(), Json::Str(sql.clone())),
-                ];
-                if let Some(s) = shard {
-                    fields.push(("shard".to_string(), Json::Str(s.to_string())));
-                }
-                fields
-            }
-            Request::Unsubscribe { id } => vec![
-                ("op".to_string(), Json::Str("unsubscribe".into())),
-                ("id".to_string(), Json::Int(*id as i64)),
-            ],
-            Request::Materialize { sql, shard } => {
-                let mut fields = vec![
-                    ("op".to_string(), Json::Str("materialize".into())),
-                    ("sql".to_string(), Json::Str(sql.clone())),
-                ];
-                if let Some(s) = shard {
-                    fields.push(("shard".to_string(), Json::Str(s.to_string())));
-                }
-                fields
-            }
-            Request::DropView { sql } => vec![
-                ("op".to_string(), Json::Str("drop_view".into())),
-                ("sql".to_string(), Json::Str(sql.clone())),
-            ],
-            Request::Shutdown => vec![("op".to_string(), Json::Str("shutdown".into()))],
-        };
-        Json::Obj(obj).render()
+        let (index, args) = self.parts();
+        let spec = &OPS[index];
+        let mut fields = vec![("op".to_string(), Json::Str(spec.name.into()))];
+        match spec.payload {
+            Payload::None => {}
+            Payload::Text(name) => fields.push((name.into(), Json::Str(args.text.into()))),
+            Payload::Id(name) => fields.push((name.into(), Json::Int(args.id as i64))),
+        }
+        if let Some(s) = args.shard {
+            fields.push(("shard".into(), Json::Str(s.to_string())));
+        }
+        Json::Obj(fields).render()
     }
 
     /// Decode one request line. Errors are human-readable protocol
@@ -198,77 +309,31 @@ impl Request {
             .get("op")
             .and_then(Json::as_str)
             .ok_or("request must be an object with a string `op` field")?;
-        let field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("op `{op}` requires a string `{name}` field"))
-        };
-        match op {
-            "ping" => Ok(Request::Ping),
-            "define" => Ok(Request::Define {
-                pattern: field("pattern")?,
-            }),
-            "query" => {
-                let shard = match v.get("shard") {
-                    None => None,
-                    Some(j) => {
-                        let text = j.as_str().ok_or("`shard` must be an `i/n` string")?;
-                        Some(ShardSpec::parse(text)?)
-                    }
-                };
-                Ok(Request::Query {
-                    sql: field("sql")?,
-                    shard,
-                })
-            }
-            "explain" => Ok(Request::Explain { sql: field("sql")? }),
-            "analyze" => Ok(Request::Analyze),
-            "update" => Ok(Request::Update {
-                mutations: field("mutations")?,
-            }),
-            "subscribe" => {
-                let shard = match v.get("shard") {
-                    None => None,
-                    Some(j) => {
-                        let text = j.as_str().ok_or("`shard` must be an `i/n` string")?;
-                        Some(ShardSpec::parse(text)?)
-                    }
-                };
-                Ok(Request::Subscribe {
-                    sql: field("sql")?,
-                    shard,
-                })
-            }
-            "unsubscribe" => {
-                let id = v
-                    .get("id")
-                    .and_then(Json::as_i64)
-                    .filter(|&i| i >= 0)
-                    .ok_or("op `unsubscribe` requires a non-negative integer `id` field")?;
-                Ok(Request::Unsubscribe { id: id as u64 })
-            }
-            "materialize" => {
-                let shard = match v.get("shard") {
-                    None => None,
-                    Some(j) => {
-                        let text = j.as_str().ok_or("`shard` must be an `i/n` string")?;
-                        Some(ShardSpec::parse(text)?)
-                    }
-                };
-                Ok(Request::Materialize {
-                    sql: field("sql")?,
-                    shard,
-                })
-            }
-            "drop_view" => Ok(Request::DropView { sql: field("sql")? }),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!(
-                "unknown op `{other}` (ping, define, query, explain, analyze, update, \
-                 subscribe, unsubscribe, materialize, drop_view, stats, shutdown)"
-            )),
+        let spec = OPS.iter().find(|s| s.name == op).ok_or_else(|| {
+            let names: Vec<&str> = OPS.iter().map(|s| s.name).collect();
+            format!("unknown op `{op}` ({})", names.join(", "))
+        })?;
+        let mut args = Args::default();
+        if let Some(j) = v.get("shard").filter(|_| spec.shard) {
+            let text = j.as_str().ok_or("`shard` must be an `i/n` string")?;
+            args.shard = Some(ShardSpec::parse(text)?);
         }
+        match spec.payload {
+            Payload::None => {}
+            Payload::Text(name) => {
+                args.text = v
+                    .get(name)
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("op `{op}` requires a string `{name}` field"))?;
+            }
+            Payload::Id(name) => {
+                let id = v.get(name).and_then(Json::as_i64).filter(|&i| i >= 0);
+                args.id = id.ok_or_else(|| {
+                    format!("op `{op}` requires a non-negative integer `{name}` field")
+                })? as u64;
+            }
+        }
+        Ok((spec.build)(&args))
     }
 }
 
@@ -337,6 +402,27 @@ impl Response {
         Response::Table(TableData::from_table(t))
     }
 
+    /// A one-cell table: the acknowledgment shape of `ping`, `define`,
+    /// `unsubscribe` and `shutdown`.
+    pub fn cell(column: &str, value: Value) -> Response {
+        Response::Table(TableData {
+            columns: vec![column.into()],
+            rows: vec![vec![value]],
+        })
+    }
+
+    /// A two-column `stat` / `value` table: the shape of `stats` and of
+    /// the `update` and `subscribe` acknowledgments.
+    pub fn key_values<K: Into<String>>(rows: impl IntoIterator<Item = (K, Value)>) -> Response {
+        Response::Table(TableData {
+            columns: vec!["stat".into(), "value".into()],
+            rows: rows
+                .into_iter()
+                .map(|(k, v)| vec![Value::Str(k.into()), v])
+                .collect(),
+        })
+    }
+
     /// An error response.
     pub fn error(message: impl Into<String>) -> Response {
         Response::Error {
@@ -352,47 +438,29 @@ impl Response {
     /// Encode as a single-line JSON string (no trailing newline).
     /// Deterministic: equal responses encode to identical bytes.
     pub fn encode(&self) -> String {
+        let mut fields = vec![
+            ("ok".to_string(), Json::Bool(!self.is_error())),
+            ("type".to_string(), Json::Str(self.type_name().into())),
+        ];
         match self {
-            Response::Table(t) => {
-                let columns = Json::Arr(t.columns.iter().cloned().map(Json::Str).collect());
-                let rows = Json::Arr(
-                    t.rows
-                        .iter()
-                        .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
-                        .collect(),
-                );
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("table".into())),
-                    ("columns".into(), columns),
-                    ("rows".into(), rows),
-                ])
-                .render()
-            }
+            Response::Table(t) => fields.extend(grid_to_json(&t.columns, &t.rows)),
             Response::Notify(f) => {
-                let columns = Json::Arr(f.columns.iter().cloned().map(Json::Str).collect());
-                let rows = Json::Arr(
-                    f.rows
-                        .iter()
-                        .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
-                        .collect(),
-                );
-                Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("type".into(), Json::Str("notify".into())),
-                    ("subscription".into(), Json::Int(f.subscription as i64)),
-                    ("generation".into(), Json::Int(f.generation as i64)),
-                    ("columns".into(), columns),
-                    ("rows".into(), rows),
-                ])
-                .render()
+                fields.push(("subscription".into(), Json::Int(f.subscription as i64)));
+                fields.push(("generation".into(), Json::Int(f.generation as i64)));
+                fields.extend(grid_to_json(&f.columns, &f.rows));
             }
-            Response::Error { message } => Json::Obj(vec![
-                ("ok".into(), Json::Bool(false)),
-                ("type".into(), Json::Str("error".into())),
-                ("message".into(), Json::Str(message.clone())),
-            ])
-            .render(),
+            Response::Error { message } => {
+                fields.push(("message".into(), Json::Str(message.clone())));
+            }
+        }
+        Json::Obj(fields).render()
+    }
+
+    fn type_name(&self) -> &'static str {
+        match self {
+            Response::Table(_) => "table",
+            Response::Notify(_) => "notify",
+            Response::Error { .. } => "error",
         }
     }
 
@@ -408,24 +476,7 @@ impl Response {
                     .to_string(),
             }),
             Some("table") => {
-                let columns = v
-                    .get("columns")
-                    .and_then(Json::as_array)
-                    .ok_or("table response missing `columns`")?
-                    .iter()
-                    .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let rows = v
-                    .get("rows")
-                    .and_then(Json::as_array)
-                    .ok_or("table response missing `rows`")?
-                    .iter()
-                    .map(|r| {
-                        r.as_array()
-                            .ok_or("non-array row")
-                            .map(|cells| cells.iter().map(json_to_value).collect::<Vec<_>>())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                let (columns, rows) = grid_from_json(&v, "table response")?;
                 Ok(Response::Table(TableData { columns, rows }))
             }
             Some("notify") => {
@@ -436,24 +487,7 @@ impl Response {
                         .map(|i| i as u64)
                         .ok_or(format!("notify frame missing `{name}`"))
                 };
-                let columns = v
-                    .get("columns")
-                    .and_then(Json::as_array)
-                    .ok_or("notify frame missing `columns`")?
-                    .iter()
-                    .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let rows = v
-                    .get("rows")
-                    .and_then(Json::as_array)
-                    .ok_or("notify frame missing `rows`")?
-                    .iter()
-                    .map(|r| {
-                        r.as_array()
-                            .ok_or("non-array row")
-                            .map(|cells| cells.iter().map(json_to_value).collect::<Vec<_>>())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                let (columns, rows) = grid_from_json(&v, "notify frame")?;
                 Ok(Response::Notify(NotifyFrame {
                     subscription: uint("subscription")?,
                     generation: uint("generation")?,
@@ -464,6 +498,41 @@ impl Response {
             _ => Err("response must have type `table`, `notify`, or `error`".into()),
         }
     }
+}
+
+/// The `columns` / `rows` fields tables and notify frames share.
+fn grid_to_json(columns: &[String], rows: &[Vec<Value>]) -> [(String, Json); 2] {
+    let columns = Json::Arr(columns.iter().cloned().map(Json::Str).collect());
+    let rows = Json::Arr(
+        rows.iter()
+            .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
+            .collect(),
+    );
+    [("columns".into(), columns), ("rows".into(), rows)]
+}
+
+/// Inverse of [`grid_to_json`]; `what` names the response kind in
+/// diagnostics.
+fn grid_from_json(v: &Json, what: &str) -> Result<(Vec<String>, Vec<Vec<Value>>), String> {
+    let columns = v
+        .get("columns")
+        .and_then(Json::as_array)
+        .ok_or(format!("{what} missing `columns`"))?
+        .iter()
+        .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let rows = v
+        .get("rows")
+        .and_then(Json::as_array)
+        .ok_or(format!("{what} missing `rows`"))?
+        .iter()
+        .map(|r| {
+            r.as_array()
+                .ok_or("non-array row")
+                .map(|cells| cells.iter().map(json_to_value).collect::<Vec<_>>())
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((columns, rows))
 }
 
 fn value_to_json(v: &Value) -> Json {
@@ -493,53 +562,125 @@ fn json_to_value(v: &Json) -> Value {
 mod tests {
     use super::*;
 
-    #[test]
-    fn request_roundtrip() {
-        for req in [
-            Request::Ping,
-            Request::Define {
-                pattern: "PATTERN t { ?A-?B; }".into(),
-            },
-            Request::Query {
-                sql: "SELECT ID FROM nodes".into(),
-                shard: None,
-            },
-            Request::Query {
-                sql: "SELECT ID FROM nodes".into(),
-                shard: Some(ShardSpec::new(2, 4).unwrap()),
-            },
-            Request::Explain {
-                sql: "SELECT ID FROM nodes".into(),
-            },
-            Request::Analyze,
-            Request::Update {
-                mutations: "INSERT EDGE (4, 6); DELETE EDGE (0, 1)".into(),
-            },
-            Request::Subscribe {
-                sql: "SUBSCRIBE SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes".into(),
-                shard: None,
-            },
-            Request::Subscribe {
-                sql: "SUBSCRIBE SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes".into(),
-                shard: Some(ShardSpec::new(1, 3).unwrap()),
-            },
-            Request::Unsubscribe { id: 7 },
-            Request::Materialize {
-                sql: "MATERIALIZE t RADIUS 1 MATCHES".into(),
-                shard: None,
-            },
-            Request::Materialize {
-                sql: "MATERIALIZE t RADIUS 2".into(),
-                shard: Some(ShardSpec::new(0, 2).unwrap()),
-            },
-            Request::DropView {
-                sql: "DROP VIEW t RADIUS 1".into(),
-            },
-            Request::Stats,
-            Request::Shutdown,
-        ] {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+    /// What each variant's [`OPS`] row must say, written out by hand:
+    /// `(name, idempotent, route)`. Exhaustive, so a new variant does not
+    /// compile here until its row is spelled out.
+    fn expected_row(req: &Request) -> (&'static str, bool, Route) {
+        match req {
+            Request::Ping => ("ping", true, Route::Local),
+            Request::Define { .. } => ("define", false, Route::Broadcast),
+            Request::Query { .. } => ("query", true, Route::Scatter),
+            Request::Explain { .. } => ("explain", true, Route::Proxy),
+            Request::Analyze => ("analyze", true, Route::Broadcast),
+            Request::Update { .. } => ("update", false, Route::Broadcast),
+            Request::Subscribe { .. } => ("subscribe", false, Route::Scatter),
+            Request::Unsubscribe { .. } => ("unsubscribe", false, Route::Local),
+            // Re-sending could double-evict under budget pressure.
+            Request::Materialize { .. } => ("materialize", false, Route::Broadcast),
+            // The second send errors (`no materialized view`).
+            Request::DropView { .. } => ("drop_view", false, Route::Broadcast),
+            Request::Stats => ("stats", true, Route::Scatter),
+            Request::Shutdown => ("shutdown", false, Route::Local),
         }
+    }
+
+    #[test]
+    fn request_roundtrip_and_op_table() {
+        let sql = || "SELECT ID FROM nodes".to_string();
+        let mut seen = Vec::new();
+        for (req, wire) in [
+            (Request::Ping, r#"{"op":"ping"}"#),
+            (
+                Request::Define {
+                    pattern: "PATTERN t { ?A-?B; }".into(),
+                },
+                r#"{"op":"define","pattern":"PATTERN t { ?A-?B; }"}"#,
+            ),
+            (
+                Request::Query {
+                    sql: sql(),
+                    shard: None,
+                },
+                r#"{"op":"query","sql":"SELECT ID FROM nodes"}"#,
+            ),
+            (
+                Request::Query {
+                    sql: sql(),
+                    shard: Some(ShardSpec::new(2, 4).unwrap()),
+                },
+                r#"{"op":"query","sql":"SELECT ID FROM nodes","shard":"2/4"}"#,
+            ),
+            (
+                Request::Explain { sql: sql() },
+                r#"{"op":"explain","sql":"SELECT ID FROM nodes"}"#,
+            ),
+            (Request::Analyze, r#"{"op":"analyze"}"#),
+            (
+                Request::Update {
+                    mutations: "INSERT EDGE (4, 6); DELETE EDGE (0, 1)".into(),
+                },
+                r#"{"op":"update","mutations":"INSERT EDGE (4, 6); DELETE EDGE (0, 1)"}"#,
+            ),
+            (
+                Request::Subscribe {
+                    sql: "SUBSCRIBE SELECT ID FROM nodes".into(),
+                    shard: None,
+                },
+                r#"{"op":"subscribe","sql":"SUBSCRIBE SELECT ID FROM nodes"}"#,
+            ),
+            (
+                Request::Subscribe {
+                    sql: sql(),
+                    shard: Some(ShardSpec::new(1, 3).unwrap()),
+                },
+                r#"{"op":"subscribe","sql":"SELECT ID FROM nodes","shard":"1/3"}"#,
+            ),
+            (
+                Request::Unsubscribe { id: 7 },
+                r#"{"op":"unsubscribe","id":7}"#,
+            ),
+            (
+                Request::Materialize {
+                    sql: "MATERIALIZE t RADIUS 1 MATCHES".into(),
+                    shard: None,
+                },
+                r#"{"op":"materialize","sql":"MATERIALIZE t RADIUS 1 MATCHES"}"#,
+            ),
+            (
+                Request::Materialize {
+                    sql: "MATERIALIZE t RADIUS 2".into(),
+                    shard: Some(ShardSpec::new(0, 2).unwrap()),
+                },
+                r#"{"op":"materialize","sql":"MATERIALIZE t RADIUS 2","shard":"0/2"}"#,
+            ),
+            (
+                Request::DropView {
+                    sql: "DROP VIEW t RADIUS 1".into(),
+                },
+                r#"{"op":"drop_view","sql":"DROP VIEW t RADIUS 1"}"#,
+            ),
+            (Request::Stats, r#"{"op":"stats"}"#),
+            (Request::Shutdown, r#"{"op":"shutdown"}"#),
+        ] {
+            assert_eq!(req.encode(), wire);
+            assert_eq!(Request::decode(wire).unwrap(), req);
+            let (name, idempotent, route) = expected_row(&req);
+            let row = req.op();
+            // `name` is also the `latency_<name>_*` key in `stats`.
+            assert_eq!(row.name, name);
+            assert_eq!(req.is_idempotent(), idempotent, "{name}");
+            assert_eq!(row.route, route, "{name}");
+            assert_eq!(OPS[req.op_index()].name, name);
+            seen.push(name);
+        }
+        seen.dedup();
+        let table: Vec<&str> = OPS.iter().map(|row| row.name).collect();
+        assert_eq!(seen, table, "every row has a variant, in table order");
+        assert_eq!(
+            Request::decode(r#"{"op":"frobnicate"}"#).unwrap_err(),
+            "unknown op `frobnicate` (ping, define, query, explain, analyze, update, \
+             subscribe, unsubscribe, materialize, drop_view, stats, shutdown)"
+        );
     }
 
     #[test]

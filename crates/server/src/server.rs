@@ -6,9 +6,12 @@
 //! every worker is busy and the channel is full, accepted sockets wait
 //! in the OS backlog — natural backpressure. Each connection is read
 //! with a short poll timeout so workers notice shutdown promptly, and a
-//! request that stays half-received past the request timeout is
-//! answered with an `error` and dropped.
+//! request that stays half-received past the request timeout, or grows
+//! past [`MAX_REQUEST_LINE_BYTES`] without a newline, is answered with
+//! an `error` and dropped. The loop is generic over a [`LineHandler`],
+//! so the shard router serves its connections with this same code.
 
+use crate::protocol::Response;
 use crate::session::{Session, Shared};
 use ego_graph::Graph;
 use ego_query::{Algorithm, Catalog, ShardSpec};
@@ -86,6 +89,11 @@ pub struct ShutdownHandle {
 }
 
 impl ShutdownHandle {
+    /// A handle over the flag a line server polls.
+    pub fn new(flag: Arc<AtomicBool>) -> ShutdownHandle {
+        ShutdownHandle { flag }
+    }
+
     /// Ask the server to stop: the accept loop exits, workers finish
     /// their current connections and drain.
     pub fn shutdown(&self) {
@@ -125,9 +133,7 @@ impl Server {
 
     /// A handle that can stop the server from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            flag: self.shared.shutdown.clone(),
-        }
+        ShutdownHandle::new(self.shared.shutdown.clone())
     }
 
     /// The state shared across sessions (cache and counters), for
@@ -139,70 +145,142 @@ impl Server {
     /// Serve until shutdown. Blocks the calling thread; returns after
     /// the accept loop has stopped and every worker has drained.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let pool = self.config.pool_threads.max(1);
-        // Bounded handoff: at most `pool` connections queued beyond the
-        // ones being served; the rest wait in the OS accept backlog.
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(pool);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<_> = (0..pool)
-            .map(|i| {
-                let rx = rx.clone();
-                let shared = self.shared.clone();
-                let config = self.config.clone();
-                std::thread::Builder::new()
-                    .name(format!("ego-server-worker-{i}"))
-                    .spawn(move || loop {
-                        // Take the next socket without holding the lock
-                        // while serving it.
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => return, // accept loop gone: drain out
-                        };
-                        serve_connection(stream, &shared, &config);
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let shutdown = self.shared.shutdown.clone();
-        while !shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    // A send only fails if all workers panicked; treat
-                    // that as shutdown.
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.config.poll_interval);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        drop(tx); // workers drain queued sockets, then exit
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(())
+        let limits = LineLimits {
+            pool_threads: self.config.pool_threads,
+            request_timeout: self.config.request_timeout,
+            write_timeout: self.config.write_timeout,
+            poll_interval: self.config.poll_interval,
+        };
+        let shared = self.shared;
+        let shutdown = shared.shutdown.clone();
+        serve_lines(
+            self.listener,
+            shutdown,
+            limits,
+            "ego-server-worker",
+            move || {
+                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                Session::new(&shared)
+            },
+        )
     }
+}
+
+/// Longest request line the line server buffers. A connection that
+/// sends more without a newline gets one `error` response and is closed,
+/// so an unterminated request cannot grow the buffer for the whole
+/// request timeout. Large enough for a ~40 000-edge `update` script.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// The pool size and timeouts of [`serve_lines`].
+#[derive(Clone, Copy, Debug)]
+pub struct LineLimits {
+    /// Connection-handler threads (the concurrency bound).
+    pub pool_threads: usize,
+    /// How long a half-received request may dribble in before the
+    /// connection is dropped.
+    pub request_timeout: Duration,
+    /// Write timeout per response.
+    pub write_timeout: Duration,
+    /// Accept/read poll tick; bounds shutdown latency.
+    pub poll_interval: Duration,
+}
+
+/// One connection's request handler behind the line server: a direct
+/// server's [`Session`], or the shard router's session.
+pub trait LineHandler {
+    /// Answer one request line with one encoded response line.
+    fn handle_line(&mut self, line: &str) -> String;
+
+    /// Take the notify frames ready for this client, oldest first, as
+    /// encoded lines. Frames produced by handling a request (an `update`
+    /// on a connection that also subscribes) are written *before* its
+    /// response: a client that sees generation `G` acknowledged has
+    /// already seen every frame up to `G`.
+    fn take_frames(&mut self) -> Vec<String>;
+
+    /// Called on every idle poll tick, before [`LineHandler::take_frames`]:
+    /// a chance to collect frames that arrive outside any request.
+    fn idle_tick(&mut self) {}
+}
+
+/// The line-delimited front end shared by [`Server`] and the shard
+/// router: a bounded thread-per-connection pool fed by a non-blocking
+/// accept loop, each connection served by the handler `connect` builds
+/// for it. Blocks until `shutdown` is set; returns after every worker
+/// has drained.
+pub fn serve_lines<H: LineHandler>(
+    listener: TcpListener,
+    shutdown: Arc<AtomicBool>,
+    limits: LineLimits,
+    thread_name: &str,
+    connect: impl Fn() -> H + Clone + Send + 'static,
+) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let pool = limits.pool_threads.max(1);
+    // Bounded handoff: at most `pool` connections queued beyond the
+    // ones being served; the rest wait in the OS accept backlog.
+    let (tx, rx) = mpsc::sync_channel::<TcpStream>(pool);
+    let rx = Arc::new(Mutex::new(rx));
+    let workers: Vec<_> = (0..pool)
+        .map(|i| {
+            let rx = rx.clone();
+            let shutdown = shutdown.clone();
+            let connect = connect.clone();
+            std::thread::Builder::new()
+                .name(format!("{thread_name}-{i}"))
+                .spawn(move || loop {
+                    // Take the next socket without holding the lock
+                    // while serving it.
+                    let stream = match rx.lock().unwrap().recv() {
+                        Ok(s) => s,
+                        Err(_) => return, // accept loop gone: drain out
+                    };
+                    serve_connection(stream, connect(), &shutdown, &limits);
+                })
+                .expect("spawn worker thread")
+        })
+        .collect();
+
+    while !shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                // A send only fails if all workers panicked; treat
+                // that as shutdown.
+                if tx.send(stream).is_err() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(limits.poll_interval);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    drop(tx); // workers drain queued sockets, then exit
+    for w in workers {
+        let _ = w.join();
+    }
+    Ok(())
 }
 
 /// Serve one connection: read request lines, answer each with one
 /// response line, until EOF, error, timeout, or server shutdown.
-fn serve_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConfig) {
-    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err()
+fn serve_connection(
+    mut stream: TcpStream,
+    mut handler: impl LineHandler,
+    shutdown: &AtomicBool,
+    limits: &LineLimits,
+) {
+    if stream.set_read_timeout(Some(limits.poll_interval)).is_err()
         || stream
-            .set_write_timeout(Some(config.write_timeout))
+            .set_write_timeout(Some(limits.write_timeout))
             .is_err()
     {
         return;
     }
     let _ = stream.set_nodelay(true);
-    let mut session = Session::new(shared);
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     // Set when `buf` holds a partial request; enforces request_timeout.
@@ -218,19 +296,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConfi
             if line.is_empty() {
                 continue;
             }
-            let response = session.handle_line(line);
-            // Frames produced by handling this request (an `update` on a
-            // connection that also subscribes) go out *before* its
-            // response: a client that sees generation `G` acknowledged
-            // has already seen every frame up to `G`.
-            for frame in session.drain_notifications() {
-                if write_line(&mut stream, &frame).is_err() {
-                    return;
-                }
-            }
-            if write_line(&mut stream, &response).is_err() {
+            let response = handler.handle_line(line);
+            let mut lines = handler.take_frames();
+            lines.push(response);
+            if write_lines(&mut stream, &lines).is_err() {
                 return;
             }
+        }
+        if buf.len() > MAX_REQUEST_LINE_BYTES {
+            let message = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+            let _ = write_lines(&mut stream, &[Response::error(message).encode()]);
+            return;
         }
         partial_since = if buf.is_empty() {
             None
@@ -238,32 +314,27 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConfi
             partial_since.or_else(|| Some(Instant::now()))
         };
 
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // client closed
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle poll tick: push frames parked by *other*
+                // Idle poll tick: push frames produced by *other*
                 // connections' updates to this subscriber.
-                if session.has_subscriptions() {
-                    for frame in session.drain_notifications() {
-                        if write_line(&mut stream, &frame).is_err() {
-                            return;
-                        }
-                    }
+                handler.idle_tick();
+                if write_lines(&mut stream, &handler.take_frames()).is_err() {
+                    return;
                 }
                 // An idle connection may wait forever; a half-received
                 // request may not.
-                if let Some(since) = partial_since {
-                    if since.elapsed() >= config.request_timeout {
-                        let _ = write_line(
-                            &mut stream,
-                            &crate::protocol::Response::error("request timed out").encode(),
-                        );
-                        return;
-                    }
+                if partial_since.is_some_and(|since| since.elapsed() >= limits.request_timeout) {
+                    let _ = write_lines(
+                        &mut stream,
+                        &[Response::error("request timed out").encode()],
+                    );
+                    return;
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -272,8 +343,11 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, config: &ServerConfi
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+fn write_lines(stream: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
+    for line in lines {
+        stream.write_all(line.as_bytes())?;
+        stream.write_all(b"\n")?;
+        stream.flush()?;
+    }
+    Ok(())
 }

@@ -8,8 +8,8 @@
 //! All sessions share one result cache and one set of counters.
 
 use crate::cache::{CacheStats, QueryCache};
-use crate::protocol::{NotifyFrame, Request, Response};
-use crate::server::ServerConfig;
+use crate::protocol::{NotifyFrame, Request, Response, OPS};
+use crate::server::{LineHandler, ServerConfig};
 use ego_continuous::{
     CensusSpec, ContinuousEngine, CountVector, ExecConfig, FocalNodes, MatchList, Notification,
     PtConfig, SubscribeAck,
@@ -18,7 +18,7 @@ use ego_dynamic::{update_batch_on, DeltaGraph, DirtyIndex};
 use ego_graph::{Graph, NodeId};
 use ego_query::{
     canonical_query_key, parse_mutations, Algorithm, Catalog, CensusCache, MutationKind,
-    PlannerCounters, QueryEngine, ShardSpec, StatsSlot, SubscriptionSpec, Table, Value,
+    PlannerCounters, QueryEngine, ShardSpec, Statement, StatsSlot, SubscriptionSpec, Table, Value,
     ViewRegistry,
 };
 use std::collections::{HashMap, VecDeque};
@@ -39,40 +39,6 @@ const CENSUS_CACHE_ENTRIES: usize = 256;
 /// `notifications_dropped`); the newest frame per subscription carries
 /// the freshest counts.
 const NOTIFY_QUEUE_FRAMES: usize = 1024;
-
-/// Protocol op names, in the order of [`ServerStats::latency`]. The
-/// request-duration breakdown is keyed by these.
-pub const OP_NAMES: [&str; 12] = [
-    "analyze",
-    "define",
-    "drop_view",
-    "explain",
-    "materialize",
-    "ping",
-    "query",
-    "shutdown",
-    "stats",
-    "subscribe",
-    "unsubscribe",
-    "update",
-];
-
-fn op_index(req: &Request) -> usize {
-    match req {
-        Request::Analyze => 0,
-        Request::Define { .. } => 1,
-        Request::DropView { .. } => 2,
-        Request::Explain { .. } => 3,
-        Request::Materialize { .. } => 4,
-        Request::Ping => 5,
-        Request::Query { .. } => 6,
-        Request::Shutdown => 7,
-        Request::Stats => 8,
-        Request::Subscribe { .. } => 9,
-        Request::Unsubscribe { .. } => 10,
-        Request::Update { .. } => 11,
-    }
-}
 
 /// Request-duration accounting for one protocol op, so router-vs-direct
 /// overhead (and per-op cost in general) is measurable from `stats`.
@@ -140,18 +106,8 @@ pub struct ServerStats {
     /// this happens — later probes miss and fall back to direct census —
     /// rather than serving counts off a stale baseline.
     pub view_refresh_errors: AtomicU64,
-    /// Per-op request durations, indexed like [`OP_NAMES`].
-    pub latency: [OpLatency; 12],
-}
-
-impl ServerStats {
-    /// The duration accounting for a named op (see [`OP_NAMES`]).
-    pub fn op_latency(&self, op: &str) -> Option<&OpLatency> {
-        OP_NAMES
-            .iter()
-            .position(|&n| n == op)
-            .map(|i| &self.latency[i])
-    }
+    /// Per-op request durations, indexed like [`OPS`].
+    pub latency: [OpLatency; OPS.len()],
 }
 
 /// A connection's outbound notify-frame queue.
@@ -497,6 +453,24 @@ impl Shared {
         })
     }
 
+    /// An engine over the current graph, wired to every shared tier,
+    /// executing with a session's `catalog`.
+    fn engine(&self, catalog: Catalog) -> QueryEngine<'static> {
+        let mut engine = QueryEngine::shared(self.current_graph());
+        engine.set_catalog(catalog);
+        engine.set_threads(self.exec_threads);
+        engine.set_seed(self.seed);
+        engine.set_algorithm(self.algorithm);
+        engine.set_focal_shard(self.shard);
+        engine.set_census_cache(self.census.clone());
+        engine.set_planner_counters(self.planner.clone());
+        engine.set_stats_slot(self.graph_stats.clone());
+        engine.set_stats_path(self.stats_path.clone());
+        engine.set_views(self.views.clone());
+        engine.set_views_path(self.views_path.clone());
+        engine
+    }
+
     /// Cache counter snapshot.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -607,18 +581,7 @@ impl Session {
     /// A fresh session over the shared graph and base catalog.
     pub fn new(shared: &Shared) -> Session {
         let generation = shared.generation();
-        let mut engine = QueryEngine::shared(shared.current_graph());
-        engine.set_catalog(Catalog::layered(shared.base_catalog.clone()));
-        engine.set_threads(shared.exec_threads);
-        engine.set_seed(shared.seed);
-        engine.set_algorithm(shared.algorithm);
-        engine.set_focal_shard(shared.shard);
-        engine.set_census_cache(shared.census.clone());
-        engine.set_planner_counters(shared.planner.clone());
-        engine.set_stats_slot(shared.graph_stats.clone());
-        engine.set_stats_path(shared.stats_path.clone());
-        engine.set_views(shared.views.clone());
-        engine.set_views_path(shared.views_path.clone());
+        let engine = shared.engine(Catalog::layered(shared.base_catalog.clone()));
         Session {
             shared: shared.clone(),
             engine,
@@ -629,14 +592,12 @@ impl Session {
     }
 
     /// Take the notify frames parked for this connection, oldest first,
-    /// as encoded lines. The serve loop writes them before its next
-    /// response and on idle poll ticks.
+    /// as encoded lines.
     pub fn drain_notifications(&self) -> Vec<String> {
         self.queue.drain()
     }
 
-    /// Does this connection own any live subscriptions? (Lets the serve
-    /// loop skip queue polls for plain request/response connections.)
+    /// Does this connection own any live subscriptions?
     pub fn has_subscriptions(&self) -> bool {
         !self.subs.is_empty()
     }
@@ -655,19 +616,7 @@ impl Session {
             self.engine.catalog_mut(),
             Catalog::layered(self.shared.base_catalog.clone()),
         );
-        let mut engine = QueryEngine::shared(self.shared.current_graph());
-        engine.set_catalog(catalog);
-        engine.set_threads(self.shared.exec_threads);
-        engine.set_seed(self.shared.seed);
-        engine.set_algorithm(self.shared.algorithm);
-        engine.set_focal_shard(self.shared.shard);
-        engine.set_census_cache(self.shared.census.clone());
-        engine.set_planner_counters(self.shared.planner.clone());
-        engine.set_stats_slot(self.shared.graph_stats.clone());
-        engine.set_stats_path(self.shared.stats_path.clone());
-        engine.set_views(self.shared.views.clone());
-        engine.set_views_path(self.shared.views_path.clone());
-        self.engine = engine;
+        self.engine = self.shared.engine(catalog);
         self.generation = generation;
     }
 
@@ -680,7 +629,7 @@ impl Session {
                 let start = Instant::now();
                 let response = self.handle(&req);
                 let us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                self.shared.stats.latency[op_index(&req)].record(us);
+                self.shared.stats.latency[req.op_index()].record(us);
                 response
             }
             Err(message) => Response::error(message).encode(),
@@ -691,7 +640,7 @@ impl Session {
     pub fn handle(&mut self, req: &Request) -> String {
         self.refresh();
         match req {
-            Request::Ping => reply_table("pong"),
+            Request::Ping => Response::cell("reply", Value::Str("pong".into())).encode(),
             Request::Define { pattern } => self.handle_define(pattern),
             Request::Query { sql, shard } => self.handle_query(sql, *shard),
             Request::Explain { sql } => self.encode_execution(|e| e.explain(sql)),
@@ -704,7 +653,7 @@ impl Session {
             Request::Stats => self.handle_stats(),
             Request::Shutdown => {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
-                reply_table("shutting down")
+                Response::cell("reply", Value::Str("shutting down".into())).encode()
             }
         }
     }
@@ -716,9 +665,7 @@ impl Session {
                     .stats
                     .patterns_defined
                     .fetch_add(1, Ordering::Relaxed);
-                let mut t = Table::new(vec!["defined".into()]);
-                t.push_row(vec![Value::Str(p.name().to_string())]);
-                Response::table(&t).encode()
+                Response::cell("defined", Value::Str(p.name().to_string())).encode()
             }
             Err(e) => Response::error(e.to_string()).encode(),
         }
@@ -731,11 +678,16 @@ impl Session {
         // direct clients.
         let effective = shard.filter(|s| !s.is_whole()).or(self.shared.shard);
         self.engine.set_focal_shard(effective);
-        // `EXPLAIN SELECT ...` through the query op describes a plan; it
-        // is cheap and algorithm-dependent, so it bypasses the cache.
-        let trimmed = sql.trim_start();
-        if trimmed.len() >= 7 && trimmed[..7].eq_ignore_ascii_case("EXPLAIN") {
-            return self.encode_execution(|e| e.execute(sql));
+        let stmt = Statement::classify(sql);
+        if !matches!(stmt, Statement::Select(_)) {
+            return match Request::dedicated(stmt, sql, shard) {
+                // A statement with an op of its own is served as that op.
+                Some(op) => self.handle(&op),
+                // `EXPLAIN` describes a plan — cheap and algorithm-
+                // dependent — and everything else is a rejection: none
+                // of it is worth a cache entry.
+                None => self.encode_execution(|e| e.execute(sql)),
+            };
         }
         let shard_suffix = match self.engine.focal_shard() {
             Some(s) => format!("|shard={s}"),
@@ -765,28 +717,14 @@ impl Session {
             Ok(s) => {
                 // Serve the new graph immediately on this connection.
                 self.refresh();
-                let mut t = Table::new(vec!["stat".into(), "value".into()]);
-                t.push_row(vec![
-                    Value::Str("edges_inserted".into()),
-                    Value::Int(s.inserted as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("edges_deleted".into()),
-                    Value::Int(s.deleted as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("num_edges".into()),
-                    Value::Int(s.num_edges as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("generation".into()),
-                    Value::Int(s.generation as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("fingerprint".into()),
-                    Value::Str(format!("{:016x}", s.fingerprint)),
-                ]);
-                Response::table(&t).encode()
+                Response::key_values([
+                    ("edges_inserted", Value::Int(s.inserted as i64)),
+                    ("edges_deleted", Value::Int(s.deleted as i64)),
+                    ("num_edges", Value::Int(s.num_edges as i64)),
+                    ("generation", Value::Int(s.generation as i64)),
+                    ("fingerprint", Value::Str(format!("{:016x}", s.fingerprint))),
+                ])
+                .encode()
             }
             Err(message) => Response::error(message).encode(),
         }
@@ -804,24 +742,13 @@ impl Session {
         match self.shared.subscribe(spec, effective, &self.queue) {
             Ok(ack) => {
                 self.subs.push(ack.id);
-                let mut t = Table::new(vec!["stat".into(), "value".into()]);
-                t.push_row(vec![
-                    Value::Str("subscription".into()),
-                    Value::Int(ack.id as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("generation".into()),
-                    Value::Int(ack.generation as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("focal".into()),
-                    Value::Int(ack.focal as i64),
-                ]);
-                t.push_row(vec![
-                    Value::Str("columns".into()),
-                    Value::Str(ack.columns.join("|")),
-                ]);
-                Response::table(&t).encode()
+                Response::key_values([
+                    ("subscription", Value::Int(ack.id as i64)),
+                    ("generation", Value::Int(ack.generation as i64)),
+                    ("focal", Value::Int(ack.focal as i64)),
+                    ("columns", Value::Str(ack.columns.join("|"))),
+                ])
+                .encode()
             }
             Err(message) => Response::error(message).encode(),
         }
@@ -857,9 +784,7 @@ impl Session {
         }
         self.shared.unsubscribe(id);
         self.subs.retain(|&s| s != id);
-        let mut t = Table::new(vec!["unsubscribed".into()]);
-        t.push_row(vec![Value::Int(id as i64)]);
-        Response::table(&t).encode()
+        Response::cell("unsubscribed", Value::Int(id as i64)).encode()
     }
 
     fn encode_execution(
@@ -883,7 +808,6 @@ impl Session {
         let cont = self.shared.continuous.stats();
         let setops = ego_graph::setops::global_snapshot();
         let stats = &self.shared.stats;
-        let mut t = Table::new(vec!["stat".into(), "value".into()]);
         let mut rows: Vec<(String, u64)> = vec![
             ("cache_bytes", cache.bytes),
             ("cache_capacity_bytes", cache.capacity_bytes),
@@ -971,7 +895,8 @@ impl Session {
         // Per-op request-duration breakdown: only ops that have run, so
         // the table stays compact. The current `stats` request records
         // itself only after this response is built.
-        for (name, lat) in OP_NAMES.iter().zip(&stats.latency) {
+        for (op, lat) in OPS.iter().zip(&stats.latency) {
+            let name = op.name;
             let count = lat.count.load(Ordering::Relaxed);
             if count == 0 {
                 continue;
@@ -990,10 +915,7 @@ impl Session {
             rows.push((format!("latency_{name}_total_us"), total));
         }
         rows.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, value) in rows {
-            t.push_row(vec![Value::Str(name), Value::Int(value as i64)]);
-        }
-        Response::table(&t).encode()
+        Response::key_values(rows.into_iter().map(|(k, v)| (k, Value::Int(v as i64)))).encode()
     }
 }
 
@@ -1007,10 +929,15 @@ impl Drop for Session {
     }
 }
 
-fn reply_table(text: &str) -> String {
-    let mut t = Table::new(vec!["reply".into()]);
-    t.push_row(vec![Value::Str(text.into())]);
-    Response::table(&t).encode()
+impl LineHandler for Session {
+    fn handle_line(&mut self, line: &str) -> String {
+        Session::handle_line(self, line)
+    }
+
+    /// Frames parked by any connection's `update` for this subscriber.
+    fn take_frames(&mut self) -> Vec<String> {
+        self.drain_notifications()
+    }
 }
 
 #[cfg(test)]

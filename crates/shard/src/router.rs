@@ -3,38 +3,32 @@
 //!
 //! The router speaks the same line-delimited JSON protocol as a single
 //! server, so clients cannot tell the difference — the correctness bar
-//! is *byte-identical* responses. Per request kind:
+//! is *byte-identical* responses. The front end *is* `ego-server`'s
+//! ([`ego_server::serve_lines`]); only the per-connection handler
+//! differs. Each op is dispatched by the routing class of its row in
+//! [`ego_server::OPS`]:
 //!
-//! * `query` (single-table, no `ORDER BY`/`LIMIT`): **scattered**. The
+//! * **scatter** — `query` (single-table, no `ORDER BY`/`LIMIT`): the
 //!   focal node-ID space is partitioned into one contiguous shard per
 //!   live worker; each worker runs the statement with a `shard: "j/n"`
 //!   annotation (the full `WHERE`/`RND()` pass runs unsharded, then the
 //!   focal list is restricted, so random sampling stays aligned), and
-//!   the per-shard tables concatenate in shard order.
-//! * `query` (pairwise, `ORDER BY`, `LIMIT`, `EXPLAIN`-prefixed, or
-//!   unparsable), `explain`: **proxied** whole to one worker,
-//!   round-robin — per-shard sort/truncate would not compose.
-//! * `define`: broadcast to every worker over this session's
-//!   connections (worker catalogs are per-connection, mirroring a
-//!   direct server session) and recorded for replay on reconnect.
-//! * `update`: broadcast under the coherence write lock (queries hold
-//!   the read side), then the workers' reported generation/fingerprint
-//!   are compared — a divergent worker would silently corrupt merges.
-//! * `analyze` (as an op or as `ANALYZE` through the query op):
-//!   broadcast under the write lock so every worker's planner adopts
-//!   the same statistics snapshot; profiles must agree byte-for-byte.
-//! * `stats`: scattered, aggregated by [`crate::merge::merge_stats`],
-//!   with `router_*` counters appended.
-//! * `materialize`: **broadcast as shard legs** under the write lock —
-//!   worker `j` of `n` pins the view for focal shard `j/n`, exactly the
-//!   shard a scattered query will later send it, so every shard of a
-//!   subsequent `COUNTP` over the pattern is a pure view probe. The ack
-//!   table is deliberately shard-independent, so the per-worker acks
-//!   must agree byte-for-byte; divergence means the fleet's graphs (or
-//!   view tiers) differ and is surfaced as an error.
-//! * `drop_view`: broadcast under the write lock, acks compared like
-//!   `analyze` — an unknown view errors identically on every worker.
-//! * `subscribe`: **broadcast as shard legs**. The standing query is
+//!   the per-shard tables concatenate in shard order. Any other `query`
+//!   (pairwise, `ORDER BY`, `LIMIT`, `EXPLAIN`-prefixed, unparsable) goes
+//!   whole to one worker — per-shard sort/truncate would not compose —
+//!   except a statement with an op of its own (`ANALYZE`,
+//!   `MATERIALIZE`, `DROP VIEW`), which is served as that op. `stats` is
+//!   gathered from every worker, aggregated by
+//!   [`crate::merge::merge_stats`], with `router_*` counters appended.
+//! * **proxy** — `explain`: forwarded whole to one worker, round-robin.
+//! * **broadcast** — `define`, `analyze`, `update`, `materialize`,
+//!   `drop_view`: sent to every live worker, and the acknowledgments
+//!   must agree byte-for-byte — a divergent worker would silently
+//!   corrupt merges, so divergence is surfaced as an error
+//!   (`RouterSession::handle_broadcast` has the per-op rules).
+//! * **local** — `ping`, `unsubscribe`, `shutdown`: answered from the
+//!   router's own state (`shutdown` also tells the workers).
+//! * **scatter**, with state — `subscribe`: the standing query is
 //!   registered once per live worker, leg `j` covering focal shard
 //!   `j/n` (`n` frozen at subscribe time, like a scattered query), and
 //!   the legs' initial counts are scattered into a per-subscription
@@ -46,8 +40,6 @@
 //!   and one **coalesced** frame is synthesized by diffing a fresh
 //!   scatter of the statement against the baseline — the client's view
 //!   stays exact even across the lost frames.
-//! * `ping`: answered locally; `shutdown`: broadcast, then the router
-//!   itself stops.
 //!
 //! **Failure model**: a worker that times out or drops its connection
 //! is marked down *permanently* (it may have missed an `update`; a
@@ -57,14 +49,16 @@
 //! answer any shard, and the merged bytes are unchanged.
 
 use crate::merge::{merge_stats, merge_tables};
-use ego_query::{is_analyze_statement, plan_statement, strip_subscribe, ShardSpec, Value};
-use ego_server::{Client, NotifyFrame, Request, Response, RetryPolicy, TableData};
+use ego_query::{strip_subscribe, ShardSpec, Statement, Value};
+use ego_server::{
+    serve_lines, Client, LineHandler, LineLimits, NotifyFrame, Request, Response, RetryPolicy,
+    Route, ShutdownHandle, TableData,
+};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 /// Tunables for [`Router`].
 #[derive(Clone, Debug)]
@@ -173,17 +167,7 @@ impl RouterShared {
 }
 
 /// Sets the router shutdown flag from another thread.
-#[derive(Clone)]
-pub struct RouterShutdownHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl RouterShutdownHandle {
-    /// Ask the router to stop accepting and drain its sessions.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-}
+pub type RouterShutdownHandle = ShutdownHandle;
 
 /// One shard leg of a router-level subscription: the worker currently
 /// serving shard `j` and the worker-side subscription id there.
@@ -304,73 +288,63 @@ impl RouterSession {
         }
     }
 
-    /// Handle one decoded request.
+    /// Handle one decoded request, dispatched by its op's routing class
+    /// ([`ego_server::OPS`]).
     pub fn handle(&mut self, req: &Request) -> String {
-        match req {
-            Request::Ping => reply_table("pong"),
-            Request::Define { pattern } => self.handle_define(pattern),
-            Request::Query { sql, shard } => self.handle_query(sql, *shard),
-            Request::Explain { .. } | Request::Stats => {
+        match req.op().route {
+            Route::Proxy => {
                 let shared = self.shared.clone();
                 let _read = shared.coherence.read().expect("coherence poisoned");
-                if matches!(req, Request::Stats) {
+                self.proxy(req)
+            }
+            Route::Broadcast => self.handle_broadcast(req),
+            // Local and scattered ops each have a rule of their own.
+            Route::Local | Route::Scatter => match req {
+                Request::Ping => Response::cell("reply", Value::Str("pong".into())).encode(),
+                Request::Query { sql, shard } => self.handle_query(sql, *shard),
+                Request::Subscribe { sql, shard } => self.handle_subscribe(sql, *shard),
+                Request::Unsubscribe { id } => self.handle_unsubscribe(*id),
+                Request::Stats => {
+                    let shared = self.shared.clone();
+                    let _read = shared.coherence.read().expect("coherence poisoned");
                     self.handle_stats()
-                } else {
-                    self.proxy(req)
                 }
-            }
-            Request::Analyze => self.handle_analyze(),
-            Request::Materialize { sql, shard } => self.handle_materialize(sql, *shard),
-            Request::DropView { sql } => self.handle_drop_view(sql),
-            Request::Update { mutations } => self.handle_update(mutations),
-            Request::Subscribe { sql, shard } => self.handle_subscribe(sql, *shard),
-            Request::Unsubscribe { id } => self.handle_unsubscribe(*id),
-            Request::Shutdown => {
-                for w in self.shared.up_indices() {
-                    let _ = self.conn(w).map(|c| c.send_request(&Request::Shutdown));
+                Request::Shutdown => {
+                    for w in self.shared.up_indices() {
+                        let _ = self.conn(w).map(|c| c.send_request(&Request::Shutdown));
+                    }
+                    self.shared.shutdown.store(true, Ordering::SeqCst);
+                    Response::cell("reply", Value::Str("shutting down".into())).encode()
                 }
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                reply_table("shutting down")
-            }
+                _ => unreachable!("op `{}` is routed by its class", req.op().name),
+            },
         }
-    }
-
-    /// True when a statement can be scattered: the router asks the same
-    /// logical planner the workers execute through
-    /// ([`ego_query::plan_statement`]) whether the plan tree merges by
-    /// concatenation. `ORDER BY`/`LIMIT` re-shape the row set per shard,
-    /// pairwise statements iterate node *pairs*, and mutations,
-    /// `ANALYZE`, `EXPLAIN`, and unparsable statements have no SELECT
-    /// plan — all of those go whole to one worker (or broadcast)
-    /// instead, and an unparsable statement is proxied so the worker's
-    /// error message reaches the client byte-identically.
-    fn is_scatterable(sql: &str) -> bool {
-        plan_statement(sql).is_ok_and(|p| p.is_scatterable())
     }
 
     fn handle_query(&mut self, sql: &str, shard: Option<ShardSpec>) -> String {
-        // `ANALYZE` through the query op behaves like the `analyze` op:
-        // every worker must adopt the snapshot, not just one.
-        if is_analyze_statement(sql) && sql.trim().eq_ignore_ascii_case("ANALYZE") {
-            return self.handle_analyze();
+        let stmt = Statement::classify(sql);
+        // A statement with an op of its own is served as that op, so the
+        // whole fleet adopts it — exactly what a direct server does.
+        if let Some(op) = Request::dedicated(stmt, sql, shard) {
+            return self.handle(&op);
         }
         let shared = self.shared.clone();
         let _read = shared.coherence.read().expect("coherence poisoned");
-        // A client that asks for a specific shard (e.g. a router layered
-        // over routers) gets exactly that shard from one worker.
-        if shard.is_some() {
-            return self.proxy(&Request::Query {
-                sql: sql.to_string(),
-                shard,
-            });
-        }
         let ups = self.shared.up_indices();
-        if ups.len() > 1 && Self::is_scatterable(sql) {
+        // A statement scatters when the logical plan the workers execute
+        // through merges by concatenation: `ORDER BY`/`LIMIT` re-shape
+        // the row set per shard and pairwise statements iterate node
+        // *pairs*. Those, statements with no SELECT plan (`EXPLAIN`,
+        // rejected verbs, unparsable text) and a client that names its
+        // own shard (a router layered over routers) go whole to one
+        // worker, whose answer — error messages included — reaches the
+        // client byte-identically.
+        if shard.is_none() && ups.len() > 1 && stmt.plan().is_ok_and(|p| p.is_scatterable()) {
             self.scatter_query(sql, &ups)
         } else {
             self.proxy(&Request::Query {
                 sql: sql.to_string(),
-                shard: None,
+                shard,
             })
         }
     }
@@ -493,176 +467,98 @@ impl RouterSession {
         }
     }
 
-    /// Broadcast a `define` to every live worker so each of this
-    /// session's per-worker catalogs learns the pattern, then record it
-    /// for replay on reconnect.
-    fn handle_define(&mut self, pattern: &str) -> String {
-        let ups = self.shared.up_indices();
-        let mut succeeded: Option<Response> = None;
-        for w in ups {
-            let req = Request::Define {
-                pattern: pattern.to_string(),
-            };
-            match self.conn(w).and_then(|c| c.request(&req)) {
-                // A rejected pattern fails identically everywhere;
-                // report it without recording the define.
-                Ok(Response::Error { message }) => return Response::error(message).encode(),
-                Ok(resp) => succeeded = Some(resp),
-                Err(_) => self.fail_worker(w),
-            }
-        }
-        match succeeded {
-            Some(resp) => {
-                self.defines.push(pattern.to_string());
-                resp.encode()
-            }
-            None => Response::error("no workers available").encode(),
-        }
-    }
-
-    /// Broadcast `analyze` to every live worker under the coherence
-    /// write lock (so no mutation lands mid-broadcast and every worker
-    /// profiles the same graph), then check the profiles agree —
-    /// profiling is deterministic, so divergent tables mean a worker
-    /// serves a different graph.
-    fn handle_analyze(&mut self) -> String {
-        let shared = self.shared.clone();
-        let _write = shared.coherence.write().expect("coherence poisoned");
-        let mut encoded: Vec<String> = Vec::new();
-        for w in self.shared.up_indices() {
-            match self.conn(w).and_then(|c| c.request(&Request::Analyze)) {
-                Ok(resp) => encoded.push(resp.encode()),
-                Err(_) => self.fail_worker(w),
-            }
-        }
-        let Some(first) = encoded.first() else {
-            return Response::error("no workers available").encode();
-        };
-        if let Some(odd) = encoded.iter().find(|e| *e != first) {
-            return Response::error(format!("workers diverged after analyze: {first} vs {odd}"))
-                .encode();
-        }
-        first.clone()
-    }
-
-    /// Broadcast an `update` under the coherence write lock, then check
-    /// that every worker reports the same generation and fingerprint.
-    /// A worker that fails mid-broadcast is marked down permanently —
-    /// it missed the mutation and can no longer answer shards.
+    /// Serve a broadcast-class op: one request per live worker, one
+    /// agreed answer.
     ///
-    /// Workers write this session's subscription frames *before* the
-    /// update response on the same connection, so once the broadcast
-    /// returns, every live leg's frame is already buffered on its
-    /// worker client — they are merged (and dead legs recovered) before
-    /// the update response reaches the client, preserving the direct
-    /// server's ordering guarantee.
-    fn handle_update(&mut self, mutations: &str) -> String {
+    /// * `define` reaches this session's per-worker catalogs only, so it
+    ///   takes no lock; once accepted it is recorded for replay on
+    ///   reconnect.
+    /// * `analyze`, `update`, `materialize` and `drop_view` change
+    ///   fleet-wide state and hold the coherence write lock: no query
+    ///   merges rows from two generations, and no mutation lands between
+    ///   two workers' legs.
+    /// * `materialize` goes out as shard legs — worker `j` of `n` pins
+    ///   the view for focal shard `j/n`, exactly the shard a scattered
+    ///   query will later send it. Its ack table is deliberately
+    ///   shard-independent, so the acks still compare.
+    /// * Workers write this session's subscription frames *before* the
+    ///   `update` response on the same connection, so once the broadcast
+    ///   returns every live leg's frame is already buffered on its worker
+    ///   client — they are merged (and dead legs recovered) before the
+    ///   update response reaches the client, preserving the direct
+    ///   server's ordering guarantee.
+    fn handle_broadcast(&mut self, req: &Request) -> String {
+        let what = req.op().name.replace('_', " ");
         let shared = self.shared.clone();
-        let _write = shared.coherence.write().expect("coherence poisoned");
-        let req = Request::Update {
-            mutations: mutations.to_string(),
-        };
-        let mut encoded: Vec<String> = Vec::new();
-        for w in self.shared.up_indices() {
-            match self.conn(w).and_then(|c| c.request(&req)) {
-                Ok(resp) => encoded.push(resp.encode()),
-                Err(_) => self.fail_worker(w),
+        let _write = (!matches!(req, Request::Define { .. }))
+            .then(|| shared.coherence.write().expect("coherence poisoned"));
+        let response = match req {
+            Request::Define { pattern } => {
+                let response = self.broadcast(&what, true, |_| req.clone());
+                if !response.is_error() {
+                    self.defines.push(pattern.clone());
+                }
+                response
             }
-        }
-        let Some(first) = encoded.first() else {
-            return Response::error("no workers available").encode();
+            Request::Materialize { shard: Some(_), .. } => {
+                Response::error("materialize through the router does not accept an explicit shard")
+            }
+            Request::Materialize { sql, .. } => {
+                self.broadcast(&what, true, |shard| Request::Materialize {
+                    sql: sql.clone(),
+                    shard: Some(shard),
+                })
+            }
+            _ => self.broadcast(&what, false, |_| req.clone()),
         };
-        // Every worker applied the same script to the same graph state,
-        // so the summaries (generation, fingerprint included) must be
-        // byte-identical; anything else means the fleet diverged.
-        if let Some(odd) = encoded.iter().find(|e| *e != first) {
-            return Response::error(format!("workers diverged after update: {first} vs {odd}"))
-                .encode();
-        }
-        if self.has_subscriptions() {
+        if matches!(req, Request::Update { .. }) && self.has_subscriptions() {
             self.absorb_buffered_frames();
             self.recover_dead_legs();
         }
-        first.clone()
+        response.encode()
     }
 
-    /// Broadcast a `materialize` as one shard leg per live worker under
-    /// the coherence write lock (no mutation may interleave between the
-    /// legs' census runs, or the pinned fingerprints would diverge).
-    /// Worker `j` pins the view for focal shard `j/n` — the same
-    /// partitioning a scattered query uses, so later shards land on
-    /// workers whose views cover exactly those focal ranges. The ack
-    /// table carries no shard-dependent rows; divergent acks mean the
-    /// workers materialized different views and are reported, not
-    /// merged.
-    fn handle_materialize(&mut self, sql: &str, shard: Option<ShardSpec>) -> String {
-        if shard.is_some() {
-            return Response::error(
-                "materialize through the router does not accept an explicit shard",
-            )
-            .encode();
-        }
-        let shared = self.shared.clone();
-        let _write = shared.coherence.write().expect("coherence poisoned");
+    /// Send `leg(j/n)` to the `j`-th of the `n` live workers and return
+    /// the fleet's one answer. Every worker holds the same graph and
+    /// session catalog, so the answers — rejections included — must be
+    /// byte-identical; anything else means the fleet diverged and is
+    /// reported, not merged. With `stop_on_error` the first rejection
+    /// ends the broadcast, so later workers never adopt what an earlier
+    /// one refused. A worker that fails mid-broadcast is marked down: it
+    /// missed the request and can no longer answer shards.
+    fn broadcast(
+        &mut self,
+        what: &str,
+        stop_on_error: bool,
+        leg: impl Fn(ShardSpec) -> Request,
+    ) -> Response {
         let ups = self.shared.up_indices();
-        if ups.is_empty() {
-            return Response::error("no workers available").encode();
-        }
         let n = ups.len() as u32;
-        let mut encoded: Vec<String> = Vec::new();
+        let mut agreed: Option<(Response, String)> = None;
+        let mut diverged: Option<String> = None;
         for (j, &w) in ups.iter().enumerate() {
-            let req = Request::Materialize {
-                sql: sql.to_string(),
-                shard: Some(ShardSpec::new(j as u32, n).expect("shard index < count")),
-            };
+            let req = leg(ShardSpec::new(j as u32, n).expect("shard index < count"));
             match self.conn(w).and_then(|c| c.request(&req)) {
-                // A rejected statement (unknown pattern, over-budget
-                // view) fails identically everywhere; the first error is
-                // the direct server's bytes.
-                Ok(Response::Error { message }) => return Response::error(message).encode(),
-                Ok(resp) => encoded.push(resp.encode()),
+                Ok(response) if stop_on_error && response.is_error() => return response,
+                Ok(response) => {
+                    let line = response.encode();
+                    match &agreed {
+                        None => agreed = Some((response, line)),
+                        Some((_, first)) if *first != line && diverged.is_none() => {
+                            diverged =
+                                Some(format!("workers diverged after {what}: {first} vs {line}"));
+                        }
+                        Some(_) => {}
+                    }
+                }
                 Err(_) => self.fail_worker(w),
             }
         }
-        let Some(first) = encoded.first() else {
-            return Response::error("no workers available").encode();
-        };
-        if let Some(odd) = encoded.iter().find(|e| *e != first) {
-            return Response::error(format!(
-                "workers diverged after materialize: {first} vs {odd}"
-            ))
-            .encode();
+        match (diverged, agreed) {
+            (Some(message), _) => Response::error(message),
+            (None, Some((response, _))) => response,
+            (None, None) => Response::error("no workers available"),
         }
-        first.clone()
-    }
-
-    /// Broadcast a `drop_view` to every live worker under the coherence
-    /// write lock, then check the acks agree — dropping is
-    /// deterministic, and an unknown view errors identically on every
-    /// worker, so the first response is the direct server's bytes.
-    fn handle_drop_view(&mut self, sql: &str) -> String {
-        let shared = self.shared.clone();
-        let _write = shared.coherence.write().expect("coherence poisoned");
-        let req = Request::DropView {
-            sql: sql.to_string(),
-        };
-        let mut encoded: Vec<String> = Vec::new();
-        for w in self.shared.up_indices() {
-            match self.conn(w).and_then(|c| c.request(&req)) {
-                Ok(resp) => encoded.push(resp.encode()),
-                Err(_) => self.fail_worker(w),
-            }
-        }
-        let Some(first) = encoded.first() else {
-            return Response::error("no workers available").encode();
-        };
-        if let Some(odd) = encoded.iter().find(|e| *e != first) {
-            return Response::error(format!(
-                "workers diverged after drop view: {first} vs {odd}"
-            ))
-            .encode();
-        }
-        first.clone()
     }
 
     // --- continuous subscriptions ---
@@ -764,18 +660,12 @@ impl RouterSession {
             pending: BTreeMap::new(),
             generation,
         });
-        Response::Table(TableData {
-            columns: vec!["stat".into(), "value".into()],
-            rows: vec![
-                vec![Value::Str("subscription".into()), Value::Int(id as i64)],
-                vec![
-                    Value::Str("generation".into()),
-                    Value::Int(generation as i64),
-                ],
-                vec![Value::Str("focal".into()), Value::Int(focal_total)],
-                vec![Value::Str("columns".into()), Value::Str(ack_columns)],
-            ],
-        })
+        Response::key_values([
+            ("subscription", Value::Int(id as i64)),
+            ("generation", Value::Int(generation as i64)),
+            ("focal", Value::Int(focal_total)),
+            ("columns", Value::Str(ack_columns)),
+        ])
         .encode()
     }
 
@@ -787,11 +677,7 @@ impl RouterSession {
         };
         let sub = self.subs.remove(pos);
         self.rollback_legs(&sub.legs);
-        Response::Table(TableData {
-            columns: vec!["unsubscribed".into()],
-            rows: vec![vec![Value::Int(id as i64)]],
-        })
-        .encode()
+        Response::cell("unsubscribed", Value::Int(id as i64)).encode()
     }
 
     /// Best-effort cancel of worker-side legs (a failed subscribe, an
@@ -1156,23 +1042,25 @@ impl RouterSession {
             ),
         ]);
         rows.sort_by(|a, b| a.0.cmp(&b.0));
-        let table = TableData {
-            columns: vec!["stat".into(), "value".into()],
-            rows: rows
-                .into_iter()
-                .map(|(k, v)| vec![Value::Str(k), Value::Int(v)])
-                .collect(),
-        };
-        Response::Table(table).encode()
+        Response::key_values(rows.into_iter().map(|(k, v)| (k, Value::Int(v)))).encode()
     }
 }
 
-fn reply_table(text: &str) -> String {
-    Response::Table(TableData {
-        columns: vec!["reply".into()],
-        rows: vec![vec![Value::Str(text.into())]],
-    })
-    .encode()
+impl LineHandler for RouterSession {
+    fn handle_line(&mut self, line: &str) -> String {
+        RouterSession::handle_line(self, line)
+    }
+
+    /// Merged frames ready for this client.
+    fn take_frames(&mut self) -> Vec<String> {
+        self.take_pending_frames()
+    }
+
+    /// Collect frames workers flushed for updates made through *other*
+    /// router connections.
+    fn idle_tick(&mut self) {
+        self.poll_subscription_frames();
+    }
 }
 
 /// The router front end bound to a TCP address.
@@ -1218,9 +1106,7 @@ impl Router {
 
     /// A handle that can stop the router from another thread.
     pub fn shutdown_handle(&self) -> RouterShutdownHandle {
-        RouterShutdownHandle {
-            flag: self.shared.shutdown.clone(),
-        }
+        ShutdownHandle::new(self.shared.shutdown.clone())
     }
 
     /// The shared fleet state, for inspection in tests.
@@ -1228,133 +1114,27 @@ impl Router {
         &self.shared
     }
 
-    /// Serve until shutdown: the same bounded-pool accept loop as
-    /// `ego-server`, with a [`RouterSession`] per connection.
+    /// Serve until shutdown: `ego-server`'s line server, with a
+    /// [`RouterSession`] per connection.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let pool = self.shared.config.pool_threads.max(1);
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(pool);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<_> = (0..pool)
-            .map(|i| {
-                let rx = rx.clone();
-                let shared = self.shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("ego-router-worker-{i}"))
-                    .spawn(move || loop {
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        };
-                        serve_connection(stream, &shared);
-                    })
-                    .expect("spawn router worker thread")
-            })
-            .collect();
-
-        let shutdown = self.shared.shutdown.clone();
-        while !shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.shared.config.poll_interval);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(())
-    }
-}
-
-/// Serve one client connection: the same line loop as `ego-server`'s,
-/// with requests handled by a [`RouterSession`].
-fn serve_connection(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-    let config = shared.config.clone();
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err()
-        || stream
-            .set_write_timeout(Some(config.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut session = RouterSession::new(shared.clone());
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut partial_since: Option<Instant> = None;
-
-    loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let response = session.handle_line(line);
-            // Merged frames produced by handling this request (an
-            // `update` on a connection that also subscribes) go out
-            // *before* its response, mirroring `ego-server`'s ordering
-            // guarantee.
-            for frame in session.take_pending_frames() {
-                if write_line(&mut stream, &frame).is_err() {
-                    return;
-                }
-            }
-            if write_line(&mut stream, &response).is_err() {
-                return;
-            }
-        }
-        partial_since = if buf.is_empty() {
-            None
-        } else {
-            partial_since.or_else(|| Some(Instant::now()))
+        let config = &self.shared.config;
+        let limits = LineLimits {
+            pool_threads: config.pool_threads,
+            request_timeout: config.request_timeout,
+            write_timeout: config.write_timeout,
+            poll_interval: config.poll_interval,
         };
-
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle poll tick: collect frames workers flushed for
-                // updates made through *other* router connections and
-                // forward them to this subscriber.
-                if session.has_subscriptions() {
-                    session.poll_subscription_frames();
-                    for frame in session.take_pending_frames() {
-                        if write_line(&mut stream, &frame).is_err() {
-                            return;
-                        }
-                    }
-                }
-                if let Some(since) = partial_since {
-                    if since.elapsed() >= config.request_timeout {
-                        let _ =
-                            write_line(&mut stream, &Response::error("request timed out").encode());
-                        return;
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+        let shared = self.shared;
+        let shutdown = shared.shutdown.clone();
+        serve_lines(
+            self.listener,
+            shutdown,
+            limits,
+            "ego-router-worker",
+            move || {
+                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                RouterSession::new(shared.clone())
+            },
+        )
     }
-}
-
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
 }

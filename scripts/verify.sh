@@ -338,4 +338,13 @@ case "$sparse_algo" in
 esac
 echo "    sidecar adopted ($choices ranked alternatives); dense -> $dense_algo, sparse -> $sparse_algo"
 
+echo "==> census_bench compile surface + smoke suite (the benchmark, unmodified, against this workspace)"
+# BENCHMARK.json's command builds census_bench from its own manifest, so
+# a refactor that breaks what it compiles against, or its in-run
+# correctness gate, must fail here rather than in the pipeline.
+cargo build --release --offline --manifest-path census_bench/Cargo.toml
+./census_bench/target/release/census_bench --all --smoke --out "$tmpdir/bench" >"$tmpdir/bench.log" 2>&1 \
+  || { tail -n 40 "$tmpdir/bench.log"; echo "FAIL: census_bench --all --smoke"; exit 1; }
+echo "    census_bench builds and its smoke suite passes"
+
 echo "==> verify OK"

@@ -180,6 +180,10 @@ fn malformed_requests_get_errors_without_killing_the_connection() {
         r#"{"op":"query"}"#,
         r#"{"op":"query","sql":"SELECT FROM WHERE"}"#,
         r#"{"op":"define","pattern":"PATTERN broken {"}"#,
+        // Multi-byte text where a keyword is expected: the statement
+        // classifier must never slice inside a character.
+        r#"{"op":"query","sql":"ééééSELECT ID FROM nodes"}"#,
+        r#"{"op":"query","sql":"EXPLAIé SELECT ID FROM nodes"}"#,
     ] {
         match client.request_raw_as_response(bad) {
             Response::Error { .. } => {}
@@ -191,6 +195,10 @@ fn malformed_requests_get_errors_without_killing_the_connection() {
     // The connection survived all of it.
     let pong = expect_table(client.ping().expect("ping after errors"));
     assert_eq!(pong.columns, vec!["reply".to_string()]);
+    // ...and so did the pool: a fresh connection is served normally.
+    let mut fresh = Client::connect(addr).expect("connect after errors");
+    let got = expect_table(fresh.query(QUERIES[2]).expect("query after errors"));
+    assert_eq!(got, direct(QUERIES[2]));
 
     handle.shutdown();
     thread.join().expect("server thread");

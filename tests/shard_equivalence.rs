@@ -285,11 +285,29 @@ const ALGORITHMS: [&str; 7] = [
     "auto", "nd-bas", "nd-pivot", "nd-diff", "pt-bas", "pt-rnd", "pt-opt",
 ];
 
+/// Statements that are not a SELECT, sent through the `query` op: the
+/// three with an op of their own must behave as that op on both sides
+/// (fleet-wide through the router), and the two a `query` cannot serve
+/// must be rejected with the same bytes. The last line puts multi-byte
+/// text where the keyword is expected.
+const NON_SELECT: [&str; 6] = [
+    "ANALYZE",
+    "MATERIALIZE clq3_unlb RADIUS 1",
+    "DROP VIEW clq3_unlb RADIUS 1",
+    "INSERT EDGE (0, 57)",
+    "SUBSCRIBE SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes",
+    "ééééSELECT ID FROM nodes",
+];
+
 #[test]
 fn router_is_byte_identical_to_direct_server_across_workers_and_algorithms() {
     // nd-bas and nd-diff reject COUNTSP: those responses are errors,
     // and the error bytes must match too.
-    let lines: Vec<String> = QUERIES.iter().map(|sql| raw_query(sql)).collect();
+    let lines: Vec<String> = QUERIES
+        .iter()
+        .chain(&NON_SELECT)
+        .map(|sql| raw_query(sql))
+        .collect();
     for algorithm in ALGORITHMS {
         let expected = direct_responses(algorithm, &lines);
         for workers in [1usize, 2, 4] {
@@ -302,9 +320,62 @@ fn router_is_byte_identical_to_direct_server_across_workers_and_algorithms() {
                     "algorithm={algorithm} workers={workers} line={line}"
                 );
             }
+            // No line wedged the pool: a fresh connection is served.
+            let mut fresh = Client::connect(fleet.router_addr).expect("reconnect router");
+            assert_eq!(
+                fresh.send_raw(&lines[0]).expect("fresh response"),
+                expected[0]
+            );
             fleet.stop();
         }
     }
+}
+
+#[test]
+fn oversize_request_line_gets_one_error_and_the_connection_closes() {
+    use egocensus::server::MAX_REQUEST_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    let fleet = spawn_fleet(1, "auto");
+    let direct = Server::bind(
+        ("127.0.0.1", 0),
+        Arc::new(test_graph()),
+        Arc::new(Catalog::with_builtins()),
+        server_config("auto"),
+    )
+    .expect("bind direct");
+    let direct_addr = direct.local_addr().expect("direct addr");
+    let direct_handle = direct.shutdown_handle();
+    let direct_thread = std::thread::spawn(move || direct.run().expect("direct run"));
+
+    for addr in [direct_addr, fleet.router_addr] {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        // One unterminated line, one byte past the cap: the server has
+        // read every byte when it gives up, so the close is clean and
+        // the error line is not lost to a reset.
+        stream
+            .write_all(&vec![b'x'; MAX_REQUEST_LINE_BYTES + 1])
+            .expect("send oversize line");
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("error response");
+        assert!(
+            line.starts_with(r#"{"ok":false,"type":"error""#) && line.contains("exceeds"),
+            "{addr}: {line}"
+        );
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap_or(0),
+            0,
+            "closed: {line}"
+        );
+        // The next connection is served normally.
+        let mut client = Client::connect(addr).expect("connect after oversize line");
+        assert!(!client.ping().expect("ping").is_error());
+    }
+
+    direct_handle.shutdown();
+    direct_thread.join().expect("direct thread");
+    fleet.stop();
 }
 
 #[test]
