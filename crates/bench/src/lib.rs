@@ -14,6 +14,11 @@
 //! | `fig4g` | 4(g) | clustering strategy and cluster count |
 //! | `fig4h` | 4(h) | DBLP-style link prediction P@K + pairwise runtimes |
 //!
+//! Beyond the figures: `ablation` (PT-OPT optimizations one at a time),
+//! `batch_bench` (N patterns in one batched call vs N runs) and
+//! `kernel_bench` (set-intersection kernels). Served traffic is not
+//! measured here — that is `census_bench/`, the repo's one benchmark.
+//!
 //! Every binary accepts `--scale quick|paper`: `quick` (default) runs
 //! laptop-scale inputs; `paper` uses the paper's sizes (up to 1M nodes /
 //! 5M edges — minutes to hours). Results print as aligned tables suitable

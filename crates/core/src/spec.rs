@@ -110,6 +110,21 @@ impl<'a> CensusSpec<'a> {
         self.subpattern.as_deref()
     }
 
+    /// How far (in union-graph hops from a touched endpoint) an edge
+    /// mutation can perturb this spec's counts: `k` for plain `COUNTP`,
+    /// `k + (|V(p)| - 1)` for `COUNTSP` over a connected pattern,
+    /// unbounded (`None` — every focal node is dirty) for `COUNTSP` over
+    /// a disconnected pattern.
+    pub fn dirty_radius(&self) -> Option<u32> {
+        if self.subpattern.is_none() {
+            return Some(self.k);
+        }
+        if !self.pattern.is_connected() {
+            return None;
+        }
+        Some(self.k + (self.pattern.num_nodes() as u32).saturating_sub(1))
+    }
+
     /// The pattern nodes whose images must lie inside the neighborhood:
     /// the subpattern's nodes for COUNTSP, every pattern node for COUNTP.
     pub fn anchor_nodes(&self) -> Result<Vec<PNode>, CensusError> {

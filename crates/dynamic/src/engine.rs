@@ -154,7 +154,7 @@ pub fn update_batch_on(
         );
     }
 
-    let radii: Vec<Option<u32>> = specs.iter().map(dirty_radius).collect();
+    let radii: Vec<Option<u32>> = specs.iter().map(CensusSpec::dirty_radius).collect();
     let k_max = radii.iter().flatten().copied().max().unwrap_or(0);
     let index = DirtyIndex::build(delta, k_max);
 
@@ -287,21 +287,6 @@ pub struct UpdateOutcome {
     pub stats: UpdateStats,
     /// Match-list maintenance accounting (summed over specs).
     pub match_stats: MaintainStats,
-}
-
-/// How far (in union-graph hops from a touched endpoint) a spec's count
-/// can be perturbed: `k` for plain `COUNTP`, `k + (|V(p)| - 1)` for
-/// `COUNTSP` over a connected pattern, unbounded (`None` — every focal
-/// node is dirty) for `COUNTSP` over a disconnected pattern.
-fn dirty_radius(spec: &CensusSpec<'_>) -> Option<u32> {
-    if spec.subpattern_name().is_none() {
-        return Some(spec.k());
-    }
-    let p = spec.pattern();
-    if !p.is_connected() {
-        return None;
-    }
-    Some(spec.k() + (p.num_nodes() as u32).saturating_sub(1))
 }
 
 /// Single-spec convenience wrapper around [`update_batch_exec`].

@@ -1,9 +1,10 @@
 //! Incremental global match-list maintenance under an edge delta.
 //!
 //! Every census algorithm except ND-BAS starts from the pattern's global
-//! match list, and recomputing it from scratch on each mutation is what
-//! sets the incremental engine's speedup floor (`delta_bench`). This
-//! module maintains the list as a delta structure instead:
+//! match list, and recomputing it from scratch on each mutation would
+//! put a full extraction (`census_bench`'s `matcher.extract_ms`) under
+//! every update, however small the delta. This module maintains the list
+//! as a delta structure instead (`dynamic.incremental_ms`):
 //!
 //! 1. **Survivor scan** — a previous match is *suspicious* iff the image
 //!    of any pattern edge (positive *or* negative) lands on a touched

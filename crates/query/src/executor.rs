@@ -1031,24 +1031,11 @@ impl<'g> QueryEngine<'g> {
                 return self.project_single(&plan.stmt, focal, &results);
             }
             // A probed view vanished between planning and execution
-            // (concurrent DROP VIEW or refresh race): recompute as an
-            // ordinary census. Counts are algorithm-invariant, so any
-            // serving algorithm gives the identical table.
-            let mut jobs = Vec::with_capacity(probes.len());
-            for p in probes {
-                jobs.push(BatchAgg {
-                    pattern: self.catalog.require(&p.pattern)?,
-                    k: p.k,
-                    subpattern: p.subpattern.clone(),
-                    focal: focal.to_vec(),
-                });
-            }
-            let algorithm = match self.algorithm {
-                Algorithm::Auto => Algorithm::NdPivot,
-                a => a,
-            };
-            let results = self.run_batched(&jobs, algorithm)?;
-            return self.project_single(&plan.stmt, focal, &results);
+            // (concurrent DROP VIEW or refresh race): plan again. With
+            // the view gone the substitution pass no longer fires, so
+            // this lands on the ordinary census path below.
+            let replanned = self.plan_single(&plan.stmt, Some(focal), OPTIMIZERS)?;
+            return self.run_plan(&replanned, focal);
         }
         let (algorithm, jobs) = match plan.census() {
             Some(c) => {
@@ -1166,16 +1153,10 @@ impl<'g> QueryEngine<'g> {
                     if let Some(key) = &count_keys[i] {
                         let job = &jobs[i];
                         // Provenance: the dirty radius bound under which
-                        // these counts stay exact across a mutation
-                        // (mirrors ego-dynamic's rule), so a localized
-                        // update can keep the entry instead of dropping it.
-                        let radius = if job.subpattern.is_none() {
-                            Some(job.k)
-                        } else if job.pattern.is_connected() {
-                            Some(job.k + (job.pattern.num_nodes() as u32).saturating_sub(1))
-                        } else {
-                            None
-                        };
+                        // these counts stay exact across a mutation, so a
+                        // localized update can keep the entry instead of
+                        // dropping it.
+                        let radius = specs[j].dirty_radius();
                         c.put_counts_with_meta(
                             key.clone(),
                             cv.clone(),
@@ -2468,6 +2449,21 @@ mod tests {
         // Dropping again errors with a clear message.
         let err = e.execute("DROP VIEW tri RADIUS 1").unwrap_err();
         assert!(err.to_string().contains("no materialized view"), "{err}");
+    }
+
+    #[test]
+    fn view_dropped_after_planning_replans_to_census() {
+        let g = fixture();
+        let e = view_engine(&g);
+        let sql = "SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes WHERE age >= 40";
+        let cold = engine(&g).execute(sql).unwrap();
+        e.execute("MATERIALIZE tri RADIUS 1").unwrap();
+        let stmt = parse_query(sql).unwrap();
+        let focal = e.compute_focal(&stmt, &stmt.tables[0].alias).unwrap();
+        let plan = e.plan_single(&stmt, Some(&focal), OPTIMIZERS).unwrap();
+        assert!(plan.view_probe().is_some());
+        e.execute("DROP VIEW tri RADIUS 1").unwrap();
+        assert_eq!(e.run_plan(&plan, &focal).unwrap().rows(), cold.rows());
     }
 
     #[test]

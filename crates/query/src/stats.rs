@@ -441,12 +441,12 @@ pub const CONSIDERED: [Algorithm; 6] = [
 /// focal nodes with one algorithm, with the ball size as the per-unit
 /// traversal cost. The ND-PVOT / PT-OPT crossover is `m·v` vs `f`:
 /// pattern-driven wins when the match list is smaller than the focal
-/// set — the paper's "selective patterns" guidance. (An earlier
-/// calibration discounted PT's traversal by the runtime chooser's
-/// `PT_FACTOR`; `planner_bench` showed that underprices PT's per-match
-/// ball work at paper scale, flipping a 50K-node BA census to PT at
-/// ~3x the ND wall time, so PT now pays the full ball per match-list
-/// entry.)
+/// set — the paper's "selective patterns" guidance. PT pays the full
+/// ball per match-list entry: discounting it by the runtime chooser's
+/// `PT_FACTOR` underprices PT's per-match ball work and flips dense
+/// censuses to PT at several times the ND wall time. How far the
+/// resulting pick is from the best forced algorithm is `census_bench`'s
+/// `planner.regret_ratio` / `planner.regret_whole_ratio`.
 ///
 /// * ND sweeps every focal ball (`focal·ball(k)`), plus the one-off
 ///   global match-list computation (`m·v`) shared by PVOT/DIFF.

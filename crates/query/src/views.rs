@@ -143,12 +143,19 @@ impl ViewRegistry {
         format!("{dsl}|k={k}|sp={}", subpattern.unwrap_or("-"))
     }
 
-    /// Pin a new view (replacing any same-key predecessor). Under budget
+    /// `MATERIALIZE`: pin a new view and count one materialization.
+    pub fn insert(&self, entry: ViewEntry) -> Result<Vec<String>, QueryError> {
+        let evicted = self.pin(entry)?;
+        self.materializations.fetch_add(1, Ordering::Relaxed);
+        Ok(evicted)
+    }
+
+    /// Pin a view (replacing any same-key predecessor). Under budget
     /// pressure other views are evicted **largest-first** (ties by key,
     /// ascending) until the registry fits; evicted keys are returned so
     /// callers can report them. A view larger than the whole budget is
     /// rejected.
-    pub fn insert(&self, entry: ViewEntry) -> Result<Vec<String>, QueryError> {
+    fn pin(&self, entry: ViewEntry) -> Result<Vec<String>, QueryError> {
         if entry.bytes > self.budget_bytes {
             return Err(QueryError::Semantic(format!(
                 "view `{}` needs {} bytes but the view budget is {} bytes; \
@@ -163,7 +170,6 @@ impl ViewRegistry {
         entries.insert(key.clone(), Arc::new(entry));
         let evicted = Self::evict_to_budget(&mut entries, self.budget_bytes, &key);
         drop(entries);
-        self.materializations.fetch_add(1, Ordering::Relaxed);
         self.evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
         Ok(evicted)
@@ -420,16 +426,10 @@ impl ViewRegistry {
                 .trim()
                 .strip_prefix("focal ")
                 .ok_or_else(|| format!("expected `focal` line, found `{}`", focal_line.trim()))?;
-            let focal_ids = parse_focal_ranges(focal_spec)?;
+            let focal_ids = parse_focal_ranges(focal_spec, num_nodes)?;
             let mut focal = vec![false; num_nodes];
             for &n in &focal_ids {
-                let i = n.0 as usize;
-                if i >= num_nodes {
-                    return Err(format!(
-                        "view focal node {i} out of range for {num_nodes} nodes"
-                    ));
-                }
-                focal[i] = true;
+                focal[n.0 as usize] = true;
             }
             let counts_line = lines.next().ok_or("view missing `counts` line")?;
             let counts_spec = counts_line
@@ -460,7 +460,8 @@ impl ViewRegistry {
                     .trim()
                     .parse()
                     .map_err(|_| format!("bad match count `{mlen}`"))?;
-                let mut pms = Vec::with_capacity(mlen);
+                // Not pre-sized: `mlen` is whatever the file claims.
+                let mut pms = Vec::new();
                 for _ in 0..mlen {
                     let mline = lines.next().ok_or("truncated match block")?;
                     let imgs = mline.trim().strip_prefix("match ").ok_or_else(|| {
@@ -536,16 +537,12 @@ impl ViewRegistry {
         }
         let mut adopted = 0;
         for v in views {
-            if self.insert(v).is_ok() {
+            if self.pin(v).is_ok() {
                 adopted += 1;
             }
         }
         self.sidecar_loads
             .fetch_add(adopted as u64, Ordering::Relaxed);
-        // insert() counts materializations; adoption is not a new
-        // materialization, so take them back out.
-        self.materializations
-            .fetch_sub(adopted as u64, Ordering::Relaxed);
         Ok(adopted)
     }
 }
@@ -571,24 +568,27 @@ fn focal_ranges(counts: &CountVector) -> String {
 }
 
 /// Parse the inclusive-range focal syntax back to an ascending id list.
-fn parse_focal_ranges(spec: &str) -> Result<Vec<NodeId>, String> {
+/// Ranges must be ascending, disjoint and below `num_nodes` (as
+/// [`focal_ranges`] writes them); each is checked before it is expanded,
+/// so a hostile line cannot make this allocate more than `num_nodes` ids.
+fn parse_focal_ranges(spec: &str, num_nodes: usize) -> Result<Vec<NodeId>, String> {
     let spec = spec.trim();
     if spec == "-" || spec.is_empty() {
         return Ok(Vec::new());
     }
-    let mut ids = Vec::new();
+    let mut ids: Vec<NodeId> = Vec::new();
     for part in spec.split(',') {
-        let (lo, hi) = part
-            .split_once('-')
-            .ok_or_else(|| format!("bad focal range `{part}`"))?;
-        let lo: u32 = lo
-            .parse()
-            .map_err(|_| format!("bad focal range `{part}`"))?;
-        let hi: u32 = hi
-            .parse()
-            .map_err(|_| format!("bad focal range `{part}`"))?;
-        if hi < lo {
-            return Err(format!("bad focal range `{part}`"));
+        let bad = || format!("bad focal range `{part}`");
+        let (lo, hi) = part.split_once('-').ok_or_else(bad)?;
+        let lo: u32 = lo.parse().map_err(|_| bad())?;
+        let hi: u32 = hi.parse().map_err(|_| bad())?;
+        if hi < lo || ids.last().is_some_and(|last| lo <= last.0) {
+            return Err(bad());
+        }
+        if hi as usize >= num_nodes {
+            return Err(format!(
+                "view focal node {hi} out of range for {num_nodes} nodes"
+            ));
         }
         ids.extend((lo..=hi).map(NodeId));
     }
@@ -791,11 +791,35 @@ mod tests {
         let cv = CountVector::new(10, focal);
         assert_eq!(focal_ranges(&cv), "0-2,7-7,9-9");
         assert_eq!(
-            parse_focal_ranges("0-2,7-7,9-9").unwrap(),
+            parse_focal_ranges("0-2,7-7,9-9", 10).unwrap(),
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(7), NodeId(9)]
         );
         assert_eq!(focal_ranges(&CountVector::new(4, vec![false; 4])), "-");
-        assert!(parse_focal_ranges("5-2").is_err());
-        assert!(parse_focal_ranges("x").is_err());
+        assert!(parse_focal_ranges("5-2", 10).is_err());
+        assert!(parse_focal_ranges("x", 10).is_err());
+        // Out of range, overlapping, or out of order: rejected before
+        // any id is expanded.
+        assert!(parse_focal_ranges("0-10", 10).is_err());
+        assert!(parse_focal_ranges("0-5,5-6", 10).is_err());
+        assert!(parse_focal_ranges("7-7,0-2", 10).is_err());
+    }
+
+    #[test]
+    fn hostile_sidecar_sizes_are_errors_not_allocations() {
+        let r = ViewRegistry::new(1 << 20);
+        r.insert(entry(2, 6, 0x11)).unwrap();
+        let good = r.to_sidecar(0x11);
+        assert!(ViewRegistry::parse_sidecar(&good, 6).is_ok());
+        // A focal range far past the graph: would expand to 2^32 ids.
+        let wide = good.replace("focal 0-5", "focal 0-4294967295");
+        assert_ne!(wide, good);
+        let err = ViewRegistry::parse_sidecar(&wide, 6).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+        // A declared match count no file could hold: would pre-size a
+        // Vec past `isize::MAX` bytes.
+        let huge = good.replace("end\n", "matches 18446744073709551615\nend\n");
+        assert_ne!(huge, good);
+        let err = ViewRegistry::parse_sidecar(&huge, 6).unwrap_err();
+        assert!(err.contains("`match` line"), "{err}");
     }
 }

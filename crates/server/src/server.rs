@@ -8,8 +8,11 @@
 //! with a short poll timeout so workers notice shutdown promptly, and a
 //! request that stays half-received past the request timeout, or grows
 //! past [`MAX_REQUEST_LINE_BYTES`] without a newline, is answered with
-//! an `error` and dropped. The loop is generic over a [`LineHandler`],
-//! so the shard router serves its connections with this same code.
+//! an `error` and dropped. A handler that panics costs its client the
+//! connection (one `error` line, then close) and nothing else: the pool
+//! thread takes the next socket. The loop is generic over a
+//! [`LineHandler`], so the shard router serves its connections with this
+//! same code.
 
 use crate::protocol::Response;
 use crate::session::{Session, Shared};
@@ -17,6 +20,7 @@ use ego_graph::Graph;
 use ego_query::{Algorithm, Catalog, ShardSpec};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -158,6 +162,12 @@ impl Server {
             shutdown,
             limits,
             "ego-server-worker",
+            {
+                let stats = shared.stats.clone();
+                move || {
+                    stats.panics.fetch_add(1, Ordering::Relaxed);
+                }
+            },
             move || {
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 Session::new(&shared)
@@ -209,11 +219,17 @@ pub trait LineHandler {
 /// accept loop, each connection served by the handler `connect` builds
 /// for it. Blocks until `shutdown` is set; returns after every worker
 /// has drained.
+///
+/// A panic anywhere in a connection's handler is caught here: the
+/// client gets one `error` line and the connection closes, `on_panic`
+/// is called once (the caller's `panics` stat), and the pool thread
+/// goes on to the next socket — so no request can shrink the pool.
 pub fn serve_lines<H: LineHandler>(
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     limits: LineLimits,
     thread_name: &str,
+    on_panic: impl Fn() + Clone + Send + 'static,
     connect: impl Fn() -> H + Clone + Send + 'static,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
@@ -227,16 +243,26 @@ pub fn serve_lines<H: LineHandler>(
             let rx = rx.clone();
             let shutdown = shutdown.clone();
             let connect = connect.clone();
+            let on_panic = on_panic.clone();
             std::thread::Builder::new()
                 .name(format!("{thread_name}-{i}"))
                 .spawn(move || loop {
                     // Take the next socket without holding the lock
                     // while serving it.
-                    let stream = match rx.lock().unwrap().recv() {
+                    let mut stream = match rx.lock().unwrap().recv() {
                         Ok(s) => s,
                         Err(_) => return, // accept loop gone: drain out
                     };
-                    serve_connection(stream, connect(), &shutdown, &limits);
+                    // The handler is built and dropped inside the catch,
+                    // so a panic in either is contained too.
+                    let served = catch_unwind(AssertUnwindSafe(|| {
+                        serve_connection(&mut stream, connect(), &shutdown, &limits)
+                    }));
+                    if served.is_err() {
+                        on_panic();
+                        let message = "internal error: the request handler panicked";
+                        let _ = write_lines(&mut stream, &[Response::error(message).encode()]);
+                    }
                 })
                 .expect("spawn worker thread")
         })
@@ -245,8 +271,8 @@ pub fn serve_lines<H: LineHandler>(
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // A send only fails if all workers panicked; treat
-                // that as shutdown.
+                // A send only fails if every worker thread is gone;
+                // treat that as shutdown.
                 if tx.send(stream).is_err() {
                     break;
                 }
@@ -268,7 +294,7 @@ pub fn serve_lines<H: LineHandler>(
 /// Serve one connection: read request lines, answer each with one
 /// response line, until EOF, error, timeout, or server shutdown.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     mut handler: impl LineHandler,
     shutdown: &AtomicBool,
     limits: &LineLimits,
@@ -299,13 +325,13 @@ fn serve_connection(
             let response = handler.handle_line(line);
             let mut lines = handler.take_frames();
             lines.push(response);
-            if write_lines(&mut stream, &lines).is_err() {
+            if write_lines(stream, &lines).is_err() {
                 return;
             }
         }
         if buf.len() > MAX_REQUEST_LINE_BYTES {
             let message = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
-            let _ = write_lines(&mut stream, &[Response::error(message).encode()]);
+            let _ = write_lines(stream, &[Response::error(message).encode()]);
             return;
         }
         partial_since = if buf.is_empty() {
@@ -324,16 +350,13 @@ fn serve_connection(
                 // Idle poll tick: push frames produced by *other*
                 // connections' updates to this subscriber.
                 handler.idle_tick();
-                if write_lines(&mut stream, &handler.take_frames()).is_err() {
+                if write_lines(stream, &handler.take_frames()).is_err() {
                     return;
                 }
                 // An idle connection may wait forever; a half-received
                 // request may not.
                 if partial_since.is_some_and(|since| since.elapsed() >= limits.request_timeout) {
-                    let _ = write_lines(
-                        &mut stream,
-                        &[Response::error("request timed out").encode()],
-                    );
+                    let _ = write_lines(stream, &[Response::error("request timed out").encode()]);
                     return;
                 }
             }

@@ -106,6 +106,9 @@ pub struct ServerStats {
     /// this happens — later probes miss and fall back to direct census —
     /// rather than serving counts off a stale baseline.
     pub view_refresh_errors: AtomicU64,
+    /// Connections closed because their handler panicked (caught by
+    /// [`crate::serve_lines`]; the pool thread survives).
+    pub panics: AtomicU64,
     /// Per-op request durations, indexed like [`OPS`].
     pub latency: [OpLatency; OPS.len()],
 }
@@ -857,6 +860,7 @@ impl Session {
                 (self.shared.current_graph().storage_kind() == "mmap") as u64,
             ),
             ("graph_updates", stats.graph_updates.load(Ordering::Relaxed)),
+            ("panics", stats.panics.load(Ordering::Relaxed)),
             (
                 "patterns_defined",
                 stats.patterns_defined.load(Ordering::Relaxed),

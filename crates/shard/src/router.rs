@@ -114,6 +114,9 @@ pub struct RouterStats {
     /// Subscription legs re-homed onto a survivor after their worker
     /// died (each re-home also pushes one coalesced frame).
     pub legs_recovered: AtomicU64,
+    /// Client connections closed because their handler panicked. Not a
+    /// `router_*` row: it is added into the fleet-wide `panics` row.
+    pub panics: AtomicU64,
 }
 
 struct WorkerSlot {
@@ -995,6 +998,13 @@ impl RouterSession {
         }
         let stats = &self.shared.stats;
         let mut rows = merge_stats(&tables);
+        // One fleet-wide `panics` row: the workers' sum plus the
+        // router's own front end.
+        let own_panics = stats.panics.load(Ordering::Relaxed) as i64;
+        match rows.iter_mut().find(|(k, _)| k == "panics") {
+            Some(row) => row.1 += own_panics,
+            None => rows.push(("panics".to_string(), own_panics)),
+        }
         rows.extend([
             (
                 "router_connections".to_string(),
@@ -1131,6 +1141,12 @@ impl Router {
             shutdown,
             limits,
             "ego-router-worker",
+            {
+                let shared = shared.clone();
+                move || {
+                    shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+                }
+            },
             move || {
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 RouterSession::new(shared.clone())

@@ -7,6 +7,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> docs name only targets that exist (--bin / --bench in the four measurement docs)"
+missing=$(grep -oE -- '--(bin|bench) [A-Za-z0-9_-]+' \
+    README.md DESIGN.md EXPERIMENTS.md census_bench/README.md | sort -u |
+  while IFS= read -r hit; do
+    name=${hit##* }
+    [ -f "src/bin/$name.rs" ] || [ -f "crates/bench/src/bin/$name.rs" ] \
+      || { [ "$name" = census_bench ] && [ -f census_bench/Cargo.toml ]; } \
+      || echo "    $hit"
+  done)
+[ -z "$missing" ] || { echo "FAIL: docs name targets that do not exist:"; echo "$missing"; exit 1; }
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -4,11 +4,18 @@
 
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::graph::Graph;
-use egocensus::query::{Catalog, QueryEngine, Value};
-use egocensus::server::{Client, Response, Server, ServerConfig, ShutdownHandle, TableData};
-use std::net::SocketAddr;
-use std::sync::Arc;
+use egocensus::query::{Catalog, QueryEngine, ShardSpec, Value, ViewRegistry, DEFAULT_VIEW_BUDGET};
+use egocensus::server::{
+    serve_lines, Client, LineHandler, LineLimits, Request, Response, Server, ServerConfig,
+    ShutdownHandle, TableData,
+};
+use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 const SEED: u64 = 0xC0FFEE;
 
@@ -256,6 +263,77 @@ fn shutdown_request_over_the_wire_stops_the_server() {
         .expect("server thread joins after wire shutdown");
 }
 
+/// A handler panic costs its client the connection and nothing else:
+/// with a pool of one thread, the next connection is still served.
+#[test]
+fn panicking_handler_does_not_cost_a_pool_thread() {
+    struct Echo;
+    impl LineHandler for Echo {
+        fn handle_line(&mut self, line: &str) -> String {
+            assert_ne!(line, "boom", "marker line");
+            format!("echo {line}")
+        }
+        fn take_frames(&mut self) -> Vec<String> {
+            Vec::new()
+        }
+    }
+    fn round_trip(addr: SocketAddr, line: &str) -> (String, usize) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        writeln!(stream, "{line}").expect("send");
+        let mut reader = BufReader::new(stream);
+        let (mut reply, mut rest) = (String::new(), String::new());
+        reader.read_line(&mut reply).expect("reply");
+        // Bytes after the reply: 0 = the server closed the connection.
+        let after = reader.read_line(&mut rest).unwrap_or(usize::MAX);
+        (reply.trim().to_string(), after)
+    }
+
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let panics = Arc::new(AtomicU64::new(0));
+    let limits = LineLimits {
+        pool_threads: 1,
+        request_timeout: Duration::from_secs(10),
+        write_timeout: Duration::from_secs(10),
+        poll_interval: Duration::from_millis(5),
+    };
+    let server = {
+        let (shutdown, panics) = (shutdown.clone(), panics.clone());
+        std::thread::spawn(move || {
+            let on_panic = move || {
+                panics.fetch_add(1, Ordering::Relaxed);
+            };
+            serve_lines(listener, shutdown, limits, "echo", on_panic, || Echo)
+        })
+    };
+
+    let (reply, after) = round_trip(addr, "boom");
+    let reply = Response::decode(&reply).expect("an encoded response");
+    assert!(reply.is_error(), "{reply:?}");
+    assert_eq!(after, 0, "the connection closes after the error line");
+    assert_eq!(panics.load(Ordering::Relaxed), 1);
+
+    // The only pool thread survived: a second connection is answered,
+    // and a third panic is counted too.
+    let mut stream = TcpStream::connect(addr).expect("connect again");
+    writeln!(stream, "hello").expect("send");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("reply");
+    assert_eq!(reply.trim(), "echo hello");
+    drop(stream);
+    assert!(round_trip(addr, "boom").0.contains("panicked"));
+    assert_eq!(panics.load(Ordering::Relaxed), 2);
+
+    shutdown.store(true, Ordering::SeqCst);
+    server.join().expect("join").expect("serve_lines");
+}
+
 trait RawResponse {
     fn request_raw_as_response(&mut self, line: &str) -> Response;
 }
@@ -345,4 +423,98 @@ fn subscriber_survives_reconnect_with_fresh_baseline() {
 
     handle.shutdown();
     thread.join().expect("server thread");
+}
+
+// --- hostile bytes at two boundaries ---
+
+/// Valid inputs to damage: a small graph's `.views` sidecar (a `MATCHES`
+/// view and a `SUBPATTERN` view, so every line kind appears), its node
+/// count, and one encoded request line per payload shape.
+fn byte_corpus() -> (String, usize, Vec<String>) {
+    let g = barabasi_albert(24, 3, &mut rng(5));
+    let mut engine = QueryEngine::with_builtins(&g);
+    engine.set_threads(1);
+    engine.set_views(Arc::new(ViewRegistry::new(DEFAULT_VIEW_BUDGET)));
+    for m in [
+        "MATERIALIZE clq3_unlb RADIUS 1 MATCHES",
+        "MATERIALIZE triad RADIUS 1 SUBPATTERN coordinator",
+    ] {
+        engine.execute(m).expect("materialize");
+    }
+    let sidecar = engine.views().expect("views").to_sidecar(g.fingerprint());
+    assert!(ViewRegistry::parse_sidecar(&sidecar, g.num_nodes()).is_ok());
+    let requests: Vec<String> = [
+        Request::Ping,
+        Request::Define {
+            pattern: "PATTERN é { ?A-?B; }".into(),
+        },
+        Request::Query {
+            sql: COUNT_SQL.into(),
+            shard: Some(ShardSpec::parse("1/3").expect("shard")),
+        },
+        Request::Update {
+            mutations: "INSERT EDGE (0, 57); DELETE EDGE (0, 1)".into(),
+        },
+        Request::Unsubscribe { id: 7 },
+    ]
+    .iter()
+    .map(Request::encode)
+    .collect();
+    assert!(requests.iter().all(|r| Request::decode(r).is_ok()));
+    (sidecar, g.num_nodes(), requests)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// ROADMAP 6a, two of the six byte boundaries: whatever a truncate,
+    /// a byte flip, a boundary number or a splice does to a valid
+    /// `.views` sidecar or a valid request line, the parser returns —
+    /// `Ok` or `Err`, never a panic and never an allocation sized by the
+    /// damaged text.
+    #[test]
+    fn damaged_sidecars_and_request_lines_return_without_panicking(
+        which in any::<usize>(),
+        edit in 0u8..4,
+        at in any::<usize>(),
+        from in any::<usize>(),
+        len in 0usize..48,
+        byte in any::<u8>(),
+    ) {
+        static CORPUS: OnceLock<(String, usize, Vec<String>)> = OnceLock::new();
+        let (sidecar, num_nodes, requests) = CORPUS.get_or_init(byte_corpus);
+        // Even cases damage the sidecar, odd ones a request line.
+        let request = (which % 2 == 1).then(|| &requests[which / 2 % requests.len()]);
+        let mut bytes = request.unwrap_or(sidecar).clone().into_bytes();
+        let at = at % bytes.len();
+        match edit {
+            0 => bytes.truncate(at),
+            1 => bytes[at] = byte,
+            2 => {
+                // Swap the number at or after this position for one that
+                // sits on an integer boundary.
+                const HOSTILE: [&str; 5] =
+                    ["0", "4294967295", "4294967296", "18446744073709551615", "-1"];
+                if let Some(start) = (at..bytes.len()).find(|&i| bytes[i].is_ascii_digit()) {
+                    let end = (start..bytes.len())
+                        .find(|&i| !bytes[i].is_ascii_digit())
+                        .unwrap_or(bytes.len());
+                    bytes.splice(start..end, HOSTILE[byte as usize % HOSTILE.len()].bytes());
+                }
+            }
+            _ => {
+                // Splice a run from elsewhere in the same text (digits,
+                // keywords, quotes) over this position.
+                let from = from % bytes.len();
+                let run = bytes[from..(from + len).min(bytes.len())].to_vec();
+                bytes.splice(at..(at + run.len() / 2).min(bytes.len()), run);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if request.is_some() {
+            let _ = Request::decode(&text);
+        } else {
+            let _ = ViewRegistry::parse_sidecar(&text, *num_nodes);
+        }
+    }
 }
