@@ -60,7 +60,7 @@ fn main() {
             (total, counts)
         });
         let (batch, batch_secs) =
-            timed(|| run_batch_exec(&g, &specs, algo, &config, &exec, &[]).unwrap());
+            timed(|| run_batch_exec(&g, &specs, algo, &config, &exec, &[], None).unwrap());
         for (i, cv) in seq_stats.1.iter().enumerate() {
             assert_eq!(&batch.counts[i], cv, "{algo:?}: batch diverges on spec {i}");
         }

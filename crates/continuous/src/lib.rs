@@ -209,7 +209,7 @@ impl ContinuousEngine {
         if seeded > 0 {
             self.seeded.fetch_add(seeded, Ordering::Relaxed);
         }
-        let batch = run_batch_exec(graph, &cspecs, algorithm, config, exec, &provided)?;
+        let batch = run_batch_exec(graph, &cspecs, algorithm, config, exec, &provided, None)?;
         let focal = state.spec.focal.len();
         drop(cspecs);
         state.counts = batch.counts;

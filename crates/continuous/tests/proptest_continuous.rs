@@ -86,9 +86,17 @@ fn full_counts(
         })
         .collect();
     let provided = vec![None; cspecs.len()];
-    run_batch_exec(g, &cspecs, algorithm, &PtConfig::default(), exec, &provided)
-        .expect("full recompute")
-        .counts
+    run_batch_exec(
+        g,
+        &cspecs,
+        algorithm,
+        &PtConfig::default(),
+        exec,
+        &provided,
+        None,
+    )
+    .expect("full recompute")
+    .counts
 }
 
 proptest! {

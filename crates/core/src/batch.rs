@@ -3,8 +3,8 @@
 //!
 //! Every census algorithm re-walks the same CSR adjacency per pattern:
 //! the node-driven family re-extracts each focal node's k-hop
-//! neighborhood once per pattern, and the pattern-driven family rebuilds
-//! the center index and re-runs the simultaneous traversal per pattern.
+//! neighborhood once per pattern, and the pattern-driven family re-runs
+//! the simultaneous traversal per pattern.
 //! A [`run_batch_exec`] call plans N specs together and shares that work:
 //!
 //! * **ND side** — specs resolving to a node-driven algorithm are grouped
@@ -17,11 +17,14 @@
 //!   space derived once per pattern, not once per neighborhood).
 //! * **PT side** — specs resolving to a pattern-driven algorithm are
 //!   grouped by equal radius (the PMD saturation value `inf = k + 1` is
-//!   per-group) and share **one** center index across all groups. Within
-//!   a group, the matches of all patterns are pooled and clustered
-//!   together, so one simultaneous traversal relaxes the distance bounds
-//!   for anchors of *different* patterns at once; each spec then counts
-//!   from the shared PMD rows under its own focal mask.
+//!   per-group) and share **one** center index across all groups — built
+//!   here, or handed in by a caller that kept the one an earlier batch
+//!   over the same graph returned ([`BatchResult::centers`]). Within a
+//!   group, the matches of all patterns are pooled and clustered
+//!   together, so one simultaneous traversal (the single-pattern kernel,
+//!   `pt_opt`'s `process_cluster`) relaxes the distance bounds for
+//!   anchors of *different* patterns at once; each spec then counts from
+//!   the shared PMD rows under its own focal mask.
 //!
 //! Counts are bit-identical to N sequential [`crate::run_census_exec`]
 //! runs for every algorithm and thread count (property-tested in
@@ -33,19 +36,19 @@
 //! Rejections are preserved for parity: ND-BAS still refuses COUNTSP and
 //! attribute/edge predicates, ND-DIFF still refuses COUNTSP.
 
-use crate::centers::CenterIndex;
+use crate::centers::{CenterIndex, CenterStrategy};
 use crate::chooser;
 use crate::kmeans::kmeans;
 use crate::nd_pivot::PivotIndex;
 use crate::parallel::{exec_matches, ExecConfig};
-use crate::pt_opt::TraversalQueue;
+use crate::pt_opt::{self, PtContext, PtItem, PtSlot};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, Clustering, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
 use crate::Algorithm;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::profile::ProfileIndex;
-use ego_graph::{FastHashMap, FastHashSet, Graph, NodeId};
+use ego_graph::{FastHashSet, Graph, NodeId};
 use ego_matcher::{ExtractScratch, MatchList, NeighborhoodMatcher};
 use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};
 use ego_pattern::PNode;
@@ -88,6 +91,12 @@ pub struct BatchResult {
     /// materializes them). Specs sharing a pattern share the `Arc`;
     /// callers can cache these for future batches.
     pub matches: Vec<Option<Arc<MatchList>>>,
+    /// The center index this run **built**, for the caller to keep and
+    /// hand to later batches over the same graph. `None` when no PT
+    /// stage ran, when the caller's index was used, and under
+    /// [`CenterStrategy::Random`] (whose centers are a draw from the
+    /// run's RNG stream, not a property of the graph).
+    pub centers: Option<CenterIndex>,
     /// The executed plan.
     pub stages: Vec<BatchStage>,
 }
@@ -110,7 +119,15 @@ pub fn run_batch<'a>(
     algorithm: Algorithm,
     config: &PtConfig,
 ) -> Result<BatchResult, CensusError> {
-    run_batch_exec(g, specs, algorithm, config, &ExecConfig::sequential(), &[])
+    run_batch_exec(
+        g,
+        specs,
+        algorithm,
+        config,
+        &ExecConfig::sequential(),
+        &[],
+        None,
+    )
 }
 
 /// Evaluate `specs` as one batch under `algorithm` (applied per spec;
@@ -119,6 +136,10 @@ pub fn run_batch<'a>(
 /// `provided` optionally supplies precomputed global match lists per spec
 /// (e.g. from a server-side cache); missing entries are computed once per
 /// distinct pattern and returned in [`BatchResult::matches`].
+/// `provided_centers` likewise supplies the center index an earlier
+/// batch built **for this graph** under this `config`'s center count;
+/// the caller owns that freshness (exact center distances are a
+/// correctness input: a stale index would miscount).
 pub fn run_batch_exec<'a>(
     g: &Graph,
     specs: &[CensusSpec<'a>],
@@ -126,6 +147,7 @@ pub fn run_batch_exec<'a>(
     config: &PtConfig,
     exec: &ExecConfig,
     provided: &[Option<Arc<MatchList>>],
+    provided_centers: Option<CenterIndex>,
 ) -> Result<BatchResult, CensusError> {
     for spec in specs {
         spec.validate(g)?;
@@ -165,27 +187,27 @@ pub fn run_batch_exec<'a>(
         .collect();
 
     // One center index serves every PT group in the batch (it is
-    // k-independent), consuming RNG state the way pt_opt::plan does.
+    // k-independent). Building one consumes RNG state the way the
+    // single-pattern path does, and under `Random` that draw *is* the
+    // index, so only a `Degree` index can come from or go to the caller.
     let has_pt = stages
         .iter()
         .any(|s| matches!(s, BatchStage::PtGroup { .. }));
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let (pmd_centers, cluster_centers) = if has_pt {
-        let cluster_center_count = config.clustering_centers.unwrap_or(config.num_centers);
-        let total = config.num_centers.max(cluster_center_count);
-        let full = if total > 0 {
-            CenterIndex::build(g, total, config.center_strategy, &mut rng)
-        } else {
-            CenterIndex::empty()
-        };
-        stats.index_edges += full.build_edges();
-        (
-            full.take(config.num_centers),
-            full.take(cluster_center_count),
-        )
-    } else {
-        (CenterIndex::empty(), CenterIndex::empty())
+    let shareable = config.center_strategy == CenterStrategy::Degree;
+    let want = CenterIndex::count_for(config).min(g.num_nodes());
+    let mut built = None;
+    let full_centers = match provided_centers {
+        _ if !has_pt => CenterIndex::empty(),
+        Some(c) if shareable && c.len() == want => c,
+        _ => {
+            let c = CenterIndex::for_config(g, config, &mut rng);
+            stats.index_edges += c.build_edges();
+            built = (shareable && !c.is_empty()).then(|| c.clone());
+            c
+        }
     };
+    let (pmd_centers, cluster_centers) = full_centers.views_for(config);
     let ordering = if algorithm == Algorithm::PtRandom {
         PtOrdering::Random
     } else {
@@ -231,6 +253,7 @@ pub fn run_batch_exec<'a>(
         counts,
         stats,
         matches,
+        centers: built,
         stages,
     })
 }
@@ -600,22 +623,6 @@ fn sweep_shard(
 // PT side: pool the matches of same-radius specs into shared traversals.
 // ---------------------------------------------------------------------
 
-/// Read-only per-spec state inside a PT group.
-struct PtSlotState {
-    slot: usize,
-    anchors: Vec<PNode>,
-    analysis: PatternAnalysis,
-    matches: Arc<MatchList>,
-    mask: Vec<bool>,
-}
-
-/// One pooled traversal seed: match `mi` of group member `si`.
-#[derive(Clone, Copy)]
-struct PtItem {
-    si: usize,
-    mi: u32,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn pt_group_run(
     g: &Graph,
@@ -632,26 +639,21 @@ fn pt_group_run(
     counts: &mut [CountVector],
     stats: &mut TraversalStats,
 ) -> Result<(), CensusError> {
-    assert!(k < u16::MAX as u32, "k too large for PMD storage");
-    let mut slots: Vec<PtSlotState> = Vec::new();
+    let k = pt_opt::pmd_radius(g, k)?;
+    let mut slots: Vec<PtSlot<'_>> = Vec::new();
     let mut items: Vec<PtItem> = Vec::new();
     for &i in idxs {
         let spec = &specs[i];
-        let m = matches[i]
-            .as_ref()
-            .expect("PT mode requires matches")
-            .clone();
+        let m = matches[i].as_deref().expect("PT mode requires matches");
         if m.is_empty() {
             continue;
         }
-        let anchors = spec.anchor_nodes()?;
-        let analysis = PatternAnalysis::new(spec.pattern());
-        let si = slots.len();
+        let si = slots.len() as u32;
         items.extend((0..m.len() as u32).map(|mi| PtItem { si, mi }));
-        slots.push(PtSlotState {
-            slot: i,
-            anchors,
-            analysis,
+        slots.push(PtSlot {
+            spec: i,
+            anchors: spec.anchor_nodes()?,
+            analysis: PatternAnalysis::new(spec.pattern()),
             matches: m,
             mask: spec.focal().mask(g),
         });
@@ -661,58 +663,18 @@ fn pt_group_run(
     }
 
     let groups = cluster_items(&items, &slots, cluster_centers, config, rng);
-
-    let chunks: Vec<&[Vec<u32>]> = if threads == 1 || groups.len() < 2 {
-        vec![&groups[..]]
-    } else {
-        groups
-            .chunks(groups.len().div_ceil(threads.min(groups.len())))
-            .collect()
+    let ctx = PtContext {
+        g,
+        k,
+        slots: &slots,
+        items: &items,
+        centers: pmd_centers,
+        use_distance_shortcuts: config.use_distance_shortcuts,
     };
-
-    let results: Vec<(Vec<CountVector>, TraversalStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                let slots = &slots;
-                let items = &items;
-                scope.spawn(move || {
-                    let mut qrng = StdRng::seed_from_u64(config.seed);
-                    let mut queue = TraversalQueue::new(ordering, &mut qrng);
-                    let mut local: Vec<CountVector> = slots
-                        .iter()
-                        .map(|st| CountVector::new(g.num_nodes(), st.mask.clone()))
-                        .collect();
-                    let mut ts = TraversalStats::default();
-                    for group in *chunk {
-                        process_pt_cluster(
-                            g,
-                            k,
-                            slots,
-                            items,
-                            group,
-                            pmd_centers,
-                            &mut queue,
-                            config.use_distance_shortcuts,
-                            &mut local,
-                            &mut ts,
-                        );
-                    }
-                    (local, ts)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("census worker panicked"))
-            .collect()
-    });
-
-    for (local, ts) in results {
-        stats.add(&ts);
-        for (st, cv) in slots.iter().zip(&local) {
-            counts[st.slot].merge_add(cv);
-        }
+    let (local, ts) = pt_opt::run_groups(&ctx, &groups, ordering, config.seed, threads);
+    stats.add(&ts);
+    for (st, cv) in slots.iter().zip(&local) {
+        counts[st.spec].merge_add(cv);
     }
     Ok(())
 }
@@ -726,7 +688,7 @@ fn pt_group_run(
 /// so the cross-pattern feature space is safe.
 fn cluster_items(
     items: &[PtItem],
-    slots: &[PtSlotState],
+    slots: &[PtSlot<'_>],
     centers: &CenterIndex,
     config: &PtConfig,
     rng: &mut StdRng,
@@ -755,7 +717,7 @@ fn cluster_items(
 
 fn kmeans_item_groups(
     items: &[PtItem],
-    slots: &[PtSlotState],
+    slots: &[PtSlot<'_>],
     centers: &CenterIndex,
     kc: usize,
     iters: usize,
@@ -769,7 +731,7 @@ fn kmeans_item_groups(
     let dim = centers.len();
     let mut points = Vec::with_capacity(n * dim);
     for item in items {
-        let st = &slots[item.si];
+        let st = &slots[item.si as usize];
         let m = &st.matches[item.mi as usize];
         for ci in 0..dim {
             let mut best = f32::INFINITY;
@@ -791,211 +753,6 @@ fn kmeans_item_groups(
     }
     groups.retain(|g| !g.is_empty());
     groups
-}
-
-/// The multi-pattern generalization of `pt_opt::process_cluster`: one
-/// relaxation-based simultaneous traversal maintains PMD rows over the
-/// **union** of the cluster's anchor images across all member patterns.
-/// The expansion gate is an OR over that union, so merging patterns only
-/// widens it — per-anchor convergence (and hence exact counting) is
-/// preserved for every member.
-#[allow(clippy::too_many_arguments)]
-fn process_pt_cluster(
-    g: &Graph,
-    k: u32,
-    slots: &[PtSlotState],
-    items: &[PtItem],
-    group: &[u32],
-    centers: &CenterIndex,
-    queue: &mut TraversalQueue<'_>,
-    use_distance_shortcuts: bool,
-    out: &mut [CountVector],
-    tstats: &mut TraversalStats,
-) {
-    let inf = (k + 1) as u16;
-
-    // Unique anchor nodes across the cluster (all member patterns), each
-    // with a dense position.
-    let mut anchor_pos: FastHashMap<u32, u16> = FastHashMap::default();
-    let mut anchor_nodes: Vec<NodeId> = Vec::new();
-    // Per item in the group: its slot and the positions of its anchors.
-    let mut item_positions: Vec<(usize, Vec<u16>)> = Vec::with_capacity(group.len());
-    for &gi in group {
-        let item = items[gi as usize];
-        let st = &slots[item.si];
-        let m = &st.matches[item.mi as usize];
-        let mut positions = Vec::with_capacity(st.anchors.len());
-        for &a in &st.anchors {
-            let img = m.image(a);
-            let pos = *anchor_pos.entry(img.0).or_insert_with(|| {
-                anchor_nodes.push(img);
-                (anchor_nodes.len() - 1) as u16
-            });
-            positions.push(pos);
-        }
-        item_positions.push((item.si, positions));
-    }
-    let na = anchor_nodes.len();
-    let max_score = (inf as usize) * na;
-
-    let anchor_center: Vec<Vec<u32>> = anchor_nodes
-        .iter()
-        .map(|&a| {
-            (0..centers.len())
-                .map(|ci| centers.distance(ci, a))
-                .collect()
-        })
-        .collect();
-
-    let mut pmd: FastHashMap<u32, Vec<u16>> = FastHashMap::default();
-    let mut best_score: FastHashMap<u32, u32> = FastHashMap::default();
-    queue.reset(max_score);
-
-    // --- Initialization ---
-    for (pos, &a) in anchor_nodes.iter().enumerate() {
-        let mut row = vec![inf; na];
-        row[pos] = 0;
-        pmd.insert(a.0, row);
-    }
-    // Pattern-distance shortcuts, per item against its own pattern's
-    // analysis (a shortcut only relates anchors of the same match).
-    if use_distance_shortcuts {
-        for (gi, &item_idx) in group.iter().enumerate() {
-            let item = items[item_idx as usize];
-            let st = &slots[item.si];
-            let m = &st.matches[item.mi as usize];
-            let positions = &item_positions[gi].1;
-            for (ai, &pa) in st.anchors.iter().enumerate() {
-                let img_a = m.image(pa);
-                let row = pmd.get_mut(&img_a.0).expect("anchor row exists");
-                for (bi, &pb) in st.anchors.iter().enumerate() {
-                    if ai == bi {
-                        continue;
-                    }
-                    let d = st.analysis.distance(pb, pa);
-                    if d != UNREACHABLE && (d as u16) < row[positions[bi] as usize] {
-                        row[positions[bi] as usize] = d as u16;
-                    }
-                }
-            }
-        }
-    }
-    // Centers: exact distances (never reinserted).
-    for (ci, &c) in centers.centers().iter().enumerate().take(centers.len()) {
-        let row: Vec<u16> = (0..na)
-            .map(|pos| {
-                let d = anchor_center[pos][ci];
-                if d == u32::MAX {
-                    inf
-                } else {
-                    (d as u16).min(inf)
-                }
-            })
-            .collect();
-        match pmd.get_mut(&c.0) {
-            Some(existing) => {
-                for (e, r) in existing.iter_mut().zip(&row) {
-                    *e = (*e).min(*r);
-                }
-            }
-            None => {
-                pmd.insert(c.0, row);
-            }
-        }
-    }
-
-    let score_of = |row: &[u16]| -> usize { row.iter().map(|&v| v as usize).sum() };
-    let mut seeds: Vec<u32> = pmd.keys().copied().collect();
-    seeds.sort_unstable(); // determinism
-    for nraw in seeds {
-        let s = score_of(&pmd[&nraw]);
-        best_score.insert(nraw, s as u32);
-        queue.push(s, nraw);
-    }
-
-    // --- Traversal ---
-    let mut row_buf: Vec<u16> = Vec::with_capacity(na);
-    while let Some((popped_score, nraw)) = queue.pop() {
-        let row = match pmd.get(&nraw) {
-            Some(r) => r,
-            None => continue,
-        };
-        if matches!(queue.ordering, PtOrdering::BestFirst)
-            && best_score.get(&nraw).map(|&s| s as usize) != Some(popped_score)
-        {
-            continue;
-        }
-        if !row.iter().any(|&v| (v as u32) < k) {
-            continue;
-        }
-        tstats.nodes_expanded += 1;
-        tstats.edges_traversed += g.degree(NodeId(nraw)) as u64;
-        row_buf.clear();
-        row_buf.extend_from_slice(row);
-
-        for &nb in g.neighbors(NodeId(nraw)) {
-            let entry = pmd.entry(nb.0);
-            let mut changed = false;
-            let row_nb = match entry {
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    let r = o.into_mut();
-                    for pos in 0..na {
-                        let cand = row_buf[pos].saturating_add(1).min(inf);
-                        if cand < r[pos] {
-                            r[pos] = cand;
-                            changed = true;
-                        }
-                    }
-                    r
-                }
-                std::collections::hash_map::Entry::Vacant(vac) => {
-                    let mut r = vec![inf; na];
-                    for pos in 0..na {
-                        let mut v = row_buf[pos].saturating_add(1).min(inf);
-                        for (ci, &dac) in anchor_center[pos].iter().enumerate() {
-                            let dcn = centers.distance(ci, nb);
-                            if dac != u32::MAX && dcn != u32::MAX {
-                                let bound = (dac + dcn).min(inf as u32) as u16;
-                                if bound < v {
-                                    v = bound;
-                                }
-                            }
-                        }
-                        r[pos] = v;
-                    }
-                    changed = true;
-                    vac.insert(r)
-                }
-            };
-            if changed {
-                let s = score_of(row_nb);
-                let stale = best_score
-                    .get(&nb.0)
-                    .map(|&old| s < old as usize)
-                    .unwrap_or(true);
-                if stale {
-                    if best_score.insert(nb.0, s as u32).is_some() {
-                        tstats.reinsertions += 1;
-                    }
-                    queue.push(s, nb.0);
-                }
-            }
-        }
-    }
-
-    // --- Counting ---
-    // Each member counts from the shared PMD rows under its own mask.
-    for (nraw, row) in &pmd {
-        let n = NodeId(*nraw);
-        for &(si, ref positions) in &item_positions {
-            if !slots[si].mask[n.index()] {
-                continue;
-            }
-            if positions.iter().all(|&pos| row[pos as usize] as u32 <= k) {
-                out[si].increment(n);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1141,9 +898,60 @@ mod tests {
             &PtConfig::default(),
             &ExecConfig::sequential(),
             &[Some(pre.clone())],
+            None,
         )
         .unwrap();
         assert!(Arc::ptr_eq(batch.matches[0].as_ref().unwrap(), &pre));
+    }
+
+    #[test]
+    fn center_index_is_built_once_and_reported_once() {
+        let g = fixture();
+        let pats = patterns();
+        let specs = vec![CensusSpec::single(&pats[0], 2)];
+        let run = |config: &PtConfig, centers| {
+            run_batch_exec(
+                &g,
+                &specs,
+                Algorithm::PtOpt,
+                config,
+                &ExecConfig::sequential(),
+                &[],
+                centers,
+            )
+            .unwrap()
+        };
+        let config = PtConfig::default();
+        let first = run(&config, None);
+        assert!(first.stats.index_edges > 0);
+        let built = first.centers.clone().expect("a Degree index is returned");
+
+        let second = run(&config, Some(built.clone()));
+        assert_eq!(second.counts, first.counts);
+        assert_eq!(second.stats.index_edges, 0, "nothing was built");
+        assert!(second.centers.is_none());
+        assert_eq!(
+            second.stats.edges_traversed, first.stats.edges_traversed,
+            "same index, same traversal"
+        );
+
+        // An index of the wrong size is not this config's index.
+        let third = run(&config, Some(built.take(1)));
+        assert_eq!(third.stats.index_edges, first.stats.index_edges);
+        // A Random index is a draw from the run's RNG: never taken,
+        // never handed back.
+        let random = PtConfig {
+            center_strategy: CenterStrategy::Random,
+            ..PtConfig::default()
+        };
+        let fourth = run(&random, Some(built));
+        assert!(fourth.stats.index_edges > 0);
+        assert!(fourth.centers.is_none());
+        assert_eq!(fourth.counts, first.counts);
+        // ND stages never build one.
+        let nd = run_batch(&g, &specs, Algorithm::NdPivot, &config).unwrap();
+        assert_eq!(nd.stats.index_edges, 0);
+        assert!(nd.centers.is_none());
     }
 
     #[test]

@@ -11,7 +11,11 @@
 /// A monotone-ish bucket queue over `u32` items with bounded scores.
 #[derive(Clone, Debug)]
 pub struct BucketQueue {
+    /// May be longer than `limit`: buckets survive [`BucketQueue::reset`]
+    /// so a queue reused across clusters stops allocating.
     buckets: Vec<Vec<u32>>,
+    /// Scores `0..limit` are accepted.
+    limit: usize,
     /// Lowest bucket that may be non-empty.
     cursor: usize,
     len: usize,
@@ -22,9 +26,25 @@ impl BucketQueue {
     pub fn new(max_score: usize) -> Self {
         BucketQueue {
             buckets: vec![Vec::new(); max_score + 1],
+            limit: max_score + 1,
             cursor: max_score + 1,
             len: 0,
         }
+    }
+
+    /// Empty the queue and make it accept scores `0..=max_score`,
+    /// keeping every bucket's capacity.
+    pub fn reset(&mut self, max_score: usize) {
+        // A drained queue (the normal case between clusters) has only
+        // empty buckets; there is nothing to walk.
+        if self.len != 0 {
+            self.clear();
+        }
+        if self.buckets.len() <= max_score {
+            self.buckets.resize_with(max_score + 1, Vec::new);
+        }
+        self.limit = max_score + 1;
+        self.cursor = self.limit;
     }
 
     /// Insert `item` with `score`. A decrease-key is just a second push at
@@ -32,7 +52,7 @@ impl BucketQueue {
     /// it surfaces.
     #[inline]
     pub fn push(&mut self, score: usize, item: u32) {
-        debug_assert!(score < self.buckets.len(), "score {score} out of range");
+        debug_assert!(score < self.limit, "score {score} out of range");
         self.buckets[score].push(item);
         self.len += 1;
         if score < self.cursor {
@@ -43,7 +63,7 @@ impl BucketQueue {
     /// Remove and return a minimum-score entry as `(score, item)`.
     #[inline]
     pub fn pop_min(&mut self) -> Option<(usize, u32)> {
-        while self.cursor < self.buckets.len() {
+        while self.cursor < self.limit {
             if let Some(item) = self.buckets[self.cursor].pop() {
                 self.len -= 1;
                 return Some((self.cursor, item));
@@ -65,10 +85,10 @@ impl BucketQueue {
 
     /// Remove all entries, keeping capacity.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
+        for b in &mut self.buckets[..self.limit] {
             b.clear();
         }
-        self.cursor = self.buckets.len();
+        self.cursor = self.limit;
         self.len = 0;
     }
 }
@@ -147,5 +167,21 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop_min();
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn reset_resizes_and_keeps_order() {
+        let mut q = BucketQueue::new(2);
+        q.push(1, 7);
+        q.reset(9); // abandoned entry dropped, range grown
+        assert!(q.is_empty());
+        q.push(9, 1);
+        q.push(4, 2);
+        assert_eq!(q.pop_min(), Some((4, 2)));
+        assert_eq!(q.pop_min(), Some((9, 1)));
+        q.reset(3); // range shrunk: old high buckets are out of reach
+        q.push(3, 5);
+        assert_eq!(q.pop_min(), Some((3, 5)));
+        assert_eq!(q.pop_min(), None);
     }
 }

@@ -5,11 +5,17 @@
 //! inequality `d(m, n') ≤ d(m, c) + d(c, n')` yields initialization bounds
 //! that can stop expansions early; the same distances feed the K-means
 //! feature vectors of match clustering.
+//!
+//! The index depends only on the graph and the center count, so a caller
+//! that serves many queries over one graph builds it once and hands it to
+//! [`crate::run_batch_exec`]; the handle is cheap to clone (shared storage).
 
+use crate::spec::PtConfig;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::Arc;
 
 /// How centers are picked.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,12 +28,26 @@ pub enum CenterStrategy {
     Random,
 }
 
-/// Precomputed exact BFS distances from each center to every node.
+/// Stored distance of a node no center path reaches — and of any node
+/// 65 535 or more hops away, which PMD (saturating at `k + 1 ≤ 65 535`)
+/// cannot tell apart from unreachable.
+pub const FAR: u16 = u16::MAX;
+
+/// Precomputed exact BFS distances from each center to every node: a
+/// prefix view (the first `len` centers) over storage shared by every
+/// clone and every [`CenterIndex::take`].
 #[derive(Clone, Debug)]
 pub struct CenterIndex {
+    store: Arc<Store>,
+    len: usize,
+}
+
+#[derive(Debug)]
+struct Store {
     centers: Vec<NodeId>,
-    /// `dist[ci]` = distances from `centers[ci]`; `u32::MAX` = unreachable.
-    dist: Vec<Vec<u32>>,
+    /// Node-major: `dist[n * centers.len() + ci]`, saturated at [`FAR`],
+    /// so the first-touch bound of one node reads one short row.
+    dist: Vec<u16>,
     /// Edge scans spent building the index (traversal-cost accounting).
     build_edges: u64,
 }
@@ -36,6 +56,10 @@ impl CenterIndex {
     /// Build an index with `count` centers chosen by `strategy`.
     pub fn build<R: Rng>(g: &Graph, count: usize, strategy: CenterStrategy, rng: &mut R) -> Self {
         let count = count.min(g.num_nodes());
+        if count == 0 {
+            // Before the strategy runs: drawing no centers draws nothing.
+            return CenterIndex::empty();
+        }
         let centers = match strategy {
             CenterStrategy::Degree => g.top_degree_nodes(count),
             CenterStrategy::Random => {
@@ -46,80 +70,116 @@ impl CenterIndex {
             }
         };
         let mut scratch = BfsScratch::new(g.num_nodes());
-        let dist = centers
-            .iter()
-            .map(|&c| {
-                let mut d = vec![0u32; g.num_nodes()];
-                scratch.full_bfs_distances(g, c, &mut d);
-                d
-            })
-            .collect();
-        CenterIndex {
-            centers,
-            dist,
-            build_edges: scratch.edges_scanned(),
+        let mut dist = vec![FAR; g.num_nodes() * count];
+        let mut from_center = vec![0u32; g.num_nodes()];
+        for (ci, &c) in centers.iter().enumerate() {
+            scratch.full_bfs_distances(g, c, &mut from_center);
+            for (n, &d) in from_center.iter().enumerate() {
+                dist[n * count + ci] = u16::try_from(d).unwrap_or(FAR);
+            }
         }
+        CenterIndex {
+            len: count,
+            store: Arc::new(Store {
+                centers,
+                dist,
+                build_edges: scratch.edges_scanned(),
+            }),
+        }
+    }
+
+    /// How many centers a run under `config` needs: PMD initialization
+    /// and clustering features read prefixes of one index this long.
+    pub fn count_for(config: &PtConfig) -> usize {
+        config
+            .num_centers
+            .max(config.clustering_centers.unwrap_or(config.num_centers))
+    }
+
+    /// Build the one index a run under `config` reads.
+    pub fn for_config<R: Rng>(g: &Graph, config: &PtConfig, rng: &mut R) -> Self {
+        Self::build(g, Self::count_for(config), config.center_strategy, rng)
+    }
+
+    /// The two prefixes a run under `config` reads: the centers that
+    /// initialize PMD, and the centers clustering features are taken over
+    /// (Fig 4(f) varies the former while pinning the latter).
+    pub fn views_for(&self, config: &PtConfig) -> (CenterIndex, CenterIndex) {
+        (
+            self.take(config.num_centers),
+            self.take(config.clustering_centers.unwrap_or(config.num_centers)),
+        )
     }
 
     /// Edge scans spent precomputing the center distances.
     pub fn build_edges(&self) -> u64 {
-        self.build_edges
+        self.store.build_edges
     }
 
     /// An index with no centers (disables center bounds).
     pub fn empty() -> Self {
         CenterIndex {
-            centers: Vec::new(),
-            dist: Vec::new(),
-            build_edges: 0,
+            store: Arc::new(Store {
+                centers: Vec::new(),
+                dist: Vec::new(),
+                build_edges: 0,
+            }),
+            len: 0,
         }
     }
 
     /// The chosen centers.
     pub fn centers(&self) -> &[NodeId] {
-        &self.centers
+        &self.store.centers[..self.len]
     }
 
     /// Number of centers.
     pub fn len(&self) -> usize {
-        self.centers.len()
+        self.len
     }
 
     /// True if no centers were built.
     pub fn is_empty(&self) -> bool {
-        self.centers.is_empty()
+        self.len == 0
+    }
+
+    /// Distances from every center to `n`, in center order ([`FAR`] =
+    /// unreachable).
+    #[inline]
+    pub fn row(&self, n: NodeId) -> &[u16] {
+        let stride = self.store.centers.len();
+        &self.store.dist[n.index() * stride..][..self.len]
     }
 
     /// Exact distance from center `ci` to `n` (`u32::MAX` if unreachable).
     #[inline]
     pub fn distance(&self, ci: usize, n: NodeId) -> u32 {
-        self.dist[ci][n.index()]
+        match self.row(n)[ci] {
+            FAR => u32::MAX,
+            d => d as u32,
+        }
     }
 
     /// Triangle-inequality upper bound on `d(a, b)` through the best
     /// center: `min_c d(a, c) + d(c, b)`. `u32::MAX` when no center
     /// reaches both.
     pub fn bound(&self, a: NodeId, b: NodeId) -> u32 {
-        let mut best = u32::MAX;
-        for d in &self.dist {
-            let da = d[a.index()];
-            let db = d[b.index()];
-            if da != u32::MAX && db != u32::MAX {
-                best = best.min(da + db);
-            }
-        }
-        best
+        self.row(a)
+            .iter()
+            .zip(self.row(b))
+            .filter(|&(&da, &db)| da != FAR && db != FAR)
+            .map(|(&da, &db)| da as u32 + db as u32)
+            .min()
+            .unwrap_or(u32::MAX)
     }
 
     /// A restricted view using only the first `count` centers (used by the
     /// Fig 4(f) experiment to vary PMD centers while keeping clustering
-    /// features fixed).
+    /// features fixed). Shares this index's storage.
     pub fn take(&self, count: usize) -> CenterIndex {
-        let count = count.min(self.centers.len());
         CenterIndex {
-            centers: self.centers[..count].to_vec(),
-            dist: self.dist[..count].to_vec(),
-            build_edges: self.build_edges,
+            store: self.store.clone(),
+            len: count.min(self.len),
         }
     }
 }

@@ -336,65 +336,7 @@ pub fn run_pt_opt_parallel_instrumented(
     config: &PtConfig,
     threads: usize,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    let threads = threads.max(1);
-    let mut tstats = TraversalStats::default();
-    let mask = spec.focal().mask(g);
-    let mut counts = CountVector::new(g.num_nodes(), mask.clone());
-    let Some(plan) = crate::pt_opt::plan(g, spec, matches, config, &mut tstats)? else {
-        return Ok((counts, tstats));
-    };
-    if threads == 1 || plan.groups.len() < 2 {
-        crate::pt_opt::execute_groups(
-            g,
-            spec.k(),
-            &plan,
-            matches,
-            &plan.groups,
-            config,
-            &mask,
-            &mut counts,
-            &mut tstats,
-        );
-        return Ok((counts, tstats));
-    }
-
-    let chunk = plan.groups.len().div_ceil(threads.min(plan.groups.len()));
-    let results: Vec<(CountVector, TraversalStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .groups
-            .chunks(chunk)
-            .map(|group_chunk| {
-                let plan = &plan;
-                let mask = &mask;
-                scope.spawn(move || {
-                    let mut local = CountVector::new(g.num_nodes(), mask.clone());
-                    let mut ts = TraversalStats::default();
-                    crate::pt_opt::execute_groups(
-                        g,
-                        spec.k(),
-                        plan,
-                        matches,
-                        group_chunk,
-                        config,
-                        mask,
-                        &mut local,
-                        &mut ts,
-                    );
-                    (local, ts)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("census worker panicked"))
-            .collect()
-    });
-
-    for (cv, ts) in results {
-        counts.merge_add(&cv);
-        tstats.add(&ts);
-    }
-    Ok((counts, tstats))
+    crate::pt_opt::run_threads(g, spec, matches, config, threads)
 }
 
 /// Run a pairwise census query under an [`ExecConfig`]: the normalized

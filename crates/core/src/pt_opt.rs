@@ -15,15 +15,24 @@
 //!    `min_c d(m,c) + d(c,n')` for first-touched nodes.
 //! 5. **Pattern match clustering** — K-means over center-distance
 //!    feature vectors groups overlapping matches into shared traversals.
+//!
+//! PMD lives in flat memory ([`PtWorker`]): one contiguous `u16` slab of
+//! rows addressed through an n-sized node→slot array, the best score per
+//! slot beside it, and a node-major center table ([`CenterIndex::row`])
+//! for the first-touch bound. [`PtWorker::process_cluster`] is the only
+//! relaxation loop in the crate; the batch engine pools several patterns
+//! into the same call.
 
+use crate::bucket_queue::BucketQueue;
 use crate::centers::CenterIndex;
 use crate::clustering::cluster_matches;
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
-use ego_graph::{FastHashMap, Graph, NodeId};
+use ego_graph::{Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};
+use ego_pattern::PNode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,72 +55,36 @@ pub fn run_instrumented(
     matches: &MatchList,
     config: &PtConfig,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    let mut tstats = TraversalStats::default();
-    let mask = spec.focal().mask(g);
-    let mut counts = CountVector::new(g.num_nodes(), mask.clone());
-    let Some(plan) = plan(g, spec, matches, config, &mut tstats)? else {
-        return Ok((counts, tstats));
-    };
-    execute_groups(
-        g,
-        spec.k(),
-        &plan,
-        matches,
-        &plan.groups,
-        config,
-        &mask,
-        &mut counts,
-        &mut tstats,
-    );
-    Ok((counts, tstats))
+    run_threads(g, spec, matches, config, 1)
 }
 
-/// The shared, group-independent PT-OPT state: anchors, pattern analysis,
-/// the center index for PMD initialization, and the match clustering.
-/// Built once (seeded from `config.seed`); group subsets can then be
-/// processed in any order — or on any thread — because each group's
-/// contribution to the counts is purely additive.
-pub(crate) struct PtPlan {
-    pub(crate) anchors: Vec<ego_pattern::PNode>,
-    pub(crate) analysis: PatternAnalysis,
-    pub(crate) centers: CenterIndex,
-    pub(crate) groups: Vec<Vec<u32>>,
-}
-
-/// Build the [`PtPlan`]: centers + clustering, consuming RNG state exactly
-/// as the sequential path always has. Returns `Ok(None)` when there are no
-/// matches (nothing to traverse). `tstats` accrues the index build cost.
-pub(crate) fn plan(
+/// [`run_instrumented`] with the match groups partitioned over `threads`
+/// workers. The seeded plan (centers + clustering) is built once, on the
+/// calling thread, consuming RNG state identically at every thread count.
+pub(crate) fn run_threads(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
     config: &PtConfig,
-    tstats: &mut TraversalStats,
-) -> Result<Option<PtPlan>, CensusError> {
+    threads: usize,
+) -> Result<(CountVector, TraversalStats), CensusError> {
+    let mask = spec.focal().mask(g);
     let anchors = spec.anchor_nodes()?;
     if matches.is_empty() {
-        return Ok(None);
+        let counts = CountVector::new(g.num_nodes(), mask);
+        return Ok((counts, TraversalStats::default()));
     }
-    let k = spec.k();
-    assert!(k < u16::MAX as u32, "k too large for PMD storage");
-
-    let p = spec.pattern();
-    let analysis = PatternAnalysis::new(p);
+    let k = pmd_radius(g, spec.k())?;
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // One center index serves both PMD initialization and clustering
-    // features; Fig 4(f) varies the former while pinning the latter.
-    let cluster_center_count = config.clustering_centers.unwrap_or(config.num_centers);
-    let total = config.num_centers.max(cluster_center_count);
-    let full_centers = if total > 0 {
-        CenterIndex::build(g, total, config.center_strategy, &mut rng)
-    } else {
-        CenterIndex::empty()
+    // features.
+    let full_centers = CenterIndex::for_config(g, config, &mut rng);
+    let mut tstats = TraversalStats {
+        index_edges: full_centers.build_edges(),
+        ..TraversalStats::default()
     };
-    tstats.index_edges += full_centers.build_edges();
-    let pmd_centers = full_centers.take(config.num_centers);
-    let cluster_centers = full_centers.take(cluster_center_count);
-
+    let (pmd_centers, cluster_centers) = full_centers.views_for(config);
     let groups = cluster_matches(
         matches,
         &cluster_centers,
@@ -120,86 +93,152 @@ pub(crate) fn plan(
         config.kmeans_iters,
         &mut rng,
     );
-    Ok(Some(PtPlan {
+
+    let slots = [PtSlot {
+        spec: 0,
         anchors,
-        analysis,
-        centers: pmd_centers,
-        groups,
-    }))
+        analysis: PatternAnalysis::new(spec.pattern()),
+        matches,
+        mask,
+    }];
+    let items: Vec<PtItem> = (0..matches.len() as u32)
+        .map(|mi| PtItem { si: 0, mi })
+        .collect();
+    let ctx = PtContext {
+        g,
+        k,
+        slots: &slots,
+        items: &items,
+        centers: &pmd_centers,
+        use_distance_shortcuts: config.use_distance_shortcuts,
+    };
+    let (mut counts, ts) = run_groups(&ctx, &groups, config.ordering, config.seed, threads);
+    tstats.add(&ts);
+    Ok((counts.pop().expect("one slot"), tstats))
 }
 
-/// Process a subset of the plan's match groups, accumulating into `counts`
-/// and `tstats`. Each group's counting contribution is additive and
-/// independent of every other group, so partitioning `plan.groups` across
-/// workers and summing the per-worker counts reproduces the sequential
-/// result exactly. The RNG only drives pop order under
-/// [`PtOrdering::Random`], which cannot change the counts (the relaxation
-/// converges to the same fixed point in any order).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_groups(
-    g: &Graph,
-    k: u32,
-    plan: &PtPlan,
-    matches: &MatchList,
-    groups: &[Vec<u32>],
-    config: &PtConfig,
-    mask: &[bool],
-    counts: &mut CountVector,
-    tstats: &mut TraversalStats,
-) {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut queue = TraversalQueue::new(config.ordering, &mut rng);
-    for group in groups {
-        process_cluster(
-            g,
-            k,
-            &plan.anchors,
-            &plan.analysis,
-            matches,
-            group,
-            &plan.centers,
-            &mut queue,
-            mask,
-            counts,
-            tstats,
-            config.use_distance_shortcuts,
-        );
+/// The radius PMD runs at. No distance in an n-node graph exceeds n − 1,
+/// so radii past n are all the same query; what is left must leave room
+/// for the saturation value `k + 1` in a `u16` row.
+pub(crate) fn pmd_radius(g: &Graph, k: u32) -> Result<u32, CensusError> {
+    let k = k.min(u32::try_from(g.num_nodes()).unwrap_or(u32::MAX));
+    if k >= u16::MAX as u32 {
+        return Err(CensusError::Unsupported(format!(
+            "radius {k} is too large for the pattern-driven algorithms \
+             (PMD rows hold distances below {}); use ND-PVOT",
+            u16::MAX
+        )));
     }
+    Ok(k)
+}
+
+/// One member pattern of a PT traversal: its anchors, its matches, and
+/// the focal mask it counts under.
+pub(crate) struct PtSlot<'a> {
+    /// Index of the caller's spec this slot serves.
+    pub(crate) spec: usize,
+    pub(crate) anchors: Vec<PNode>,
+    pub(crate) analysis: PatternAnalysis,
+    pub(crate) matches: &'a MatchList,
+    pub(crate) mask: Vec<bool>,
+}
+
+/// One traversal seed: match `mi` of slot `si`.
+#[derive(Clone, Copy)]
+pub(crate) struct PtItem {
+    pub(crate) si: u32,
+    pub(crate) mi: u32,
+}
+
+/// What every cluster of one traversal group shares.
+pub(crate) struct PtContext<'a> {
+    pub(crate) g: &'a Graph,
+    /// PMD radius, already through [`pmd_radius`].
+    pub(crate) k: u32,
+    pub(crate) slots: &'a [PtSlot<'a>],
+    /// Clusters are lists of indices into this pool.
+    pub(crate) items: &'a [PtItem],
+    pub(crate) centers: &'a CenterIndex,
+    pub(crate) use_distance_shortcuts: bool,
+}
+
+/// Traverse every cluster in `groups`, partitioned over up to `threads`
+/// workers; returns per-slot counts and the merged traversal statistics.
+/// Each cluster's contribution to the counts is additive and independent
+/// of every other cluster, so any partition sums to the sequential
+/// result. The RNG only drives pop order under [`PtOrdering::Random`],
+/// which cannot change the counts (the relaxation converges to the same
+/// fixed point in any order).
+pub(crate) fn run_groups(
+    ctx: &PtContext<'_>,
+    groups: &[Vec<u32>],
+    ordering: PtOrdering,
+    seed: u64,
+    threads: usize,
+) -> (Vec<CountVector>, TraversalStats) {
+    let run_chunk = |chunk: &[Vec<u32>]| {
+        let mut worker = PtWorker::new(ctx.g.num_nodes(), ordering, seed);
+        let mut counts: Vec<CountVector> = ctx
+            .slots
+            .iter()
+            .map(|st| CountVector::new(ctx.g.num_nodes(), st.mask.clone()))
+            .collect();
+        let mut ts = TraversalStats::default();
+        for group in chunk {
+            worker.process_cluster(ctx, group, &mut counts, &mut ts);
+        }
+        (counts, ts)
+    };
+    if threads <= 1 || groups.len() < 2 {
+        // A single chunk runs where it is: no thread to spawn and join.
+        return run_chunk(groups);
+    }
+    let chunk = groups.len().div_ceil(threads.min(groups.len()));
+    let results: Vec<(Vec<CountVector>, TraversalStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = groups
+            .chunks(chunk)
+            .map(|c| scope.spawn(move || run_chunk(c)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("census worker panicked"))
+            .collect()
+    });
+    let mut merged = results.into_iter();
+    let (mut counts, mut tstats) = merged.next().expect("at least one chunk");
+    for (local, ts) in merged {
+        tstats.add(&ts);
+        for (cv, l) in counts.iter_mut().zip(&local) {
+            cv.merge_add(l);
+        }
+    }
+    (counts, tstats)
 }
 
 /// Queue abstraction: bucket best-first (PT-OPT) or random pop (PT-RND).
-pub(crate) struct TraversalQueue<'r> {
-    pub(crate) ordering: PtOrdering,
-    bucket: crate::bucket_queue::BucketQueue,
+struct TraversalQueue {
+    ordering: PtOrdering,
+    bucket: BucketQueue,
     random: Vec<u32>,
-    rng: &'r mut StdRng,
+    rng: StdRng,
 }
 
-impl<'r> TraversalQueue<'r> {
-    pub(crate) fn new(ordering: PtOrdering, rng: &'r mut StdRng) -> Self {
-        TraversalQueue {
-            ordering,
-            bucket: crate::bucket_queue::BucketQueue::new(0),
-            random: Vec::new(),
-            rng,
-        }
-    }
-
-    pub(crate) fn reset(&mut self, max_score: usize) {
+impl TraversalQueue {
+    fn reset(&mut self, max_score: usize) {
         match self.ordering {
-            PtOrdering::BestFirst => self.bucket = crate::bucket_queue::BucketQueue::new(max_score),
+            PtOrdering::BestFirst => self.bucket.reset(max_score),
             PtOrdering::Random => self.random.clear(),
         }
     }
 
-    pub(crate) fn push(&mut self, score: usize, item: u32) {
+    fn push(&mut self, score: usize, item: u32) {
         match self.ordering {
             PtOrdering::BestFirst => self.bucket.push(score, item),
             PtOrdering::Random => self.random.push(item),
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(usize, u32)> {
+    fn pop(&mut self) -> Option<(usize, u32)> {
         match self.ordering {
             PtOrdering::BestFirst => self.bucket.pop_min(),
             PtOrdering::Random => {
@@ -214,215 +253,251 @@ impl<'r> TraversalQueue<'r> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn process_cluster(
-    g: &Graph,
-    k: u32,
-    anchors: &[ego_pattern::PNode],
-    analysis: &PatternAnalysis,
-    matches: &MatchList,
-    group: &[u32],
-    centers: &CenterIndex,
-    queue: &mut TraversalQueue<'_>,
-    mask: &[bool],
-    counts: &mut CountVector,
-    tstats: &mut TraversalStats,
-    use_distance_shortcuts: bool,
-) {
-    let inf = (k + 1) as u16;
+const NO_SLOT: u32 = u32::MAX;
 
-    // Unique anchor nodes across the cluster, each with a dense position.
-    let mut anchor_pos: FastHashMap<u32, u16> = FastHashMap::default();
-    let mut anchor_nodes: Vec<NodeId> = Vec::new();
-    // Per match in the group: the positions of its anchors.
-    let mut match_positions: Vec<Vec<u16>> = Vec::with_capacity(group.len());
-    for &mi in group {
-        let m = &matches[mi as usize];
-        let mut positions = Vec::with_capacity(anchors.len());
-        for &a in anchors {
-            let img = m.image(a);
-            let pos = *anchor_pos.entry(img.0).or_insert_with(|| {
-                anchor_nodes.push(img);
-                (anchor_nodes.len() - 1) as u16
-            });
-            positions.push(pos);
+/// One thread's traversal state, allocated once and reused by every
+/// cluster it processes.
+pub(crate) struct PtWorker {
+    queue: TraversalQueue,
+    /// Node → slab slot; [`NO_SLOT`] outside the current cluster.
+    slot_of: Vec<u32>,
+    /// Slot → node, in slot order. Anchors take the first slots, so an
+    /// anchor's slot is also its PMD column; the list doubles as the
+    /// touched set that resets `slot_of` for the next cluster.
+    nodes: Vec<u32>,
+    /// PMD: slot `s`, column `pos` at `rows[s * na + pos]` — the current
+    /// upper bound on `d(anchor pos, node of s)`, saturated at `k + 1`.
+    rows: Vec<u16>,
+    /// Sum of each slot's row: the score it was last queued at, for lazy
+    /// stale-entry skipping.
+    score: Vec<usize>,
+    /// `d(anchor, center)`, center-major (`[ci * na + pos]`) so the
+    /// first-touch bound runs over anchors innermost.
+    anchor_center: Vec<u16>,
+    /// Anchor columns of the cluster's items, concatenated in group order.
+    positions: Vec<u32>,
+    /// The expanding node's row plus one hop.
+    cand: Vec<u16>,
+    seeds: Vec<u32>,
+}
+
+impl PtWorker {
+    fn new(num_nodes: usize, ordering: PtOrdering, seed: u64) -> Self {
+        PtWorker {
+            queue: TraversalQueue {
+                ordering,
+                bucket: BucketQueue::new(0),
+                random: Vec::new(),
+                rng: StdRng::seed_from_u64(seed),
+            },
+            slot_of: vec![NO_SLOT; num_nodes],
+            nodes: Vec::new(),
+            rows: Vec::new(),
+            score: Vec::new(),
+            anchor_center: Vec::new(),
+            positions: Vec::new(),
+            cand: Vec::new(),
+            seeds: Vec::new(),
         }
-        match_positions.push(positions);
     }
-    let na = anchor_nodes.len();
-    let max_score = (inf as usize) * na;
 
-    // d(anchor, center) matrix for triangle-inequality initialization.
-    let anchor_center: Vec<Vec<u32>> = anchor_nodes
-        .iter()
-        .map(|&a| {
-            (0..centers.len())
-                .map(|ci| centers.distance(ci, a))
-                .collect()
-        })
-        .collect();
-
-    // PMD: per visited node, per anchor position, current distance bound.
-    let mut pmd: FastHashMap<u32, Vec<u16>> = FastHashMap::default();
-    // Best known score per node, for lazy stale-entry skipping.
-    let mut best_score: FastHashMap<u32, u32> = FastHashMap::default();
-    queue.reset(max_score);
-
-    // --- Initialization ---
-    // Anchors: distance 0 to themselves, pattern-distance shortcuts to
-    // co-match anchors.
-    for (pos, &a) in anchor_nodes.iter().enumerate() {
-        let mut row = vec![inf; na];
-        row[pos] = 0;
-        pmd.insert(a.0, row);
-    }
-    for (gi, &mi) in group.iter().enumerate() {
-        if !use_distance_shortcuts {
-            break;
+    /// The slot of `n`, assigning the next free one on first sight.
+    fn slot(&mut self, n: NodeId) -> (usize, bool) {
+        match self.slot_of[n.index()] {
+            NO_SLOT => {
+                // Slots number distinct nodes, so they fit a node id.
+                let s = self.nodes.len();
+                self.slot_of[n.index()] = s as u32;
+                self.nodes.push(n.0);
+                (s, true)
+            }
+            s => (s as usize, false),
         }
-        let m = &matches[mi as usize];
-        let positions = &match_positions[gi];
-        for (ai, &pa) in anchors.iter().enumerate() {
-            let img_a = m.image(pa);
-            let row = pmd.get_mut(&img_a.0).expect("anchor row exists");
-            for (bi, &pb) in anchors.iter().enumerate() {
-                if ai == bi {
+    }
+
+    /// One relaxation-based simultaneous traversal for a cluster of items
+    /// (matches, possibly of several patterns), then counting: every
+    /// visited focal node within `k` of all anchors of an item credits
+    /// that item's slot. PMD columns span the **union** of the cluster's
+    /// anchor images; the expansion gate is an OR over that union, so
+    /// pooling patterns only widens it — per-anchor convergence (and
+    /// hence exact counting) is preserved for every member.
+    fn process_cluster(
+        &mut self,
+        ctx: &PtContext<'_>,
+        group: &[u32],
+        out: &mut [CountVector],
+        tstats: &mut TraversalStats,
+    ) {
+        let (g, k) = (ctx.g, ctx.k);
+        let inf = (k + 1) as u16;
+        for &n in &self.nodes {
+            self.slot_of[n as usize] = NO_SLOT;
+        }
+        self.nodes.clear();
+        self.positions.clear();
+
+        // Unique anchor images across the cluster, each with a column.
+        for &gi in group {
+            let item = ctx.items[gi as usize];
+            let st = &ctx.slots[item.si as usize];
+            let m = &st.matches[item.mi as usize];
+            for &a in &st.anchors {
+                let (pos, _) = self.slot(m.image(a));
+                self.positions.push(pos as u32);
+            }
+        }
+        let na = self.nodes.len();
+        self.queue.reset(inf as usize * na);
+
+        // --- Initialization ---
+        // Anchors: distance 0 to themselves, pattern-distance shortcuts to
+        // co-match anchors.
+        self.rows.clear();
+        self.rows.resize(na * na, inf);
+        for pos in 0..na {
+            self.rows[pos * na + pos] = 0;
+        }
+        if ctx.use_distance_shortcuts {
+            let mut rest = &self.positions[..];
+            for &gi in group {
+                let st = &ctx.slots[ctx.items[gi as usize].si as usize];
+                let (positions, tail) = rest.split_at(st.anchors.len());
+                rest = tail;
+                for (ai, &pa) in st.anchors.iter().enumerate() {
+                    let row = &mut self.rows[positions[ai] as usize * na..][..na];
+                    for (bi, &pb) in st.anchors.iter().enumerate() {
+                        if ai == bi {
+                            continue;
+                        }
+                        let d = st.analysis.distance(pb, pa);
+                        let cell = &mut row[positions[bi] as usize];
+                        if d != UNREACHABLE && d < *cell as u32 {
+                            // PMD_{m_b}[img_a] bound from the pattern graph.
+                            *cell = d as u16;
+                        }
+                    }
+                }
+            }
+        }
+        // Centers: exact distances (never reinserted — relaxation cannot
+        // beat an exact value). A center may coincide with an anchor.
+        let nc = ctx.centers.len();
+        self.anchor_center.clear();
+        self.anchor_center.resize(nc * na, inf);
+        for pos in 0..na {
+            let to_centers = ctx.centers.row(NodeId(self.nodes[pos]));
+            for (ci, &d) in to_centers.iter().enumerate() {
+                self.anchor_center[ci * na + pos] = d;
+            }
+        }
+        for (ci, &c) in ctx.centers.centers().iter().enumerate() {
+            let (s, fresh) = self.slot(c);
+            if fresh {
+                self.rows.resize((s + 1) * na, inf);
+            }
+            let row = &mut self.rows[s * na..][..na];
+            for (v, &d) in row.iter_mut().zip(&self.anchor_center[ci * na..][..na]) {
+                *v = (*v).min(d);
+            }
+        }
+
+        // Queue everything initialized, in node order (determinism).
+        self.score.clear();
+        self.score
+            .extend((0..self.nodes.len()).map(|s| row_score(&self.rows[s * na..][..na])));
+        self.seeds.clear();
+        self.seeds.extend_from_slice(&self.nodes);
+        self.seeds.sort_unstable();
+        for &n in &self.seeds {
+            let s = self.slot_of[n as usize] as usize;
+            self.queue.push(self.score[s], n);
+        }
+
+        // --- Traversal ---
+        let best_first = matches!(self.queue.ordering, PtOrdering::BestFirst);
+        while let Some((popped_score, nraw)) = self.queue.pop() {
+            let s = self.slot_of[nraw as usize] as usize;
+            // Lazy stale check (best-first only; random pops carry score 0).
+            if best_first && self.score[s] != popped_score {
+                continue;
+            }
+            let row = &self.rows[s * na..][..na];
+            // Expansion gate: expand only if some anchor is strictly closer
+            // than k (otherwise neighbors cannot be within k of anything new).
+            if !row.iter().any(|&v| (v as u32) < k) {
+                continue;
+            }
+            tstats.nodes_expanded += 1;
+            tstats.edges_traversed += g.degree(NodeId(nraw)) as u64;
+            self.cand.clear();
+            self.cand
+                .extend(row.iter().map(|&v| v.saturating_add(1).min(inf)));
+
+            for &nb in g.neighbors(NodeId(nraw)) {
+                let (t, fresh) = self.slot(nb);
+                if fresh {
+                    // First touch: combine relaxation with center bounds
+                    // `d(anchor, c) + d(c, nb)`. A center farther than k
+                    // from nb bounds nothing below saturation.
+                    self.rows.extend_from_slice(&self.cand);
+                    let row_nb = &mut self.rows[t * na..];
+                    for (ci, &dcn) in ctx.centers.row(nb).iter().enumerate() {
+                        if dcn as u32 > k {
+                            continue;
+                        }
+                        for (v, &dac) in row_nb.iter_mut().zip(&self.anchor_center[ci * na..]) {
+                            *v = (*v).min(dac.saturating_add(dcn));
+                        }
+                    }
+                    let sc = row_score(row_nb);
+                    self.score.push(sc);
+                    self.queue.push(sc, nb.0);
                     continue;
                 }
-                let d = analysis.distance(pb, pa);
-                if d != UNREACHABLE && (d as u16) < row[positions[bi] as usize] {
-                    // PMD_{m_b}[img_a] bound from the pattern graph.
-                    row[positions[bi] as usize] = d as u16;
+                let mut sc = 0usize;
+                let mut changed = false;
+                for (v, &c) in self.rows[t * na..][..na].iter_mut().zip(&self.cand) {
+                    let new = (*v).min(c);
+                    changed |= new != *v;
+                    *v = new;
+                    sc += new as usize;
+                }
+                if changed {
+                    // Decrease-key on an already-seen node: a
+                    // reinsertion in the paper's Figure 2 sense.
+                    self.score[t] = sc;
+                    tstats.reinsertions += 1;
+                    self.queue.push(sc, nb.0);
                 }
             }
         }
-    }
-    // Centers: exact distances (never reinserted — relaxation cannot beat
-    // an exact value).
-    for (ci, &c) in centers.centers().iter().enumerate().take(centers.len()) {
-        let row: Vec<u16> = (0..na)
-            .map(|pos| {
-                let d = anchor_center[pos][ci];
-                if d == u32::MAX {
-                    inf
-                } else {
-                    (d as u16).min(inf)
-                }
-            })
-            .collect();
-        // Merge (a center may coincide with an anchor).
-        match pmd.get_mut(&c.0) {
-            Some(existing) => {
-                for (e, r) in existing.iter_mut().zip(&row) {
-                    *e = (*e).min(*r);
-                }
-            }
-            None => {
-                pmd.insert(c.0, row);
-            }
-        }
-    }
 
-    // Queue everything initialized.
-    let score_of = |row: &[u16]| -> usize { row.iter().map(|&v| v as usize).sum() };
-    let mut seeds: Vec<u32> = pmd.keys().copied().collect();
-    seeds.sort_unstable(); // determinism
-    for nraw in seeds {
-        let s = score_of(&pmd[&nraw]);
-        best_score.insert(nraw, s as u32);
-        queue.push(s, nraw);
-    }
-
-    // --- Traversal ---
-    let mut row_buf: Vec<u16> = Vec::with_capacity(na);
-    while let Some((popped_score, nraw)) = queue.pop() {
-        let row = match pmd.get(&nraw) {
-            Some(r) => r,
-            None => continue,
-        };
-        // Lazy stale check (best-first only; random pops carry score 0).
-        if matches!(queue.ordering, PtOrdering::BestFirst)
-            && best_score.get(&nraw).map(|&s| s as usize) != Some(popped_score)
-        {
-            continue;
-        }
-        // Expansion gate: expand only if some anchor is strictly closer
-        // than k (otherwise neighbors cannot be within k of anything new).
-        if !row.iter().any(|&v| (v as u32) < k) {
-            continue;
-        }
-        tstats.nodes_expanded += 1;
-        tstats.edges_traversed += g.degree(NodeId(nraw)) as u64;
-        row_buf.clear();
-        row_buf.extend_from_slice(row);
-
-        for &nb in g.neighbors(NodeId(nraw)) {
-            let entry = pmd.entry(nb.0);
-            let mut changed = false;
-            let row_nb = match entry {
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    let r = o.into_mut();
-                    for pos in 0..na {
-                        let cand = row_buf[pos].saturating_add(1).min(inf);
-                        if cand < r[pos] {
-                            r[pos] = cand;
-                            changed = true;
-                        }
-                    }
-                    r
-                }
-                std::collections::hash_map::Entry::Vacant(vac) => {
-                    // First touch: combine relaxation with center bounds.
-                    let mut r = vec![inf; na];
-                    for pos in 0..na {
-                        let mut v = row_buf[pos].saturating_add(1).min(inf);
-                        for (ci, &dac) in anchor_center[pos].iter().enumerate() {
-                            let dcn = centers.distance(ci, nb);
-                            if dac != u32::MAX && dcn != u32::MAX {
-                                let bound = (dac + dcn).min(inf as u32) as u16;
-                                if bound < v {
-                                    v = bound;
-                                }
-                            }
-                        }
-                        r[pos] = v;
-                    }
-                    changed = true;
-                    vac.insert(r)
-                }
-            };
-            if changed {
-                let s = score_of(row_nb);
-                let stale = best_score
-                    .get(&nb.0)
-                    .map(|&old| s < old as usize)
-                    .unwrap_or(true);
-                if stale {
-                    if best_score.insert(nb.0, s as u32).is_some() {
-                        // Decrease-key on an already-seen node: a
-                        // reinsertion in the paper's Figure 2 sense.
-                        tstats.reinsertions += 1;
-                    }
-                    queue.push(s, nb.0);
+        // --- Counting ---
+        // N[M] = visited nodes within k of every anchor of M, intersected
+        // with the focal set of M's slot.
+        for (s, &nraw) in self.nodes.iter().enumerate() {
+            let n = NodeId(nraw);
+            if !ctx.slots.iter().any(|st| st.mask[n.index()]) {
+                continue;
+            }
+            let row = &self.rows[s * na..][..na];
+            let mut rest = &self.positions[..];
+            for &gi in group {
+                let si = ctx.items[gi as usize].si as usize;
+                let st = &ctx.slots[si];
+                let (positions, tail) = rest.split_at(st.anchors.len());
+                rest = tail;
+                if st.mask[n.index()] && positions.iter().all(|&p| row[p as usize] as u32 <= k) {
+                    out[si].increment(n);
                 }
             }
         }
     }
+}
 
-    // --- Counting ---
-    // N[M] = visited nodes within k of every anchor of M, intersected with
-    // the focal set.
-    for (nraw, row) in &pmd {
-        let n = NodeId(*nraw);
-        if !mask[n.index()] {
-            continue;
-        }
-        for positions in &match_positions {
-            if positions.iter().all(|&pos| row[pos as usize] as u32 <= k) {
-                counts.increment(n);
-            }
-        }
-    }
+fn row_score(row: &[u16]) -> usize {
+    row.iter().map(|&v| v as usize).sum()
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@ pub struct TraversalStats {
     pub reinsertions: u64,
     /// Edge scans spent building per-graph indexes (center distances) —
     /// amortized across queries, reported separately per the paper's
-    /// "pre-compute the distances d(c, n)" framing.
+    /// "pre-compute the distances d(c, n)" framing. Zero for a run that
+    /// was handed an index built earlier.
     pub index_edges: u64,
 }
 

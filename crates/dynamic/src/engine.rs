@@ -222,6 +222,7 @@ pub fn update_batch_on(
             config,
             exec,
             &provided,
+            None,
         )?)
     };
 

@@ -18,14 +18,22 @@
 //!   property the equivalence suite enforces), and the focal set — the
 //!   only seed-dependent input — is hashed into the key directly.
 //!
-//! Both sides are independent LRU maps with an entry-count budget
+//! * **Center index** — PT-OPT's a-priori center distances (paper
+//!   Section IV-B4), keyed by `(center count, graph fingerprint)`: a
+//!   property of the graph, not of any query, so every pattern-driven
+//!   census over one graph generation shares one build. Exact distances
+//!   are a correctness input, so the entry is dropped on every mutation,
+//!   never rekeyed. Only `CenterStrategy::Degree` indexes ever get here
+//!   (a `Random` one is a draw from the query's RNG stream).
+//!
+//! All sides are independent LRU maps with an entry-count budget
 //! (entries are `Arc`-shared with callers, so eviction never copies).
 //!
 //! `QueryCache` lives in `ego-server`; this type lives here because the
 //! executor (which `ego-server` wraps) is what decides when a census can
 //! be skipped or seeded from cache.
 
-use ego_census::CountVector;
+use ego_census::{CenterIndex, CountVector};
 use ego_graph::NodeId;
 use ego_matcher::MatchList;
 use std::collections::{BTreeMap, HashMap};
@@ -118,6 +126,10 @@ pub struct CensusCacheStats {
     pub count_bytes: usize,
     pub count_hits: u64,
     pub count_misses: u64,
+    /// Pattern-driven runs that reused the cached center index.
+    pub center_hits: u64,
+    /// Pattern-driven runs that found none and built one.
+    pub center_misses: u64,
     /// Times [`CensusCache::invalidate`] or
     /// [`CensusCache::retain_counts`] ran (graph mutations).
     pub invalidations: u64,
@@ -157,13 +169,20 @@ pub struct CensusCache {
             Option<std::sync::Arc<CountMeta>>,
         )>,
     >,
+    centers: Mutex<LruMap<CenterIndex>>,
     match_hits: AtomicU64,
     match_misses: AtomicU64,
     count_hits: AtomicU64,
     count_misses: AtomicU64,
+    center_hits: AtomicU64,
+    center_misses: AtomicU64,
     invalidations: AtomicU64,
     count_retained: AtomicU64,
 }
+
+/// An index is per (graph generation, center count) and a server runs
+/// one `PtConfig`, so more than a couple never coexist.
+const CENTER_ENTRIES: usize = 2;
 
 impl CensusCache {
     /// Cache holding up to `capacity` entries on each side (match lists
@@ -172,10 +191,13 @@ impl CensusCache {
         CensusCache {
             matches: Mutex::new(LruMap::new(capacity)),
             counts: Mutex::new(LruMap::new(capacity)),
+            centers: Mutex::new(LruMap::new(capacity.min(CENTER_ENTRIES))),
             match_hits: AtomicU64::new(0),
             match_misses: AtomicU64::new(0),
             count_hits: AtomicU64::new(0),
             count_misses: AtomicU64::new(0),
+            center_hits: AtomicU64::new(0),
+            center_misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             count_retained: AtomicU64::new(0),
         }
@@ -184,6 +206,11 @@ impl CensusCache {
     /// Key for a pattern's global match list.
     pub fn match_key(dsl: &str, fingerprint: u64) -> String {
         format!("{dsl}|fp={fingerprint:016x}")
+    }
+
+    /// Key for a graph's center index with `count` centers.
+    pub fn center_key(count: usize, fingerprint: u64) -> String {
+        format!("centers={count}|fp={fingerprint:016x}")
     }
 
     /// Key for a finished census. The focal set is FNV-1a-hashed (the
@@ -228,6 +255,22 @@ impl CensusCache {
     /// Store a match list.
     pub fn put_matches(&self, key: String, value: std::sync::Arc<MatchList>) {
         self.matches.lock().unwrap().put(key, value);
+    }
+
+    /// Look up a center index (counts a hit or miss).
+    pub fn get_centers(&self, key: &str) -> Option<CenterIndex> {
+        let got = self.centers.lock().unwrap().get(key);
+        let counter = match got {
+            Some(_) => &self.center_hits,
+            None => &self.center_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        got
+    }
+
+    /// Store a center index.
+    pub fn put_centers(&self, key: String, value: CenterIndex) {
+        self.centers.lock().unwrap().put(key, value);
     }
 
     /// Look up a count vector (counts a hit or miss).
@@ -295,7 +338,8 @@ impl CensusCache {
     /// `true` — typically "no focal node is dirty at the entry's
     /// radius") is **rekeyed** to `new_fingerprint` and kept; everything
     /// else — meta-less entries, unbounded radii, dirty focal sets — is
-    /// dropped. The match side is NOT touched; pair with
+    /// dropped. The center index goes too: one changed edge can change
+    /// any distance. The match side is NOT touched; pair with
     /// [`CensusCache::invalidate_matches`] (global match lists depend on
     /// the whole graph) unless the caller re-seeds maintained lists.
     pub fn retain_counts<F>(&self, new_fingerprint: u64, mut keep: F)
@@ -327,6 +371,7 @@ impl CensusCache {
             retained += 1;
         }
         drop(counts);
+        self.centers.lock().unwrap().clear();
         self.count_retained.fetch_add(retained, Ordering::Relaxed);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
@@ -345,6 +390,7 @@ impl CensusCache {
     pub fn invalidate(&self) {
         self.matches.lock().unwrap().clear();
         self.counts.lock().unwrap().clear();
+        self.centers.lock().unwrap().clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -375,6 +421,8 @@ impl CensusCache {
             count_bytes,
             count_hits: self.count_hits.load(Ordering::Relaxed),
             count_misses: self.count_misses.load(Ordering::Relaxed),
+            center_hits: self.center_hits.load(Ordering::Relaxed),
+            center_misses: self.center_misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             count_retained: self.count_retained.load(Ordering::Relaxed),
         }
@@ -421,6 +469,32 @@ mod tests {
         // Re-population after an invalidation works normally.
         c.put_counts("k1".into(), cv(2));
         assert!(c.peek_counts("k1"));
+    }
+
+    #[test]
+    fn center_side_counts_and_drops_on_every_mutation() {
+        let c = CensusCache::new(8);
+        let key = CensusCache::center_key(12, 7);
+        assert_ne!(key, CensusCache::center_key(12, 8));
+        assert_ne!(key, CensusCache::center_key(3, 7));
+        assert!(c.get_centers(&key).is_none());
+        c.put_centers(key.clone(), CenterIndex::empty());
+        assert!(c.get_centers(&key).is_some());
+        let s = c.stats();
+        assert_eq!((s.center_hits, s.center_misses), (1, 1));
+        // The match/count counters are someone else's.
+        assert_eq!((s.match_hits, s.match_misses), (0, 0));
+        assert_eq!((s.count_hits, s.count_misses), (0, 0));
+
+        c.retain_counts(8, |_| true);
+        assert!(c.get_centers(&key).is_none(), "dirty-aware sweep");
+        c.put_centers(key.clone(), CenterIndex::empty());
+        c.invalidate();
+        assert!(c.get_centers(&key).is_none(), "full invalidation");
+
+        let off = CensusCache::new(0);
+        off.put_centers(key.clone(), CenterIndex::empty());
+        assert!(off.get_centers(&key).is_none());
     }
 
     #[test]

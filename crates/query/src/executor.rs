@@ -22,8 +22,9 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::views::{ViewEntry, ViewRegistry, DEFAULT_VIEW_BUDGET};
 use ego_census::{
-    run_batch_exec, run_pair_census_exec, Algorithm, BatchStage, CensusSpec, CountVector,
-    ExecConfig, FocalNodes, PairCensusSpec, PairCounts, PairSelector, PtConfig,
+    run_batch_exec, run_pair_census_exec, Algorithm, BatchStage, CensusSpec, CenterIndex,
+    CenterStrategy, CountVector, ExecConfig, FocalNodes, PairCensusSpec, PairCounts, PairSelector,
+    PtConfig,
 };
 use ego_graph::io::IoError;
 use ego_graph::{Graph, NodeId};
@@ -818,7 +819,15 @@ impl<'g> QueryEngine<'g> {
         if let Some(sp) = &m.subpattern {
             spec = spec.with_subpattern(sp);
         }
-        let batch = run_batch_exec(g, &[spec], algorithm, &self.pt_config, &self.exec, &[None])?;
+        let batch = run_batch_exec(
+            g,
+            &[spec],
+            algorithm,
+            &self.pt_config,
+            &self.exec,
+            &[None],
+            None,
+        )?;
         let counts = Arc::new(batch.counts.into_iter().next().expect("one spec"));
         let matches = if m.matches {
             match batch.matches.into_iter().next().expect("one spec") {
@@ -1142,8 +1151,30 @@ impl<'g> QueryEngine<'g> {
                 });
                 match_keys.push(mkey);
             }
-            let batch =
-                run_batch_exec(g, &specs, algorithm, &self.pt_config, &self.exec, &provided)?;
+            // The center index is a property of the graph: every
+            // pattern-driven batch over one fingerprint shares one build.
+            // A `Random` index is a draw from this run's RNG stream and
+            // never enters the cache; ND algorithms never read one.
+            let pattern_driven = matches!(
+                algorithm,
+                Algorithm::PtBaseline | Algorithm::PtRandom | Algorithm::PtOpt | Algorithm::Auto
+            );
+            let center_cache = cache.filter(|_| {
+                pattern_driven && self.pt_config.center_strategy == CenterStrategy::Degree
+            });
+            let center_key = CensusCache::center_key(CenterIndex::count_for(&self.pt_config), fp);
+            let batch = run_batch_exec(
+                g,
+                &specs,
+                algorithm,
+                &self.pt_config,
+                &self.exec,
+                &provided,
+                center_cache.and_then(|c| c.get_centers(&center_key)),
+            )?;
+            if let (Some(c), Some(built)) = (center_cache, batch.centers) {
+                c.put_centers(center_key, built);
+            }
             for (j, (&i, cv)) in miss.iter().zip(batch.counts).enumerate() {
                 let cv = Arc::new(cv);
                 if let Some(c) = cache {

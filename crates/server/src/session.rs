@@ -820,6 +820,8 @@ impl Session {
             ("cache_insertions", cache.insertions),
             ("cache_invalidations", cache.invalidations),
             ("cache_misses", cache.misses),
+            ("census_center_hits", census.center_hits),
+            ("census_center_misses", census.center_misses),
             ("census_count_bytes", census.count_bytes as u64),
             ("census_count_entries", census.count_entries as u64),
             ("census_count_hits", census.count_hits),

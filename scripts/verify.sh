@@ -85,6 +85,49 @@ for kernel in merge gallop bitset adaptive; do
 done
 echo "    merge/gallop/bitset/adaptive kernels agree byte-for-byte (threads 1 and 4)"
 
+echo "==> PT kernel equivalence (every algorithm family, byte-identical CSVs; wide clusters; huge radius)"
+# The pattern-driven family shares one cluster kernel; whatever it does to
+# memory, its CSVs must match ND-PVOT's byte for byte at any thread count.
+pt_check() { # $1 = graph, $2 = sql, $3 = label
+  ./target/release/egocensus query "$1" --algorithm nd-pivot --threads 1 --csv "$2" >"$tmpdir/pt_ref.csv"
+  for algo in nd-pivot pt-bas pt-rnd pt-opt; do
+    for t in 1 4; do
+      ./target/release/egocensus query "$1" --algorithm "$algo" --threads "$t" --csv "$2" \
+        >"$tmpdir/pt_got.csv" \
+        || { echo "FAIL: $3: --algorithm $algo --threads $t did not answer"; exit 1; }
+      cmp -s "$tmpdir/pt_ref.csv" "$tmpdir/pt_got.csv" \
+        || { echo "FAIL: $3: --algorithm $algo --threads $t diverges from ND-PVOT"; exit 1; }
+    done
+  done
+}
+pt_check "$tmpdir/g.txt" \
+  'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 2)), COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' \
+  "BA smoke graph"
+# No distance reaches 70 000 hops in a 300-node graph: the radius means
+# "the whole component", and the u16 PMD rows must not be what answers.
+pt_check "$tmpdir/g.txt" 'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 70000)) FROM nodes ORDER BY 1' \
+  "radius 70000"
+[ "$(wc -l <"$tmpdir/pt_ref.csv")" -eq 301 ] \
+  || { echo "FAIL: radius 70000 should return one row per node"; exit 1; }
+# 33 500 disjoint edges: no center reaches most matches, K-means leaves
+# ~33 245 of them in one cluster, and its ~66 490 anchor images need
+# column numbers past u16. PMD is dense (visited nodes x cluster
+# anchors): ~9 GB here, so the shape is skipped on a small host.
+if [ "$(awk '/^MemAvailable:/ { print int($2 / 1048576) }' /proc/meminfo)" -ge 11 ]; then
+  {
+    echo "# egocensus graph v1"
+    echo "graph undirected nodes=67000"
+    seq 0 2 66998 | awk '{ print "edge", $1, $1 + 1 }'
+  } >"$tmpdir/frag.txt"
+  pt_check "$tmpdir/frag.txt" 'SELECT ID, COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' \
+    "66 490-anchor cluster"
+  rm "$tmpdir/frag.txt"
+  echo "    ND-PVOT / PT-BAS / PT-RND / PT-OPT agree byte-for-byte (threads 1 and 4), wide cluster included"
+else
+  echo "    ND-PVOT / PT-BAS / PT-RND / PT-OPT agree byte-for-byte (threads 1 and 4);" \
+    "wide-cluster shape SKIPPED (needs 11 GB available)"
+fi
+
 echo "==> server smoke test (ephemeral port, one query, clean shutdown)"
 ./target/release/egocensus serve "$tmpdir/g.txt" --addr 127.0.0.1:0 \
   --threads 2 --cache-mb 8 >"$tmpdir/serve.log" &

@@ -8,9 +8,13 @@ use egocensus::census::{
     run_batch, run_batch_exec, run_census_exec, run_census_exec_instrumented, Algorithm,
     BatchStage, CensusSpec, ExecConfig, FocalNodes, PtConfig,
 };
+use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
+use egocensus::dynamic::DeltaGraph;
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
+use egocensus::query::{Catalog, CensusCache, QueryEngine};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (8usize..24, any::<u64>()).prop_map(|(n, seed)| {
@@ -30,6 +34,42 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
                 if next() % 3 == 0 {
                     b.add_edge(NodeId(i), NodeId(j));
                 }
+            }
+        }
+        b.build()
+    })
+}
+
+/// Many components of two to four nodes (edges, paths, triangles, stars):
+/// no center reaches most matches, so their K-means features coincide and
+/// clustering collapses them into few, wide clusters.
+fn arb_fragmented_graph() -> impl Strategy<Value = Graph> {
+    (6usize..40, any::<u64>()).prop_map(|(components, seed)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut b = GraphBuilder::undirected();
+        for _ in 0..components {
+            let size = 2 + (next() % 3) as u32;
+            let first = b.add_node(Label((next() % 2) as u16)).0;
+            for _ in 1..size {
+                b.add_node(Label((next() % 2) as u16));
+            }
+            for i in 1..size {
+                // A spanning path or star, plus the odd closing edge.
+                let to = if next() % 2 == 0 {
+                    first
+                } else {
+                    first + i - 1
+                };
+                b.add_edge(NodeId(first + i), NodeId(to));
+            }
+            if size > 2 && next() % 2 == 0 {
+                b.add_edge(NodeId(first), NodeId(first + size - 1));
             }
         }
         b.build()
@@ -82,7 +122,7 @@ proptest! {
         for algo in ALL_ALGOS {
             for threads in [1usize, 0] {
                 let exec = ExecConfig::with_threads(threads);
-                let batch = run_batch_exec(&g, &specs, algo, &config, &exec, &[]).unwrap();
+                let batch = run_batch_exec(&g, &specs, algo, &config, &exec, &[], None).unwrap();
                 for (i, spec) in specs.iter().enumerate() {
                     let seq = run_census_exec(&g, spec, algo, &config, &exec).unwrap();
                     prop_assert_eq!(
@@ -131,6 +171,91 @@ proptest! {
             prop_assert!(batch.stats.nodes_expanded < seq_nodes,
                 "a multi-spec batch must share sweeps");
         }
+    }
+
+    /// The PT family on the shape that collapses K-means: batched and
+    /// single-pattern runs agree with ND-PVOT at every thread count.
+    #[test]
+    fn pt_family_on_many_small_components(
+        g in arb_fragmented_graph(),
+        ks in prop::collection::vec(0u32..4, 4..5),
+        centers in prop_oneof![Just(0usize), Just(3usize), Just(12usize)],
+    ) {
+        let pats = patterns();
+        let config = PtConfig { num_centers: centers, ..PtConfig::default() };
+        let specs: Vec<CensusSpec<'_>> = pats
+            .iter()
+            .zip(&ks)
+            .map(|(p, &k)| CensusSpec::single(p, k))
+            .collect();
+        let oracle = run_batch(&g, &specs, Algorithm::NdPivot, &config).unwrap();
+        for algo in [Algorithm::PtBaseline, Algorithm::PtRandom, Algorithm::PtOpt] {
+            for threads in [1usize, 0] {
+                let exec = ExecConfig::with_threads(threads);
+                let batch = run_batch_exec(&g, &specs, algo, &config, &exec, &[], None).unwrap();
+                for (i, spec) in specs.iter().enumerate() {
+                    prop_assert_eq!(
+                        &batch.counts[i], &oracle.counts[i],
+                        "batched {:?} threads={} spec {}", algo, threads, i
+                    );
+                    let seq = run_census_exec(&g, spec, algo, &config, &exec).unwrap();
+                    prop_assert_eq!(
+                        &seq, &oracle.counts[i],
+                        "single {:?} threads={} spec {}", algo, threads, i
+                    );
+                }
+            }
+        }
+    }
+
+    /// A census served from a cached center index equals one served from
+    /// a freshly built index — before an update, and after it, when the
+    /// cached index must have been dropped with the old fingerprint.
+    #[test]
+    fn cached_center_index_serves_the_same_census(
+        g in arb_graph(),
+        k in 0u32..3,
+        a in 0u32..8,
+        b in 0u32..8,
+    ) {
+        let sql = |lo: u32| format!(
+            "SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, {k})), COUNTP(single_edge, SUBGRAPH(ID, {k})) \
+             FROM nodes WHERE ID >= {lo}"
+        );
+        let fresh = |g: &Graph, q: &str| {
+            let mut e = QueryEngine::with_builtins(g);
+            e.set_algorithm(Algorithm::PtOpt);
+            e.execute(q).unwrap()
+        };
+        let cache = Arc::new(CensusCache::new(16));
+        let mut served = QueryEngine::shared(Arc::new(g.clone()));
+        served.set_catalog(Catalog::with_builtins());
+        served.set_algorithm(Algorithm::PtOpt);
+        served.set_census_cache(cache.clone());
+
+        // Distinct focal sets keep the count side of the cache cold, so
+        // every statement runs the traversal.
+        prop_assert_eq!(served.execute(&sql(0)).unwrap(), fresh(&g, &sql(0)));
+        prop_assert_eq!(served.execute(&sql(1)).unwrap(), fresh(&g, &sql(1)));
+        let st = cache.stats();
+        prop_assert_eq!((st.center_misses, st.center_hits), (1, 1));
+
+        let mut delta = DeltaGraph::new(Arc::new(g.clone()));
+        if a != b {
+            let (a, b) = (NodeId(a), NodeId(b));
+            if g.has_undirected_edge(a, b) {
+                delta.delete_edge(a, b).unwrap();
+            } else {
+                delta.insert_edge(a, b).unwrap();
+            }
+        }
+        let updated = Arc::new(delta.compact());
+        let changed = served.swap_graph(updated.clone());
+        prop_assert_eq!(served.execute(&sql(2)).unwrap(), fresh(&updated, &sql(2)));
+        prop_assert_eq!(served.execute(&sql(3)).unwrap(), fresh(&updated, &sql(3)));
+        let st = cache.stats();
+        let rebuilt = changed as u64;
+        prop_assert_eq!((st.center_misses, st.center_hits), (1 + rebuilt, 3 - rebuilt));
     }
 
     /// COUNTSP specs batch correctly through ND-PVOT and the PT family.
@@ -212,4 +337,62 @@ fn four_pattern_batch_on_fixture_shares_one_sweep() {
     assert_eq!(batch.stats.nodes_expanded, g.num_nodes() as u64);
     assert_eq!(seq_nodes, 4 * g.num_nodes() as u64);
     assert!(batch.stats.nodes_expanded < seq_nodes);
+}
+
+/// The benchmark graph of `census_bench`: `barabasi_albert(10 000, 5)`
+/// with four random labels, from `ego_datagen::rng(4242)`.
+fn benchmark_graph() -> Graph {
+    let mut r = rng(4242);
+    let g = barabasi_albert(10_000, 5, &mut r);
+    let g = assign_random_labels(&g, 4, &mut r);
+    assert_eq!(g.fingerprint(), 0x39f9_80d8_4585_5308, "benchmark graph");
+    g
+}
+
+/// `(edges_traversed, nodes_expanded, reinsertions)` of one PT-OPT run
+/// under `PtConfig::default()` at one thread, batched and single-pattern.
+fn pt_opt_counters(g: &Graph, pattern: &str, k: u32) -> [(u64, u64, u64); 2] {
+    let catalog = Catalog::with_builtins();
+    let spec = CensusSpec::single(catalog.require(pattern).unwrap(), k);
+    let (config, exec) = (PtConfig::default(), ExecConfig::sequential());
+    let batch = run_batch_exec(
+        g,
+        std::slice::from_ref(&spec),
+        Algorithm::PtOpt,
+        &config,
+        &exec,
+        &[],
+        None,
+    )
+    .unwrap();
+    let (counts, single) =
+        run_census_exec_instrumented(g, &spec, Algorithm::PtOpt, &config, &exec).unwrap();
+    assert_eq!(batch.counts[0], counts, "{pattern} k={k}");
+    [batch.stats, single].map(|ts| (ts.edges_traversed, ts.nodes_expanded, ts.reinsertions))
+}
+
+/// Traversal counters recorded before PMD moved into flat memory (PR 17):
+/// the slab, the node-major center table and the cleared queue change
+/// what an edge costs, never which edges are walked or in what order.
+#[test]
+fn pt_opt_traversal_counters_match_the_hash_map_kernel() {
+    let g = benchmark_graph();
+    assert_eq!(
+        pt_opt_counters(&g, "clq3", 1),
+        [(30_698, 470, 926), (33_358, 473, 854)]
+    );
+    assert_eq!(
+        pt_opt_counters(&g, "clq3_unlb", 1),
+        [(173_485, 3_748, 7_998), (217_907, 4_169, 8_459)]
+    );
+}
+
+#[test]
+#[ignore = "about a minute unoptimized"]
+fn pt_opt_traversal_counters_match_the_hash_map_kernel_k2() {
+    let g = benchmark_graph();
+    assert_eq!(
+        pt_opt_counters(&g, "clq3", 2),
+        [(712_396, 30_790, 85_212), (755_650, 33_146, 90_383)]
+    );
 }

@@ -2,8 +2,9 @@
 //! an in-process [`Server`] on an ephemeral port, exercised by real TCP
 //! clients, checked against direct [`QueryEngine`] execution.
 
+use egocensus::census::Algorithm;
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
-use egocensus::graph::Graph;
+use egocensus::graph::{Graph, NodeId};
 use egocensus::query::{Catalog, QueryEngine, ShardSpec, Value, ViewRegistry, DEFAULT_VIEW_BUDGET};
 use egocensus::server::{
     serve_lines, Client, LineHandler, LineLimits, Request, Response, Server, ServerConfig,
@@ -261,6 +262,84 @@ fn shutdown_request_over_the_wire_stops_the_server() {
     thread
         .join()
         .expect("server thread joins after wire shutdown");
+}
+
+/// A radius no distance in the graph can reach is the whole-component
+/// query, on the pattern-driven path too: PMD rows are `u16`, and a
+/// radius of 65 535 or more used to trip an assert inside the request
+/// thread (contained, but it cost the client its connection).
+#[test]
+fn radius_past_u16_is_answered_on_the_pattern_driven_path() {
+    let (addr, handle, thread) = spawn_server(ServerConfig {
+        algorithm: Algorithm::PtOpt,
+        ..config()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let rows = |client: &mut Client, k: u32| {
+        let sql = format!("SELECT ID, COUNTP(clq3, SUBGRAPH(ID, {k})) FROM nodes");
+        expect_table(client.query(&sql).expect("query")).rows
+    };
+    let huge = rows(&mut client, 70_000);
+    assert!(huge.iter().any(|r| r[1] != Value::Int(0)), "no matches");
+    assert_eq!(huge, rows(&mut client, 9_999));
+    assert_eq!(client.stats().expect("stats").stat("panics"), Some(0));
+
+    handle.shutdown();
+    thread.join().expect("server thread");
+}
+
+/// The center index is a property of the graph: N cold pattern-driven
+/// queries build it once, and only an update makes the next one rebuild.
+#[test]
+fn center_index_is_built_once_per_graph_generation() {
+    let (addr, handle, thread) = spawn_server(ServerConfig {
+        algorithm: Algorithm::PtOpt,
+        ..config()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    // A new focal set per statement: no result-cache or count-vector hit
+    // stands between the statement and the traversal.
+    let cold_query = |client: &mut Client| {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let lo = NEXT.fetch_add(1, Ordering::Relaxed);
+        let sql =
+            format!("SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes WHERE ID >= {lo}");
+        assert_eq!(
+            expect_table(client.query(&sql).expect("query")),
+            direct(&sql)
+        );
+    };
+    let centers = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        (
+            stats.stat("census_center_misses"),
+            stats.stat("census_center_hits"),
+        )
+    };
+    for _ in 0..4 {
+        cold_query(&mut client);
+    }
+    assert_eq!(centers(&mut client), (Some(1), Some(3)));
+
+    let verb = match test_graph().has_undirected_edge(NodeId(3), NodeId(200)) {
+        true => "DELETE",
+        false => "INSERT",
+    };
+    let ack = client
+        .update(&format!("{verb} EDGE (3, 200)"))
+        .expect("update");
+    assert!(!ack.is_error(), "{ack:?}");
+    let sql = "SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes WHERE ID < 100";
+    expect_table(client.query(sql).expect("query after update"));
+    expect_table(
+        client
+            .query(&sql.replace("100", "101"))
+            .expect("second query after update"),
+    );
+    assert_eq!(centers(&mut client), (Some(2), Some(4)));
+
+    handle.shutdown();
+    thread.join().expect("server thread");
 }
 
 /// A handler panic costs its client the connection and nothing else:

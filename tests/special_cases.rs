@@ -7,9 +7,13 @@
 //! * Jaccard coefficient = node counts over 1-hop intersection and union.
 
 use egocensus::census::pairwise::{run_pair_census, PairCensusSpec, PairSelector};
-use egocensus::census::{run_census, Algorithm, CensusSpec};
+use egocensus::census::{
+    global_matches, nd_pivot, pt_opt, run_batch_exec, run_census, run_census_with, Algorithm,
+    CensusError, CensusSpec, ExecConfig, PtConfig,
+};
 use egocensus::datagen::{barabasi_albert, rng};
-use egocensus::graph::stats;
+use egocensus::graph::{stats, GraphBuilder, Label, NodeId};
+use egocensus::matcher::{MatchList, PatternMatch};
 use egocensus::pattern::Pattern;
 
 #[test]
@@ -118,4 +122,94 @@ fn k_clustering_generalization_runs() {
         assert!(c2.get(n) >= c1.get(n));
         assert_eq!(c2.get(n), c2b.get(n));
     }
+}
+
+/// A cluster's anchor columns are numbered past `u16`: on 40 000 disjoint
+/// edges every match is unreachable from every center, K-means keeps them
+/// in one cluster, and its 80 000 anchor images must not share columns.
+/// Ignored by default for its cost, not its subject: PMD is a dense
+/// (visited nodes × cluster anchors) matrix, 12.8 GB on this fixture, and
+/// minutes of work unoptimized. `scripts/verify.sh` runs the same shape
+/// through the release CLI; to run this one:
+/// `cargo test --release --test special_cases -- --ignored`.
+#[test]
+#[ignore = "needs ~13 GB and an optimized build"]
+fn pt_cluster_with_more_than_65535_anchors_counts_exactly() {
+    const EDGES: u32 = 40_000;
+    let mut b = GraphBuilder::undirected();
+    b.add_nodes(2 * EDGES as usize, Label(0));
+    for i in 0..EDGES {
+        b.add_edge(NodeId(2 * i), NodeId(2 * i + 1));
+    }
+    let g = b.build();
+    let edge = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
+    let spec = CensusSpec::single(&edge, 1);
+    let matches = global_matches(&g, &edge);
+    let expect = nd_pivot::run(&g, &spec, &matches).unwrap();
+    let no_centers = PtConfig {
+        num_centers: 0,
+        ..PtConfig::default()
+    };
+    for config in [PtConfig::default(), no_centers] {
+        let single = pt_opt::run(&g, &spec, &matches, &config).unwrap();
+        assert!(single == expect, "pt_opt::run, {config:?}");
+        let batch = run_batch_exec(
+            &g,
+            std::slice::from_ref(&spec),
+            Algorithm::PtOpt,
+            &config,
+            &ExecConfig::sequential(),
+            &[],
+            None,
+        )
+        .unwrap();
+        assert!(batch.counts[0] == expect, "run_batch_exec, {config:?}");
+    }
+}
+
+/// No distance in an n-node graph exceeds n − 1, so every radius past n
+/// is the same query; PT answers it instead of asserting on its row type.
+#[test]
+fn pt_radius_past_u16_is_the_whole_component() {
+    let g = barabasi_albert(120, 3, &mut rng(10));
+    let tri = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+    let matches = global_matches(&g, &tri);
+    for k in [65_535, 70_000] {
+        let spec = CensusSpec::single(&tri, k);
+        let expect = nd_pivot::run(&g, &spec, &matches).unwrap();
+        for algo in [Algorithm::PtOpt, Algorithm::PtRandom] {
+            let got = run_census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
+            assert_eq!(got, expect, "{algo:?} k={k}");
+            let batch = run_batch_exec(
+                &g,
+                std::slice::from_ref(&spec),
+                algo,
+                &PtConfig::default(),
+                &ExecConfig::sequential(),
+                &[],
+                None,
+            )
+            .unwrap();
+            assert_eq!(batch.counts[0], expect, "batched {algo:?} k={k}");
+        }
+    }
+}
+
+/// Where the clamp does not help — a graph that large *and* a radius that
+/// large — the pattern-driven path refuses with an error, not a panic.
+#[test]
+fn pt_radius_that_cannot_fit_is_an_error() {
+    let mut b = GraphBuilder::undirected();
+    b.add_nodes(u16::MAX as usize, Label(0));
+    let g = b.build();
+    let node = Pattern::parse("PATTERN n { ?A; }").unwrap();
+    let one = MatchList::from_matches(vec![PatternMatch {
+        nodes: vec![NodeId(0)],
+    }]);
+    let spec = CensusSpec::single(&node, 65_535);
+    let err = pt_opt::run(&g, &spec, &one, &PtConfig::default()).unwrap_err();
+    assert!(matches!(err, CensusError::Unsupported(_)), "{err:?}");
+    let fits = CensusSpec::single(&node, 65_534);
+    let counts = pt_opt::run(&g, &fits, &one, &PtConfig::default()).unwrap();
+    assert_eq!(counts.total(), 1);
 }
