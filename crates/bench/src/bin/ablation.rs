@@ -9,7 +9,7 @@
 //! ```
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_from_args, timed, Scale};
-use ego_census::{parallel, CensusSpec, Clustering, PtConfig, PtOrdering};
+use ego_census::{parallel, Algorithm, CensusSpec, Clustering, PtConfig, PtOrdering};
 use ego_pattern::builtin;
 
 fn main() {
@@ -77,7 +77,7 @@ fn main() {
     let mut reference = None;
     for (name, cfg) in &variants {
         let ((res, stats), t) = timed(|| {
-            parallel::run_pt_opt_parallel_instrumented(&g, &spec, &matches, cfg, threads).unwrap()
+            parallel::run_with_matches(&g, &spec, &matches, Algorithm::PtOpt, cfg, threads).unwrap()
         });
         match &reference {
             None => reference = Some(res),

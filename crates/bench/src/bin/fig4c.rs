@@ -14,7 +14,9 @@
 //! parallel layer; counts are identical for every thread count.
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_sweep_from_args, timed, Scale};
-use ego_census::{global_matches, parallel, CensusSpec, PtConfig, PtOrdering};
+use ego_census::{global_matches, parallel, Algorithm, CensusSpec, CountVector, PtConfig};
+use ego_graph::Graph;
+use ego_matcher::MatchList;
 use ego_pattern::builtin;
 
 fn main() {
@@ -43,23 +45,12 @@ fn run_sweep(sizes: &[usize], bas_size: usize, threads: usize) {
         let spec = CensusSpec::single(&pattern, k);
         let (matches, _) = timed(|| parallel::exec_matches(&g, &pattern, threads));
 
-        let (r_pvot, t_pvot) =
-            timed(|| parallel::run_nd_pivot_parallel(&g, &spec, &matches, threads).unwrap());
-        let (r_diff, t_diff) =
-            timed(|| parallel::run_nd_diff_parallel(&g, &spec, &matches, threads).unwrap());
-        let (r_ptb, t_ptb) =
-            timed(|| parallel::run_pt_bas_parallel(&g, &spec, &matches, threads).unwrap());
-        let rnd_cfg = PtConfig {
-            ordering: PtOrdering::Random,
-            ..PtConfig::default()
-        };
-        let (r_ptr, t_ptr) = timed(|| {
-            parallel::run_pt_opt_parallel(&g, &spec, &matches, &rnd_cfg, threads).unwrap()
-        });
-        let (r_pto, t_pto) = timed(|| {
-            parallel::run_pt_opt_parallel(&g, &spec, &matches, &PtConfig::default(), threads)
-                .unwrap()
-        });
+        let run = |algorithm| census(&g, &spec, &matches, algorithm, threads);
+        let (r_pvot, t_pvot) = run(Algorithm::NdPivot);
+        let (r_diff, t_diff) = run(Algorithm::NdDiff);
+        let (r_ptb, t_ptb) = run(Algorithm::PtBaseline);
+        let (r_ptr, t_ptr) = run(Algorithm::PtRandom);
+        let (r_pto, t_pto) = run(Algorithm::PtOpt);
 
         for other in [&r_diff, &r_ptb, &r_ptr, &r_pto] {
             assert_eq!(other, &r_pvot, "algorithms disagree at n={n}");
@@ -78,12 +69,12 @@ fn run_sweep(sizes: &[usize], bas_size: usize, threads: usize) {
     // ND-BAS, smallest size only (the paper reports it out-of-plot).
     let g = eval_graph(bas_size, None, 777);
     let spec = CensusSpec::single(&pattern, k);
-    let (r_bas, t_bas) = timed(|| parallel::run_nd_bas_parallel(&g, &spec, threads).unwrap());
     let matches = global_matches(&g, &pattern);
-    let r_pvot = parallel::run_nd_pivot_parallel(&g, &spec, &matches, threads).unwrap();
+    let run = |algorithm| census(&g, &spec, &matches, algorithm, threads);
+    let (r_bas, t_bas) = run(Algorithm::NdBaseline);
+    let (r_pvot, _) = run(Algorithm::NdPivot);
     assert_eq!(r_bas, r_pvot, "ND-BAS disagrees");
-    let (_, t_pvot) =
-        timed(|| parallel::run_nd_pivot_parallel(&g, &spec, &matches, threads).unwrap());
+    let (_, t_pvot) = run(Algorithm::NdPivot);
     println!(
         "\nND-BAS at {bas_size} nodes: {} ({}x ND-PVOT's {})",
         fmt_secs(t_bas),
@@ -91,4 +82,20 @@ fn run_sweep(sizes: &[usize], bas_size: usize, threads: usize) {
         fmt_secs(t_pvot)
     );
     println!();
+}
+
+/// Time one census through the parallel layer.
+fn census(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    matches: &MatchList,
+    algorithm: Algorithm,
+    threads: usize,
+) -> (CountVector, f64) {
+    let config = PtConfig::default();
+    timed(|| {
+        parallel::run_with_matches(g, spec, matches, algorithm, &config, threads)
+            .unwrap()
+            .0
+    })
 }

@@ -20,7 +20,7 @@
 //! stats merge additively.
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_sweep_from_args, timed, Scale};
-use ego_census::{parallel, CensusSpec, PtConfig, PtOrdering};
+use ego_census::{parallel, Algorithm, CensusSpec, PtConfig};
 use ego_pattern::builtin;
 
 fn main() {
@@ -50,33 +50,18 @@ fn run_sweep(sizes: &[usize], threads: usize) {
         let spec = CensusSpec::single(&pattern, k);
         let matches = parallel::exec_matches(&g, &pattern, threads);
 
-        let ((r_pvot, s_pvot), t_pvot) = timed(|| {
-            parallel::run_nd_pivot_parallel_instrumented(&g, &spec, &matches, threads).unwrap()
-        });
-        let ((r_diff, s_diff), t_diff) = timed(|| {
-            parallel::run_nd_diff_parallel_instrumented(&g, &spec, &matches, threads).unwrap()
-        });
-        let ((r_ptb, s_ptb), t_ptb) = timed(|| {
-            parallel::run_pt_bas_parallel_instrumented(&g, &spec, &matches, threads).unwrap()
-        });
-        let rnd_cfg = PtConfig {
-            ordering: PtOrdering::Random,
-            ..PtConfig::default()
+        let config = PtConfig::default();
+        let run = |algorithm| {
+            timed(|| {
+                parallel::run_with_matches(&g, &spec, &matches, algorithm, &config, threads)
+                    .unwrap()
+            })
         };
-        let ((r_ptr, s_ptr), t_ptr) = timed(|| {
-            parallel::run_pt_opt_parallel_instrumented(&g, &spec, &matches, &rnd_cfg, threads)
-                .unwrap()
-        });
-        let ((r_pto, s_pto), t_pto) = timed(|| {
-            parallel::run_pt_opt_parallel_instrumented(
-                &g,
-                &spec,
-                &matches,
-                &PtConfig::default(),
-                threads,
-            )
-            .unwrap()
-        });
+        let ((r_pvot, s_pvot), t_pvot) = run(Algorithm::NdPivot);
+        let ((r_diff, s_diff), t_diff) = run(Algorithm::NdDiff);
+        let ((r_ptb, s_ptb), t_ptb) = run(Algorithm::PtBaseline);
+        let ((r_ptr, s_ptr), t_ptr) = run(Algorithm::PtRandom);
+        let ((r_pto, s_pto), t_pto) = run(Algorithm::PtOpt);
 
         for other in [&r_diff, &r_ptb, &r_ptr, &r_pto] {
             assert_eq!(other, &r_pvot, "algorithms disagree at n={n}");

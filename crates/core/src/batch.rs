@@ -7,14 +7,13 @@
 //! the simultaneous traversal per pattern.
 //! A [`run_batch_exec`] call plans N specs together and shares that work:
 //!
-//! * **ND side** — specs resolving to a node-driven algorithm are grouped
-//!   by focal set. Each group runs **one** BFS sweep per focal node at
-//!   `k_max = max(k_i)`; [`BfsScratch::bounded_bfs`] emits nodes in
-//!   nondecreasing distance order, so every spec reads its own radius as
-//!   a prefix of the shared frontier. Pivot-mode specs check match
-//!   containment against the shared distance labels; baseline-mode specs
-//!   count via a membership-restricted [`NeighborhoodMatcher`] (candidate
-//!   space derived once per pattern, not once per neighborhood).
+//! * **ND side** — specs resolving to ND-PVOT (or ND-DIFF) are grouped by
+//!   focal set. Each group runs **one** BFS sweep per focal node at
+//!   `k_max = max(k_i)` — the same [`crate::nd_pivot`] sweep a single
+//!   ND-PVOT census runs, with one `PivotPlan` per member;
+//!   [`BfsScratch::bounded_bfs`] emits nodes in nondecreasing distance
+//!   order, so every plan reads its own radius as a prefix of the shared
+//!   frontier.
 //! * **PT side** — specs resolving to a pattern-driven algorithm are
 //!   grouped by equal radius (the PMD saturation value `inf = k + 1` is
 //!   per-group) and share **one** center index across all groups — built
@@ -25,6 +24,9 @@
 //!   `pt_opt`'s `process_cluster`) relaxes the distance bounds for
 //!   anchors of *different* patterns at once; each spec then counts from
 //!   the shared PMD rows under its own focal mask.
+//! * **ND-BAS** — a forced ND-BAS batch shares nothing: its stage runs
+//!   the reference [`crate::nd_bas`] census per spec, over the same focal
+//!   fan-out as a single ND-BAS census.
 //!
 //! Counts are bit-identical to N sequential [`crate::run_census_exec`]
 //! runs for every algorithm and thread count (property-tested in
@@ -39,19 +41,16 @@
 use crate::centers::{CenterIndex, CenterStrategy};
 use crate::chooser;
 use crate::kmeans::kmeans;
-use crate::nd_pivot::PivotIndex;
-use crate::parallel::{exec_matches, ExecConfig};
+use crate::nd_pivot::{self, PivotPlan};
+use crate::parallel::{exec_matches, run_with_matches, ExecConfig};
 use crate::pt_opt::{self, PtContext, PtItem, PtSlot};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, Clustering, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
 use crate::Algorithm;
-use ego_graph::bfs::BfsScratch;
-use ego_graph::profile::ProfileIndex;
-use ego_graph::{FastHashSet, Graph, NodeId};
-use ego_matcher::{ExtractScratch, MatchList, NeighborhoodMatcher};
-use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};
-use ego_pattern::PNode;
+use ego_graph::Graph;
+use ego_matcher::MatchList;
+use ego_pattern::analysis::PatternAnalysis;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -61,15 +60,18 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchStage {
     /// One BFS sweep per focal node at `k_max`, serving every listed
-    /// spec: `pivot` members via the pattern-match index, `baseline`
-    /// members via membership-restricted matching.
+    /// spec through the pattern-match index.
     NdSweep {
         /// Specs served by the pivot-index containment check.
         pivot: Vec<usize>,
-        /// Specs served by per-neighborhood restricted matching.
-        baseline: Vec<usize>,
         /// The shared sweep radius (max over member radii).
         k_max: u32,
+    },
+    /// The reference ND-BAS census of each listed spec: extract every
+    /// focal node's neighborhood and match inside it, one spec at a time.
+    NdBaseline {
+        /// Member spec indices.
+        specs: Vec<usize>,
     },
     /// One shared simultaneous traversal (per merged cluster) for all
     /// listed specs, which share the radius `k`.
@@ -101,11 +103,9 @@ pub struct BatchResult {
     pub stages: Vec<BatchStage>,
 }
 
-/// How a spec is served inside the batch.
+/// How a spec is served inside a batch that shares work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
-    /// ND-BAS semantics: restricted matching per neighborhood.
-    Baseline,
     /// ND-PVOT semantics (also serves ND-DIFF): pivot-index containment.
     Pivot,
     /// Pattern-driven simultaneous traversal (serves PT-BAS/PT-RND/PT-OPT).
@@ -178,8 +178,7 @@ pub fn run_batch_exec<'a>(
         }
     }
 
-    let modes = resolve_modes(g, specs, algorithm, &matches)?;
-    let stages = group_stages(specs, &modes);
+    let stages = plan_stages(g, specs, algorithm, &matches)?;
 
     let mut counts: Vec<CountVector> = specs
         .iter()
@@ -216,21 +215,38 @@ pub fn run_batch_exec<'a>(
 
     for stage in &stages {
         match stage {
-            BatchStage::NdSweep {
-                pivot,
-                baseline,
-                k_max,
-            } => nd_sweep(
-                g,
-                specs,
-                &matches,
-                pivot,
-                baseline,
-                *k_max,
-                threads,
-                &mut counts,
-                &mut stats,
-            )?,
+            BatchStage::NdSweep { pivot, k_max } => {
+                let plans = pivot
+                    .iter()
+                    .map(|&i| {
+                        let m = matches[i].as_deref().expect("pivot mode requires matches");
+                        PivotPlan::new(&specs[i], m)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                // All members share the focal set (grouping invariant).
+                let focal = specs[pivot[0]].focal();
+                let (local, ts) =
+                    nd_pivot::sweep(g, &focal.nodes(g), &focal.mask(g), *k_max, &plans, threads);
+                stats.add(&ts);
+                for (&i, cv) in pivot.iter().zip(local) {
+                    counts[i] = cv;
+                }
+            }
+            BatchStage::NdBaseline { specs: idxs } => {
+                let none = MatchList::default();
+                for &i in idxs {
+                    let (cv, ts) = run_with_matches(
+                        g,
+                        &specs[i],
+                        &none,
+                        Algorithm::NdBaseline,
+                        config,
+                        threads,
+                    )?;
+                    stats.add(&ts);
+                    counts[i] = cv;
+                }
+            }
             BatchStage::PtGroup { specs: idxs, k } => pt_group_run(
                 g,
                 specs,
@@ -259,33 +275,35 @@ pub fn run_batch_exec<'a>(
 }
 
 /// Plan (but do not execute) a batch: which specs share an ND sweep,
-/// which share a PT traversal group. `matches[i]` is required for specs
-/// only when `algorithm` is `Auto` (the chooser needs cardinalities).
-/// Used by `EXPLAIN` to describe the batch plan.
+/// which share a PT traversal group, which run ND-BAS. `matches[i]` is
+/// required for specs only when `algorithm` is `Auto` (the chooser needs
+/// cardinalities). Used by `EXPLAIN` to describe the batch plan.
 pub fn plan_stages<'a>(
     g: &Graph,
     specs: &[CensusSpec<'a>],
     algorithm: Algorithm,
     matches: &[Option<Arc<MatchList>>],
 ) -> Result<Vec<BatchStage>, CensusError> {
-    let modes = resolve_modes(g, specs, algorithm, matches)?;
-    Ok(group_stages(specs, &modes))
-}
-
-fn resolve_modes(
-    g: &Graph,
-    specs: &[CensusSpec<'_>],
-    algorithm: Algorithm,
-    matches: &[Option<Arc<MatchList>>],
-) -> Result<Vec<Mode>, CensusError> {
-    specs
+    if algorithm == Algorithm::NdBaseline {
+        // ND-BAS shares no work: its one stage runs each spec's census.
+        for spec in specs {
+            crate::nd_bas::check(spec)?;
+        }
+        if specs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let specs = (0..specs.len()).collect();
+        return Ok(vec![BatchStage::NdBaseline { specs }]);
+    }
+    let modes = specs
         .iter()
         .enumerate()
         .map(|(i, spec)| {
             let m = matches.get(i).and_then(|o| o.as_deref());
             resolve_mode(g, spec, algorithm, m)
         })
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(group_stages(specs, &modes))
 }
 
 fn resolve_mode(
@@ -295,31 +313,11 @@ fn resolve_mode(
     matches: Option<&MatchList>,
 ) -> Result<Mode, CensusError> {
     match algorithm {
-        Algorithm::NdBaseline => {
-            // Parity with crate::nd_bas::run's rejections.
-            if spec.subpattern_name().is_some() {
-                return Err(CensusError::Unsupported(
-                    "ND-BAS cannot evaluate COUNTSP queries; use ND-PVOT or PT-OPT".into(),
-                ));
-            }
-            let p = spec.pattern();
-            if !p.node_predicates().is_empty() || !p.edge_predicates().is_empty() {
-                return Err(CensusError::Unsupported(
-                    "ND-BAS supports structural/label patterns only; \
-                     use ND-PVOT or PT-OPT for attribute predicates"
-                        .into(),
-                ));
-            }
-            Ok(Mode::Baseline)
-        }
+        Algorithm::NdBaseline => unreachable!("ND-BAS batches are planned without modes"),
         Algorithm::NdDiff => {
             // Parity with crate::nd_diff::run's rejection; supported specs
             // are served by the shared pivot sweep (exact, so identical).
-            if spec.subpattern_name().is_some() {
-                return Err(CensusError::Unsupported(
-                    "ND-DIFF cannot evaluate COUNTSP queries; use ND-PVOT or PT-OPT".into(),
-                ));
-            }
+            crate::nd_diff::check(spec)?;
             Ok(Mode::Pivot)
         }
         Algorithm::NdPivot => Ok(Mode::Pivot),
@@ -344,40 +342,27 @@ fn resolve_mode(
 fn group_stages(specs: &[CensusSpec<'_>], modes: &[Mode]) -> Vec<BatchStage> {
     let mut stages = Vec::new();
 
-    // (representative spec index, pivot members, baseline members)
-    let mut nd_groups: Vec<(usize, Vec<usize>, Vec<usize>)> = Vec::new();
+    // (representative spec index, members)
+    let mut nd_groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (i, mode) in modes.iter().enumerate() {
         if *mode == Mode::Pt {
             continue;
         }
-        let slot = nd_groups
-            .iter()
-            .position(|&(rep, _, _)| specs[rep].focal() == specs[i].focal());
-        let slot = match slot {
-            Some(s) => s,
-            None => {
-                nd_groups.push((i, Vec::new(), Vec::new()));
-                nd_groups.len() - 1
-            }
-        };
-        match mode {
-            Mode::Pivot => nd_groups[slot].1.push(i),
-            Mode::Baseline => nd_groups[slot].2.push(i),
-            Mode::Pt => unreachable!(),
+        match nd_groups
+            .iter_mut()
+            .find(|(rep, _)| specs[*rep].focal() == specs[i].focal())
+        {
+            Some((_, members)) => members.push(i),
+            None => nd_groups.push((i, vec![i])),
         }
     }
-    for (_, pivot, baseline) in nd_groups {
+    for (_, pivot) in nd_groups {
         let k_max = pivot
             .iter()
-            .chain(&baseline)
             .map(|&i| specs[i].k())
             .max()
             .expect("non-empty ND group");
-        stages.push(BatchStage::NdSweep {
-            pivot,
-            baseline,
-            k_max,
-        });
+        stages.push(BatchStage::NdSweep { pivot, k_max });
     }
 
     let mut pt_groups: Vec<(u32, Vec<usize>)> = Vec::new();
@@ -395,228 +380,6 @@ fn group_stages(specs: &[CensusSpec<'_>], modes: &[Mode]) -> Vec<BatchStage> {
         stages.push(BatchStage::PtGroup { specs: idxs, k });
     }
     stages
-}
-
-// ---------------------------------------------------------------------
-// ND side: one BFS sweep per focal node serves every spec in the group.
-// ---------------------------------------------------------------------
-
-/// Read-only per-spec state for pivot-mode members of a sweep.
-struct PivotSweepItem {
-    slot: usize,
-    k: u32,
-    pmi: PivotIndex,
-    max_v: u32,
-    has_unreachable_anchor: bool,
-    distant: Vec<Vec<PNode>>,
-    matches: Arc<MatchList>,
-}
-
-/// Read-only per-spec state for baseline-mode members of a sweep.
-struct BasSweepItem<'g, 'p> {
-    slot: usize,
-    k: u32,
-    matcher: NeighborhoodMatcher<'g, 'p>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nd_sweep(
-    g: &Graph,
-    specs: &[CensusSpec<'_>],
-    matches: &[Option<Arc<MatchList>>],
-    pivot_idxs: &[usize],
-    baseline_idxs: &[usize],
-    k_max: u32,
-    threads: usize,
-    counts: &mut [CountVector],
-    stats: &mut TraversalStats,
-) -> Result<(), CensusError> {
-    let mut pivot_items = Vec::with_capacity(pivot_idxs.len());
-    for &i in pivot_idxs {
-        let spec = &specs[i];
-        let m = matches[i]
-            .as_ref()
-            .expect("pivot mode requires matches")
-            .clone();
-        let anchors = spec.anchor_nodes()?;
-        let analysis = PatternAnalysis::with_pivot_candidates(spec.pattern(), Some(&anchors));
-        let pivot = analysis.pivot();
-        // Same anchor-distance precomputation as crate::nd_pivot.
-        let mut max_v: u32 = 0;
-        let mut has_unreachable_anchor = false;
-        for &a in &anchors {
-            let d = analysis.distance(pivot, a);
-            if d == UNREACHABLE {
-                has_unreachable_anchor = true;
-            } else {
-                max_v = max_v.max(d);
-            }
-        }
-        let distant: Vec<Vec<PNode>> = (1..=max_v.max(1) as usize + 1)
-            .map(|idx| {
-                anchors
-                    .iter()
-                    .copied()
-                    .filter(|&a| {
-                        let d = analysis.distance(pivot, a);
-                        d == UNREACHABLE || d >= idx as u32
-                    })
-                    .collect()
-            })
-            .collect();
-        let pmi = PivotIndex::build(&m, pivot);
-        pivot_items.push(PivotSweepItem {
-            slot: i,
-            k: spec.k(),
-            pmi,
-            max_v,
-            has_unreachable_anchor,
-            distant,
-            matches: m,
-        });
-    }
-
-    let mut bas_items = Vec::with_capacity(baseline_idxs.len());
-    if !baseline_idxs.is_empty() {
-        let profiles = ProfileIndex::build(g);
-        for &i in baseline_idxs {
-            bas_items.push(BasSweepItem {
-                slot: i,
-                k: specs[i].k(),
-                matcher: NeighborhoodMatcher::with_profiles_threads(
-                    g,
-                    specs[i].pattern(),
-                    &profiles,
-                    threads,
-                ),
-            });
-        }
-    }
-
-    // All members share the focal set (grouping invariant).
-    let rep = pivot_idxs
-        .iter()
-        .chain(baseline_idxs)
-        .next()
-        .copied()
-        .expect("non-empty ND group");
-    let focal = specs[rep].focal().nodes(g);
-    let mask = specs[rep].focal().mask(g);
-
-    // One neighborhood extraction per focal node for the whole group —
-    // this is the batched win the acceptance criteria measure.
-    stats.nodes_expanded += focal.len() as u64;
-
-    let shards: Vec<&[NodeId]> = if threads == 1 || focal.len() < 2 * threads {
-        vec![&focal[..]]
-    } else {
-        focal.chunks(focal.len().div_ceil(threads)).collect()
-    };
-
-    let results: Vec<(Vec<(usize, CountVector)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let pivot_items = &pivot_items;
-                let bas_items = &bas_items;
-                let mask = &mask;
-                scope.spawn(move || sweep_shard(g, shard, k_max, mask, pivot_items, bas_items))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("census worker panicked"))
-            .collect()
-    });
-
-    for (per_spec, edges) in results {
-        stats.edges_traversed += edges;
-        for (slot, cv) in per_spec {
-            counts[slot].merge_add(&cv);
-        }
-    }
-    Ok(())
-}
-
-/// Process one focal shard: a single bounded BFS at `k_max` per focal
-/// node; every member spec reads its own radius as a prefix of the
-/// distance-ordered frontier.
-fn sweep_shard(
-    g: &Graph,
-    shard: &[NodeId],
-    k_max: u32,
-    mask: &[bool],
-    pivot_items: &[PivotSweepItem],
-    bas_items: &[BasSweepItem<'_, '_>],
-) -> (Vec<(usize, CountVector)>, u64) {
-    let mut out: Vec<(usize, CountVector)> = pivot_items
-        .iter()
-        .map(|it| it.slot)
-        .chain(bas_items.iter().map(|it| it.slot))
-        .map(|slot| (slot, CountVector::new(g.num_nodes(), mask.to_vec())))
-        .collect();
-    let n_pivot = pivot_items.len();
-    let mut scratch = BfsScratch::new(g.num_nodes());
-    let mut visited: Vec<NodeId> = Vec::new();
-    let mut membership: FastHashSet<u32> = FastHashSet::default();
-    let mut extract_scratch = ExtractScratch::default();
-
-    for &n in shard {
-        visited.clear();
-        scratch.bounded_bfs(g, n, k_max, &mut visited);
-        for (ii, it) in pivot_items.iter().enumerate() {
-            let mut total = 0u64;
-            // At full radius "visited" already implies containment, so the
-            // per-image distance re-check (needed for prefix radii below
-            // k_max) can be skipped.
-            let full_radius = it.k == k_max;
-            for &np in &visited {
-                let d = scratch.distance(np);
-                if d > it.k {
-                    break; // frontier is in nondecreasing distance order
-                }
-                let bucket = it.pmi.get(np);
-                if bucket.is_empty() {
-                    continue;
-                }
-                if !it.has_unreachable_anchor && d + it.max_v <= it.k {
-                    total += bucket.len() as u64;
-                } else {
-                    let idx = ((it.k - d) as usize + 1).min(it.distant.len());
-                    let to_check: &[PNode] = &it.distant[idx - 1];
-                    for &mi in bucket {
-                        let m = &it.matches[mi as usize];
-                        let ok = to_check.iter().all(|&a| {
-                            let img = m.image(a);
-                            // The sweep ran at k_max ≥ it.k, so "visited"
-                            // alone no longer implies containment — the
-                            // per-spec radius must be re-checked.
-                            scratch.visited(img) && (full_radius || scratch.distance(img) <= it.k)
-                        });
-                        if ok {
-                            total += 1;
-                        }
-                    }
-                }
-            }
-            out[ii].1.set(n, total);
-        }
-        for (bi, it) in bas_items.iter().enumerate() {
-            membership.clear();
-            for &np in &visited {
-                if scratch.distance(np) > it.k {
-                    break;
-                }
-                membership.insert(np.0);
-            }
-            out[n_pivot + bi].1.set(
-                n,
-                it.matcher
-                    .count_in_scratch(&membership, &mut extract_scratch),
-            );
-        }
-    }
-    (out, scratch.edges_scanned())
 }
 
 // ---------------------------------------------------------------------
@@ -759,7 +522,7 @@ fn kmeans_item_groups(
 mod tests {
     use super::*;
     use crate::run_census_exec;
-    use ego_graph::{GraphBuilder, Label};
+    use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
 
     fn fixture() -> Graph {

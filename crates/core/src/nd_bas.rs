@@ -8,6 +8,7 @@
 
 use crate::result::{CensusError, CountVector};
 use crate::spec::CensusSpec;
+use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::subgraph::InducedSubgraph;
 use ego_graph::Graph;
@@ -16,32 +17,22 @@ use ego_matcher::{find_matches, MatcherKind};
 /// Run the baseline. Subpattern queries are rejected: a COUNTSP match may
 /// extend beyond `S(n, k)`, which per-neighborhood matching cannot see.
 pub fn run(g: &Graph, spec: &CensusSpec<'_>) -> Result<CountVector, CensusError> {
-    if spec.subpattern_name().is_some() {
-        return Err(CensusError::Unsupported(
-            "ND-BAS cannot evaluate COUNTSP queries; use ND-PVOT or PT-OPT".into(),
-        ));
-    }
+    run_instrumented(g, spec).map(|(cv, _)| cv)
+}
+
+/// [`run`] with traversal-cost instrumentation: the edges its
+/// neighborhood BFSs scan, one expansion per focal node.
+pub fn run_instrumented(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+) -> Result<(CountVector, TraversalStats), CensusError> {
+    check(spec)?;
     let p = spec.pattern();
-    let mask = spec.focal().mask(g);
-    let mut counts = CountVector::new(g.num_nodes(), mask);
+    let focal = spec.focal().nodes(g);
+    let mut counts = CountVector::new(g.num_nodes(), spec.focal().mask(g));
     let mut scratch = BfsScratch::new(g.num_nodes());
     let mut nodes = Vec::new();
-
-    // Attribute predicates reference the ORIGINAL graph; extracted
-    // subgraphs carry labels but not attributes, so patterns with
-    // attribute/edge predicates must translate ids. We handle this by
-    // rejecting them here (the other algorithms support them); label-only
-    // patterns — the common case and everything in the paper's
-    // evaluation — run directly on the subgraph.
-    if !p.node_predicates().is_empty() || !p.edge_predicates().is_empty() {
-        return Err(CensusError::Unsupported(
-            "ND-BAS supports structural/label patterns only; \
-             use ND-PVOT or PT-OPT for attribute predicates"
-                .into(),
-        ));
-    }
-
-    for n in spec.focal().nodes(g) {
+    for &n in &focal {
         nodes.clear();
         scratch.bounded_bfs(g, n, spec.k(), &mut nodes);
         nodes.sort_unstable();
@@ -49,7 +40,36 @@ pub fn run(g: &Graph, spec: &CensusSpec<'_>) -> Result<CountVector, CensusError>
         let matches = find_matches(&sub.graph, p, MatcherKind::CandidateNeighbors);
         counts.set(n, matches.len() as u64);
     }
-    Ok(counts)
+    let tstats = TraversalStats {
+        edges_traversed: scratch.edges_scanned(),
+        nodes_expanded: focal.len() as u64,
+        ..TraversalStats::default()
+    };
+    Ok((counts, tstats))
+}
+
+/// The specs the baseline refuses.
+pub(crate) fn check(spec: &CensusSpec<'_>) -> Result<(), CensusError> {
+    if spec.subpattern_name().is_some() {
+        return Err(CensusError::Unsupported(
+            "ND-BAS cannot evaluate COUNTSP queries; use ND-PVOT or PT-OPT".into(),
+        ));
+    }
+    // Attribute predicates reference the ORIGINAL graph; extracted
+    // subgraphs carry labels but not attributes, so patterns with
+    // attribute/edge predicates must translate ids. We handle this by
+    // rejecting them here (the other algorithms support them); label-only
+    // patterns — the common case and everything in the paper's
+    // evaluation — run directly on the subgraph.
+    let p = spec.pattern();
+    if !p.node_predicates().is_empty() || !p.edge_predicates().is_empty() {
+        return Err(CensusError::Unsupported(
+            "ND-BAS supports structural/label patterns only; \
+             use ND-PVOT or PT-OPT for attribute predicates"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -55,11 +55,7 @@ pub fn run_instrumented(
     spec: &CensusSpec<'_>,
     matches: &MatchList,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    if spec.subpattern_name().is_some() {
-        return Err(CensusError::Unsupported(
-            "ND-DIFF cannot evaluate COUNTSP queries; use ND-PVOT or PT-OPT".into(),
-        ));
-    }
+    check(spec)?;
     let k = spec.k();
     let pmi = FullIndex::build(matches);
     let mask = spec.focal().mask(g);
@@ -158,6 +154,16 @@ pub fn run_instrumented(
         index_edges: 0,
     };
     Ok((counts, tstats))
+}
+
+/// The specs differential counting refuses.
+pub(crate) fn check(spec: &CensusSpec<'_>) -> Result<(), CensusError> {
+    match spec.subpattern_name() {
+        Some(_) => Err(CensusError::Unsupported(
+            "ND-DIFF cannot evaluate COUNTSP queries; use ND-PVOT or PT-OPT".into(),
+        )),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,13 @@
 //!      `|PMI_v(n')|` without looking at the matches;
 //!    * otherwise only anchor nodes at pattern distance `> k - d` from
 //!      the pivot can stick out — check just those (`distant[k-d+1]`).
+//!
+//! That rule is written once, in `PivotPlan::count`, and the per-focal
+//! loop once, in `sweep`: single-pattern ND-PVOT is the sweep of one
+//! plan, the batch engine sweeps several plans off one BFS per focal
+//! node, and top-k and pairwise census count through the same plan.
 
+use crate::parallel::{add_censuses, fan_out, workers_for};
 use crate::result::{CensusError, CountVector};
 use crate::spec::CensusSpec;
 use crate::tstats::TraversalStats;
@@ -19,7 +25,7 @@ use ego_graph::bfs::BfsScratch;
 use ego_graph::{FastHashMap, Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};
-use ego_pattern::PNode;
+use ego_pattern::{PNode, Pattern};
 
 /// The pattern match index: match indices keyed by the pivot's image.
 pub struct PivotIndex {
@@ -48,105 +54,198 @@ impl PivotIndex {
     }
 }
 
+/// Algorithm 2's containment rule for one spec, set up once from the
+/// spec's pattern, anchors and radius and its global matches.
+pub(crate) struct PivotPlan<'m> {
+    k: u32,
+    matches: &'m MatchList,
+    index: PivotIndex,
+    /// The largest pattern distance from the pivot to an anchor. Taken
+    /// over anchors only: non-anchor images may fall outside `S(n, k)`.
+    max_v: u32,
+    /// Some anchor is disconnected from the pivot, so no distance proves
+    /// containment and every bucket takes the explicit check.
+    has_unreachable: bool,
+    /// `distant[i - 1]`: the anchors at pattern distance `≥ i` from the
+    /// pivot, or disconnected from it, for `i` in `1..=max_v + 1` (the
+    /// extra slot keeps `i = k - d + 1` in range when `d + max_v = k + 1`).
+    distant: Vec<Vec<PNode>>,
+}
+
+impl<'m> PivotPlan<'m> {
+    /// The plan for a single-node census spec.
+    pub(crate) fn new(spec: &CensusSpec<'_>, matches: &'m MatchList) -> Result<Self, CensusError> {
+        Ok(Self::for_anchors(
+            spec.pattern(),
+            &spec.anchor_nodes()?,
+            spec.k(),
+            matches,
+        ))
+    }
+
+    /// The plan for `anchors` of `pattern` at radius `k`; the pivot is
+    /// drawn from the anchors.
+    pub(crate) fn for_anchors(
+        pattern: &Pattern,
+        anchors: &[PNode],
+        k: u32,
+        matches: &'m MatchList,
+    ) -> Self {
+        let analysis = PatternAnalysis::with_pivot_candidates(pattern, Some(anchors));
+        let pivot = analysis.pivot();
+        let dist = |a: PNode| analysis.distance(pivot, a);
+        let has_unreachable = anchors.iter().any(|&a| dist(a) == UNREACHABLE);
+        let max_v = anchors
+            .iter()
+            .map(|&a| dist(a))
+            .filter(|&d| d != UNREACHABLE)
+            .max()
+            .unwrap_or(0);
+        let distant = (1..=max_v.max(1) + 1)
+            .map(|i| {
+                let far = |&a: &PNode| dist(a) == UNREACHABLE || dist(a) >= i;
+                anchors.iter().copied().filter(far).collect()
+            })
+            .collect();
+        PivotPlan {
+            k,
+            matches,
+            index: PivotIndex::build(matches, pivot),
+            max_v,
+            has_unreachable,
+            distant,
+        }
+    }
+
+    /// The pattern match index the plan counts from.
+    pub(crate) fn index(&self) -> &PivotIndex {
+        &self.index
+    }
+
+    /// The matches contained in one ball: `ball` lists its nodes, all
+    /// within the plan's radius; `dist` gives a node's distance from the
+    /// ball's center, and `inside` says whether an anchor image lies in
+    /// the ball.
+    pub(crate) fn count(
+        &self,
+        ball: impl IntoIterator<Item = NodeId>,
+        dist: impl Fn(NodeId) -> u32,
+        inside: impl Fn(NodeId) -> bool,
+    ) -> u64 {
+        let k = self.k;
+        let mut total = 0u64;
+        for np in ball {
+            let bucket = self.index.get(np);
+            if bucket.is_empty() {
+                continue;
+            }
+            let d = dist(np);
+            if !self.has_unreachable && d + self.max_v <= k {
+                // Containment guaranteed: count without checking.
+                total += bucket.len() as u64;
+                continue;
+            }
+            // Only anchors that can stick out need checking: pattern
+            // distance > k - d, i.e. >= k - d + 1. Clamping to the last
+            // slot (max_v + 1) leaves exactly the disconnected anchors,
+            // which must always be checked.
+            let i = ((k - d) as usize + 1).min(self.distant.len());
+            let to_check = &self.distant[i - 1];
+            let contained = |&&mi: &&u32| {
+                let m = &self.matches[mi as usize];
+                to_check.iter().all(|&a| inside(m.image(a)))
+            };
+            total += bucket.iter().filter(contained).count() as u64;
+        }
+        total
+    }
+
+    /// [`Self::count`] for the focal node whose BFS at radius
+    /// `k_max ≥ k` is in `scratch`, with its frontier in `visited`.
+    pub(crate) fn count_focal(&self, scratch: &BfsScratch, visited: &[NodeId], k_max: u32) -> u64 {
+        let k = self.k;
+        let dist = |n: NodeId| scratch.distance(n);
+        if k >= k_max {
+            return self.count(visited.iter().copied(), dist, |img| scratch.visited(img));
+        }
+        // The frontier is in nondecreasing distance order, so the ball is
+        // a prefix of it; "visited" proves containment only at k_max, so
+        // an image's own distance is re-checked.
+        let ball = &visited[..visited.partition_point(|&n| dist(n) <= k)];
+        self.count(ball.iter().copied(), dist, |img| {
+            scratch.visited(img) && dist(img) <= k
+        })
+    }
+}
+
 /// Run ND-PVOT over precomputed global matches.
 pub fn run(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
 ) -> Result<CountVector, CensusError> {
-    run_instrumented(g, spec, matches).map(|(cv, _)| cv)
+    run_threads(g, spec, matches, 1).map(|(cv, _)| cv)
 }
 
-/// [`run`] with traversal-cost instrumentation.
-pub fn run_instrumented(
+/// [`run`] with traversal-cost instrumentation, over `threads` workers:
+/// the sweep of one plan.
+pub(crate) fn run_threads(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
+    threads: usize,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    let p = spec.pattern();
-    let k = spec.k();
-    let anchors = spec.anchor_nodes()?;
-    let analysis = PatternAnalysis::with_pivot_candidates(p, Some(&anchors));
-    let pivot = analysis.pivot();
+    let plans = [PivotPlan::new(spec, matches)?];
+    let focal = spec.focal();
+    let (mut counts, tstats) = sweep(
+        g,
+        &focal.nodes(g),
+        &focal.mask(g),
+        spec.k(),
+        &plans,
+        threads,
+    );
+    Ok((counts.pop().expect("one plan"), tstats))
+}
 
-    // max_v over ANCHORS only: non-anchor images may fall outside S(n,k).
-    // An anchor disconnected from the pivot (disconnected pattern) always
-    // needs an explicit check, so it forces the slow path via max_v = ∞.
-    let mut max_v: u32 = 0;
-    let mut has_unreachable_anchor = false;
-    for &a in &anchors {
-        let d = analysis.distance(pivot, a);
-        if d == UNREACHABLE {
-            has_unreachable_anchor = true;
-        } else {
-            max_v = max_v.max(d);
-        }
-    }
-
-    // distant[i] (1-indexed): anchors with pattern distance >= i from the
-    // pivot (or disconnected), i in 1..=max_v (+1 slot so the i = k-d+1
-    // index never overflows when d + max_v = k + 1).
-    let distant: Vec<Vec<PNode>> = (1..=max_v.max(1) as usize + 1)
-        .map(|i| {
-            anchors
-                .iter()
-                .copied()
-                .filter(|&a| {
-                    let d = analysis.distance(pivot, a);
-                    d == UNREACHABLE || d >= i as u32
-                })
-                .collect()
-        })
-        .collect();
-
-    let pmi = PivotIndex::build(matches, pivot);
-
-    let mask = spec.focal().mask(g);
-    let mut counts = CountVector::new(g.num_nodes(), mask);
-    let mut scratch = BfsScratch::new(g.num_nodes());
-    let mut visited = Vec::new();
-
-    for n in spec.focal().nodes(g) {
-        visited.clear();
-        scratch.bounded_bfs(g, n, k, &mut visited);
-        let mut total = 0u64;
-        for &np in &visited {
-            let bucket = pmi.get(np);
-            if bucket.is_empty() {
-                continue;
-            }
-            let d = scratch.distance(np);
-            if !has_unreachable_anchor && d + max_v <= k {
-                // Containment guaranteed: count without checking.
-                total += bucket.len() as u64;
-            } else {
-                // Only anchors that can stick out need checking: pattern
-                // distance > k - d, i.e. >= k - d + 1. Clamping to the last
-                // slot (max_v + 1) leaves exactly the disconnected anchors,
-                // which must always be checked.
-                let i = ((k - d) as usize + 1).min(distant.len());
-                let to_check: &[PNode] = &distant[i - 1];
-                for &mi in bucket {
-                    let m = &matches[mi as usize];
-                    let ok = to_check.iter().all(|&a| {
-                        let img = m.image(a);
-                        scratch.visited(img) // visited ⇒ within k hops of n
-                    });
-                    if ok {
-                        total += 1;
-                    }
-                }
+/// One bounded BFS at `k_max` per focal node, from which every plan
+/// counts at its own radius (each at most `k_max`); the focal nodes are
+/// split over `threads` workers. Returns one count vector per plan.
+pub(crate) fn sweep(
+    g: &Graph,
+    focal: &[NodeId],
+    mask: &[bool],
+    k_max: u32,
+    plans: &[PivotPlan<'_>],
+    threads: usize,
+) -> (Vec<CountVector>, TraversalStats) {
+    let shard = |shard: &[NodeId]| {
+        let mut counts: Vec<CountVector> = plans
+            .iter()
+            .map(|_| CountVector::new(g.num_nodes(), mask.to_vec()))
+            .collect();
+        let mut scratch = BfsScratch::new(g.num_nodes());
+        let mut visited = Vec::new();
+        for &n in shard {
+            visited.clear();
+            scratch.bounded_bfs(g, n, k_max, &mut visited);
+            for (cv, plan) in counts.iter_mut().zip(plans) {
+                cv.set(n, plan.count_focal(&scratch, &visited, k_max));
             }
         }
-        counts.set(n, total);
-    }
-    let tstats = TraversalStats {
-        edges_traversed: scratch.edges_scanned(),
-        nodes_expanded: spec.focal().count(g) as u64,
-        reinsertions: 0,
-        index_edges: 0,
+        let tstats = TraversalStats {
+            edges_traversed: scratch.edges_scanned(),
+            nodes_expanded: shard.len() as u64,
+            ..TraversalStats::default()
+        };
+        (counts, tstats)
     };
-    Ok((counts, tstats))
+    fan_out(
+        focal,
+        workers_for(focal.len(), threads),
+        shard,
+        add_censuses,
+    )
 }
 
 #[cfg(test)]

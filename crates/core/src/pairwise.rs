@@ -21,13 +21,14 @@
 //!   anchors contribute their node pairs.
 
 use crate::centers::CenterIndex;
+use crate::nd_pivot::PivotPlan;
+use crate::parallel::ExecConfig;
 use crate::result::{CensusError, CountVector};
 use crate::spec::{FocalNodes, PtConfig};
 use ego_graph::bfs::BfsScratch;
 use ego_graph::subgraph::InducedSubgraph;
 use ego_graph::{neighborhood, FastHashMap, FastHashSet, Graph, NodeId};
-use ego_matcher::{find_matches, MatcherKind};
-use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};
+use ego_matcher::{find_matches, MatchList, MatcherKind};
 use ego_pattern::{PNode, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -263,30 +264,44 @@ pub fn run_pair_census(
     run_pair_census_with(g, spec, algorithm, &PtConfig::default())
 }
 
-/// [`run_pair_census`] with explicit pattern-driven tuning.
+/// [`run_pair_census`] with explicit pattern-driven tuning: the
+/// single-threaded case of [`crate::run_pair_census_exec`].
 pub fn run_pair_census_with(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
     algorithm: crate::Algorithm,
     config: &PtConfig,
 ) -> Result<PairCounts, CensusError> {
+    crate::run_pair_census_exec(g, spec, algorithm, config, &ExecConfig::sequential())
+}
+
+/// Run `algorithm` over the global `matches` (ignored by ND-BAS).
+pub(crate) fn run_with_matches(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+    matches: &MatchList,
+    algorithm: crate::Algorithm,
+    config: &PtConfig,
+) -> Result<PairCounts, CensusError> {
     use crate::Algorithm::*;
     match algorithm {
         NdBaseline => nd_bas_pairwise(g, spec),
-        NdPivot | NdDiff => nd_pivot_pairwise(g, spec),
+        NdPivot | NdDiff => nd_pivot_pairwise(g, spec, matches),
         PtBaseline => pt_pairwise(
             g,
             spec,
+            matches,
             &PtConfig {
                 num_centers: 0,
                 clustering: crate::spec::Clustering::None,
                 ..config.clone()
             },
         ),
-        PtOpt | Auto => pt_pairwise(g, spec, config),
+        PtOpt | Auto => pt_pairwise(g, spec, matches, config),
         PtRandom => pt_pairwise(
             g,
             spec,
+            matches,
             &PtConfig {
                 ordering: crate::spec::PtOrdering::Random,
                 ..config.clone()
@@ -330,24 +345,15 @@ fn nd_bas_pairwise(g: &Graph, spec: &PairCensusSpec<'_>) -> Result<PairCounts, C
 }
 
 /// ND-PVOT, pairwise (Appendix B): per-node k-hop lists computed once,
-/// combined per pair with max/min distances.
-fn nd_pivot_pairwise(g: &Graph, spec: &PairCensusSpec<'_>) -> Result<PairCounts, CensusError> {
-    let p = spec.pattern();
+/// combined per pair with max/min distances, and counted by the same
+/// `PivotPlan` as a single-node ball.
+fn nd_pivot_pairwise(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+    matches: &MatchList,
+) -> Result<PairCounts, CensusError> {
     let k = spec.k();
-    let anchors: Vec<PNode> = spec.anchor_nodes()?;
-    let analysis = PatternAnalysis::with_pivot_candidates(p, Some(&anchors));
-    let pivot = analysis.pivot();
-    let mut max_v = 0u32;
-    let mut has_unreachable = false;
-    for &a in &anchors {
-        match analysis.distance(pivot, a) {
-            UNREACHABLE => has_unreachable = true,
-            d => max_v = max_v.max(d),
-        }
-    }
-
-    let matches = find_matches(g, p, MatcherKind::CandidateNeighbors);
-    let pmi = crate::nd_pivot::PivotIndex::build(&matches, pivot);
+    let plan = PivotPlan::for_anchors(spec.pattern(), &spec.anchor_nodes()?, k, matches);
 
     // Per participant: sorted (node, dist) k-hop list.
     let participants = spec.selector().participants(g);
@@ -375,36 +381,12 @@ fn nd_pivot_pairwise(g: &Graph, spec: &PairCensusSpec<'_>) -> Result<PairCounts,
         if combined.is_empty() {
             continue;
         }
-        // Membership set for explicit containment checks.
-        let member: FastHashSet<u32> = combined.iter().map(|&(n, _)| n.0).collect();
-        let mut total = 0u64;
-        for &(np, d) in &combined {
-            let bucket = pmi.get(np);
-            if bucket.is_empty() {
-                continue;
-            }
-            if !has_unreachable && d as u32 + max_v <= k {
-                total += bucket.len() as u64;
-            } else {
-                for &mi in bucket {
-                    let m = &matches[mi as usize];
-                    // Anchors at pattern distance > k - d can stick out of
-                    // BOTH/EITHER ball; checking membership in the combined
-                    // set is exact for both kinds.
-                    let ok = anchors.iter().all(|&x| {
-                        let dp = analysis.distance(pivot, x);
-                        if dp != UNREACHABLE && dp + d as u32 <= k {
-                            true
-                        } else {
-                            member.contains(&m.image(x).0)
-                        }
-                    });
-                    if ok {
-                        total += 1;
-                    }
-                }
-            }
-        }
+        // Membership in the combined set is exact containment for both
+        // kinds: within k of both balls, or of either.
+        let member: FastHashMap<u32, u32> =
+            combined.iter().map(|&(n, d)| (n.0, d as u32)).collect();
+        let ball = combined.iter().map(|&(n, _)| n);
+        let total = plan.count(ball, |n| member[&n.0], |img| member.contains_key(&img.0));
         if total > 0 {
             counts.add(a, b, total);
         }
@@ -458,18 +440,22 @@ fn merge_pair(
 fn pt_pairwise(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
+    matches: &MatchList,
     config: &PtConfig,
 ) -> Result<PairCounts, CensusError> {
-    let p = spec.pattern();
     let k = spec.k();
-    let matches = find_matches(g, p, MatcherKind::CandidateNeighbors);
+    let anchors: Vec<PNode> = spec.anchor_nodes()?;
+    if anchors.len() > 32 {
+        return Err(CensusError::Unsupported(format!(
+            "the pattern-driven pairwise census tracks at most 32 anchors \
+             per match in its coverage masks, this query has {}; use ND-PVOT",
+            anchors.len()
+        )));
+    }
     let mut counts = PairCounts::default();
     if matches.is_empty() {
         return Ok(counts);
     }
-    let anchors: Vec<PNode> = spec.anchor_nodes()?;
-    assert!(anchors.len() <= 32, "pattern too large for coverage masks");
-    let analysis = PatternAnalysis::new(p);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let centers = if config.num_centers > 0 {
         CenterIndex::build(g, config.num_centers, config.center_strategy, &mut rng)
@@ -477,7 +463,7 @@ fn pt_pairwise(
         CenterIndex::empty()
     };
     let groups = crate::clustering::cluster_matches(
-        &matches,
+        matches,
         &centers,
         config.clustering,
         config.max_auto_clusters,
@@ -512,8 +498,6 @@ fn pt_pairwise(
         (1u32 << anchors.len()) - 1
     };
 
-    let _ = &analysis; // pattern distances upper-bound graph distances;
-                       // exact per-anchor BFS supersedes them here.
     let mut scratch = BfsScratch::new(g.num_nodes());
     let mut buf = Vec::new();
     for group in &groups {

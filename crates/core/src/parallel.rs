@@ -1,34 +1,36 @@
 //! Unified parallel census execution (an extension beyond the paper).
 //!
-//! Every algorithm family has a natural unit of independent work, and all
-//! of them merge by plain addition — so each gains a deterministic
-//! parallel path whose counts are **bit-identical** to the sequential run:
+//! [`run_with_matches`] is the one entry point for every algorithm. Each
+//! family has a natural unit of independent work, and all of them merge
+//! by plain addition — so each has a deterministic parallel path whose
+//! counts are **bit-identical** to the sequential run:
 //!
-//! * **ND-BAS / ND-PVOT / ND-DIFF** — per-focal-node counts depend only on
-//!   that node's neighborhood, so the focal set is sharded and each worker
-//!   runs the sequential algorithm on a shard-restricted clone of the
-//!   spec (all other spec fields — subpattern, radius, pattern —
-//!   preserved verbatim). ND-DIFF keeps its differential chain *within*
-//!   each shard, with a per-worker BFS scratch.
+//! * **ND-PVOT** — per-focal-node counts depend only on that node's
+//!   neighborhood, so the focal set is sharded over the one pivot sweep
+//!   (`nd_pivot::sweep`, which the batch engine runs too).
+//! * **ND-BAS / ND-DIFF** — the focal set is sharded and each worker runs
+//!   the sequential algorithm on a shard-restricted clone of the spec
+//!   (all other spec fields — subpattern, radius, pattern — preserved
+//!   verbatim). ND-DIFF keeps its differential chain *within* each shard.
 //! * **PT-BAS** — each match contributes independent `+1`s, so the match
-//!   list is split into contiguous ranges and per-range counts are summed.
+//!   list is split into contiguous runs and their counts are summed.
 //! * **PT-OPT / PT-RND** — the seeded plan (centers + clustering) is built
 //!   once; each match *group*'s traversal contribution is additive, so
 //!   groups are partitioned across workers. The PMD relaxation converges
 //!   to the same fixed point in any pop order, so even PT-RND's
 //!   thread-local RNGs cannot change the counts (only queue-order cost
 //!   metrics such as reinsertions may shift).
-//! * **Pairwise INTERSECTION / UNION** — per-pair counts are independent
-//!   of which other pairs are in the selector, so the normalized pair list
-//!   is sharded into explicit [`PairSelector::Pairs`] sub-queries.
+//! * **Pairwise INTERSECTION / UNION** — the global match list is
+//!   enumerated once; per-pair counts are independent of which other
+//!   pairs are in the selector, so the normalized pair list is sharded
+//!   into explicit [`crate::pairwise::PairSelector::Pairs`] sub-queries.
 //!
-//! Traversal statistics merge with [`TraversalStats::add`]. For the
-//! shard/range/group parallel paths the totals equal the sequential run's
-//! (the same work is done, just partitioned); ND-DIFF is the exception —
-//! restarting the chain at each shard boundary does genuinely different
-//! (slightly more) traversal work, which the stats report faithfully.
-//!
-//! Uses `std::thread::scope` — no extra dependencies.
+//! All of them split their work with `fan_out`, the only place the
+//! census spawns threads: one chunk runs on the calling thread, more run
+//! on scoped threads and merge in chunk order. Traversal statistics merge
+//! with [`TraversalStats::add`], and their totals equal the sequential
+//! run's (the same work is done, just partitioned); ND-DIFF's restarted
+//! chains redo match-set work the counters do not measure.
 
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, FocalNodes, PtConfig, PtOrdering};
@@ -112,238 +114,90 @@ pub fn run_census_exec_instrumented(
     config: &PtConfig,
     exec: &ExecConfig,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    spec.validate(g)?;
     let threads = exec.resolve();
-    if algorithm == Algorithm::NdBaseline {
+    let matches = match algorithm {
         // ND-BAS needs no global match phase.
-        return run_nd_bas_parallel(g, spec, threads).map(|cv| (cv, TraversalStats::default()));
-    }
-    let matches = exec_matches(g, spec.pattern(), threads);
+        Algorithm::NdBaseline => MatchList::default(),
+        _ => exec_matches(g, spec.pattern(), threads),
+    };
+    run_with_matches(g, spec, &matches, algorithm, config, threads)
+}
+
+/// Run `algorithm` over precomputed global `matches` (ignored by ND-BAS)
+/// with `threads` workers. Counts are identical at every thread count.
+pub fn run_with_matches(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    matches: &MatchList,
+    algorithm: Algorithm,
+    config: &PtConfig,
+    threads: usize,
+) -> Result<(CountVector, TraversalStats), CensusError> {
+    spec.validate(g)?;
     match algorithm {
-        Algorithm::NdBaseline => unreachable!("handled above"),
-        Algorithm::NdPivot => run_nd_pivot_parallel_instrumented(g, spec, &matches, threads),
-        Algorithm::NdDiff => run_nd_diff_parallel_instrumented(g, spec, &matches, threads),
-        Algorithm::PtBaseline => run_pt_bas_parallel_instrumented(g, spec, &matches, threads),
-        Algorithm::PtOpt => run_pt_opt_parallel_instrumented(g, spec, &matches, config, threads),
+        Algorithm::NdBaseline => {
+            focal_shards(g, spec, threads, |s| crate::nd_bas::run_instrumented(g, s))
+        }
+        Algorithm::NdPivot => crate::nd_pivot::run_threads(g, spec, matches, threads),
+        Algorithm::NdDiff => focal_shards(g, spec, threads, |s| {
+            crate::nd_diff::run_instrumented(g, s, matches)
+        }),
+        Algorithm::PtBaseline => fan_out(
+            matches.matches(),
+            workers_for(matches.len(), threads),
+            |part| crate::pt_bas::run_slice(g, spec, part),
+            first_error(add_census),
+        ),
+        Algorithm::PtOpt => crate::pt_opt::run_threads(g, spec, matches, config, threads),
         Algorithm::PtRandom => {
             let cfg = PtConfig {
                 ordering: PtOrdering::Random,
                 ..config.clone()
             };
-            run_pt_opt_parallel_instrumented(g, spec, &matches, &cfg, threads)
+            crate::pt_opt::run_threads(g, spec, matches, &cfg, threads)
         }
-        Algorithm::Auto => match crate::chooser::choose(g, spec, &matches) {
-            Algorithm::PtOpt => {
-                run_pt_opt_parallel_instrumented(g, spec, &matches, config, threads)
-            }
-            _ => run_nd_pivot_parallel_instrumented(g, spec, &matches, threads),
-        },
+        Algorithm::Auto => {
+            let chosen = crate::chooser::choose(g, spec, matches);
+            run_with_matches(g, spec, matches, chosen, config, threads)
+        }
     }
 }
 
-/// Shard the focal set and run `run_shard` on a spec clone restricted to
-/// each shard. `run_shard(spec)` must produce counts that depend only on
-/// the spec's own focal nodes; shard counts then merge by addition
-/// (shards are disjoint, so each node is written by exactly one worker).
-fn focal_shard_run<F>(
+/// Run `run` on clones of `spec` restricted to shards of its focal set.
+/// Its counts must depend only on the spec's own focal nodes; shards are
+/// disjoint, so each node is written by exactly one worker.
+fn focal_shards<F>(
     g: &Graph,
     spec: &CensusSpec<'_>,
     threads: usize,
-    run_shard: F,
+    run: F,
 ) -> Result<(CountVector, TraversalStats), CensusError>
 where
     F: Fn(&CensusSpec<'_>) -> Result<(CountVector, TraversalStats), CensusError> + Sync,
 {
-    let threads = threads.max(1);
     let focal = spec.focal().nodes(g);
-    if threads == 1 || focal.len() < 2 * threads {
-        return run_shard(spec);
-    }
-    spec.validate(g)?;
-
-    let chunk = focal.len().div_ceil(threads);
-    let shards: Vec<&[NodeId]> = focal.chunks(chunk).collect();
-
-    let results: Vec<Result<(CountVector, TraversalStats), CensusError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    // Clone the whole spec so every field (subpattern,
-                    // radius, pattern — and anything added later) carries
-                    // over; only the focal set is overridden.
-                    let shard_spec = spec.clone().with_focal(FocalNodes::Set(shard.to_vec()));
-                    let run_shard = &run_shard;
-                    scope.spawn(move || run_shard(&shard_spec))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census worker panicked"))
-                .collect()
-        });
-
-    let mask = spec.focal().mask(g);
-    let mut merged = CountVector::new(g.num_nodes(), mask);
-    let mut tstats = TraversalStats::default();
-    for r in results {
-        let (cv, ts) = r?;
-        merged.merge_add(&cv);
-        tstats.add(&ts);
-    }
-    Ok((merged, tstats))
+    let shard = |shard: &[NodeId]| {
+        if shard.len() == focal.len() {
+            return run(spec); // one chunk: the spec as given
+        }
+        // Clone the whole spec so every field (subpattern, radius,
+        // pattern — and anything added later) carries over; only the
+        // focal set is overridden.
+        run(&spec.clone().with_focal(FocalNodes::Set(shard.to_vec())))
+    };
+    fan_out(
+        &focal,
+        workers_for(focal.len(), threads),
+        shard,
+        first_error(add_census),
+    )
 }
 
-/// Run ND-BAS with `threads` workers over focal shards. Identical counts
-/// to the sequential [`crate::nd_bas::run`].
-pub fn run_nd_bas_parallel(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    threads: usize,
-) -> Result<CountVector, CensusError> {
-    focal_shard_run(g, spec, threads, |s| {
-        crate::nd_bas::run(g, s).map(|cv| (cv, TraversalStats::default()))
-    })
-    .map(|(cv, _)| cv)
-}
-
-/// Run ND-PVOT with `threads` worker threads. Results are identical to
-/// the sequential [`crate::nd_pivot::run`].
-pub fn run_nd_pivot_parallel(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    threads: usize,
-) -> Result<CountVector, CensusError> {
-    run_nd_pivot_parallel_instrumented(g, spec, matches, threads).map(|(cv, _)| cv)
-}
-
-/// [`run_nd_pivot_parallel`] with merged per-thread traversal statistics.
-pub fn run_nd_pivot_parallel_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    threads: usize,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    focal_shard_run(g, spec, threads, |s| {
-        crate::nd_pivot::run_instrumented(g, s, matches)
-    })
-}
-
-/// Run ND-DIFF with `threads` workers: each shard runs its own
-/// differential chain (per-worker BFS scratch), which restarts at the
-/// shard boundary but produces exactly the sequential counts — each
-/// node's count is its neighborhood's match total regardless of how the
-/// chain reached it.
-pub fn run_nd_diff_parallel(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    threads: usize,
-) -> Result<CountVector, CensusError> {
-    run_nd_diff_parallel_instrumented(g, spec, matches, threads).map(|(cv, _)| cv)
-}
-
-/// [`run_nd_diff_parallel`] with merged per-thread traversal statistics.
-pub fn run_nd_diff_parallel_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    threads: usize,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    focal_shard_run(g, spec, threads, |s| {
-        crate::nd_diff::run_instrumented(g, s, matches)
-    })
-}
-
-/// Run PT-BAS with `threads` workers over contiguous match ranges.
-/// Identical counts to the sequential [`crate::pt_bas::run`].
-pub fn run_pt_bas_parallel(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    threads: usize,
-) -> Result<CountVector, CensusError> {
-    run_pt_bas_parallel_instrumented(g, spec, matches, threads).map(|(cv, _)| cv)
-}
-
-/// [`run_pt_bas_parallel`] with merged per-thread traversal statistics.
-pub fn run_pt_bas_parallel_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    threads: usize,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    let threads = threads.max(1);
-    let n = matches.len();
-    if threads == 1 || n < 2 * threads {
-        return crate::pt_bas::run_instrumented(g, spec, matches);
-    }
-    spec.validate(g)?;
-
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(n))
-        .collect();
-
-    let results: Vec<Result<(CountVector, TraversalStats), CensusError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    scope.spawn(move || {
-                        crate::pt_bas::run_range_instrumented(g, spec, matches, range)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("census worker panicked"))
-                .collect()
-        });
-
-    let mut merged = CountVector::new(g.num_nodes(), spec.focal().mask(g));
-    let mut tstats = TraversalStats::default();
-    for r in results {
-        let (cv, ts) = r?;
-        merged.merge_add(&cv);
-        tstats.add(&ts);
-    }
-    Ok((merged, tstats))
-}
-
-/// Run PT-OPT (or PT-RND via `config.ordering`) with `threads` workers
-/// over partitions of the match clustering. The seeded plan (centers +
-/// K-means groups) is built once, exactly as the sequential path builds
-/// it; group traversals then contribute additively. Identical counts to
-/// the sequential [`crate::pt_opt::run`].
-pub fn run_pt_opt_parallel(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    config: &PtConfig,
-    threads: usize,
-) -> Result<CountVector, CensusError> {
-    run_pt_opt_parallel_instrumented(g, spec, matches, config, threads).map(|(cv, _)| cv)
-}
-
-/// [`run_pt_opt_parallel`] with merged per-thread traversal statistics.
-pub fn run_pt_opt_parallel_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    config: &PtConfig,
-    threads: usize,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    crate::pt_opt::run_threads(g, spec, matches, config, threads)
-}
-
-/// Run a pairwise census query under an [`ExecConfig`]: the normalized
-/// pair list is sharded into explicit [`crate::pairwise::PairSelector::Pairs`]
-/// sub-queries evaluated sequentially per worker. Per-pair counts do not
-/// depend on which other pairs are selected, so the merged result is
-/// identical to [`crate::pairwise::run_pair_census_with`].
+/// Run a pairwise census query under an [`ExecConfig`]: the global match
+/// list is enumerated once, then the normalized pair list is sharded
+/// into explicit [`crate::pairwise::PairSelector::Pairs`] sub-queries
+/// over it. Per-pair counts do not depend on which other pairs are
+/// selected, so the merged result is identical at every thread count.
 pub fn run_pair_census_exec(
     g: &Graph,
     spec: &crate::pairwise::PairCensusSpec<'_>,
@@ -351,24 +205,61 @@ pub fn run_pair_census_exec(
     config: &PtConfig,
     exec: &ExecConfig,
 ) -> Result<crate::pairwise::PairCounts, CensusError> {
-    use crate::pairwise::{run_pair_census_with, PairCounts, PairSelector};
+    use crate::pairwise::{self, PairCounts, PairSelector};
     let threads = exec.resolve().max(1);
+    let matches = match algorithm {
+        Algorithm::NdBaseline => MatchList::default(),
+        _ => exec_matches(g, spec.pattern(), threads),
+    };
     let pairs = spec.selector().pairs(g);
-    if threads == 1 || pairs.len() < 2 * threads {
-        return run_pair_census_with(g, spec, algorithm, config);
+    let shard = |shard: &[(NodeId, NodeId)]| {
+        if shard.len() == pairs.len() {
+            // One chunk: the spec as given, never a copy of every pair.
+            return pairwise::run_with_matches(g, spec, &matches, algorithm, config);
+        }
+        let shard_spec = spec
+            .clone()
+            .with_selector(PairSelector::Pairs(shard.to_vec()));
+        pairwise::run_with_matches(g, &shard_spec, &matches, algorithm, config)
+    };
+    fan_out(
+        &pairs,
+        workers_for(pairs.len(), threads),
+        shard,
+        first_error(|acc: &mut PairCounts, part| acc.merge_add(&part)),
+    )
+}
+
+/// How many workers `len` independent items are split over: all
+/// `threads` once each gets at least two items, else one.
+pub(crate) fn workers_for(len: usize, threads: usize) -> usize {
+    if len < 2 * threads {
+        1
+    } else {
+        threads
     }
+}
 
-    let chunk = pairs.len().div_ceil(threads);
-    let shards: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk).collect();
-
-    let results: Vec<Result<PairCounts, CensusError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let shard_spec = spec
-                    .clone()
-                    .with_selector(PairSelector::Pairs(shard.to_vec()));
-                scope.spawn(move || run_pair_census_with(g, &shard_spec, algorithm, config))
+/// Cut `items` into `workers` consecutive chunks of `len.div_ceil(workers)`
+/// items, run `work` on each — on the calling thread when that leaves a
+/// single chunk, else one scoped thread per chunk — and fold the results
+/// in chunk order with `merge`. The one place the census spawns threads.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    work: impl Fn(&[T]) -> R + Sync,
+    mut merge: impl FnMut(&mut R, R),
+) -> R {
+    let chunk = items.len().div_ceil(workers.max(1));
+    if chunk >= items.len() {
+        return work(items);
+    }
+    let results: Vec<R> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|c| {
+                let work = &work;
+                scope.spawn(move || work(c))
             })
             .collect();
         handles
@@ -376,12 +267,41 @@ pub fn run_pair_census_exec(
             .map(|h| h.join().expect("census worker panicked"))
             .collect()
     });
-
-    let mut merged = PairCounts::default();
+    let mut results = results.into_iter();
+    let mut acc = results.next().expect("at least two chunks");
     for r in results {
-        merged.merge_add(&r?);
+        merge(&mut acc, r);
     }
-    Ok(merged)
+    acc
+}
+
+/// Lift a merge of values to a merge of results: the first error (in
+/// chunk order) wins.
+fn first_error<T>(
+    add: impl Fn(&mut T, T),
+) -> impl FnMut(&mut Result<T, CensusError>, Result<T, CensusError>) {
+    move |acc, part| match (acc.as_mut(), part) {
+        (Ok(a), Ok(b)) => add(a, b),
+        (Ok(_), Err(e)) => *acc = Err(e),
+        (Err(_), _) => {}
+    }
+}
+
+/// Merge a single-spec census by addition.
+fn add_census(acc: &mut (CountVector, TraversalStats), part: (CountVector, TraversalStats)) {
+    acc.0.merge_add(&part.0);
+    acc.1.add(&part.1);
+}
+
+/// Merge a multi-spec census (one count vector per spec) by addition.
+pub(crate) fn add_censuses(
+    acc: &mut (Vec<CountVector>, TraversalStats),
+    part: (Vec<CountVector>, TraversalStats),
+) {
+    for (cv, p) in acc.0.iter_mut().zip(&part.0) {
+        cv.merge_add(p);
+    }
+    acc.1.add(&part.1);
 }
 
 #[cfg(test)]
@@ -391,6 +311,17 @@ mod tests {
     use crate::pairwise::{PairCensusSpec, PairSelector};
     use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
+
+    /// [`run_with_matches`]'s counts under the default config.
+    fn counts(
+        g: &Graph,
+        spec: &CensusSpec<'_>,
+        m: &MatchList,
+        algorithm: Algorithm,
+        threads: usize,
+    ) -> Result<CountVector, CensusError> {
+        run_with_matches(g, spec, m, algorithm, &PtConfig::default(), threads).map(|(cv, _)| cv)
+    }
 
     fn ring_with_chords(n: u32) -> Graph {
         let mut b = GraphBuilder::undirected();
@@ -410,7 +341,7 @@ mod tests {
         let spec = CensusSpec::single(&p, 2);
         let seq = crate::nd_pivot::run(&g, &spec, &m).unwrap();
         for threads in [2, 3, 8] {
-            let par = run_nd_pivot_parallel(&g, &spec, &m, threads).unwrap();
+            let par = counts(&g, &spec, &m, Algorithm::NdPivot, threads).unwrap();
             for n in g.node_ids() {
                 assert_eq!(par.get(n), seq.get(n), "threads={threads} node={n:?}");
             }
@@ -423,7 +354,7 @@ mod tests {
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
         let m = global_matches(&g, &p);
         let spec = CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(vec![NodeId(3)]));
-        let cv = run_nd_pivot_parallel(&g, &spec, &m, 8).unwrap();
+        let cv = counts(&g, &spec, &m, Algorithm::NdPivot, 8).unwrap();
         assert!(cv.get(NodeId(3)) > 0);
     }
 
@@ -434,7 +365,7 @@ mod tests {
         let m = global_matches(&g, &p);
         let spec = CensusSpec::single(&p, 1).with_subpattern("s");
         let seq = crate::nd_pivot::run(&g, &spec, &m).unwrap();
-        let par = run_nd_pivot_parallel(&g, &spec, &m, 4).unwrap();
+        let par = counts(&g, &spec, &m, Algorithm::NdPivot, 4).unwrap();
         for n in g.node_ids() {
             assert_eq!(par.get(n), seq.get(n));
         }
@@ -449,19 +380,19 @@ mod tests {
         let config = PtConfig::default();
         for threads in [2, 4, 7] {
             let seq = crate::nd_bas::run(&g, &spec).unwrap();
-            let par = run_nd_bas_parallel(&g, &spec, threads).unwrap();
+            let par = counts(&g, &spec, &m, Algorithm::NdBaseline, threads).unwrap();
             assert_eq!(par, seq, "nd_bas threads={threads}");
 
             let seq = crate::nd_diff::run(&g, &spec, &m).unwrap();
-            let par = run_nd_diff_parallel(&g, &spec, &m, threads).unwrap();
+            let par = counts(&g, &spec, &m, Algorithm::NdDiff, threads).unwrap();
             assert_eq!(par, seq, "nd_diff threads={threads}");
 
             let seq = crate::pt_bas::run(&g, &spec, &m).unwrap();
-            let par = run_pt_bas_parallel(&g, &spec, &m, threads).unwrap();
+            let par = counts(&g, &spec, &m, Algorithm::PtBaseline, threads).unwrap();
             assert_eq!(par, seq, "pt_bas threads={threads}");
 
             let seq = crate::pt_opt::run(&g, &spec, &m, &config).unwrap();
-            let par = run_pt_opt_parallel(&g, &spec, &m, &config, threads).unwrap();
+            let par = counts(&g, &spec, &m, Algorithm::PtOpt, threads).unwrap();
             assert_eq!(par, seq, "pt_opt threads={threads}");
         }
     }
@@ -474,7 +405,15 @@ mod tests {
         let spec = CensusSpec::single(&p, 1);
         let (_, seq) = crate::pt_bas::run_instrumented(&g, &spec, &m).unwrap();
         for threads in [2, 5] {
-            let (_, par) = run_pt_bas_parallel_instrumented(&g, &spec, &m, threads).unwrap();
+            let (_, par) = run_with_matches(
+                &g,
+                &spec,
+                &m,
+                Algorithm::PtBaseline,
+                &PtConfig::default(),
+                threads,
+            )
+            .unwrap();
             assert_eq!(
                 par.edges_traversed, seq.edges_traversed,
                 "threads={threads}"
@@ -551,6 +490,6 @@ mod tests {
         // spec cloning for the rejection to fire on every worker.
         let p2 = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }").unwrap();
         let spec = CensusSpec::single(&p2, 1).with_subpattern("s");
-        assert!(run_nd_diff_parallel(&g, &spec, &m, 4).is_err());
+        assert!(counts(&g, &spec, &m, Algorithm::NdDiff, 4).is_err());
     }
 }

@@ -11,7 +11,7 @@ use crate::spec::CensusSpec;
 use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::{Graph, NodeId};
-use ego_matcher::MatchList;
+use ego_matcher::{MatchList, PatternMatch};
 
 /// Run PT-BAS over precomputed global matches.
 pub fn run(
@@ -28,33 +28,30 @@ pub fn run_instrumented(
     spec: &CensusSpec<'_>,
     matches: &MatchList,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    run_range_instrumented(g, spec, matches, 0..matches.len())
+    run_slice(g, spec, matches.matches())
 }
 
-/// [`run_instrumented`] restricted to a contiguous match-index range — the
+/// [`run_instrumented`] over a contiguous run of the matches — the
 /// building block of the parallel layer. Every match contributes
-/// independently (pure `counts.increment`), so running disjoint ranges and
-/// summing the per-range counts reproduces the full run exactly.
-pub(crate) fn run_range_instrumented(
+/// independently (pure `counts.increment`), so running disjoint runs and
+/// summing their counts reproduces the full run exactly.
+pub(crate) fn run_slice(
     g: &Graph,
     spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    range: std::ops::Range<usize>,
+    matches: &[PatternMatch],
 ) -> Result<(CountVector, TraversalStats), CensusError> {
     let k = spec.k();
     let anchors = spec.anchor_nodes()?;
     let mask = spec.focal().mask(g);
     let mut counts = CountVector::new(g.num_nodes(), mask.clone());
     let mut scratch = BfsScratch::new(g.num_nodes());
-    let num_matches = range.len();
 
     // Per-anchor k-hop membership, rebuilt per match (the baseline's
     // repeated work). Sorted vectors; containment via binary search.
     let mut khops: Vec<Vec<NodeId>> = Vec::new();
     let mut buf = Vec::new();
 
-    for mi in range {
-        let m = &matches[mi];
+    for m in matches {
         // Distinct anchor images (anchors of one match are distinct nodes,
         // but COUNTSP anchors may be a subset).
         let anchor_imgs: Vec<NodeId> = anchors.iter().map(|&a| m.image(a)).collect();
@@ -87,7 +84,7 @@ pub(crate) fn run_range_instrumented(
     }
     let tstats = TraversalStats {
         edges_traversed: scratch.edges_scanned(),
-        nodes_expanded: (num_matches * anchors.len()) as u64,
+        nodes_expanded: (matches.len() * anchors.len()) as u64,
         reinsertions: 0,
         index_edges: 0,
     };

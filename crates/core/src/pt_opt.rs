@@ -26,6 +26,7 @@
 use crate::bucket_queue::BucketQueue;
 use crate::centers::CenterIndex;
 use crate::clustering::cluster_matches;
+use crate::parallel::{add_censuses, fan_out};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
@@ -189,30 +190,7 @@ pub(crate) fn run_groups(
         }
         (counts, ts)
     };
-    if threads <= 1 || groups.len() < 2 {
-        // A single chunk runs where it is: no thread to spawn and join.
-        return run_chunk(groups);
-    }
-    let chunk = groups.len().div_ceil(threads.min(groups.len()));
-    let results: Vec<(Vec<CountVector>, TraversalStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || run_chunk(c)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("census worker panicked"))
-            .collect()
-    });
-    let mut merged = results.into_iter();
-    let (mut counts, mut tstats) = merged.next().expect("at least one chunk");
-    for (local, ts) in merged {
-        tstats.add(&ts);
-        for (cv, l) in counts.iter_mut().zip(&local) {
-            cv.merge_add(l);
-        }
-    }
-    (counts, tstats)
+    fan_out(groups, threads.min(groups.len()), run_chunk, add_censuses)
 }
 
 /// Queue abstraction: bucket best-first (PT-OPT) or random pop (PT-RND).

@@ -51,13 +51,18 @@ impl CountVector {
         self.counts[n.index()] = value;
     }
 
-    /// Add every count of `other` into `self` (element-wise). The merge
-    /// step of the parallel runners: shards with disjoint focal sets and
-    /// additive per-match/per-group partitions both merge by addition.
+    /// Add every count of `other` into `self` (element-wise), and make
+    /// its focal nodes focal here too. The merge step of the parallel
+    /// runners: shards with disjoint focal sets merge into their union,
+    /// additive per-match/per-group partitions (one focal set) by
+    /// addition.
     pub fn merge_add(&mut self, other: &CountVector) {
         debug_assert_eq!(self.counts.len(), other.counts.len());
         for (dst, &src) in self.counts.iter_mut().zip(&other.counts) {
             *dst += src;
+        }
+        for (dst, &src) in self.focal.iter_mut().zip(&other.focal) {
+            *dst |= src;
         }
     }
 

@@ -14,10 +14,11 @@
 //!    (every node within k hops contributes at least once), so `g_k` is
 //!    a valid upper bound computable in `k` passes over the edges —
 //!    no per-node BFS.
-//! 3. Evaluate nodes exactly (ND-PVOT's per-node step) in decreasing
-//!    `g_k` order; stop when the k-th best exact count ≥ the next bound.
+//! 3. Evaluate nodes exactly (ND-PVOT's per-node step, the same
+//!    `PivotPlan` the census sweep counts with) in decreasing `g_k`
+//!    order; stop when the k-th best exact count ≥ the next bound.
 
-use crate::nd_pivot::PivotIndex;
+use crate::nd_pivot::PivotPlan;
 use crate::result::CensusError;
 use crate::spec::CensusSpec;
 use ego_graph::bfs::BfsScratch;
@@ -42,17 +43,13 @@ pub fn top_k_census(
     matches: &MatchList,
     k_results: usize,
 ) -> Result<TopKResult, CensusError> {
-    let p = spec.pattern();
     let k = spec.k();
-    let anchors = spec.anchor_nodes()?;
-    let analysis = ego_pattern::analysis::PatternAnalysis::with_pivot_candidates(p, Some(&anchors));
-    let pivot = analysis.pivot();
-    let pmi = PivotIndex::build(matches, pivot);
+    let plan = PivotPlan::new(spec, matches)?;
 
     // Upper bound g_k via k rounds of neighbor aggregation.
     let n = g.num_nodes();
     let mut bound: Vec<u64> = (0..n as u32)
-        .map(|i| pmi.get(NodeId(i)).len() as u64)
+        .map(|i| plan.index().get(NodeId(i)).len() as u64)
         .collect();
     let mut next = vec![0u64; n];
     for _ in 0..k {
@@ -71,7 +68,6 @@ pub fn top_k_census(
     order.sort_by_key(|&nd| (std::cmp::Reverse(bound[nd.index()]), nd));
 
     // Exact evaluation with threshold cutoff.
-    let max_v_info = exact_eval_setup(&analysis, &anchors);
     let mut scratch = BfsScratch::new(n);
     let mut visited = Vec::new();
     let mut top: Vec<(NodeId, u64)> = Vec::new();
@@ -95,96 +91,13 @@ pub fn top_k_census(
             }
         }
         evaluated += 1;
-        let count = exact_count(
-            g,
-            spec,
-            matches,
-            &pmi,
-            &max_v_info,
-            &mut scratch,
-            &mut visited,
-            node,
-        );
+        visited.clear();
+        scratch.bounded_bfs(g, node, k, &mut visited);
+        let count = plan.count_focal(&scratch, &visited, k);
         insert_top(&mut top, (node, count), k_results);
     }
 
     Ok(TopKResult { top, evaluated })
-}
-
-struct ExactInfo {
-    max_v: u32,
-    has_unreachable: bool,
-    distant: Vec<Vec<ego_pattern::PNode>>,
-}
-
-fn exact_eval_setup(
-    analysis: &ego_pattern::analysis::PatternAnalysis,
-    anchors: &[ego_pattern::PNode],
-) -> ExactInfo {
-    use ego_pattern::analysis::UNREACHABLE;
-    let pivot = analysis.pivot();
-    let mut max_v = 0u32;
-    let mut has_unreachable = false;
-    for &a in anchors {
-        match analysis.distance(pivot, a) {
-            UNREACHABLE => has_unreachable = true,
-            d => max_v = max_v.max(d),
-        }
-    }
-    let distant = (1..=max_v.max(1) as usize + 1)
-        .map(|i| {
-            anchors
-                .iter()
-                .copied()
-                .filter(|&a| {
-                    let d = analysis.distance(pivot, a);
-                    d == UNREACHABLE || d >= i as u32
-                })
-                .collect()
-        })
-        .collect();
-    ExactInfo {
-        max_v,
-        has_unreachable,
-        distant,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exact_count(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    pmi: &PivotIndex,
-    info: &ExactInfo,
-    scratch: &mut BfsScratch,
-    visited: &mut Vec<NodeId>,
-    node: NodeId,
-) -> u64 {
-    let k = spec.k();
-    visited.clear();
-    scratch.bounded_bfs(g, node, k, visited);
-    let mut total = 0u64;
-    for &np in visited.iter() {
-        let bucket = pmi.get(np);
-        if bucket.is_empty() {
-            continue;
-        }
-        let d = scratch.distance(np);
-        if !info.has_unreachable && d + info.max_v <= k {
-            total += bucket.len() as u64;
-        } else {
-            let i = ((k - d) as usize + 1).min(info.distant.len());
-            let to_check = &info.distant[i - 1];
-            for &mi in bucket {
-                let m = &matches[mi as usize];
-                if to_check.iter().all(|&a| scratch.visited(m.image(a))) {
-                    total += 1;
-                }
-            }
-        }
-    }
-    total
 }
 
 fn insert_top(top: &mut Vec<(NodeId, u64)>, entry: (NodeId, u64), k: usize) {

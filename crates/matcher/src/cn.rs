@@ -13,14 +13,14 @@ use crate::candidates::CandidateSpace;
 use crate::filter::passes_filters;
 use crate::stats::MatchStats;
 use ego_graph::profile::ProfileIndex;
-use ego_graph::{setops, FastHashSet, Graph, NodeId};
+use ego_graph::{setops, Graph, NodeId};
 use ego_pattern::{Pattern, SearchOrder};
 
 /// Reusable buffers for the forward-extraction phase: a pool of per-depth
 /// candidate lists (returned on backtrack, taken on descent) and a
 /// ping-pong buffer for chained intersections. One extraction allocates
-/// at most `pattern depth + 1` vectors over its whole lifetime; batched
-/// census runs share one scratch across all focal neighborhoods.
+/// at most `pattern depth + 1` vectors over its whole lifetime; parallel
+/// extraction gives each worker one scratch for all its subtrees.
 #[derive(Default)]
 pub struct ExtractScratch {
     pool: Vec<Vec<NodeId>>,
@@ -86,26 +86,6 @@ fn extract(
 ) -> Vec<Vec<NodeId>> {
     let order = SearchOrder::new(p);
     let mut scratch = ExtractScratch::default();
-    extract_with(g, p, cs, &order, None, stats, &mut scratch)
-}
-
-/// Forward extraction with an optional membership restriction: when
-/// `membership` is `Some(set)`, only embeddings whose every image lies in
-/// the set are enumerated (candidates outside it are dropped at each
-/// depth, so restricted extraction never walks the excluded space). This
-/// is the batched-census entry point: the candidate space and search
-/// order are built once per (graph, pattern) and reused across all
-/// per-focal neighborhoods.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extract_with(
-    g: &Graph,
-    p: &Pattern,
-    cs: &CandidateSpace,
-    order: &SearchOrder,
-    membership: Option<&FastHashSet<u32>>,
-    stats: &mut MatchStats,
-    scratch: &mut ExtractScratch,
-) -> Vec<Vec<NodeId>> {
     let np = p.num_nodes();
     let mut out = Vec::new();
     // assignment indexed by pattern node id; usize::MAX sentinel via Option
@@ -114,7 +94,7 @@ pub(crate) fn extract_with(
     let mut stack_iters: Vec<Vec<NodeId>> = Vec::with_capacity(np);
 
     // Depth-first product over per-depth candidate lists.
-    let first = candidates_for_depth(g, p, cs, order, membership, 0, &assignment, stats, scratch);
+    let first = candidates_for_depth(cs, &order, 0, &assignment, stats, &mut scratch);
     stack_iters.push(first);
     let mut cursor = vec![0usize; 1];
 
@@ -149,17 +129,8 @@ pub(crate) fn extract_with(
             *cursor.last_mut().unwrap() += 1;
         } else {
             stats.partial_matches += 1;
-            let next = candidates_for_depth(
-                g,
-                p,
-                cs,
-                order,
-                membership,
-                depth + 1,
-                &assignment,
-                stats,
-                scratch,
-            );
+            let next =
+                candidates_for_depth(cs, &order, depth + 1, &assignment, stats, &mut scratch);
             stack_iters.push(next);
             cursor.push(0);
         }
@@ -174,13 +145,9 @@ pub(crate) fn extract_with(
 /// the candidate-neighbor sets of its already-matched pattern neighbors
 /// (or the full alive candidate list when it has none — the first node,
 /// or a new component of a disconnected pattern).
-#[allow(clippy::too_many_arguments)]
 fn candidates_for_depth(
-    _g: &Graph,
-    _p: &Pattern,
     cs: &CandidateSpace,
     order: &SearchOrder,
-    membership: Option<&FastHashSet<u32>>,
     depth: usize,
     assignment: &[NodeId],
     stats: &mut MatchStats,
@@ -192,9 +159,6 @@ fn candidates_for_depth(
         let mut all = scratch.take();
         all.extend(cs.alive_candidates(v));
         stats.extension_candidates_scanned += all.len();
-        if let Some(members) = membership {
-            all.retain(|n| members.contains(&n.0));
-        }
         return all;
     }
     // Start from the smallest CN list, then intersect with the rest
@@ -223,9 +187,6 @@ fn candidates_for_depth(
         stats.extension_candidates_scanned += l.len().min(current.len());
         setops::intersect_into(&current, l, &mut scratch.tmp, &mut stats.setops);
         std::mem::swap(&mut current, &mut scratch.tmp);
-    }
-    if let Some(members) = membership {
-        current.retain(|n| members.contains(&n.0));
     }
     current
 }

@@ -45,14 +45,11 @@ pub mod cn;
 pub mod filter;
 pub mod gql;
 pub mod matches;
-pub mod neighborhood;
 pub mod parallel;
 pub mod spath;
 pub mod stats;
 
-pub use cn::ExtractScratch;
 pub use matches::{MatchList, PatternMatch};
-pub use neighborhood::NeighborhoodMatcher;
 pub use stats::MatchStats;
 
 use ego_graph::{Graph, NodeId};

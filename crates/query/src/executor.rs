@@ -690,18 +690,20 @@ impl<'g> QueryEngine<'g> {
                 for stage in &c.stages {
                     let name = |i: &usize| c.jobs[*i].pattern.as_str();
                     let detail = match stage {
-                        BatchStage::NdSweep {
-                            pivot,
-                            baseline,
-                            k_max,
-                        } => {
-                            let members: Vec<&str> =
-                                pivot.iter().chain(baseline).map(name).collect();
+                        BatchStage::NdSweep { pivot, k_max } => {
+                            let members: Vec<&str> = pivot.iter().map(name).collect();
                             format!(
-                                "nd-sweep {} 1 BFS sweep/focal @k={k_max} pivot={} baseline={}",
+                                "nd-sweep {} 1 BFS sweep/focal @k={k_max} pivot={}",
                                 members.join("+"),
-                                pivot.len(),
-                                baseline.len()
+                                pivot.len()
+                            )
+                        }
+                        BatchStage::NdBaseline { specs: idxs } => {
+                            let members: Vec<&str> = idxs.iter().map(name).collect();
+                            format!(
+                                "nd-bas {} 1 subgraph match/focal per pattern ({} patterns)",
+                                members.join("+"),
+                                idxs.len()
                             )
                         }
                         BatchStage::PtGroup { specs: idxs, k } => {

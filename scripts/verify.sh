@@ -128,6 +128,41 @@ else
     "wide-cluster shape SKIPPED (needs 11 GB available)"
 fi
 
+echo "==> ND kernel equivalence (node-driven family, byte-identical CSVs; a prefix radius; top-k)"
+# ND-PVOT's containment rule and per-focal sweep exist once (single
+# pattern, batch, top-k, pairwise); ND-BAS and ND-DIFF keep their own
+# kernels. Every CSV must match ND-PVOT's at one thread, byte for byte.
+nd_check() { # $1 = sql, $2 = label
+  ./target/release/egocensus query "$tmpdir/g.txt" --algorithm nd-pivot --threads 1 --csv "$1" \
+    >"$tmpdir/nd_ref.csv"
+  for algo in nd-bas nd-pivot nd-diff; do
+    for t in 1 4; do
+      ./target/release/egocensus query "$tmpdir/g.txt" --algorithm "$algo" --threads "$t" --csv "$1" \
+        >"$tmpdir/nd_got.csv" \
+        || { echo "FAIL: $2: --algorithm $algo --threads $t did not answer"; exit 1; }
+      cmp -s "$tmpdir/nd_ref.csv" "$tmpdir/nd_got.csv" \
+        || { echo "FAIL: $2: --algorithm $algo --threads $t diverges from ND-PVOT"; exit 1; }
+    done
+  done
+}
+nd_check 'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' "one aggregate"
+# Radii 1 and 2 in one statement: one sweep at k = 2 serves radius 1 as
+# a prefix of its frontier.
+nd_check 'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 2)), COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' \
+  "two radii, one sweep"
+# Top-k counts with the same containment rule: its list is the census's head.
+tri='PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }'
+./target/release/egocensus topk "$tmpdir/g.txt" --pattern "$tri" --k 2 --top 10 \
+  | sed -n 's/^  node \([0-9]*\): \([0-9]*\)$/\1,\2/p' >"$tmpdir/topk.csv"
+./target/release/egocensus query "$tmpdir/g.txt" --csv --define "$tri" \
+  'SELECT ID, COUNTP(tri, SUBGRAPH(ID, 2)) FROM nodes ORDER BY 2 DESC, 1 LIMIT 10' \
+  | tail -n +2 >"$tmpdir/topk_sql.csv"
+[ "$(wc -l <"$tmpdir/topk.csv")" -eq 10 ] \
+  || { echo "FAIL: topk --top 10 should list ten nodes"; exit 1; }
+cmp -s "$tmpdir/topk.csv" "$tmpdir/topk_sql.csv" \
+  || { echo "FAIL: topk diverges from the census's ORDER BY ... LIMIT 10"; exit 1; }
+echo "    ND-BAS / ND-PVOT / ND-DIFF agree byte-for-byte (threads 1 and 4, prefix radius included); topk = census head"
+
 echo "==> server smoke test (ephemeral port, one query, clean shutdown)"
 ./target/release/egocensus serve "$tmpdir/g.txt" --addr 127.0.0.1:0 \
   --threads 2 --cache-mb 8 >"$tmpdir/serve.log" &

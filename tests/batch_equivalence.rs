@@ -4,9 +4,10 @@
 //! algorithm, batch size 1–4, random radii, random graphs, and both
 //! threads=1 and threads=auto — while doing **no more** traversal work.
 
+use egocensus::census::topk::{top_k_census, top_k_exhaustive};
 use egocensus::census::{
-    run_batch, run_batch_exec, run_census_exec, run_census_exec_instrumented, Algorithm,
-    BatchStage, CensusSpec, ExecConfig, FocalNodes, PtConfig,
+    global_matches, run_batch, run_batch_exec, run_census_exec, run_census_exec_instrumented,
+    Algorithm, BatchStage, CensusSpec, ExecConfig, FocalNodes, PtConfig,
 };
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::dynamic::DeltaGraph;
@@ -315,7 +316,6 @@ fn four_pattern_batch_on_fixture_shares_one_sweep() {
         batch.stages,
         vec![BatchStage::NdSweep {
             pivot: vec![0, 1, 2, 3],
-            baseline: vec![],
             k_max: 2
         }]
     );
@@ -395,4 +395,91 @@ fn pt_opt_traversal_counters_match_the_hash_map_kernel_k2() {
         pt_opt_counters(&g, "clq3", 2),
         [(712_396, 30_790, 85_212), (755_650, 33_146, 90_383)]
     );
+}
+
+/// `(edges_traversed, nodes_expanded)` and the count total of one
+/// node-driven census of `pattern` at radius `k`, asserted equal across
+/// `algorithms`, batched and single-pattern, at one and two threads.
+fn nd_counters(
+    g: &Graph,
+    pattern: &str,
+    k: u32,
+    focal: FocalNodes,
+    algorithms: &[Algorithm],
+) -> ((u64, u64), u64) {
+    let catalog = Catalog::with_builtins();
+    let spec = CensusSpec::single(catalog.require(pattern).unwrap(), k).with_focal(focal);
+    let config = PtConfig::default();
+    let mut runs = Vec::new();
+    for threads in [1, 2] {
+        let exec = ExecConfig::with_threads(threads);
+        for &algo in algorithms {
+            let specs = std::slice::from_ref(&spec);
+            let batch = run_batch_exec(g, specs, algo, &config, &exec, &[], None).unwrap();
+            let single = run_census_exec_instrumented(g, &spec, algo, &config, &exec).unwrap();
+            assert_eq!(batch.counts[0], single.0, "{pattern} k={k} {algo:?}");
+            runs.push((batch.stats, batch.counts[0].total(), algo, threads));
+            runs.push((single.1, single.0.total(), algo, threads));
+        }
+    }
+    let (first, total, ..) = runs[0];
+    for &(ts, t, algo, threads) in &runs {
+        assert_eq!(
+            (ts, t),
+            (first, total),
+            "{pattern} k={k} {algo:?} threads={threads}"
+        );
+    }
+    ((first.edges_traversed, first.nodes_expanded), total)
+}
+
+/// Node-driven traversal counters recorded while Algorithm 2's
+/// containment rule still had a copy per caller (single-pattern, batch,
+/// top-k, pairwise): one kernel must walk exactly the same edges.
+#[test]
+fn nd_traversal_counters_match_the_per_caller_kernels() {
+    let g = benchmark_graph();
+    let upper = || FocalNodes::Set((5_000..10_000).map(NodeId).collect());
+    let nd = [Algorithm::NdPivot, Algorithm::NdDiff];
+    assert_eq!(
+        nd_counters(&g, "clq3_unlb", 2, upper(), &nd),
+        ((838_963, 5_000), 247_040)
+    );
+    assert_eq!(
+        nd_counters(&g, "clq3", 2, upper(), &nd),
+        ((838_963, 5_000), 25_129)
+    );
+    // ND-BAS reports the edges its neighborhood BFSs scan, like every
+    // other node-driven kernel.
+    let all = [Algorithm::NdPivot, Algorithm::NdDiff, Algorithm::NdBaseline];
+    assert_eq!(
+        nd_counters(&g, "clq3_unlb", 1, FocalNodes::All, &all),
+        ((99_950, 10_000), 6_698)
+    );
+}
+
+/// Top-k census results recorded while it kept its own copy of the
+/// containment rule.
+#[test]
+fn top_k_results_match_the_per_caller_kernel() {
+    let g = benchmark_graph();
+    let catalog = Catalog::with_builtins();
+    let upper = FocalNodes::Set((5_000..10_000).map(NodeId).collect());
+    for (pattern, k, focal, evaluated, best) in [
+        ("clq3_unlb", 2, upper.clone(), 2_646, (5_000, 678)),
+        ("clq3_unlb", 1, FocalNodes::All, 2_436, (6, 352)),
+        ("clq3", 2, upper, 1_501, (5_000, 71)),
+    ] {
+        let p = catalog.require(pattern).unwrap();
+        let spec = CensusSpec::single(p, k).with_focal(focal);
+        let matches = global_matches(&g, p);
+        let res = top_k_census(&g, &spec, &matches, 20).unwrap();
+        assert_eq!(res.evaluated, evaluated, "{pattern} k={k}");
+        assert_eq!(res.top[0], (NodeId(best.0), best.1), "{pattern} k={k}");
+        assert_eq!(
+            res.top,
+            top_k_exhaustive(&g, &spec, &matches, 20).unwrap(),
+            "{pattern} k={k}"
+        );
+    }
 }

@@ -77,7 +77,15 @@ fn parallel_census_agrees_end_to_end() {
     let spec = CensusSpec::single(&p, 2);
     let matches = egocensus::census::global_matches(&g, &p);
     let seq = egocensus::census::nd_pivot::run(&g, &spec, &matches).unwrap();
-    let par = egocensus::census::parallel::run_nd_pivot_parallel(&g, &spec, &matches, 4).unwrap();
+    let (par, _) = egocensus::census::parallel::run_with_matches(
+        &g,
+        &spec,
+        &matches,
+        egocensus::census::Algorithm::NdPivot,
+        &egocensus::census::PtConfig::default(),
+        4,
+    )
+    .unwrap();
     for n in g.node_ids() {
         assert_eq!(seq.get(n), par.get(n));
     }

@@ -4,7 +4,7 @@
 
 use egocensus::census::Algorithm;
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
-use egocensus::graph::{Graph, NodeId};
+use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::query::{Catalog, QueryEngine, ShardSpec, Value, ViewRegistry, DEFAULT_VIEW_BUDGET};
 use egocensus::server::{
     serve_lines, Client, LineHandler, LineLimits, Request, Response, Server, ServerConfig,
@@ -29,7 +29,15 @@ fn test_graph() -> Graph {
 /// Spawn a server over a fresh copy of the test graph; returns the
 /// address, a shutdown handle, and the serving thread to join.
 fn spawn_server(config: ServerConfig) -> (SocketAddr, ShutdownHandle, JoinHandle<()>) {
-    let graph = Arc::new(test_graph());
+    spawn_server_on(test_graph(), config)
+}
+
+/// [`spawn_server`] over `graph`.
+fn spawn_server_on(
+    graph: Graph,
+    config: ServerConfig,
+) -> (SocketAddr, ShutdownHandle, JoinHandle<()>) {
+    let graph = Arc::new(graph);
     let server = Server::bind(
         ("127.0.0.1", 0),
         graph,
@@ -283,6 +291,48 @@ fn radius_past_u16_is_answered_on_the_pattern_driven_path() {
     assert!(huge.iter().any(|r| r[1] != Value::Int(0)), "no matches");
     assert_eq!(huge, rows(&mut client, 9_999));
     assert_eq!(client.stats().expect("stats").stat("panics"), Some(0));
+
+    handle.shutdown();
+    thread.join().expect("server thread");
+}
+
+/// The pattern-driven pairwise census tracks a match's anchors in 32-bit
+/// coverage masks, and `Auto` sends every pairwise aggregate there: a
+/// 33-anchor pattern used to trip an assert inside the request thread
+/// (contained, but it cost the client its connection).
+#[test]
+fn pairwise_query_past_32_anchors_is_an_error_reply() {
+    let mut b = GraphBuilder::undirected();
+    b.add_nodes(33, Label(0));
+    for i in 0..32 {
+        b.add_edge(NodeId(i), NodeId(i + 1));
+    }
+    let (addr, handle, thread) = spawn_server_on(b.build(), config());
+    let mut client = Client::connect(addr).expect("connect");
+    let edges: String = (0..32).map(|i| format!("?V{i}-?V{}; ", i + 1)).collect();
+    expect_table(
+        client
+            .define(&format!("PATTERN p33 {{ {edges}}}"))
+            .expect("define"),
+    );
+
+    let sql = "SELECT a.ID, b.ID, COUNTP(p33, SUBGRAPH-INTERSECTION(a.ID, b.ID, 40)) \
+               FROM nodes a, nodes b WHERE a.ID = 0 AND b.ID = 1";
+    match client
+        .query(sql)
+        .expect("an error reply, not a dropped connection")
+    {
+        Response::Error { message } => assert!(message.contains("ND-PVOT"), "{message}"),
+        Response::Table(_) => panic!("a 33-anchor pairwise census must be refused"),
+        Response::Notify(_) => unreachable!("request() filters notify frames"),
+    }
+    assert_eq!(client.stats().expect("stats").stat("panics"), Some(0));
+    let next = expect_table(
+        client
+            .query("SELECT ID FROM nodes WHERE ID < 3")
+            .expect("next"),
+    );
+    assert_eq!(next.rows.len(), 3);
 
     handle.shutdown();
     thread.join().expect("server thread");
