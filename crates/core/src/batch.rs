@@ -39,7 +39,7 @@
 //! attribute/edge predicates, ND-DIFF still refuses COUNTSP.
 
 use crate::centers::{CenterIndex, CenterStrategy};
-use crate::chooser;
+use crate::cost::{self, GraphShape};
 use crate::kmeans::kmeans;
 use crate::nd_pivot::{self, PivotPlan};
 use crate::parallel::{exec_matches, run_with_matches, ExecConfig};
@@ -276,8 +276,9 @@ pub fn run_batch_exec<'a>(
 
 /// Plan (but do not execute) a batch: which specs share an ND sweep,
 /// which share a PT traversal group, which run ND-BAS. `matches[i]` is
-/// required for specs only when `algorithm` is `Auto` (the chooser needs
-/// cardinalities). Used by `EXPLAIN` to describe the batch plan.
+/// required for specs only when `algorithm` is `Auto`, which
+/// [`cost::choose`] resolves per spec on its exact match count. Used by
+/// `EXPLAIN` to describe the batch plan.
 pub fn plan_stages<'a>(
     g: &Graph,
     specs: &[CensusSpec<'a>],
@@ -295,12 +296,14 @@ pub fn plan_stages<'a>(
         let specs = (0..specs.len()).collect();
         return Ok(vec![BatchStage::NdBaseline { specs }]);
     }
+    // Measured once per call, and only if the specs are left to `Auto`.
+    let shape = (algorithm == Algorithm::Auto).then(|| GraphShape::of(g));
     let modes = specs
         .iter()
         .enumerate()
         .map(|(i, spec)| {
             let m = matches.get(i).and_then(|o| o.as_deref());
-            resolve_mode(g, spec, algorithm, m)
+            resolve_mode(g, shape.as_ref(), spec, algorithm, m)
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(group_stages(specs, &modes))
@@ -308,6 +311,7 @@ pub fn plan_stages<'a>(
 
 fn resolve_mode(
     g: &Graph,
+    shape: Option<&GraphShape>,
     spec: &CensusSpec<'_>,
     algorithm: Algorithm,
     matches: Option<&MatchList>,
@@ -328,8 +332,9 @@ fn resolve_mode(
                     "batch planning for Auto requires precomputed match lists".into(),
                 )
             })?;
-            Ok(match chooser::choose(g, spec, m) {
-                Algorithm::PtOpt => Mode::Pt,
+            let shape = shape.expect("measured for Auto");
+            Ok(match cost::choose(g, shape, spec, m.len()) {
+                Algorithm::PtBaseline | Algorithm::PtRandom | Algorithm::PtOpt => Mode::Pt,
                 _ => Mode::Pivot,
             })
         }

@@ -43,8 +43,8 @@ pub mod approx;
 pub mod batch;
 pub mod bucket_queue;
 pub mod centers;
-pub mod chooser;
 pub mod clustering;
+pub mod cost;
 pub mod kmeans;
 pub mod nd_bas;
 pub mod nd_diff;
@@ -89,7 +89,7 @@ pub enum Algorithm {
     PtRandom,
     /// PT-OPT: the fully optimized pattern-driven algorithm (Algorithm 4).
     PtOpt,
-    /// Choose between ND-PVOT and PT-OPT from match/focal cardinalities
+    /// The cheapest algorithm the kernels accept, priced by [`cost`]
     /// (Section V's guidance: pattern-driven wins for selective patterns).
     Auto,
 }

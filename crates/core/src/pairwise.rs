@@ -21,6 +21,7 @@
 //!   anchors contribute their node pairs.
 
 use crate::centers::CenterIndex;
+use crate::cost::{refusal, Census};
 use crate::nd_pivot::PivotPlan;
 use crate::parallel::ExecConfig;
 use crate::result::{CensusError, CountVector};
@@ -297,6 +298,11 @@ pub(crate) fn run_with_matches(
                 ..config.clone()
             },
         ),
+        // Pairwise census is not priced: `Auto` is PT-OPT unless the
+        // refusal rule turns it away.
+        Auto if refusal(g, Census::Pair(spec), PtOpt).is_err() => {
+            nd_pivot_pairwise(g, spec, matches)
+        }
         PtOpt | Auto => pt_pairwise(g, spec, matches, config),
         PtRandom => pt_pairwise(
             g,
@@ -435,6 +441,18 @@ fn merge_pair(
     }
 }
 
+/// The pattern-driven pairwise census tracks a match's anchors in 32-bit
+/// coverage masks.
+pub(crate) fn check_anchors(spec: &PairCensusSpec<'_>) -> Result<(), CensusError> {
+    match spec.anchor_nodes()?.len() {
+        n if n > 32 => Err(CensusError::Unsupported(format!(
+            "the pattern-driven pairwise census tracks at most 32 anchors \
+             per match in its coverage masks, this query has {n}; use ND-PVOT"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Pattern-driven pairwise evaluation: run the single-node PT machinery to
 /// get per-node anchor distances, then credit pairs.
 fn pt_pairwise(
@@ -443,15 +461,9 @@ fn pt_pairwise(
     matches: &MatchList,
     config: &PtConfig,
 ) -> Result<PairCounts, CensusError> {
+    check_anchors(spec)?;
     let k = spec.k();
     let anchors: Vec<PNode> = spec.anchor_nodes()?;
-    if anchors.len() > 32 {
-        return Err(CensusError::Unsupported(format!(
-            "the pattern-driven pairwise census tracks at most 32 anchors \
-             per match in its coverage masks, this query has {}; use ND-PVOT",
-            anchors.len()
-        )));
-    }
     let mut counts = PairCounts::default();
     if matches.is_empty() {
         return Ok(counts);

@@ -32,6 +32,7 @@
 //! run's (the same work is done, just partitioned); ND-DIFF's restarted
 //! chains redo match-set work the counters do not measure.
 
+use crate::cost::{self, GraphShape};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, FocalNodes, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
@@ -157,7 +158,7 @@ pub fn run_with_matches(
             crate::pt_opt::run_threads(g, spec, matches, &cfg, threads)
         }
         Algorithm::Auto => {
-            let chosen = crate::chooser::choose(g, spec, matches);
+            let chosen = cost::choose(g, &GraphShape::of(g), spec, matches.len());
             run_with_matches(g, spec, matches, chosen, config, threads)
         }
     }

@@ -46,7 +46,7 @@ impl FocalNodes {
     /// Number of distinct focal nodes. An explicit set may contain
     /// duplicates (e.g. a SQL WHERE materialization); they must not be
     /// double-counted, or this disagrees with `mask`/`nodes` and skews
-    /// both the Auto chooser's cost model and per-node instrumentation.
+    /// both `Auto`'s cost model and per-node instrumentation.
     pub fn count(&self, g: &Graph) -> usize {
         match self {
             FocalNodes::All => g.num_nodes(),

@@ -14,13 +14,14 @@ use crate::catalog::Catalog;
 use crate::census_cache::CensusCache;
 use crate::error::QueryError;
 use crate::expr::{eval_predicate, RowContext};
-use crate::optimizer::{optimize_with, PassContext, OPTIMIZERS};
+use crate::optimizer::{optimize_with, Pass, PassContext, OPTIMIZERS};
 use crate::parser::{parse_query, Statement};
 use crate::plan::{build_plan, CountHint, MatchHint, Plan, PlanNode, StatsBasis, ViewProbeJob};
-use crate::stats::{rank_algorithms, CostJob, GraphStats, PlannerCounters, StatsSlot, CONSIDERED};
+use crate::stats::{GraphStats, PlannerCounters, StatsSlot};
 use crate::table::Table;
 use crate::value::Value;
 use crate::views::{ViewEntry, ViewRegistry, DEFAULT_VIEW_BUDGET};
+use ego_census::cost::CONSIDERED;
 use ego_census::{
     run_batch_exec, run_pair_census_exec, Algorithm, BatchStage, CensusSpec, CenterIndex,
     CenterStrategy, CountVector, ExecConfig, FocalNodes, PairCensusSpec, PairCounts, PairSelector,
@@ -390,15 +391,15 @@ impl<'g> QueryEngine<'g> {
         s
     }
 
-    /// Build and optimize the plan for a single-table statement.
-    /// `focal` is the evaluated focal set when known (execution always
-    /// knows it; EXPLAIN only without a WHERE clause) — it feeds the
+    /// Build and optimize the plan for a statement. `focal` is the
+    /// evaluated focal set of a single-table statement (execution and
+    /// EXPLAIN both evaluate the WHERE clause first) — it feeds the
     /// count-cache probes and the cost model's focal cardinality.
     fn plan_single(
         &self,
         stmt: &SelectStmt,
         focal: Option<&[NodeId]>,
-        passes: &[(&str, crate::optimizer::Pass)],
+        passes: &[(&str, Pass)],
     ) -> Result<Plan, QueryError> {
         let (stats, basis) = self.planning_stats();
         let mut ctx = PassContext {
@@ -443,7 +444,7 @@ impl<'g> QueryEngine<'g> {
             Statement::Select(sql) => {
                 let stmt = parse_query(sql)?;
                 match stmt.tables.len() {
-                    1 => self.execute_single(&stmt),
+                    1 => Ok(self.run_script(vec![Step::Single(stmt)])?.remove(0)),
                     2 => self.execute_pair(&stmt),
                     n => Err(QueryError::Semantic(format!("{n} tables unsupported"))),
                 }
@@ -459,16 +460,13 @@ impl<'g> QueryEngine<'g> {
     /// batch-stage grouping, and the set-intersection kernel plan.
     pub fn explain(&self, sql: &str) -> Result<Table, QueryError> {
         let stmt = parse_query(sql)?;
-        if stmt.tables.len() > 2 {
-            return Err(QueryError::Semantic("too many tables".into()));
-        }
-        // The focal set is known without a WHERE clause (every node,
-        // shard applied); with one, count-cache probes stay `Unknown` —
-        // EXPLAIN must not evaluate predicates or consume RND() streams.
-        let focal: Option<Vec<NodeId>> = if stmt.tables.len() == 1 && stmt.where_clause.is_none() {
-            Some(self.compute_focal(&stmt, stmt.tables[0].alias.as_str())?)
-        } else {
-            None
+        // Plan with the focal set execution plans with. Evaluating the
+        // WHERE clause perturbs nothing: `RND()` draws from a fresh seeded
+        // stream per evaluation.
+        let focal = match stmt.tables.len() {
+            1 => Some(self.compute_focal(&stmt, stmt.tables[0].alias.as_str())?),
+            2 => None,
+            _ => return Err(QueryError::Semantic("too many tables".into())),
         };
         let plan = self.plan_single(&stmt, focal.as_deref(), OPTIMIZERS)?;
         self.render_plan(&plan)
@@ -675,7 +673,7 @@ impl<'g> QueryEngine<'g> {
                         MatchHint::Hit(_) => "hit".to_string(),
                     };
                     let counts = match job.cached_counts {
-                        CountHint::Unknown => "unknown (WHERE)",
+                        CountHint::Unknown => "unknown",
                         CountHint::Miss => "miss",
                         CountHint::Hit => "hit",
                     };
@@ -782,9 +780,12 @@ impl<'g> QueryEngine<'g> {
     /// eagerly compute the full per-focal count vector over this
     /// engine's focal coverage (the whole graph, or its focal shard's
     /// range) and pin it in the view registry; with `MATCHES`, pin the
-    /// global match list too. Persists the `.views` sidecar when a views
-    /// path is set. The ack table is identical on every shard of a
-    /// fleet, so the router's broadcast divergence check applies.
+    /// global match list too. The census is the equivalent
+    /// `SELECT ID, COUNTP(…) FROM nodes`, planned and run like one (with
+    /// the census cache's match lists and center index), except that no
+    /// view may serve it. Persists the `.views` sidecar when a views path
+    /// is set. The ack table is identical on every shard of a fleet, so
+    /// the router's broadcast divergence check applies.
     fn execute_materialize(&self, sql: &str) -> Result<Table, QueryError> {
         let m = crate::parser::parse_materialize(sql)?;
         let Some(views) = self.views.as_deref() else {
@@ -802,43 +803,24 @@ impl<'g> QueryEngine<'g> {
             }
         }
         let g = self.graph();
-        let focal: Vec<NodeId> = match self.focal_shard {
-            Some(s) => {
-                let r = s.range(g.num_nodes());
-                (r.start as u32..r.end as u32).map(NodeId).collect()
-            }
-            None => g.node_ids().collect(),
+        let agg = match &m.subpattern {
+            Some(sp) => format!("COUNTSP({sp}, {}, SUBGRAPH(ID, {}))", m.pattern, m.k),
+            None => format!("COUNTP({}, SUBGRAPH(ID, {}))", m.pattern, m.k),
         };
-        let algorithm = match self.algorithm {
-            Algorithm::Auto => {
-                let (stats, _) = self.planning_stats();
-                let cj = CostJob::new(&stats, pattern, m.k, m.subpattern.is_some());
-                rank_algorithms(&stats, &[cj], focal.len())[0].0
-            }
-            a => a,
-        };
-        let mut spec = CensusSpec::single(pattern, m.k).with_focal(FocalNodes::Set(focal));
-        if let Some(sp) = &m.subpattern {
-            spec = spec.with_subpattern(sp);
-        }
-        let batch = run_batch_exec(
-            g,
-            &[spec],
-            algorithm,
-            &self.pt_config,
-            &self.exec,
-            &[None],
-            None,
-        )?;
-        let counts = Arc::new(batch.counts.into_iter().next().expect("one spec"));
-        let matches = if m.matches {
-            match batch.matches.into_iter().next().expect("one spec") {
-                Some(list) => Some(list),
-                None => Some(Arc::new(ego_census::global_matches(g, pattern))),
-            }
-        } else {
-            None
-        };
+        let stmt = parse_query(&format!("SELECT ID, {agg} FROM nodes"))?;
+        let focal = self.compute_focal(&stmt, "nodes")?;
+        // A census, never a view: every pass but view substitution.
+        let passes: Vec<_> = OPTIMIZERS
+            .iter()
+            .copied()
+            .filter(|(name, _)| *name != "view-substitution")
+            .collect();
+        let plan = self.plan_single(&stmt, Some(&focal), &passes)?;
+        let (counts, matches) = self.traverse(&plan, &focal)?.remove(0);
+        // Counts served from the census cache come without their list.
+        let matches = m
+            .matches
+            .then(|| matches.unwrap_or_else(|| Arc::new(ego_census::global_matches(g, pattern))));
         let dsl = ego_pattern::to_dsl(pattern);
         let bytes = ViewEntry::estimate_bytes(&counts, matches.as_deref());
         views.insert(ViewEntry {
@@ -939,61 +921,58 @@ impl<'g> QueryEngine<'g> {
     /// aggregates across the whole script are compiled into **one**
     /// [`run_batch_exec`] call, so statements over the same patterns,
     /// radii, or focal sets share neighborhood sweeps, traversal groups,
-    /// and global match lists; EXPLAIN and two-table statements run
-    /// individually. The script aborts on the first error.
+    /// and global match lists; every other statement runs individually.
+    /// The script aborts on the first error.
     pub fn execute_script(&self, sql: &str) -> Result<Vec<Table>, QueryError> {
+        let steps = split_statements(sql)
+            .into_iter()
+            .map(|text| {
+                if let Statement::Select(_) = Statement::classify(&text) {
+                    let stmt = parse_query(&text)?;
+                    if stmt.tables.len() == 1 {
+                        return Ok(Step::Single(stmt));
+                    }
+                }
+                Ok(Step::Direct(text))
+            })
+            .collect::<Result<Vec<_>, QueryError>>()?;
+        self.run_script(steps)
+    }
+
+    /// Run a parsed script (a lone single-table `SELECT` is a script of
+    /// one): plan each single-table statement over its evaluated focal
+    /// set, run all their census jobs as one [`Self::run_batched`] call
+    /// under [`union_algorithm`]'s choice, and project each statement
+    /// from the shared results; every other statement runs through
+    /// [`Self::execute`] in its turn.
+    fn run_script(&self, steps: Vec<Step>) -> Result<Vec<Table>, QueryError> {
         enum Item {
             Direct(String),
-            Planned {
+            Single {
                 plan: Box<Plan>,
                 focal: Vec<NodeId>,
-            },
-            Batched {
-                plan: Box<Plan>,
-                focal: Vec<NodeId>,
+                /// This statement's jobs in the shared batch.
                 range: std::ops::Range<usize>,
             },
         }
-        let mut items = Vec::new();
+        let mut items = Vec::with_capacity(steps.len());
         let mut jobs: Vec<BatchAgg<'_>> = Vec::new();
-        for text in split_statements(sql) {
-            if !matches!(Statement::classify(&text), Statement::Select(_)) {
-                // EXPLAIN, ANALYZE, view maintenance, and the read-only
-                // rejections keep their execute() semantics.
-                items.push(Item::Direct(text));
-                continue;
-            }
-            let stmt = parse_query(&text)?;
-            if stmt.tables.len() != 1 {
-                items.push(Item::Direct(text));
-                continue;
-            }
-            let alias = stmt.tables[0].alias.clone();
-            let focal = self.compute_focal(&stmt, &alias)?;
-            validate_single_aggs(&stmt, &alias)?;
-            let plan = self.plan_single(&stmt, Some(&focal), OPTIMIZERS)?;
-            if plan.view_probe().is_some() {
-                // View-served: nothing to contribute to the shared batch
-                // and nothing to gain from it — run_plan gathers from the
-                // pinned vectors directly.
-                items.push(Item::Planned {
-                    plan: Box::new(plan),
-                    focal,
-                });
-                continue;
-            }
-            let start = jobs.len();
-            if let Some(c) = plan.census() {
-                for job in &c.jobs {
-                    jobs.push(BatchAgg {
-                        pattern: self.catalog.require(&job.pattern)?,
-                        k: job.k,
-                        subpattern: job.subpattern.clone(),
-                        focal: focal.clone(),
-                    });
+        for step in steps {
+            let stmt = match step {
+                Step::Direct(text) => {
+                    items.push(Item::Direct(text));
+                    continue;
                 }
-            }
-            items.push(Item::Batched {
+                Step::Single(stmt) => stmt,
+            };
+            let alias = stmt.tables[0].alias.as_str();
+            let focal = self.compute_focal(&stmt, alias)?;
+            validate_single_aggs(&stmt, alias)?;
+            let plan = self.plan_single(&stmt, Some(&focal), OPTIMIZERS)?;
+            let start = jobs.len();
+            // A view-served plan has no census node: it adds no jobs.
+            jobs.extend(self.census_jobs(&plan, &focal)?);
+            items.push(Item::Single {
                 plan: Box::new(plan),
                 focal,
                 range: start..jobs.len(),
@@ -1005,8 +984,8 @@ impl<'g> QueryEngine<'g> {
         let choices: Vec<&crate::plan::AlgoChoice> = items
             .iter()
             .filter_map(|item| match item {
-                Item::Batched { plan, .. } => plan.choice(),
-                Item::Direct(_) | Item::Planned { .. } => None,
+                Item::Single { plan, .. } => plan.choice(),
+                Item::Direct(_) => None,
             })
             .collect();
         let algorithm = union_algorithm(&choices, self.algorithm);
@@ -1015,57 +994,56 @@ impl<'g> QueryEngine<'g> {
             .into_iter()
             .map(|item| match item {
                 Item::Direct(text) => self.execute(&text),
-                Item::Planned { plan, focal } => self.run_plan(&plan, &focal),
-                Item::Batched { plan, focal, range } => {
-                    self.project_single(&plan.stmt, &focal, &results[range])
+                Item::Single { plan, focal, range } => {
+                    let counts = self.statement_counts(&plan, &focal, &results[range])?;
+                    self.project_single(&plan.stmt, &focal, &counts)
                 }
             })
             .collect()
     }
 
-    fn execute_single(&self, stmt: &SelectStmt) -> Result<Table, QueryError> {
-        let alias = stmt.tables[0].alias.as_str();
-        let focal = self.compute_focal(stmt, alias)?;
-        validate_single_aggs(stmt, alias)?;
-        let plan = self.plan_single(stmt, Some(&focal), OPTIMIZERS)?;
-        self.run_plan(&plan, &focal)
+    /// The count vectors a planned statement projects: its share of the
+    /// script's batch, or — for a view-probe plan — the pinned vectors.
+    fn statement_counts(
+        &self,
+        plan: &Plan,
+        focal: &[NodeId],
+        batched: &[CensusResult],
+    ) -> Result<Vec<Arc<CountVector>>, QueryError> {
+        let Some(probes) = plan.view_probe() else {
+            return Ok(batched.iter().map(|(cv, _)| Arc::clone(cv)).collect());
+        };
+        if let Some(pinned) = self.probe_views(probes) {
+            return Ok(pinned);
+        }
+        // A probed view vanished between planning and execution
+        // (concurrent DROP VIEW or refresh race): plan again. With the view
+        // gone the substitution pass no longer fires.
+        let replanned = self.plan_single(&plan.stmt, Some(focal), OPTIMIZERS)?;
+        self.statement_counts(&replanned, focal, &self.traverse(&replanned, focal)?)
     }
 
-    /// Interpret an optimized single-table plan: the census node's jobs
-    /// run as one batch under the plan's algorithm choice, then rows are
-    /// projected (ORDER BY / LIMIT live in the statement).
-    fn run_plan(&self, plan: &Plan, focal: &[NodeId]) -> Result<Table, QueryError> {
-        if let Some(probes) = plan.view_probe() {
-            if let Some(results) = self.probe_views(probes) {
-                // Pure gather: project_single reads only the focal
-                // positions of each pinned full-coverage vector.
-                return self.project_single(&plan.stmt, focal, &results);
-            }
-            // A probed view vanished between planning and execution
-            // (concurrent DROP VIEW or refresh race): plan again. With
-            // the view gone the substitution pass no longer fires, so
-            // this lands on the ordinary census path below.
-            let replanned = self.plan_single(&plan.stmt, Some(focal), OPTIMIZERS)?;
-            return self.run_plan(&replanned, focal);
-        }
-        let (algorithm, jobs) = match plan.census() {
-            Some(c) => {
-                let algorithm = c.choice.as_ref().map_or(self.algorithm, |ch| ch.algorithm);
-                let mut jobs = Vec::with_capacity(c.jobs.len());
-                for job in &c.jobs {
-                    jobs.push(BatchAgg {
-                        pattern: self.catalog.require(&job.pattern)?,
-                        k: job.k,
-                        subpattern: job.subpattern.clone(),
-                        focal: focal.to_vec(),
-                    });
-                }
-                (algorithm, jobs)
-            }
-            None => (self.algorithm, Vec::new()),
-        };
-        let agg_results = self.run_batched(&jobs, algorithm)?;
-        self.project_single(&plan.stmt, focal, &agg_results)
+    /// Run one planned statement's census on its own, under its plan's
+    /// algorithm choice.
+    fn traverse(&self, plan: &Plan, focal: &[NodeId]) -> Result<Vec<CensusResult>, QueryError> {
+        let algorithm = plan.choice().map_or(self.algorithm, |c| c.algorithm);
+        self.run_batched(&self.census_jobs(plan, focal)?, algorithm)
+    }
+
+    /// A plan's census jobs over `focal`, patterns resolved (none for a
+    /// plan without a census node).
+    fn census_jobs(&self, plan: &Plan, focal: &[NodeId]) -> Result<Vec<BatchAgg<'_>>, QueryError> {
+        let jobs = plan.census().map_or(&[][..], |c| &c.jobs[..]);
+        jobs.iter()
+            .map(|job| {
+                Ok(BatchAgg {
+                    pattern: self.catalog.require(&job.pattern)?,
+                    k: job.k,
+                    subpattern: job.subpattern.clone(),
+                    focal: focal.to_vec(),
+                })
+            })
+            .collect()
     }
 
     /// Evaluate the WHERE clause into the focal node set (ascending
@@ -1100,20 +1078,19 @@ impl<'g> QueryEngine<'g> {
 
     /// Evaluate a set of census aggregates as one batch under the
     /// planned `algorithm`, consulting the census cache (when attached)
-    /// for finished counts and global match lists. Returned vectors are
-    /// in job order.
+    /// for finished counts and global match lists; results come back in
+    /// job order. The one place the engine runs a census: the planner
+    /// already refused algorithms a job's kernel would, so a cached count
+    /// vector never masks an error.
     fn run_batched(
         &self,
         jobs: &[BatchAgg<'_>],
         algorithm: Algorithm,
-    ) -> Result<Vec<Arc<CountVector>>, QueryError> {
+    ) -> Result<Vec<CensusResult>, QueryError> {
         let g = self.graph();
-        let mut results: Vec<Option<Arc<CountVector>>> = vec![None; jobs.len()];
+        let mut results: Vec<Option<CensusResult>> = vec![None; jobs.len()];
         let cache = self.census_cache.as_deref();
         let fp = if cache.is_some() { g.fingerprint() } else { 0 };
-        // ND-BAS / ND-DIFF reject some specs other algorithms accept; a
-        // count-cache hit would mask that rejection, so they bypass it.
-        let count_cacheable = !matches!(algorithm, Algorithm::NdBaseline | Algorithm::NdDiff);
         let mut count_keys: Vec<Option<String>> = vec![None; jobs.len()];
         if let Some(c) = cache {
             for (i, job) in jobs.iter().enumerate() {
@@ -1124,9 +1101,7 @@ impl<'g> QueryEngine<'g> {
                     &job.focal,
                     fp,
                 );
-                if count_cacheable {
-                    results[i] = c.get_counts(&key);
-                }
+                results[i] = c.get_counts(&key).map(|cv| (cv, None));
                 count_keys[i] = Some(key);
             }
         }
@@ -1179,8 +1154,9 @@ impl<'g> QueryEngine<'g> {
             }
             for (j, (&i, cv)) in miss.iter().zip(batch.counts).enumerate() {
                 let cv = Arc::new(cv);
+                let matches = batch.matches[j].clone();
                 if let Some(c) = cache {
-                    if let Some(m) = &batch.matches[j] {
+                    if let Some(m) = &matches {
                         c.put_matches(match_keys[j].clone(), m.clone());
                     }
                     if let Some(key) = &count_keys[i] {
@@ -1203,7 +1179,7 @@ impl<'g> QueryEngine<'g> {
                         );
                     }
                 }
-                results[i] = Some(cv);
+                results[i] = Some((cv, matches));
             }
         }
         Ok(results
@@ -1225,18 +1201,17 @@ impl<'g> QueryEngine<'g> {
         let g = self.graph();
         let columns = stmt.projections.iter().map(projection_name).collect();
         let mut table = Table::new(columns);
+        let mut ctx = RowContext {
+            graph: g,
+            bindings: vec![(alias, NodeId(0))],
+        };
         for &n in focal {
+            ctx.bindings[0].1 = n;
             let mut row = Vec::with_capacity(stmt.projections.len());
             let mut agg_i = 0;
             for proj in &stmt.projections {
                 match proj {
-                    Projection::Column(c) => {
-                        let ctx = RowContext {
-                            graph: g,
-                            bindings: vec![(alias, n)],
-                        };
-                        row.push(ctx.column_value(c)?);
-                    }
+                    Projection::Column(c) => row.push(ctx.column_value(c)?),
                     Projection::Agg(_) => {
                         row.push(Value::Int(agg_results[agg_i].get(n) as i64));
                         agg_i += 1;
@@ -1432,6 +1407,19 @@ impl<'g> QueryEngine<'g> {
         )?)
     }
 }
+
+/// One statement of a script, as [`QueryEngine::run_script`] takes it.
+enum Step {
+    /// Runs through [`QueryEngine::execute`] in its turn.
+    Direct(String),
+    /// A parsed single-table `SELECT`, batched with the script's others.
+    Single(SelectStmt),
+}
+
+/// One census job's outcome: its counts, and the global match list the
+/// census used (`None` when the counts came from the census cache, or
+/// under ND-BAS).
+type CensusResult = (Arc<CountVector>, Option<Arc<MatchList>>);
 
 /// One validated single-table census aggregate, ready for batching.
 struct BatchAgg<'e> {
@@ -2002,10 +1990,44 @@ mod tests {
         let filter_pos = names.iter().position(|n| n == "filter").unwrap();
         let census_pos = names.iter().position(|n| n == "census").unwrap();
         assert!(census_pos < shard_pos && shard_pos < filter_pos);
-        // With a WHERE clause the focal set is unknown to EXPLAIN, so
-        // count-cache probes must stay unknown (no cache attached here:
-        // no cache rows at all).
+        // No cache attached: no cache rows at all.
         assert!(explain_rows(&t, "cache").is_empty());
+    }
+
+    /// EXPLAIN plans a `WHERE` statement over the focal set execution
+    /// plans with, so the two name the same algorithm on both sides of the
+    /// ND/PT crossover (`m·|V_P|` vs the focal count).
+    #[test]
+    fn explain_chooses_the_way_execution_does() {
+        // A 300-node path with 50 disjoint triangles closed along it.
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(300, Label(0));
+        for x in 0..299u32 {
+            b.add_edge(NodeId(x), NodeId(x + 1));
+        }
+        for i in 0..50u32 {
+            b.add_edge(NodeId(3 * i), NodeId(3 * i + 2));
+        }
+        let g = b.build();
+        let e = engine(&g);
+        let mut picks = Vec::new();
+        for sql in [
+            "SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes WHERE ID < 5",
+            "SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes",
+        ] {
+            let stmt = parse_query(sql).unwrap();
+            let focal = e.compute_focal(&stmt, "nodes").unwrap();
+            let plan = e.plan_single(&stmt, Some(&focal), OPTIMIZERS).unwrap();
+            let executed = plan.choice().unwrap().algorithm;
+            let t = e.execute(&format!("EXPLAIN {sql}")).unwrap();
+            let detail = explain_rows(&t, "census")[0][1].to_string();
+            assert!(
+                detail.starts_with(&format!("algo={executed:?} ")),
+                "{sql}: EXPLAIN says `{detail}`, execution plans {executed:?}"
+            );
+            picks.push(executed);
+        }
+        assert_eq!(picks, [Algorithm::NdPivot, Algorithm::PtOpt]);
     }
 
     #[test]
@@ -2308,6 +2330,14 @@ mod tests {
         assert_eq!(snap["planner_cost_model_hits"], 1);
     }
 
+    /// Run an optimized single-table plan the way a one-statement script
+    /// does.
+    fn run_plan(e: &QueryEngine<'_>, plan: &Plan, focal: &[NodeId]) -> Result<Table, QueryError> {
+        let batched = e.traverse(plan, focal)?;
+        let counts = e.statement_counts(plan, focal, &batched)?;
+        e.project_single(&plan.stmt, focal, &counts)
+    }
+
     /// Plan and run `sql` under an explicit pass list (the engine's
     /// normal single-statement path, minus the pass pipeline knob).
     fn run_with_passes(
@@ -2320,7 +2350,7 @@ mod tests {
         let focal = e.compute_focal(&stmt, &alias).unwrap();
         validate_single_aggs(&stmt, &alias).unwrap();
         let plan = e.plan_single(&stmt, Some(&focal), passes).unwrap();
-        e.run_plan(&plan, &focal).unwrap()
+        run_plan(e, &plan, &focal).unwrap()
     }
 
     #[test]
@@ -2450,13 +2480,18 @@ mod tests {
         let cache = Arc::new(CensusCache::new(64));
         e.set_census_cache(Arc::clone(&cache));
         e.execute("MATERIALIZE tri RADIUS 1 MATCHES").unwrap();
+        let lookups = |cs: crate::census_cache::CensusCacheStats| {
+            (
+                cs.count_hits + cs.count_misses,
+                cs.match_hits + cs.match_misses,
+            )
+        };
+        let before = lookups(cache.stats());
         let sql = "SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes";
         e.execute(sql).unwrap();
         // No count/match lookups: the statement never reached
         // run_batched.
-        let cs = cache.stats();
-        assert_eq!(cs.count_hits + cs.count_misses, 0, "{cs:?}");
-        assert_eq!(cs.match_hits + cs.match_misses, 0, "{cs:?}");
+        assert_eq!(lookups(cache.stats()), before);
         // The pinned match list shows in EXPLAIN provenance.
         let ex = e.execute(&format!("EXPLAIN {sql}")).unwrap();
         let view = explain_rows(&ex, "view");
@@ -2496,7 +2531,7 @@ mod tests {
         let plan = e.plan_single(&stmt, Some(&focal), OPTIMIZERS).unwrap();
         assert!(plan.view_probe().is_some());
         e.execute("DROP VIEW tri RADIUS 1").unwrap();
-        assert_eq!(e.run_plan(&plan, &focal).unwrap().rows(), cold.rows());
+        assert_eq!(run_plan(&e, &plan, &focal).unwrap().rows(), cold.rows());
     }
 
     #[test]

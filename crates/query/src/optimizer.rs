@@ -18,10 +18,12 @@
 //!    Runs after cache-substitution so EXPLAIN still shows what the
 //!    ordinary caches held, before algorithm-selection so no algorithm
 //!    is ranked for work that will not run.
-//! 4. **algorithm-selection** — rank every algorithm that can serve the
-//!    statement by estimated cost ([`crate::stats`]) and resolve `Auto`
+//! 4. **algorithm-selection** — rank every algorithm the kernels accept
+//!    for the statement by estimated cost ([`ego_census::cost`], the same
+//!    function the census core resolves `Auto` with) and resolve `Auto`
 //!    to a concrete choice; cached match-list lengths from pass 2
-//!    replace the estimator's `m` term.
+//!    replace the estimator's `m` term, and a forced algorithm the
+//!    kernels refuse fails here with the kernel's error.
 //! 5. **batch-grouping** — group the statement's aggregates into shared
 //!    sweeps/traversals ([`ego_census::plan_stages`]) under the chosen
 //!    algorithm; needs pass 4's concrete algorithm to resolve modes.
@@ -34,8 +36,9 @@ use crate::census_cache::CensusCache;
 use crate::error::QueryError;
 use crate::plan::{AlgoChoice, CountHint, MatchHint, Plan, PlanNode, StatsBasis, ViewProbeJob};
 use crate::shard::ShardSpec;
-use crate::stats::{rank_algorithms, CostJob, GraphStats, PlannerCounters};
+use crate::stats::{GraphStats, PlannerCounters};
 use crate::views::ViewRegistry;
+use ego_census::cost::{rank_algorithms, refusal, Census, CostJob};
 use ego_census::{plan_stages, Algorithm, CensusSpec};
 use ego_graph::{Graph, NodeId};
 use std::sync::atomic::Ordering;
@@ -57,9 +60,9 @@ pub struct PassContext<'a> {
     pub cache: Option<&'a CensusCache>,
     /// Materialized-view registry to probe, if attached.
     pub views: Option<&'a ViewRegistry>,
-    /// The statement's focal set, when already computed (execution);
-    /// `None` when the focal set depends on an unevaluated WHERE clause
-    /// (EXPLAIN), in which case count-cache probes stay `Unknown`.
+    /// The statement's evaluated focal set (execution and EXPLAIN both
+    /// supply it for single-table statements); `None` leaves count-cache
+    /// probes `Unknown` and prices all `n` nodes.
     pub focal: Option<&'a [NodeId]>,
     /// Engine focal-shard restriction to push into the plan.
     pub shard: Option<ShardSpec>,
@@ -299,34 +302,44 @@ fn view_substitution(node: PlanNode, ctx: &mut PassContext<'_>) -> Result<PlanNo
     Ok(node)
 }
 
-/// Pass 4: cost-based algorithm selection. Ranks every algorithm that
-/// can serve all of the statement's jobs and resolves `Auto` to the
-/// cheapest; a concrete engine algorithm is honored (`forced`) but the
-/// alternatives are still ranked so EXPLAIN can show the road not
-/// taken.
+/// Pass 4: cost-based algorithm selection. Ranks every algorithm the
+/// refusal rule admits for all of the statement's jobs
+/// ([`ego_census::cost`]) and resolves `Auto` to the cheapest; a concrete
+/// engine algorithm is honored (`forced`) but the alternatives are still
+/// ranked so EXPLAIN can show the road not taken — and when the rule
+/// refuses it, the pass fails with that kernel's own error, so EXPLAIN
+/// and execution fail alike.
 fn algorithm_selection(node: PlanNode, ctx: &mut PassContext<'_>) -> Result<PlanNode, QueryError> {
+    let graph = ctx.graph;
     let stats = ctx.stats;
     let basis = ctx.stats_basis;
     let catalog = ctx.catalog;
-    let focal_count = ctx.focal.map_or(ctx.graph.num_nodes(), <[NodeId]>::len);
+    let focal_count = ctx.focal.map_or(graph.num_nodes(), <[NodeId]>::len);
     let forced = ctx.forced;
     let mut fired = false;
     let mut auto_choices = 0u64;
     let node = node.map_census(&mut |mut c| {
-        let mut cost_jobs = Vec::with_capacity(c.jobs.len());
-        for job in &c.jobs {
-            let pattern = catalog.require(&job.pattern)?;
-            let mut cj = CostJob::new(stats, pattern, job.k, job.subpattern.is_some());
-            if let MatchHint::Hit(len) = job.cached_matches {
-                cj.cached_matches = Some(len);
-            }
-            cost_jobs.push(cj);
-        }
-        let considered = rank_algorithms(stats, &cost_jobs, focal_count);
+        let specs = job_specs(&c, catalog)?;
+        let cost_jobs: Vec<CostJob<'_, '_>> = c
+            .jobs
+            .iter()
+            .zip(&specs)
+            .map(|(job, spec)| CostJob {
+                spec,
+                matches: match job.cached_matches {
+                    MatchHint::Hit(len) => len as f64,
+                    MatchHint::Miss | MatchHint::Unknown => stats.est_matches(spec.pattern()),
+                },
+            })
+            .collect();
+        let considered = rank_algorithms(graph, &stats.shape(), &cost_jobs, focal_count);
         let (algorithm, is_forced) = if forced == Algorithm::Auto {
             auto_choices += 1;
             (considered[0].0, false)
         } else {
+            specs
+                .iter()
+                .try_for_each(|spec| refusal(graph, Census::Single(spec), forced))?;
             (forced, true)
         };
         c.choice = Some(AlgoChoice {
@@ -373,27 +386,8 @@ fn batch_grouping(node: PlanNode, ctx: &mut PassContext<'_>) -> Result<PlanNode,
         if c.jobs.len() < 2 {
             return Ok(c); // nothing to share
         }
-        let patterns: Vec<_> = c
-            .jobs
-            .iter()
-            .map(|j| catalog.require(&j.pattern))
-            .collect::<Result<_, _>>()?;
-        let specs: Vec<CensusSpec<'_>> = c
-            .jobs
-            .iter()
-            .zip(&patterns)
-            .map(|(job, p)| {
-                let mut spec = CensusSpec::single(p, job.k);
-                if let Some(sp) = &job.subpattern {
-                    spec = spec.with_subpattern(sp);
-                }
-                spec
-            })
-            .collect();
+        let specs = job_specs(&c, catalog)?;
         let none_matches = vec![None; specs.len()];
-        // A forced algorithm that cannot serve these jobs (e.g. ND-BAS
-        // with COUNTSP) fails mode resolution here exactly as execution
-        // would; surface the same error at plan time.
         c.stages = plan_stages(graph, &specs, algorithm, &none_matches)?;
         fired = true;
         Ok(c)
@@ -402,4 +396,22 @@ fn batch_grouping(node: PlanNode, ctx: &mut PassContext<'_>) -> Result<PlanNode,
         ctx.fired += 1;
     }
     Ok(node)
+}
+
+/// One whole-graph spec per census job, patterns resolved against the
+/// catalog: what the cost model prices and the kernels' checks read.
+fn job_specs<'c>(
+    c: &crate::plan::CensusNode,
+    catalog: &'c Catalog,
+) -> Result<Vec<CensusSpec<'c>>, QueryError> {
+    c.jobs
+        .iter()
+        .map(|job| {
+            let spec = CensusSpec::single(catalog.require(&job.pattern)?, job.k);
+            Ok(match &job.subpattern {
+                Some(sp) => spec.with_subpattern(sp),
+                None => spec,
+            })
+        })
+        .collect()
 }

@@ -169,8 +169,7 @@ pub enum MatchHint {
 /// Census-cache knowledge about a job's count vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CountHint {
-    /// Not probed — no cache, or the focal set depends on a WHERE
-    /// clause the planner did not evaluate.
+    /// Not probed — no cache, or the planner was given no focal set.
     #[default]
     Unknown,
     /// Probed, absent.
@@ -218,9 +217,9 @@ pub struct AlgoChoice {
 }
 
 impl AlgoChoice {
-    /// Estimated cost of the chosen algorithm (infinity if the chosen
-    /// algorithm was forced onto a job set it cannot serve — execution
-    /// will surface the real error).
+    /// Estimated cost of the chosen algorithm from `considered`
+    /// (infinity if absent; the pass always ranks what it chooses, since
+    /// it refuses a forced algorithm the kernels turn away).
     pub fn cost(&self) -> f64 {
         self.considered
             .iter()

@@ -5,14 +5,16 @@
 //! [`GraphStats`] snapshot, persisted as a text sidecar next to the graph
 //! file (`graph.egb` → `graph.egb.stats`) and keyed by the graph
 //! fingerprint so stale statistics are detected, reported, and ignored.
-//! The optimizer's algorithm-selection pass turns a snapshot into
-//! per-algorithm cost estimates (the paper's Fig-4 ND-vs-PT crossovers);
-//! without one it falls back to a cheap structural heuristic.
+//! The optimizer's algorithm-selection pass prices algorithms with a
+//! snapshot's `(n, d̄)` and match estimates through
+//! [`ego_census::cost`], the function the census core prices `Auto`
+//! with; without a snapshot it falls back to a cheap structural
+//! heuristic.
 
 use crate::error::QueryError;
 use crate::table::Table;
 use crate::value::Value;
-use ego_census::Algorithm;
+use ego_census::cost::GraphShape;
 use ego_graph::setops::SetOpsTuning;
 use ego_graph::{stats as gstats, Graph, NodeId};
 use ego_pattern::Pattern;
@@ -142,20 +144,12 @@ impl GraphStats {
         self.fingerprint != live_fingerprint
     }
 
-    /// Expected size of a radius-`k` neighborhood ball, capped at `n`.
-    pub fn ball(&self, k: u32) -> f64 {
-        let n = (self.num_nodes as f64).max(1.0);
-        let d = self.avg_degree.max(1.0);
-        let mut ball = 1.0f64;
-        let mut frontier = 1.0f64;
-        for _ in 0..k {
-            frontier *= d;
-            ball += frontier;
-            if ball >= n {
-                return n;
-            }
+    /// The `(n, d̄)` the cost model ([`ego_census::cost`]) prices with.
+    pub fn shape(&self) -> GraphShape {
+        GraphShape {
+            num_nodes: self.num_nodes,
+            avg_degree: self.avg_degree,
         }
-        ball.min(n)
     }
 
     /// Expected global match-list length for a pattern: `n` anchor
@@ -371,139 +365,6 @@ fn percentile(hist: &[usize], p: f64) -> usize {
     hist.len().saturating_sub(1)
 }
 
-/// One census aggregate's cost-model inputs.
-#[derive(Clone, Debug)]
-pub struct CostJob {
-    /// Pattern node count `|V_P|`.
-    pub pattern_nodes: usize,
-    /// Pattern positive-edge count.
-    pub pattern_edges: usize,
-    /// Neighborhood radius.
-    pub k: u32,
-    /// COUNTSP?
-    pub subpattern: bool,
-    /// Pattern carries node/edge attribute predicates?
-    pub has_predicates: bool,
-    /// Estimated global match-list length (from the estimator), possibly
-    /// replaced by the exact cached length.
-    pub est_matches: f64,
-    /// Exact cached match-list length, if the census cache holds one.
-    pub cached_matches: Option<usize>,
-}
-
-impl CostJob {
-    /// Build from a resolved pattern + statement shape.
-    pub fn new(stats: &GraphStats, pattern: &Pattern, k: u32, subpattern: bool) -> CostJob {
-        CostJob {
-            pattern_nodes: pattern.num_nodes(),
-            pattern_edges: pattern.positive_edges().len(),
-            k,
-            subpattern,
-            has_predicates: !pattern.node_predicates().is_empty()
-                || !pattern.edge_predicates().is_empty(),
-            est_matches: stats.est_matches(pattern),
-            cached_matches: None,
-        }
-    }
-
-    /// Match-list length the model should use: exact when cached.
-    pub fn matches(&self) -> f64 {
-        match self.cached_matches {
-            Some(len) => len as f64,
-            None => self.est_matches,
-        }
-    }
-
-    /// Can this algorithm produce this job at all? Mirrors the batch
-    /// planner's rejections (`ego_census::batch::resolve_mode`): ND-BAS
-    /// serves neither COUNTSP nor predicated patterns, ND-DIFF no
-    /// COUNTSP.
-    pub fn supports(&self, algorithm: Algorithm) -> bool {
-        match algorithm {
-            Algorithm::NdBaseline => !self.subpattern && !self.has_predicates,
-            Algorithm::NdDiff => !self.subpattern,
-            _ => true,
-        }
-    }
-}
-
-/// All six concrete algorithms, in cost-model consideration order.
-pub const CONSIDERED: [Algorithm; 6] = [
-    Algorithm::NdPivot,
-    Algorithm::NdDiff,
-    Algorithm::NdBaseline,
-    Algorithm::PtOpt,
-    Algorithm::PtRandom,
-    Algorithm::PtBaseline,
-];
-
-/// Estimated cost (abstract work units) of serving `jobs` over `focal`
-/// focal nodes with one algorithm, with the ball size as the per-unit
-/// traversal cost. The ND-PVOT / PT-OPT crossover is `m·v` vs `f`:
-/// pattern-driven wins when the match list is smaller than the focal
-/// set — the paper's "selective patterns" guidance. PT pays the full
-/// ball per match-list entry: discounting it by the runtime chooser's
-/// `PT_FACTOR` underprices PT's per-match ball work and flips dense
-/// censuses to PT at several times the ND wall time. How far the
-/// resulting pick is from the best forced algorithm is `census_bench`'s
-/// `planner.regret_ratio` / `planner.regret_whole_ratio`.
-///
-/// * ND sweeps every focal ball (`focal·ball(k)`), plus the one-off
-///   global match-list computation (`m·v`) shared by PVOT/DIFF.
-/// * PT relaxes each match image into the ball around it
-///   (`m·v · ball(k)`), plus the same match-list term.
-/// * The baselines pay their asymptotic penalties: ND-BAS re-matches
-///   inside every ball instead of pivoting one global match list, so its
-///   match term carries the per-ball inflation (`·(0.5+v)`); PT-BAS
-///   scans every match against every focal ball.
-/// * DIFF and RND carry small constant overheads versus PVOT/OPT so the
-///   model breaks ties toward the paper's preferred variants.
-pub fn estimate_cost(
-    stats: &GraphStats,
-    jobs: &[CostJob],
-    focal: usize,
-    algorithm: Algorithm,
-) -> f64 {
-    let f = focal as f64;
-    jobs.iter()
-        .map(|job| {
-            let unit = stats.ball(job.k);
-            let m = job.matches();
-            let v = job.pattern_nodes.max(1) as f64;
-            let match_list = m * v;
-            match algorithm {
-                Algorithm::NdPivot => f * unit + match_list,
-                Algorithm::NdDiff => 1.15 * (f * unit + match_list),
-                Algorithm::NdBaseline => f * unit + match_list * (0.5 + v),
-                Algorithm::PtOpt => match_list * unit + match_list,
-                Algorithm::PtRandom => 1.05 * (match_list * unit + match_list),
-                Algorithm::PtBaseline => f * m.max(1.0) + match_list,
-                // Auto is a directive, not an algorithm; it never appears
-                // in the considered set.
-                Algorithm::Auto => f64::INFINITY,
-            }
-        })
-        .sum()
-}
-
-/// Rank every algorithm that can serve all `jobs`; the first entry is
-/// the cheapest. Always non-empty (ND-PVOT serves everything).
-pub fn rank_algorithms(
-    stats: &GraphStats,
-    jobs: &[CostJob],
-    focal: usize,
-) -> Vec<(Algorithm, f64)> {
-    let mut ranked: Vec<(Algorithm, f64)> = CONSIDERED
-        .iter()
-        .filter(|a| jobs.iter().all(|j| j.supports(**a)))
-        .map(|&a| (a, estimate_cost(stats, jobs, focal, a)))
-        .collect();
-    // Stable sort keeps CONSIDERED order on ties, so equal-cost picks
-    // are deterministic across hosts.
-    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked
-}
-
 /// Process-wide planner counters, shared across sessions by the server
 /// and merged across workers by the shard router's default sum rule.
 #[derive(Debug, Default)]
@@ -600,16 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn ball_saturates_at_n() {
-        let s = GraphStats::analyze(&clique(8));
-        assert!((s.ball(0) - 1.0).abs() < 1e-9);
-        assert_eq!(s.ball(1), 8.0);
-        assert_eq!(s.ball(4), 8.0);
-        let p = GraphStats::analyze(&path(100));
-        assert!(p.ball(1) < 4.0, "{}", p.ball(1));
-    }
-
-    #[test]
     fn sidecar_roundtrip_is_exact() {
         let s = GraphStats::analyze(&clique(7));
         let text = s.to_sidecar();
@@ -635,32 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_crossover_favors_pt_on_selective_patterns() {
-        let s = GraphStats::analyze(&path(50));
-        // Few matches relative to the focal set → PT side must win
-        // (the paper's selective-pattern guidance: m·v < focal).
-        let mut job = CostJob {
-            pattern_nodes: 3,
-            pattern_edges: 3,
-            k: 2,
-            subpattern: false,
-            has_predicates: false,
-            est_matches: 2.0,
-            cached_matches: None,
-        };
-        let ranked = rank_algorithms(&s, &[job.clone()], 40);
-        assert_eq!(ranked[0].0, Algorithm::PtOpt, "{ranked:?}");
-        // Unselective focal vs huge match list → ND side wins.
-        job.est_matches = 10_000.0;
-        let ranked = rank_algorithms(&s, &[job.clone()], 3);
-        assert_eq!(ranked[0].0, Algorithm::NdPivot, "{ranked:?}");
-        // Cached length overrides the estimate.
-        job.cached_matches = Some(1);
-        let ranked = rank_algorithms(&s, &[job], 40);
-        assert_eq!(ranked[0].0, Algorithm::PtOpt, "{ranked:?}");
-    }
-
-    #[test]
     fn est_matches_tracks_degree_skew() {
         // Star: the wedge count is C(199,2) ≈ 19.7K, driven entirely by
         // the hub's second degree moment; a d̄²-based estimate (~800)
@@ -680,28 +505,6 @@ mod tests {
         let p = GraphStats::analyze(&path(100));
         let est = p.est_matches(&wedge);
         assert!(est < 2.5 * p.num_nodes as f64 * p.avg_degree, "{est}");
-    }
-
-    #[test]
-    fn validity_gates_mirror_batch_rejections() {
-        let s = GraphStats::analyze(&clique(6));
-        let job = CostJob {
-            pattern_nodes: 3,
-            pattern_edges: 3,
-            k: 1,
-            subpattern: true,
-            has_predicates: false,
-            est_matches: 5.0,
-            cached_matches: None,
-        };
-        let algos: Vec<Algorithm> = rank_algorithms(&s, &[job], 6)
-            .into_iter()
-            .map(|(a, _)| a)
-            .collect();
-        assert!(!algos.contains(&Algorithm::NdBaseline));
-        assert!(!algos.contains(&Algorithm::NdDiff));
-        assert!(algos.contains(&Algorithm::NdPivot));
-        assert!(algos.len() >= 4);
     }
 
     #[test]

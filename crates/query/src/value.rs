@@ -28,6 +28,7 @@ impl Value {
     }
 
     /// Numeric view (ints widen).
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
@@ -45,12 +46,14 @@ impl Value {
     }
 
     /// Is this NULL?
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
     /// SQL-style comparison with numeric coercion; `None` for NULLs or
     /// incomparable types (a comparison involving them is never true).
+    #[inline]
     pub fn compare(&self, other: &Value) -> Option<std::cmp::Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,

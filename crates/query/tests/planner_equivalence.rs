@@ -7,9 +7,16 @@
 //! planner may pick any algorithm and any batch grouping; none of those
 //! choices is allowed to change a single result byte.
 
+use ego_census::cost::{self, GraphShape};
+use ego_census::{CensusSpec, FocalNodes};
 use ego_graph::{Graph, GraphBuilder, Label, NodeId};
-use ego_query::{Algorithm, QueryEngine, ShardSpec, Table};
+use ego_query::optimizer::{optimize, PassContext};
+use ego_query::parser::parse_query;
+use ego_query::{
+    build_plan, Algorithm, CensusCache, GraphStats, QueryEngine, ShardSpec, StatsBasis, Table,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Every concrete algorithm the planner chooses between.
 const FORCED: [Algorithm; 6] = [
@@ -155,4 +162,86 @@ proptest! {
         e.set_focal_shard(None);
         prop_assert_eq!(reassembled, whole.num_rows());
     }
+}
+
+/// The core's `Auto` and the planner's algorithm-selection pass price
+/// with one function: handed the same exact match count (the planner
+/// reads it from the census cache), they pick the same algorithm — on a
+/// dense and a sparse graph, at k = 1, 2, 3, for focal sets on both sides
+/// of the ND/PT crossover, for COUNTP and COUNTSP.
+#[test]
+fn core_auto_picks_what_the_planner_picks() {
+    let dense = {
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(12, Label(0));
+        for x in 0..12u32 {
+            for y in (x + 1)..12 {
+                b.add_edge(NodeId(x), NodeId(y));
+            }
+        }
+        b.build()
+    };
+    // A 300-node path with 50 disjoint triangles closed along it.
+    let sparse = {
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(300, Label(0));
+        for x in 0..299u32 {
+            b.add_edge(NodeId(x), NodeId(x + 1));
+        }
+        for i in 0..50u32 {
+            b.add_edge(NodeId(3 * i), NodeId(3 * i + 2));
+        }
+        b.build()
+    };
+    let mut picks = Vec::new();
+    for g in [&dense, &sparse] {
+        let e = engine(g);
+        let stats = GraphStats::heuristic(g);
+        let shape = GraphShape::of(g);
+        let cache = CensusCache::new(16);
+        for (pattern, subpattern) in [("tri", None), ("tria", Some("pair"))] {
+            let p = e.catalog().require(pattern).unwrap();
+            let matches = Arc::new(ego_census::global_matches(g, p));
+            let key = CensusCache::match_key(&ego_pattern::to_dsl(p), g.fingerprint());
+            cache.put_matches(key, Arc::clone(&matches));
+            for k in 1..=3u32 {
+                for focal_len in [2, g.num_nodes() as u32] {
+                    let focal: Vec<NodeId> = (0..focal_len).map(NodeId).collect();
+                    let agg = match subpattern {
+                        Some(sp) => format!("COUNTSP({sp}, {pattern}, SUBGRAPH(ID, {k}))"),
+                        None => format!("COUNTP({pattern}, SUBGRAPH(ID, {k}))"),
+                    };
+                    let stmt = parse_query(&format!("SELECT ID, {agg} FROM nodes")).unwrap();
+                    let mut ctx = PassContext {
+                        graph: g,
+                        catalog: e.catalog(),
+                        stats: &stats,
+                        stats_basis: StatsBasis::Heuristic,
+                        fingerprint: g.fingerprint(),
+                        cache: Some(&cache),
+                        views: None,
+                        focal: Some(&focal),
+                        shard: None,
+                        forced: Algorithm::Auto,
+                        counters: None,
+                        fired: 0,
+                    };
+                    let plan = optimize(build_plan(&stmt), &mut ctx).unwrap();
+                    let planned = plan.choice().unwrap().algorithm;
+
+                    let spec = CensusSpec::single(p, k).with_focal(FocalNodes::Set(focal));
+                    let spec = match subpattern {
+                        Some(sp) => spec.with_subpattern(sp),
+                        None => spec,
+                    };
+                    let core = cost::choose(g, &shape, &spec, matches.len());
+                    assert_eq!(core, planned, "n={} {agg} focal={focal_len}", g.num_nodes());
+                    picks.push(core);
+                }
+            }
+        }
+    }
+    // The grid straddles the crossover: both families are picked.
+    assert!(picks.contains(&Algorithm::NdPivot), "{picks:?}");
+    assert!(picks.contains(&Algorithm::PtOpt), "{picks:?}");
 }

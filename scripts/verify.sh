@@ -425,7 +425,38 @@ case "$sparse_algo" in
   Pt*) ;;
   *) echo "FAIL: sparse path should choose a pattern-driven algorithm (got '$sparse_algo')"; exit 1 ;;
 esac
-echo "    sidecar adopted ($choices ranked alternatives); dense -> $dense_algo, sparse -> $sparse_algo"
+# EXPLAIN plans over the focal set the WHERE clause selects, as execution
+# does: three focal nodes cost less than eight.
+census_cost() { # $1 = EXPLAIN statement; prints the census row's est_cost
+  ./target/release/egocensus query "$tmpdir/dense.txt" --csv --define "$tri_def" "$1" \
+    | awk -F, '$1 ~ /^ *census$/ { print $NF }'
+}
+where_cost=$(census_cost "$tri_sql WHERE ID < 3")
+all_cost=$(census_cost "$tri_sql")
+awk -v a="$where_cost" -v b="$all_cost" 'BEGIN { exit !(a < b) }' \
+  || { echo "FAIL: EXPLAIN ... WHERE ID < 3 should cost less than the whole graph ($where_cost vs $all_cost)"; exit 1; }
+# A forced algorithm the kernels refuse fails EXPLAIN with the error
+# execution reports, rather than rendering a plan.
+sp_def='PATTERN trisp { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }'
+sp_sql='SELECT ID, COUNTSP(s, trisp, SUBGRAPH(ID, 2)) FROM nodes'
+nd_bas_outcome() { # $1 = statement; prints its error, or "answered"
+  if ./target/release/egocensus query "$tmpdir/dense.txt" --algorithm nd-bas --define "$sp_def" "$1" \
+    >/dev/null 2>"$tmpdir/nd_bas.err"; then
+    echo answered
+  else
+    cat "$tmpdir/nd_bas.err"
+  fi
+}
+exec_err=$(nd_bas_outcome "$sp_sql")
+explain_err=$(nd_bas_outcome "EXPLAIN $sp_sql")
+case "$exec_err" in
+  *"ND-BAS cannot evaluate COUNTSP"*) ;;
+  *) echo "FAIL: --algorithm nd-bas should refuse COUNTSP (got '$exec_err')"; exit 1 ;;
+esac
+[ "$explain_err" = "$exec_err" ] \
+  || { echo "FAIL: EXPLAIN under --algorithm nd-bas should fail like execution ('$explain_err' vs '$exec_err')"; exit 1; }
+echo "    sidecar adopted ($choices ranked alternatives); dense -> $dense_algo, sparse -> $sparse_algo;" \
+  "EXPLAIN prices the WHERE ($where_cost < $all_cost) and refuses what execution refuses"
 
 echo "==> census_bench compile surface + smoke suite (the benchmark, unmodified, against this workspace)"
 # BENCHMARK.json's command builds census_bench from its own manifest, so

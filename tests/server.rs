@@ -2,9 +2,11 @@
 //! an in-process [`Server`] on an ephemeral port, exercised by real TCP
 //! clients, checked against direct [`QueryEngine`] execution.
 
+use egocensus::census::pairwise::{brute_force_pair, PairKind};
 use egocensus::census::Algorithm;
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
+use egocensus::pattern::Pattern;
 use egocensus::query::{Catalog, QueryEngine, ShardSpec, Value, ViewRegistry, DEFAULT_VIEW_BUDGET};
 use egocensus::server::{
     serve_lines, Client, LineHandler, LineLimits, Request, Response, Server, ServerConfig,
@@ -296,28 +298,37 @@ fn radius_past_u16_is_answered_on_the_pattern_driven_path() {
     thread.join().expect("server thread");
 }
 
-/// The pattern-driven pairwise census tracks a match's anchors in 32-bit
-/// coverage masks, and `Auto` sends every pairwise aggregate there: a
-/// 33-anchor pattern used to trip an assert inside the request thread
-/// (contained, but it cost the client its connection).
-#[test]
-fn pairwise_query_past_32_anchors_is_an_error_reply() {
+/// A 33-node path, the 33-anchor pattern that is the whole path, and a
+/// pairwise query over it: the first two nodes' radius-40 balls hold it.
+fn path33_pairwise() -> (Graph, String, &'static str) {
     let mut b = GraphBuilder::undirected();
     b.add_nodes(33, Label(0));
     for i in 0..32 {
         b.add_edge(NodeId(i), NodeId(i + 1));
     }
-    let (addr, handle, thread) = spawn_server_on(b.build(), config());
-    let mut client = Client::connect(addr).expect("connect");
     let edges: String = (0..32).map(|i| format!("?V{i}-?V{}; ", i + 1)).collect();
-    expect_table(
-        client
-            .define(&format!("PATTERN p33 {{ {edges}}}"))
-            .expect("define"),
-    );
-
     let sql = "SELECT a.ID, b.ID, COUNTP(p33, SUBGRAPH-INTERSECTION(a.ID, b.ID, 40)) \
                FROM nodes a, nodes b WHERE a.ID = 0 AND b.ID = 1";
+    (b.build(), format!("PATTERN p33 {{ {edges}}}"), sql)
+}
+
+/// The pattern-driven pairwise census tracks a match's anchors in 32-bit
+/// coverage masks: forced onto it, a 33-anchor pattern used to trip an
+/// assert inside the request thread (contained, but it cost the client
+/// its connection). It is an error reply now.
+#[test]
+fn pairwise_query_past_32_anchors_is_an_error_reply() {
+    let (g, define, sql) = path33_pairwise();
+    let (addr, handle, thread) = spawn_server_on(
+        g,
+        ServerConfig {
+            algorithm: Algorithm::PtOpt,
+            ..config()
+        },
+    );
+    let mut client = Client::connect(addr).expect("connect");
+    expect_table(client.define(&define).expect("define"));
+
     match client
         .query(sql)
         .expect("an error reply, not a dropped connection")
@@ -333,6 +344,128 @@ fn pairwise_query_past_32_anchors_is_an_error_reply() {
             .expect("next"),
     );
     assert_eq!(next.rows.len(), 3);
+
+    handle.shutdown();
+    thread.join().expect("server thread");
+}
+
+/// Under the default `Auto` the refusal rule turns the same query away
+/// from PT-OPT before it runs, and ND-PVOT answers it.
+#[test]
+fn pairwise_query_past_32_anchors_is_answered_under_auto() {
+    let (g, define, sql) = path33_pairwise();
+    let p33 = Pattern::parse(&define).expect("pattern");
+    let want = brute_force_pair(&g, &p33, 40, PairKind::Intersection, NodeId(0), NodeId(1));
+    assert_eq!(want, 1);
+    let (addr, handle, thread) = spawn_server_on(g, config());
+    let mut client = Client::connect(addr).expect("connect");
+    expect_table(client.define(&define).expect("define"));
+    let got = expect_table(client.query(sql).expect("query"));
+    assert_eq!(
+        got.rows,
+        vec![vec![Value::Int(0), Value::Int(1), Value::Int(want as i64)]]
+    );
+
+    handle.shutdown();
+    thread.join().expect("server thread");
+}
+
+/// `Auto` never picks a kernel that then refuses the spec: on a
+/// 70 000-node path the planner prices PT-BAS cheapest for four focal
+/// nodes, but PMD rows cannot hold radius 70 000, so the refusal rule
+/// leaves the statement to ND-PVOT.
+#[test]
+fn auto_never_picks_a_kernel_that_refuses_the_radius() {
+    let mut b = GraphBuilder::undirected();
+    b.add_nodes(70_000, Label(0));
+    for i in 0..69_999 {
+        b.add_edge(NodeId(i), NodeId(i + 1));
+    }
+    b.add_edge(NodeId(0), NodeId(2));
+    let sql = "SELECT ID, COUNTP(tri, SUBGRAPH(ID, 70000)) FROM nodes WHERE ID < 4";
+    let rows = |algorithm: Algorithm| {
+        let (addr, handle, thread) = spawn_server_on(
+            b.clone().build(),
+            ServerConfig {
+                algorithm,
+                ..config()
+            },
+        );
+        let mut client = Client::connect(addr).expect("connect");
+        expect_table(
+            client
+                .define("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }")
+                .expect("define"),
+        );
+        let rows = expect_table(client.query(sql).expect("query")).rows;
+        handle.shutdown();
+        thread.join().expect("server thread");
+        rows
+    };
+    let want: Vec<Vec<Value>> = (0..4).map(|i| vec![Value::Int(i), Value::Int(1)]).collect();
+    assert_eq!(rows(Algorithm::NdPivot), want);
+    assert_eq!(rows(Algorithm::Auto), want);
+}
+
+/// `MATERIALIZE` runs its census the way a `SELECT` does: the match list
+/// and the center index it builds serve the next cold pattern-driven
+/// statement over the same pattern.
+#[test]
+fn materialize_feeds_the_census_cache_like_a_select() {
+    // A 300-node path with 50 disjoint triangles closed along it: few
+    // matches next to the focal sets below, so the planner goes
+    // pattern-driven.
+    let mut b = GraphBuilder::undirected();
+    b.add_nodes(300, Label(0));
+    for i in 0..299 {
+        b.add_edge(NodeId(i), NodeId(i + 1));
+    }
+    for i in 0..50 {
+        b.add_edge(NodeId(3 * i), NodeId(3 * i + 2));
+    }
+    let g = b.build();
+    let mut engine = QueryEngine::with_builtins(&g);
+    engine.set_threads(1);
+    let (addr, handle, thread) = spawn_server_on(g.clone(), config());
+    let mut client = Client::connect(addr).expect("connect");
+    let algo = |client: &mut Client, sql: &str| {
+        let plan = expect_table(client.explain(sql).expect("explain"));
+        let census = plan
+            .rows
+            .iter()
+            .find(|r| r[0].to_string().trim_start() == "census")
+            .expect("census row")[1]
+            .to_string();
+        census.split_whitespace().next().expect("algo").to_string()
+    };
+    // The statement MATERIALIZE plans as is pattern-driven; so is a cold
+    // one no view can serve (a new radius over a new focal set).
+    let whole = "SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes";
+    let cold = "SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 2)) FROM nodes WHERE ID >= 100";
+    assert_eq!(algo(&mut client, whole), "algo=PtOpt");
+    let ack = client
+        .materialize("MATERIALIZE clq3_unlb RADIUS 1 MATCHES")
+        .expect("materialize");
+    assert!(!ack.is_error(), "{ack:?}");
+    assert_eq!(algo(&mut client, cold), "algo=PtOpt");
+    let counters = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        [
+            "census_match_hits",
+            "census_center_hits",
+            "census_center_misses",
+        ]
+        .map(|name| stats.stat(name).expect(name))
+    };
+    let [match_hits, center_hits, center_misses] = counters(&mut client);
+    assert_eq!(
+        expect_table(client.query(cold).expect("cold query")),
+        TableData::from_table(&engine.execute(cold).expect("direct execution"))
+    );
+    assert_eq!(
+        counters(&mut client),
+        [match_hits + 1, center_hits + 1, center_misses]
+    );
 
     handle.shutdown();
     thread.join().expect("server thread");
