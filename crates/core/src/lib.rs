@@ -39,7 +39,6 @@
 //! assert_eq!(counts.get(NodeId(4)), 1);
 //! ```
 
-pub mod approx;
 pub mod batch;
 pub mod bucket_queue;
 pub mod centers;

@@ -3,8 +3,8 @@
 //! Every matcher and census path bottoms out in sorted-set intersection:
 //! candidate-neighbor construction intersects adjacency lists with
 //! candidate lists, match extraction intersects CN lists along the search
-//! order, and the pairwise/approx census paths intersect neighborhood
-//! balls. Subgraph-counting cost is dominated by exactly these adjacency
+//! order, and the pairwise census paths intersect neighborhood balls.
+//! Subgraph-counting cost is dominated by exactly these adjacency
 //! intersections (Silvestri; Deng et al.), so this module provides the
 //! kernels once, allocation-free, and picks the right one per call:
 //!

@@ -17,6 +17,14 @@ impl ColumnRef {
     pub fn is_id(&self) -> bool {
         self.column.eq_ignore_ascii_case("ID")
     }
+
+    /// The reference as written: `n1.ID`, `age`.
+    pub(crate) fn name(&self) -> String {
+        match &self.table {
+            Some(t) => format!("{t}.{}", self.column),
+            None => self.column.clone(),
+        }
+    }
 }
 
 /// The census neighborhood inside an aggregate call.
@@ -67,6 +75,29 @@ pub enum Projection {
     Column(ColumnRef),
     /// A census aggregate.
     Agg(AggCall),
+}
+
+impl Projection {
+    /// The item as written, canonically spaced: its result column's name.
+    pub(crate) fn name(&self) -> String {
+        let a = match self {
+            Projection::Column(c) => return c.name(),
+            Projection::Agg(a) => a,
+        };
+        let nb = match &a.neighborhood {
+            NeighborhoodAst::Subgraph { node, k } => format!("SUBGRAPH({}, {k})", node.name()),
+            NeighborhoodAst::Intersection { n1, n2, k } => {
+                format!("SUBGRAPH-INTERSECTION({}, {}, {k})", n1.name(), n2.name())
+            }
+            NeighborhoodAst::Union { n1, n2, k } => {
+                format!("SUBGRAPH-UNION({}, {}, {k})", n1.name(), n2.name())
+            }
+        };
+        match &a.subpattern {
+            Some(sp) => format!("COUNTSP({sp}, {}, {nb})", a.pattern),
+            None => format!("COUNTP({}, {nb})", a.pattern),
+        }
+    }
 }
 
 /// Binary operators in WHERE expressions.

@@ -17,6 +17,20 @@ pub struct RowContext<'a> {
 }
 
 impl<'a> RowContext<'a> {
+    /// A context over `aliases`, each bound to node 0 until [`Self::bind`]
+    /// binds a row.
+    pub(crate) fn new(graph: &'a Graph, aliases: impl Iterator<Item = &'a str>) -> Self {
+        let bindings = aliases.map(|a| (a, NodeId(0))).collect();
+        RowContext { graph, bindings }
+    }
+
+    /// Bind one row: its nodes, in alias order.
+    pub(crate) fn bind(&mut self, row: &[NodeId]) {
+        for (binding, &n) in self.bindings.iter_mut().zip(row) {
+            binding.1 = n;
+        }
+    }
+
     /// Resolve a column reference to the bound node it refers to.
     pub fn resolve_node(&self, col: &ColumnRef) -> Result<NodeId, QueryError> {
         match &col.table {

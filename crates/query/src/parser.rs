@@ -40,7 +40,8 @@ pub enum Statement<'a> {
     /// No other verb leads it: the whole text, parsed as a `SELECT`
     /// (whose parser reports anything else as a syntax error).
     Select(&'a str),
-    /// `EXPLAIN <select>`: the text after the verb.
+    /// `EXPLAIN <select>`: the statement after the verb, leading
+    /// whitespace trimmed so its error positions match running it.
     Explain(&'a str),
     /// `ANALYZE`: the text after the verb, which must be blank.
     Analyze(&'a str),
@@ -68,7 +69,7 @@ impl<'a> Statement<'a> {
         let (word, rest) = body.split_at(len);
         let is = |verb: &str| word.eq_ignore_ascii_case(verb);
         if is("EXPLAIN") {
-            Statement::Explain(rest)
+            Statement::Explain(rest.trim_start())
         } else if is("ANALYZE") {
             Statement::Analyze(rest)
         } else if is("INSERT") || is("DELETE") {
@@ -133,11 +134,38 @@ pub fn parse_drop_view(sql: &str) -> Result<DropViewStmt, QueryError> {
 /// Parse a mutation script: one or more `;`-separated
 /// `INSERT EDGE (a, b)` / `DELETE EDGE (a, b)` statements.
 pub fn parse_mutations(script: &str) -> Result<Vec<MutationStmt>, QueryError> {
-    let stmts = crate::executor::split_statements(script);
+    let stmts = split_statements(script);
     if stmts.is_empty() {
         return Err(QueryError::Semantic("empty mutation script".into()));
     }
     stmts.iter().map(|s| parse_mutation(s)).collect()
+}
+
+/// Split a script into statements on `;`, respecting single-quoted
+/// strings. Empty statements (trailing `;`, blank lines) are dropped.
+pub(crate) fn split_statements(sql: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut current = String::new();
+    let mut in_quote = false;
+    for ch in sql.chars() {
+        match ch {
+            '\'' => {
+                in_quote = !in_quote;
+                current.push(ch);
+            }
+            ';' if !in_quote => {
+                if !current.trim().is_empty() {
+                    out.push(current.trim().to_string());
+                }
+                current.clear();
+            }
+            _ => current.push(ch),
+        }
+    }
+    if !current.trim().is_empty() {
+        out.push(current.trim().to_string());
+    }
+    out
 }
 
 fn parse_mutation(sql: &str) -> Result<MutationStmt, QueryError> {
@@ -276,7 +304,7 @@ impl Parser {
                     }
                     other => {
                         return Err(self.err(format!(
-                            "ORDER BY takes a 1-based projection ordinal                              (1..={}), found {other}",
+                            "ORDER BY takes a 1-based projection ordinal (1..={}), found {other}",
                             projections.len()
                         )))
                     }
@@ -725,7 +753,7 @@ mod tests {
             ("", Select("")),
             (
                 "explain SELECT ID FROM nodes",
-                Explain(" SELECT ID FROM nodes"),
+                Explain("SELECT ID FROM nodes"),
             ),
             ("EXPLAIN(SELECT 1)", Explain("(SELECT 1)")),
             ("ANALYZE", Analyze("")),

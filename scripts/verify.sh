@@ -458,6 +458,42 @@ esac
 echo "    sidecar adopted ($choices ranked alternatives); dense -> $dense_algo, sparse -> $sparse_algo;" \
   "EXPLAIN prices the WHERE ($where_cost < $all_cost) and refuses what execution refuses"
 
+echo "==> EXPLAIN parity (EXPLAIN fails exactly when execution fails, with the same error)"
+# EXPLAIN binds a statement the way execution does: the semantic checks,
+# the relation operators, the optimizer passes. So over every statement
+# below, `EXPLAIN <sql>` and `<sql>` exit non-zero together and print the
+# same stderr, byte for byte.
+parity_def='PATTERN tri { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }'
+parity_checked=0
+while IFS= read -r sql; do
+  exec_rc=0
+  ./target/release/egocensus query "$tmpdir/g.txt" --define "$parity_def" "$sql" \
+    >/dev/null 2>"$tmpdir/parity_exec.err" || exec_rc=$?
+  explain_rc=0
+  ./target/release/egocensus query "$tmpdir/g.txt" --define "$parity_def" "EXPLAIN $sql" \
+    >/dev/null 2>"$tmpdir/parity_explain.err" || explain_rc=$?
+  [ "$((exec_rc == 0))" = "$((explain_rc == 0))" ] \
+    || { echo "FAIL: exit $exec_rc running, $explain_rc explaining: $sql"; exit 1; }
+  cmp -s "$tmpdir/parity_exec.err" "$tmpdir/parity_explain.err" \
+    || { echo "FAIL: EXPLAIN's stderr differs from execution's: $sql";
+         diff "$tmpdir/parity_exec.err" "$tmpdir/parity_explain.err" || true; exit 1; }
+  parity_checked=$((parity_checked + 1))
+done <<'EOF'
+SELECT ID, COUNTP(tri, SUBGRAPH-INTERSECTION(ID, ID, 1)) FROM nodes
+SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes AS a, nodes AS a
+SELECT ID, COUNTP(tri, SUBGRAPH(age, 1)) FROM nodes
+SELECT ID, COUNTP(tri, SUBGRAPH(x.ID, 1)) FROM nodes
+SELECT a.ID, COUNTP(tri, SUBGRAPH(a.ID, 1)) FROM nodes a, nodes b
+SELECT a.ID, COUNTP(tri, SUBGRAPH-INTERSECTION(a.ID, a.ID, 1)) FROM nodes a, nodes b
+SELECT ID FROM nodes WHERE FOO(ID) > 1
+SELECT ID FROM nodes ORDER BY 5
+SELECT ID, COUNTP(tri, SUBGRAPH(ID, 2)) FROM nodes WHERE ID < 100 ORDER BY 2 DESC LIMIT 20
+SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)), COUNTP(single_edge, SUBGRAPH(ID, 2)) FROM nodes
+SELECT ID, COUNTSP(s, tri, SUBGRAPH(ID, 1)) FROM nodes
+SELECT a.ID, COUNTP(tri, SUBGRAPH-UNION(a.ID, b.ID, 1)) FROM nodes a, nodes b WHERE a.ID < 10 AND b.ID < 10 ORDER BY 2 DESC LIMIT 2
+EOF
+echo "    $parity_checked statements: EXPLAIN and execution fail alike, with identical stderr"
+
 echo "==> census_bench compile surface + smoke suite (the benchmark, unmodified, against this workspace)"
 # BENCHMARK.json's command builds census_bench from its own manifest, so
 # a refactor that breaks what it compiles against, or its in-run
