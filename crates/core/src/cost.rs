@@ -94,6 +94,7 @@ pub fn refusal(g: &Graph, census: Census<'_, '_>, algorithm: Algorithm) -> Resul
         (Census::Single(spec), PtBaseline | PtRandom | PtOpt) => {
             crate::pt_opt::pmd_radius(g, spec.k()).map(drop)
         }
+        (Census::Pair(spec), NdBaseline) => crate::pairwise::check_nd_bas(spec),
         (Census::Pair(spec), PtBaseline | PtRandom | PtOpt) => crate::pairwise::check_anchors(spec),
         _ => Ok(()),
     }
@@ -281,6 +282,11 @@ mod tests {
         let pair = PairCensusSpec::intersection(&p33, 40, PairSelector::AllPairs);
         assert!(refusal(&g, Census::Pair(&pair), Algorithm::PtOpt).is_err());
         assert!(refusal(&g, Census::Pair(&pair), Algorithm::NdPivot).is_ok());
+        // Pairwise ND-BAS counts whole matches only.
+        let countsp = PairCensusSpec::union(&p, 1, PairSelector::AllPairs).with_subpattern("s");
+        let err = refusal(&g, Census::Pair(&countsp), Algorithm::NdBaseline).unwrap_err();
+        assert!(err.to_string().contains("pairwise ND-BAS"), "{err}");
+        assert!(refusal(&g, Census::Pair(&countsp), Algorithm::NdPivot).is_ok());
     }
 
     #[test]

@@ -318,17 +318,8 @@ pub(crate) fn run_with_matches(
 
 /// ND-BAS, pairwise: extract each pair's neighborhood subgraph and match.
 fn nd_bas_pairwise(g: &Graph, spec: &PairCensusSpec<'_>) -> Result<PairCounts, CensusError> {
+    check_nd_bas(spec)?;
     let p = spec.pattern();
-    if spec.subpattern_name().is_some() {
-        return Err(CensusError::Unsupported(
-            "pairwise ND-BAS cannot evaluate COUNTSP; use ND-PVOT or PT".into(),
-        ));
-    }
-    if !p.node_predicates().is_empty() || !p.edge_predicates().is_empty() {
-        return Err(CensusError::Unsupported(
-            "pairwise ND-BAS supports structural/label patterns only".into(),
-        ));
-    }
     let mut counts = PairCounts::default();
     let mut scratch = BfsScratch::new(g.num_nodes());
     for (a, b) in spec.selector().pairs(g) {
@@ -439,6 +430,22 @@ fn merge_pair(
             }
         }
     }
+}
+
+/// The specs the pairwise baseline refuses.
+pub(crate) fn check_nd_bas(spec: &PairCensusSpec<'_>) -> Result<(), CensusError> {
+    let p = spec.pattern();
+    if spec.subpattern_name().is_some() {
+        return Err(CensusError::Unsupported(
+            "pairwise ND-BAS cannot evaluate COUNTSP; use ND-PVOT or PT".into(),
+        ));
+    }
+    if !p.node_predicates().is_empty() || !p.edge_predicates().is_empty() {
+        return Err(CensusError::Unsupported(
+            "pairwise ND-BAS supports structural/label patterns only".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// The pattern-driven pairwise census tracks a match's anchors in 32-bit
