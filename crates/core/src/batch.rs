@@ -439,7 +439,14 @@ fn pt_group_run(
         centers: pmd_centers,
         use_distance_shortcuts: config.use_distance_shortcuts,
     };
-    let (local, ts) = pt_opt::run_groups(&ctx, &groups, ordering, config.seed, threads);
+    let (local, ts) = pt_opt::run_groups(
+        &ctx,
+        &groups,
+        ordering,
+        config.seed,
+        threads,
+        pt_opt::counts,
+    );
     stats.add(&ts);
     for (st, cv) in slots.iter().zip(&local) {
         counts[st.spec].merge_add(cv);

@@ -84,18 +84,18 @@ pub enum Census<'s, 'a> {
 
 /// The refusal rule: `Err` — the kernel's own error — when `algorithm`
 /// cannot serve `census` on `g`. Built from the kernels' checks, which
-/// stay in the kernels. PMD's radius bound covers the whole PT family
-/// because the batch runs PT-BAS and PT-RND through PT-OPT's group kernel.
+/// stay in the kernels. PMD's radius bound covers the whole PT family,
+/// single-node and pairwise, because the batch runs PT-BAS and PT-RND
+/// through PT-OPT's group kernel and pairwise PT runs on that kernel too.
 pub fn refusal(g: &Graph, census: Census<'_, '_>, algorithm: Algorithm) -> Result<(), CensusError> {
+    use crate::pt_opt::pmd_radius;
     use Algorithm::{NdBaseline, NdDiff, PtBaseline, PtOpt, PtRandom};
     match (census, algorithm) {
         (Census::Single(spec), NdBaseline) => crate::nd_bas::check(spec),
         (Census::Single(spec), NdDiff) => crate::nd_diff::check(spec),
-        (Census::Single(spec), PtBaseline | PtRandom | PtOpt) => {
-            crate::pt_opt::pmd_radius(g, spec.k()).map(drop)
-        }
+        (Census::Single(spec), PtBaseline | PtRandom | PtOpt) => pmd_radius(g, spec.k()).map(drop),
         (Census::Pair(spec), NdBaseline) => crate::pairwise::check_nd_bas(spec),
-        (Census::Pair(spec), PtBaseline | PtRandom | PtOpt) => crate::pairwise::check_anchors(spec),
+        (Census::Pair(spec), PtBaseline | PtRandom | PtOpt) => pmd_radius(g, spec.k()).map(drop),
         _ => Ok(()),
     }
 }
@@ -182,7 +182,7 @@ pub fn choose(g: &Graph, shape: &GraphShape, spec: &CensusSpec<'_>, matches: usi
 mod tests {
     use super::*;
     use crate::spec::FocalNodes;
-    use crate::{global_matches, run_census, PairSelector};
+    use crate::{global_matches, run_census, run_pair_census, PairSelector};
     use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
 
@@ -276,12 +276,29 @@ mod tests {
             a,
             Algorithm::PtBaseline | Algorithm::PtRandom | Algorithm::PtOpt
         )));
-        // Pairwise PT tracks at most 32 anchors per match.
+        // Pairwise PT has no anchor cap, and PMD's radius bound is its
+        // only refusal: `Auto` then answers with ND-PVOT.
         let edges: String = (0..32).map(|i| format!("?V{i}-?V{}; ", i + 1)).collect();
         let p33 = Pattern::parse(&format!("PATTERN p33 {{ {edges}}}")).unwrap();
         let pair = PairCensusSpec::intersection(&p33, 40, PairSelector::AllPairs);
-        assert!(refusal(&g, Census::Pair(&pair), Algorithm::PtOpt).is_err());
+        assert!(refusal(&g, Census::Pair(&pair), Algorithm::PtOpt).is_ok());
         assert!(refusal(&g, Census::Pair(&pair), Algorithm::NdPivot).is_ok());
+        let far = PairCensusSpec::intersection(
+            &p,
+            70_000,
+            PairSelector::Pairs(vec![(NodeId(0), NodeId(1))]),
+        );
+        for a in [Algorithm::PtBaseline, Algorithm::PtRandom, Algorithm::PtOpt] {
+            let err = refusal(&g, Census::Pair(&far), a).unwrap_err();
+            assert!(err.to_string().contains("use ND-PVOT"), "{err}");
+        }
+        let auto = run_pair_census(&g, &far, Algorithm::Auto).unwrap();
+        let nd = run_pair_census(&g, &far, Algorithm::NdPivot).unwrap();
+        assert!(nd.get(NodeId(0), NodeId(1)) > 0);
+        assert_eq!(
+            auto.iter().collect::<Vec<_>>(),
+            nd.iter().collect::<Vec<_>>()
+        );
         // Pairwise ND-BAS counts whole matches only.
         let countsp = PairCensusSpec::union(&p, 1, PairSelector::AllPairs).with_subpattern("s");
         let err = refusal(&g, Census::Pair(&countsp), Algorithm::NdBaseline).unwrap_err();

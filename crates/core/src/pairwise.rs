@@ -14,25 +14,29 @@
 //!   `min(d1, d2)` (union); the pivot index and distance shortcuts apply
 //!   unchanged. Per-node `k`-hop lists are computed once and merged per
 //!   pair.
-//! * **PT-BAS / PT-OPT** — per the appendix: after the match-centric
-//!   traversal, a match is credited to every pair in `N[M] × N[M]` for
-//!   intersection; for union, visited nodes are grouped by the *coverage
-//!   mask* of anchors they reach, and mask pairs whose union covers all
-//!   anchors contribute their node pairs.
+//! * **PT-BAS / PT-RND / PT-OPT** — per the appendix: the single-node
+//!   match-centric traversal (PT-OPT's cluster kernel, whose PMD rows
+//!   hold every distance up to `k` exactly), then one crediting step per
+//!   match. Intersection credits every pair in `N[M] × N[M]`. Union
+//!   groups the participants by the *coverage* bit-vector of anchors
+//!   within `k` — as many `u64` words as the match has anchors — and
+//!   every pair of groups whose coverages together hold all anchors
+//!   credits its node pairs. PT-BAS is the kernel with no centers and no
+//!   clustering; PT-RND pops its queue at random.
 
-use crate::centers::CenterIndex;
 use crate::cost::{refusal, Census};
 use crate::nd_pivot::PivotPlan;
-use crate::parallel::ExecConfig;
+use crate::parallel::{pair_shards, ExecConfig};
+use crate::pt_opt::{self, ClusterSink, PtContext, PtSlot, PtWorker};
 use crate::result::{CensusError, CountVector};
-use crate::spec::{FocalNodes, PtConfig};
+use crate::spec::{Clustering, FocalNodes, PtConfig, PtOrdering};
+use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::subgraph::InducedSubgraph;
 use ego_graph::{neighborhood, FastHashMap, FastHashSet, Graph, NodeId};
 use ego_matcher::{find_matches, MatchList, MatcherKind};
+use ego_pattern::analysis::PatternAnalysis;
 use ego_pattern::{PNode, Pattern};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Intersection or union semantics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +64,7 @@ impl PairSelector {
         let mut out = match self {
             PairSelector::AllPairs => {
                 let n = g.num_nodes() as u32;
-                let mut v = Vec::with_capacity((n as usize * (n as usize - 1)) / 2);
+                let mut v = Vec::with_capacity(n as usize * (n as usize).saturating_sub(1) / 2);
                 for a in 0..n {
                     for b in (a + 1)..n {
                         v.push((NodeId(a), NodeId(b)));
@@ -276,43 +280,37 @@ pub fn run_pair_census_with(
     crate::run_pair_census_exec(g, spec, algorithm, config, &ExecConfig::sequential())
 }
 
-/// Run `algorithm` over the global `matches` (ignored by ND-BAS).
+/// Run `algorithm` over the global `matches` (ignored by ND-BAS) with
+/// `threads` workers: the node-driven kernels over shards of the pair
+/// list, the pattern-driven ones over chunks of their clusters.
 pub(crate) fn run_with_matches(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
     matches: &MatchList,
     algorithm: crate::Algorithm,
     config: &PtConfig,
+    threads: usize,
 ) -> Result<PairCounts, CensusError> {
     use crate::Algorithm::*;
+    let pt = |config: &PtConfig| run_pt(g, spec, matches, config, threads).map(|(c, _)| c);
     match algorithm {
-        NdBaseline => nd_bas_pairwise(g, spec),
-        NdPivot | NdDiff => nd_pivot_pairwise(g, spec, matches),
-        PtBaseline => pt_pairwise(
-            g,
-            spec,
-            matches,
-            &PtConfig {
-                num_centers: 0,
-                clustering: crate::spec::Clustering::None,
-                ..config.clone()
-            },
-        ),
+        NdBaseline => pair_shards(g, spec, threads, |s| nd_bas_pairwise(g, s)),
+        NdPivot | NdDiff => pair_shards(g, spec, threads, |s| nd_pivot_pairwise(g, s, matches)),
         // Pairwise census is not priced: `Auto` is PT-OPT unless the
         // refusal rule turns it away.
         Auto if refusal(g, Census::Pair(spec), PtOpt).is_err() => {
-            nd_pivot_pairwise(g, spec, matches)
+            run_with_matches(g, spec, matches, NdPivot, config, threads)
         }
-        PtOpt | Auto => pt_pairwise(g, spec, matches, config),
-        PtRandom => pt_pairwise(
-            g,
-            spec,
-            matches,
-            &PtConfig {
-                ordering: crate::spec::PtOrdering::Random,
-                ..config.clone()
-            },
-        ),
+        PtOpt | Auto => pt(config),
+        PtBaseline => pt(&PtConfig {
+            num_centers: 0,
+            clustering: Clustering::None,
+            ..config.clone()
+        }),
+        PtRandom => pt(&PtConfig {
+            ordering: PtOrdering::Random,
+            ..config.clone()
+        }),
     }
 }
 
@@ -354,22 +352,19 @@ fn nd_pivot_pairwise(
 
     // Per participant: sorted (node, dist) k-hop list.
     let participants = spec.selector().participants(g);
-    let mut khop: FastHashMap<u32, Vec<(NodeId, u16)>> = FastHashMap::default();
+    let mut khop: FastHashMap<u32, Vec<(NodeId, u32)>> = FastHashMap::default();
     let mut scratch = BfsScratch::new(g.num_nodes());
     let mut buf = Vec::new();
     for &n in &participants {
         buf.clear();
         scratch.bounded_bfs(g, n, k, &mut buf);
-        let mut list: Vec<(NodeId, u16)> = buf
-            .iter()
-            .map(|&m| (m, scratch.distance(m) as u16))
-            .collect();
+        let mut list: Vec<(NodeId, u32)> = buf.iter().map(|&m| (m, scratch.distance(m))).collect();
         list.sort_unstable();
         khop.insert(n.0, list);
     }
 
     let mut counts = PairCounts::default();
-    let mut combined: Vec<(NodeId, u16)> = Vec::new();
+    let mut combined: Vec<(NodeId, u32)> = Vec::new();
     for (a, b) in spec.selector().pairs(g) {
         let la = &khop[&a.0];
         let lb = &khop[&b.0];
@@ -380,8 +375,7 @@ fn nd_pivot_pairwise(
         }
         // Membership in the combined set is exact containment for both
         // kinds: within k of both balls, or of either.
-        let member: FastHashMap<u32, u32> =
-            combined.iter().map(|&(n, d)| (n.0, d as u32)).collect();
+        let member: FastHashMap<u32, u32> = combined.iter().map(|&(n, d)| (n.0, d)).collect();
         let ball = combined.iter().map(|&(n, _)| n);
         let total = plan.count(ball, |n| member[&n.0], |img| member.contains_key(&img.0));
         if total > 0 {
@@ -394,10 +388,10 @@ fn nd_pivot_pairwise(
 /// Merge two sorted (node, dist) lists under intersection (max) or union
 /// (min) distance semantics.
 fn merge_pair(
-    la: &[(NodeId, u16)],
-    lb: &[(NodeId, u16)],
+    la: &[(NodeId, u32)],
+    lb: &[(NodeId, u32)],
     kind: PairKind,
-    out: &mut Vec<(NodeId, u16)>,
+    out: &mut Vec<(NodeId, u32)>,
 ) {
     let (mut i, mut j) = (0, 0);
     match kind {
@@ -448,191 +442,134 @@ pub(crate) fn check_nd_bas(spec: &PairCensusSpec<'_>) -> Result<(), CensusError>
     Ok(())
 }
 
-/// The pattern-driven pairwise census tracks a match's anchors in 32-bit
-/// coverage masks.
-pub(crate) fn check_anchors(spec: &PairCensusSpec<'_>) -> Result<(), CensusError> {
-    match spec.anchor_nodes()?.len() {
-        n if n > 32 => Err(CensusError::Unsupported(format!(
-            "the pattern-driven pairwise census tracks at most 32 anchors \
-             per match in its coverage masks, this query has {n}; use ND-PVOT"
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Pattern-driven pairwise evaluation: run the single-node PT machinery to
-/// get per-node anchor distances, then credit pairs.
-fn pt_pairwise(
+/// Pattern-driven pairwise census: PT-OPT's set-up and cluster kernel,
+/// with the selector's participants as the slot's mask and a
+/// [`PairSink`] crediting pairs from the converged rows.
+pub(crate) fn run_pt(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
     matches: &MatchList,
     config: &PtConfig,
-) -> Result<PairCounts, CensusError> {
-    check_anchors(spec)?;
-    let k = spec.k();
-    let anchors: Vec<PNode> = spec.anchor_nodes()?;
-    let mut counts = PairCounts::default();
-    if matches.is_empty() {
-        return Ok(counts);
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let centers = if config.num_centers > 0 {
-        CenterIndex::build(g, config.num_centers, config.center_strategy, &mut rng)
-    } else {
-        CenterIndex::empty()
-    };
-    let groups = crate::clustering::cluster_matches(
-        matches,
-        &centers,
-        config.clustering,
-        config.max_auto_clusters,
-        config.kmeans_iters,
-        &mut rng,
-    );
-
-    // Allowed participants & explicit pair restriction.
-    let allowed: FastHashSet<u32> = spec
-        .selector()
-        .participants(g)
-        .iter()
-        .map(|n| n.0)
-        .collect();
-    let explicit_pairs: Option<FastHashSet<u64>> = match spec.selector() {
+    threads: usize,
+) -> Result<(PairCounts, TraversalStats), CensusError> {
+    let participants = spec.selector().participants(g);
+    let explicit: Option<FastHashSet<u64>> = match spec.selector() {
         PairSelector::Pairs(ps) => Some(ps.iter().map(|&(a, b)| pair_key(a, b)).collect()),
         _ => None,
     };
-    let pair_ok = |a: NodeId, b: NodeId| -> bool {
-        match &explicit_pairs {
-            Some(set) => set.contains(&pair_key(a, b)),
-            None => true,
-        }
+    let slot = PtSlot {
+        spec: 0,
+        anchors: spec.anchor_nodes()?,
+        analysis: PatternAnalysis::new(spec.pattern()),
+        matches,
+        mask: FocalNodes::Set(participants.clone()).mask(g),
     };
-
-    // Reuse the single-node PT-OPT counting by running its traversal per
-    // cluster via the CensusSpec plumbing is not possible (it aggregates);
-    // instead run a local traversal per match group.
-    let full_mask: u32 = if anchors.len() == 32 {
-        u32::MAX
-    } else {
-        (1u32 << anchors.len()) - 1
+    let sink = |_: &[PtSlot<'_>]| PairSink {
+        kind: spec.kind(),
+        participants: &participants,
+        explicit: explicit.as_ref(),
+        counts: PairCounts::default(),
     };
+    let (sink, tstats) = pt_opt::run_slot(g, spec.k(), slot, config, threads, sink)?;
+    Ok((sink.counts, tstats))
+}
 
-    let mut scratch = BfsScratch::new(g.num_nodes());
-    let mut buf = Vec::new();
-    for group in &groups {
-        // Shared traversal within the cluster: matches grouped by the
-        // K-means step overlap heavily, so each distinct anchor image is
-        // BFSed once for the whole group instead of once per match —
-        // this is where clustering pays off for pairwise queries.
-        let mut ball_cache: FastHashMap<u32, Vec<NodeId>> = FastHashMap::default();
-        for &mi in group {
-            let m = &matches[mi as usize];
-            for &a in &anchors {
-                let img = m.image(a);
-                if let std::collections::hash_map::Entry::Vacant(vac) = ball_cache.entry(img.0) {
-                    buf.clear();
-                    scratch.bounded_bfs(g, img, k, &mut buf);
-                    let mut ball: Vec<NodeId> = buf
-                        .iter()
-                        .copied()
-                        .filter(|n| allowed.contains(&n.0))
-                        .collect();
-                    ball.sort_unstable();
-                    vac.insert(ball);
+/// Credits the selected pairs of each item of a converged cluster.
+struct PairSink<'s> {
+    kind: PairKind,
+    participants: &'s [NodeId],
+    /// The keys of an explicit [`PairSelector::Pairs`] list.
+    explicit: Option<&'s FastHashSet<u64>>,
+    counts: PairCounts,
+}
+
+impl ClusterSink for PairSink<'_> {
+    /// Per item, every participant's coverage: the bit-vector of the
+    /// item's anchors within k, `words` to a participant. Intersection
+    /// keeps the full ones, union every non-empty one; the kept are
+    /// grouped by coverage, and every pair of groups whose coverages
+    /// together hold all anchors credits its node pairs. Union also pairs
+    /// each full group with group 0, the participants within k of no
+    /// anchor, which is built only then.
+    fn credit(&mut self, ctx: &PtContext<'_>, _group: &[u32], pmd: &PtWorker) {
+        let (k, mask) = (ctx.k, &ctx.slots[0].mask);
+        let na = ctx.slots[0].anchors.len();
+        let words = na.div_ceil(64);
+        let full = |a: &[u64], b: &[u64]| {
+            (0..words).all(|w| a[w] | b[w] == u64::MAX >> (64 * (w + 1)).saturating_sub(na))
+        };
+        let (mut members, mut cover) = (Vec::new(), Vec::new());
+        for cols in pmd.positions.chunks_exact(na) {
+            members.clear();
+            cover.clear();
+            for (s, &n) in pmd.nodes.iter().enumerate() {
+                if !mask[n as usize] {
+                    continue;
+                }
+                let (row, at) = (pmd.row(s), cover.len());
+                cover.resize(at + words, 0);
+                for (i, &c) in cols.iter().enumerate() {
+                    cover[at + i / 64] |= u64::from(row[c as usize] as u32 <= k) << (i % 64);
+                }
+                let c = &cover[at..];
+                match self.kind {
+                    PairKind::Intersection if full(c, c) => members.push(NodeId(n)),
+                    PairKind::Union if c.iter().any(|&w| w != 0) => members.push(NodeId(n)),
+                    _ => cover.truncate(at),
                 }
             }
-        }
-        for &mi in group {
-            let m = &matches[mi as usize];
-            match spec.kind() {
-                PairKind::Intersection => {
-                    // Chain of sorted intersections over the anchor balls —
-                    // no per-node hashing needed for this kind.
-                    let mut balls: Vec<&[NodeId]> = anchors
-                        .iter()
-                        .map(|&a| ball_cache[&m.image(a).0].as_slice())
-                        .collect();
-                    // Anchor images within a match are distinct, so the
-                    // balls are distinct; start from the smallest.
-                    balls.sort_by_key(|b| b.len());
-                    let mut full: Vec<NodeId> = balls[0].to_vec();
-                    let mut tmp: Vec<NodeId> = Vec::new();
-                    let mut sstats = ego_graph::setops::SetOpStats::default();
-                    for b in &balls[1..] {
-                        if full.is_empty() {
-                            break;
-                        }
-                        ego_graph::setops::intersect_into(&full, b, &mut tmp, &mut sstats);
-                        std::mem::swap(&mut full, &mut tmp);
-                    }
-                    for i in 0..full.len() {
-                        for j in (i + 1)..full.len() {
-                            if pair_ok(full[i], full[j]) {
-                                counts.add(full[i], full[j], 1);
-                            }
-                        }
+            let key = |i: usize| &cover[i * words..][..words];
+            let mut order: Vec<usize> = (0..members.len()).collect();
+            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+            let groups: Vec<(&[u64], Vec<NodeId>)> = order
+                .chunk_by(|&a, &b| key(a) == key(b))
+                .map(|run| (key(run[0]), run.iter().map(|&i| members[i]).collect()))
+                .collect();
+            for (a, (ka, ga)) in groups.iter().enumerate() {
+                for (kb, gb) in &groups[a + 1..] {
+                    if full(ka, kb) {
+                        self.across(ga, gb);
                     }
                 }
-                PairKind::Union => {
-                    let mut cover: FastHashMap<u32, u32> = FastHashMap::default();
-                    for (ai, &a) in anchors.iter().enumerate() {
-                        let img = m.image(a);
-                        for &n in &ball_cache[&img.0] {
-                            *cover.entry(n.0).or_insert(0) |= 1 << ai;
-                        }
+                if full(ka, ka) {
+                    for (i, &x) in ga.iter().enumerate() {
+                        self.across(&[x], &ga[i + 1..]);
                     }
-                    // Group nodes by coverage mask; pairs of masks whose
-                    // union covers every anchor contribute. Nodes covering
-                    // NO anchor still pair with full-coverage nodes (the
-                    // other endpoint alone satisfies the union), so the
-                    // implicit mask-0 group must be materialized.
-                    let mut by_mask: FastHashMap<u32, Vec<NodeId>> = FastHashMap::default();
-                    for (&n, &mask) in &cover {
-                        by_mask.entry(mask).or_default().push(NodeId(n));
-                    }
-                    if by_mask.contains_key(&full_mask) && full_mask != 0 {
-                        let zero_group: Vec<NodeId> = allowed
+                    if self.kind == PairKind::Union {
+                        let mut covered = members.clone();
+                        covered.sort_unstable();
+                        let zero: Vec<NodeId> = self
+                            .participants
                             .iter()
-                            .filter(|raw| !cover.contains_key(raw))
-                            .map(|&raw| NodeId(raw))
+                            .filter(|p| covered.binary_search(p).is_err())
+                            .copied()
                             .collect();
-                        if !zero_group.is_empty() {
-                            by_mask.entry(0).or_default().extend(zero_group);
-                        }
-                    }
-                    let mut masks: Vec<u32> = by_mask.keys().copied().collect();
-                    masks.sort_unstable();
-                    for (i, &ma) in masks.iter().enumerate() {
-                        for &mb in &masks[i..] {
-                            if ma | mb != full_mask {
-                                continue;
-                            }
-                            let ga = &by_mask[&ma];
-                            if ma == mb {
-                                for x in 0..ga.len() {
-                                    for y in (x + 1)..ga.len() {
-                                        if pair_ok(ga[x], ga[y]) {
-                                            counts.add(ga[x], ga[y], 1);
-                                        }
-                                    }
-                                }
-                            } else {
-                                let gb = &by_mask[&mb];
-                                for &x in ga {
-                                    for &y in gb {
-                                        if x != y && pair_ok(x, y) {
-                                            counts.add(x, y, 1);
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        self.across(ga, &zero);
                     }
                 }
             }
         }
     }
-    Ok(counts)
+
+    fn merge(&mut self, next: Self) {
+        self.counts.merge_add(&next.counts);
+    }
+}
+
+impl PairSink<'_> {
+    /// Credit every selected pair of `xs × ys` (disjoint node lists).
+    fn across(&mut self, xs: &[NodeId], ys: &[NodeId]) {
+        for &a in xs {
+            for &b in ys {
+                if self
+                    .explicit
+                    .is_none_or(|set| set.contains(&pair_key(a, b)))
+                {
+                    self.counts.add(a, b, 1);
+                }
+            }
+        }
+    }
 }
 
 /// Convenience wrapper: the Jaccard coefficient of two nodes' 1-hop
@@ -728,11 +665,11 @@ mod tests {
 
     #[test]
     fn all_algorithms_agree_with_brute_force() {
-        let g = fixture();
-        for pat_text in [
-            "PATTERN n { ?A; }",
-            "PATTERN e { ?A-?B; }",
-            "PATTERN t { ?A-?B; ?B-?C; ?A-?C; }",
+        for (g, pat_text) in [
+            (fixture(), "PATTERN n { ?A; }"),
+            (fixture(), "PATTERN e { ?A-?B; }"),
+            (fixture(), "PATTERN t { ?A-?B; ?B-?C; ?A-?C; }"),
+            (GraphBuilder::undirected().build(), "PATTERN n { ?A; }"),
         ] {
             let p = Pattern::parse(pat_text).unwrap();
             for kind in [PairKind::Intersection, PairKind::Union] {
@@ -747,6 +684,7 @@ mod tests {
                         Algorithm::NdBaseline,
                         Algorithm::NdPivot,
                         Algorithm::PtBaseline,
+                        Algorithm::PtRandom,
                         Algorithm::PtOpt,
                     ] {
                         let counts = run_pair_census(&g, &spec, algo).unwrap();
@@ -767,6 +705,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A path whose pattern is the whole path: one match with `n`
+    /// anchors, more than one `u64` of union coverage past 64 (checked
+    /// against ND-PVOT there: matching a 70-node path per pair is slow).
+    #[test]
+    fn pattern_driven_census_has_no_anchor_cap() {
+        for n in [33u32, 70] {
+            let mut b = GraphBuilder::undirected();
+            b.add_nodes(n as usize, Label(0));
+            for i in 0..n - 1 {
+                b.add_edge(NodeId(i), NodeId(i + 1));
+            }
+            let g = b.build();
+            let edges: String = (0..n - 1).map(|i| format!("?V{i}-?V{}; ", i + 1)).collect();
+            let p = Pattern::parse(&format!("PATTERN path {{ {edges}}}")).unwrap();
+            for k in [n / 2 + 2, n + 7] {
+                for spec in [
+                    PairCensusSpec::intersection(&p, k, PairSelector::AllPairs),
+                    PairCensusSpec::union(&p, k, PairSelector::AllPairs),
+                ] {
+                    let pairs = spec.selector().pairs(&g);
+                    let nd = run_pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
+                    let want: Vec<u64> = pairs
+                        .iter()
+                        .map(|&(a, b)| match n {
+                            33 => brute_force_pair(&g, &p, k, spec.kind(), a, b),
+                            _ => nd.get(a, b),
+                        })
+                        .collect();
+                    assert!(want.contains(&1) && (k > n || want.contains(&0)));
+                    for algo in [Algorithm::PtBaseline, Algorithm::PtRandom, Algorithm::PtOpt] {
+                        let counts = run_pair_census(&g, &spec, algo).unwrap();
+                        let got: Vec<u64> = pairs.iter().map(|&(a, b)| counts.get(a, b)).collect();
+                        assert_eq!(got, want, "n={n} k={k} {:?} {algo:?}", spec.kind());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pairwise_pt_honours_its_ordering() {
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(48, Label(0));
+        for i in 0..48u32 {
+            b.add_edge(NodeId(i), NodeId((i + 1) % 48));
+            b.add_edge(NodeId(i), NodeId((i + 2) % 48));
+        }
+        let g = b.build();
+        let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+        let m = crate::global_matches(&g, &p);
+        let spec = PairCensusSpec::union(&p, 2, PairSelector::AllPairs);
+        let run = |ordering| {
+            let config = PtConfig {
+                ordering,
+                ..PtConfig::default()
+            };
+            run_pt(&g, &spec, &m, &config, 1).unwrap()
+        };
+        let (opt, opt_stats) = run(PtOrdering::BestFirst);
+        let (rnd, rnd_stats) = run(PtOrdering::Random);
+        assert_ne!(opt_stats, rnd_stats);
+        let sorted = |c: &PairCounts| {
+            let mut v: Vec<_> = c.iter().collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(&opt), sorted(&rnd));
     }
 
     #[test]
@@ -875,6 +882,32 @@ mod tests {
                     continue;
                 }
                 assert!(cu.get(a, b) >= ci.get(a, b), "pair ({a},{b})");
+            }
+        }
+    }
+
+    /// Past `u16` radii the PT family is refused and `Auto` is ND-PVOT,
+    /// whose distances must not wrap: the far triangle sits at distance
+    /// 69 998 from node 0.
+    #[test]
+    fn nd_pivot_reads_distances_past_u16() {
+        let n = 70_000u32;
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(n as usize, Label(0));
+        for i in 0..n - 1 {
+            b.add_edge(NodeId(i), NodeId(i + 1));
+        }
+        b.add_edge(NodeId(n - 3), NodeId(n - 1));
+        let g = b.build();
+        let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+        for k in [69_997u32, 69_998] {
+            let pair = PairSelector::Pairs(vec![(NodeId(0), NodeId(1))]);
+            let spec = PairCensusSpec::intersection(&p, k, pair);
+            let want = brute_force_pair(&g, &p, k, PairKind::Intersection, NodeId(0), NodeId(1));
+            assert_eq!(want, u64::from(k == 69_998));
+            for algo in [Algorithm::NdPivot, Algorithm::Auto] {
+                let counts = run_pair_census(&g, &spec, algo).unwrap();
+                assert_eq!(counts.get(NodeId(0), NodeId(1)), want, "k={k} {algo:?}");
             }
         }
     }

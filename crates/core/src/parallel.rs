@@ -21,9 +21,12 @@
 //!   thread-local RNGs cannot change the counts (only queue-order cost
 //!   metrics such as reinsertions may shift).
 //! * **Pairwise INTERSECTION / UNION** — the global match list is
-//!   enumerated once; per-pair counts are independent of which other
-//!   pairs are in the selector, so the normalized pair list is sharded
-//!   into explicit [`crate::pairwise::PairSelector::Pairs`] sub-queries.
+//!   enumerated once. ND-BAS and ND-PVOT count each pair independently of
+//!   which other pairs are in the selector, so the normalized pair list is
+//!   sharded into explicit [`PairSelector::Pairs`] sub-queries. Pairwise
+//!   PT-BAS / PT-RND / PT-OPT run PT-OPT's cluster kernel once, with its
+//!   clusters partitioned as above; each chunk credits pairs into its own
+//!   [`PairCounts`].
 //!
 //! All of them split their work with `fan_out`, the only place the
 //! census spawns threads: one chunk runs on the calling thread, more run
@@ -33,6 +36,7 @@
 //! chains redo match-set work the counters do not measure.
 
 use crate::cost::{self, GraphShape};
+use crate::pairwise::{PairCensusSpec, PairCounts, PairSelector};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, FocalNodes, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
@@ -195,33 +199,43 @@ where
 }
 
 /// Run a pairwise census query under an [`ExecConfig`]: the global match
-/// list is enumerated once, then the normalized pair list is sharded
-/// into explicit [`crate::pairwise::PairSelector::Pairs`] sub-queries
-/// over it. Per-pair counts do not depend on which other pairs are
-/// selected, so the merged result is identical at every thread count.
+/// list is enumerated once and handed to the algorithm's kernel, which
+/// splits its own work (see [`pair_shards`]). The merged result is
+/// identical at every thread count.
 pub fn run_pair_census_exec(
     g: &Graph,
-    spec: &crate::pairwise::PairCensusSpec<'_>,
+    spec: &PairCensusSpec<'_>,
     algorithm: Algorithm,
     config: &PtConfig,
     exec: &ExecConfig,
-) -> Result<crate::pairwise::PairCounts, CensusError> {
-    use crate::pairwise::{self, PairCounts, PairSelector};
+) -> Result<PairCounts, CensusError> {
     let threads = exec.resolve().max(1);
     let matches = match algorithm {
         Algorithm::NdBaseline => MatchList::default(),
         _ => exec_matches(g, spec.pattern(), threads),
     };
+    crate::pairwise::run_with_matches(g, spec, &matches, algorithm, config, threads)
+}
+
+/// Run `run` on clones of `spec` restricted to shards of its normalized
+/// pair list, as explicit [`PairSelector::Pairs`] sub-queries. Its counts
+/// must not depend on which other pairs are selected; shards are
+/// disjoint, so the merge is a plain addition.
+pub(crate) fn pair_shards(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+    threads: usize,
+    run: impl Fn(&PairCensusSpec<'_>) -> Result<PairCounts, CensusError> + Sync,
+) -> Result<PairCounts, CensusError> {
     let pairs = spec.selector().pairs(g);
     let shard = |shard: &[(NodeId, NodeId)]| {
         if shard.len() == pairs.len() {
             // One chunk: the spec as given, never a copy of every pair.
-            return pairwise::run_with_matches(g, spec, &matches, algorithm, config);
+            return run(spec);
         }
-        let shard_spec = spec
+        run(&spec
             .clone()
-            .with_selector(PairSelector::Pairs(shard.to_vec()));
-        pairwise::run_with_matches(g, &shard_spec, &matches, algorithm, config)
+            .with_selector(PairSelector::Pairs(shard.to_vec())))
     };
     fan_out(
         &pairs,

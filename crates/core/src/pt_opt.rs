@@ -21,12 +21,14 @@
 //! slot beside it, and a node-major center table ([`CenterIndex::row`])
 //! for the first-touch bound. [`PtWorker::process_cluster`] is the only
 //! relaxation loop in the crate; the batch engine pools several patterns
-//! into the same call.
+//! into the same call. It hands each converged cluster to a
+//! [`ClusterSink`]: the single-node census counts focal nodes from the
+//! PMD rows, the pairwise census credits node pairs from the same rows.
 
 use crate::bucket_queue::BucketQueue;
 use crate::centers::CenterIndex;
 use crate::clustering::cluster_matches;
-use crate::parallel::{add_censuses, fan_out};
+use crate::parallel::fan_out;
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
@@ -69,13 +71,34 @@ pub(crate) fn run_threads(
     config: &PtConfig,
     threads: usize,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    let mask = spec.focal().mask(g);
-    let anchors = spec.anchor_nodes()?;
+    let slot = PtSlot {
+        spec: 0,
+        anchors: spec.anchor_nodes()?,
+        analysis: PatternAnalysis::new(spec.pattern()),
+        matches,
+        mask: spec.focal().mask(g),
+    };
+    let (mut counts, tstats) = run_slot(g, spec.k(), slot, config, threads, counts)?;
+    Ok((counts.pop().expect("one slot"), tstats))
+}
+
+/// One pattern's traversal at radius `k`: the seeded plan (centers, then
+/// clustering) is built once, on the calling thread, and every cluster
+/// runs through [`run_groups`] into sinks made by `sink`.
+pub(crate) fn run_slot<S: ClusterSink>(
+    g: &Graph,
+    k: u32,
+    slot: PtSlot<'_>,
+    config: &PtConfig,
+    threads: usize,
+    sink: impl Fn(&[PtSlot<'_>]) -> S + Sync,
+) -> Result<(S, TraversalStats), CensusError> {
+    let matches = slot.matches;
+    let slots = [slot];
     if matches.is_empty() {
-        let counts = CountVector::new(g.num_nodes(), mask);
-        return Ok((counts, TraversalStats::default()));
+        return Ok((sink(&slots), TraversalStats::default()));
     }
-    let k = pmd_radius(g, spec.k())?;
+    let k = pmd_radius(g, k)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // One center index serves both PMD initialization and clustering
@@ -95,13 +118,6 @@ pub(crate) fn run_threads(
         &mut rng,
     );
 
-    let slots = [PtSlot {
-        spec: 0,
-        anchors,
-        analysis: PatternAnalysis::new(spec.pattern()),
-        matches,
-        mask,
-    }];
     let items: Vec<PtItem> = (0..matches.len() as u32)
         .map(|mi| PtItem { si: 0, mi })
         .collect();
@@ -113,9 +129,9 @@ pub(crate) fn run_threads(
         centers: &pmd_centers,
         use_distance_shortcuts: config.use_distance_shortcuts,
     };
-    let (mut counts, ts) = run_groups(&ctx, &groups, config.ordering, config.seed, threads);
+    let (out, ts) = run_groups(&ctx, &groups, config.ordering, config.seed, threads, sink);
     tstats.add(&ts);
-    Ok((counts.pop().expect("one slot"), tstats))
+    Ok((out, tstats))
 }
 
 /// The radius PMD runs at. No distance in an n-node graph exceeds n − 1,
@@ -163,34 +179,88 @@ pub(crate) struct PtContext<'a> {
     pub(crate) use_distance_shortcuts: bool,
 }
 
+/// Where [`PtWorker::process_cluster`] hands each converged cluster: the
+/// worker's slot→node list, PMD rows and item anchor columns. A column is
+/// ≤ k exactly when its anchor is within k of the row's node: relaxation
+/// only lowers an upper bound, and it converges on every distance up to
+/// k. Each `fan_out` chunk owns one sink, and the sinks merge in chunk
+/// order.
+pub(crate) trait ClusterSink: Send {
+    /// Credit the items of `group` from the cluster's converged rows.
+    fn credit(&mut self, ctx: &PtContext<'_>, group: &[u32], pmd: &PtWorker);
+    /// Add the sink of the next chunk into this one.
+    fn merge(&mut self, next: Self);
+}
+
+/// The single-node sink: one zeroed count vector per slot, under the
+/// slot's focal mask.
+pub(crate) fn counts(slots: &[PtSlot<'_>]) -> Vec<CountVector> {
+    slots
+        .iter()
+        .map(|st| CountVector::new(st.mask.len(), st.mask.clone()))
+        .collect()
+}
+
+impl ClusterSink for Vec<CountVector> {
+    /// N[M] = visited nodes within k of every anchor of M, intersected
+    /// with the focal set of M's slot.
+    fn credit(&mut self, ctx: &PtContext<'_>, group: &[u32], pmd: &PtWorker) {
+        let k = ctx.k;
+        for (s, &nraw) in pmd.nodes.iter().enumerate() {
+            let n = NodeId(nraw);
+            if !ctx.slots.iter().any(|st| st.mask[n.index()]) {
+                continue;
+            }
+            let row = pmd.row(s);
+            let mut rest = &pmd.positions[..];
+            for &gi in group {
+                let si = ctx.items[gi as usize].si as usize;
+                let st = &ctx.slots[si];
+                let (positions, tail) = rest.split_at(st.anchors.len());
+                rest = tail;
+                if st.mask[n.index()] && positions.iter().all(|&p| row[p as usize] as u32 <= k) {
+                    self[si].increment(n);
+                }
+            }
+        }
+    }
+
+    fn merge(&mut self, next: Self) {
+        for (cv, p) in self.iter_mut().zip(&next) {
+            cv.merge_add(p);
+        }
+    }
+}
+
 /// Traverse every cluster in `groups`, partitioned over up to `threads`
-/// workers; returns per-slot counts and the merged traversal statistics.
-/// Each cluster's contribution to the counts is additive and independent
-/// of every other cluster, so any partition sums to the sequential
-/// result. The RNG only drives pop order under [`PtOrdering::Random`],
-/// which cannot change the counts (the relaxation converges to the same
-/// fixed point in any order).
-pub(crate) fn run_groups(
+/// workers; returns the merged sinks and traversal statistics. Each
+/// cluster's contribution is additive and independent of every other
+/// cluster, so any partition sums to the sequential result. The RNG only
+/// drives pop order under [`PtOrdering::Random`], which cannot change
+/// what a sink sees (the relaxation converges to the same fixed point in
+/// any order).
+pub(crate) fn run_groups<S: ClusterSink>(
     ctx: &PtContext<'_>,
     groups: &[Vec<u32>],
     ordering: PtOrdering,
     seed: u64,
     threads: usize,
-) -> (Vec<CountVector>, TraversalStats) {
+    sink: impl Fn(&[PtSlot<'_>]) -> S + Sync,
+) -> (S, TraversalStats) {
     let run_chunk = |chunk: &[Vec<u32>]| {
         let mut worker = PtWorker::new(ctx.g.num_nodes(), ordering, seed);
-        let mut counts: Vec<CountVector> = ctx
-            .slots
-            .iter()
-            .map(|st| CountVector::new(ctx.g.num_nodes(), st.mask.clone()))
-            .collect();
+        let mut out = sink(ctx.slots);
         let mut ts = TraversalStats::default();
         for group in chunk {
-            worker.process_cluster(ctx, group, &mut counts, &mut ts);
+            worker.process_cluster(ctx, group, &mut out, &mut ts);
         }
-        (counts, ts)
+        (out, ts)
     };
-    fan_out(groups, threads.min(groups.len()), run_chunk, add_censuses)
+    let merge = |acc: &mut (S, TraversalStats), (out, ts): (S, TraversalStats)| {
+        acc.0.merge(out);
+        acc.1.add(&ts);
+    };
+    fan_out(groups, threads.min(groups.len()), run_chunk, merge)
 }
 
 /// Queue abstraction: bucket best-first (PT-OPT) or random pop (PT-RND).
@@ -242,7 +312,9 @@ pub(crate) struct PtWorker {
     /// Slot → node, in slot order. Anchors take the first slots, so an
     /// anchor's slot is also its PMD column; the list doubles as the
     /// touched set that resets `slot_of` for the next cluster.
-    nodes: Vec<u32>,
+    pub(crate) nodes: Vec<u32>,
+    /// Distinct anchor images of the cluster: the width of a PMD row.
+    na: usize,
     /// PMD: slot `s`, column `pos` at `rows[s * na + pos]` — the current
     /// upper bound on `d(anchor pos, node of s)`, saturated at `k + 1`.
     rows: Vec<u16>,
@@ -253,7 +325,7 @@ pub(crate) struct PtWorker {
     /// first-touch bound runs over anchors innermost.
     anchor_center: Vec<u16>,
     /// Anchor columns of the cluster's items, concatenated in group order.
-    positions: Vec<u32>,
+    pub(crate) positions: Vec<u32>,
     /// The expanding node's row plus one hop.
     cand: Vec<u16>,
     seeds: Vec<u32>,
@@ -270,6 +342,7 @@ impl PtWorker {
             },
             slot_of: vec![NO_SLOT; num_nodes],
             nodes: Vec::new(),
+            na: 0,
             rows: Vec::new(),
             score: Vec::new(),
             anchor_center: Vec::new(),
@@ -293,18 +366,22 @@ impl PtWorker {
         }
     }
 
+    /// The PMD row of slot `s`.
+    pub(crate) fn row(&self, s: usize) -> &[u16] {
+        &self.rows[s * self.na..][..self.na]
+    }
+
     /// One relaxation-based simultaneous traversal for a cluster of items
-    /// (matches, possibly of several patterns), then counting: every
-    /// visited focal node within `k` of all anchors of an item credits
-    /// that item's slot. PMD columns span the **union** of the cluster's
-    /// anchor images; the expansion gate is an OR over that union, so
-    /// pooling patterns only widens it — per-anchor convergence (and
-    /// hence exact counting) is preserved for every member.
-    fn process_cluster(
+    /// (matches, possibly of several patterns), then the converged rows go
+    /// to `out`. PMD columns span the **union** of the cluster's anchor
+    /// images; the expansion gate is an OR over that union, so pooling
+    /// patterns only widens it — per-anchor convergence (and hence exact
+    /// crediting) is preserved for every member.
+    fn process_cluster<S: ClusterSink>(
         &mut self,
         ctx: &PtContext<'_>,
         group: &[u32],
-        out: &mut [CountVector],
+        out: &mut S,
         tstats: &mut TraversalStats,
     ) {
         let (g, k) = (ctx.g, ctx.k);
@@ -326,6 +403,7 @@ impl PtWorker {
             }
         }
         let na = self.nodes.len();
+        self.na = na;
         self.queue.reset(inf as usize * na);
 
         // --- Initialization ---
@@ -451,26 +529,7 @@ impl PtWorker {
             }
         }
 
-        // --- Counting ---
-        // N[M] = visited nodes within k of every anchor of M, intersected
-        // with the focal set of M's slot.
-        for (s, &nraw) in self.nodes.iter().enumerate() {
-            let n = NodeId(nraw);
-            if !ctx.slots.iter().any(|st| st.mask[n.index()]) {
-                continue;
-            }
-            let row = &self.rows[s * na..][..na];
-            let mut rest = &self.positions[..];
-            for &gi in group {
-                let si = ctx.items[gi as usize].si as usize;
-                let st = &ctx.slots[si];
-                let (positions, tail) = rest.split_at(st.anchors.len());
-                rest = tail;
-                if st.mask[n.index()] && positions.iter().all(|&p| row[p as usize] as u32 <= k) {
-                    out[si].increment(n);
-                }
-            }
-        }
+        out.credit(ctx, group, self);
     }
 }
 

@@ -1404,33 +1404,19 @@ mod tests {
             assert_eq!(got.to_string(), want, "{sql}");
         }
         // Pairwise census is not cost-planned, yet a forced algorithm its
-        // kernel refuses fails EXPLAIN too.
+        // kernel refuses fails EXPLAIN too. (Forced PT is refused pairwise
+        // only past PMD's radius bound, on graphs this fixture is not.)
         let mut forced = engine(&g);
-        let path33: String = (0..32).map(|i| format!("?V{i}-?V{}; ", i + 1)).collect();
-        forced
-            .catalog_mut()
-            .define(&format!("PATTERN p33 {{ {path33}}}"))
-            .unwrap();
         forced
             .catalog_mut()
             .define("PATTERN t { ?A-?B; SUBPATTERN one {?A;} }")
             .unwrap();
-        for (algo, agg) in [
-            (
-                Algorithm::PtOpt,
-                "COUNTP(p33, SUBGRAPH-UNION(a.ID, b.ID, 1))",
-            ),
-            (
-                Algorithm::NdBaseline,
-                "COUNTSP(one, t, SUBGRAPH-UNION(a.ID, b.ID, 1))",
-            ),
-        ] {
-            forced.set_algorithm(algo);
-            let sql = format!("SELECT a.ID, b.ID, {agg} FROM nodes a, nodes b");
-            let want = forced.execute(&sql).unwrap_err().to_string();
-            let got = forced.execute(&format!("EXPLAIN {sql}")).unwrap_err();
-            assert_eq!(got.to_string(), want, "{algo:?}: {sql}");
-        }
+        forced.set_algorithm(Algorithm::NdBaseline);
+        let sql = "SELECT a.ID, b.ID, COUNTSP(one, t, SUBGRAPH-UNION(a.ID, b.ID, 1)) \
+                   FROM nodes a, nodes b";
+        let want = forced.execute(sql).unwrap_err().to_string();
+        let got = forced.execute(&format!("EXPLAIN {sql}")).unwrap_err();
+        assert_eq!(got.to_string(), want, "{sql}");
     }
 
     #[test]

@@ -7,14 +7,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> docs name only targets that exist (--bin / --bench in the four measurement docs)"
-missing=$(grep -oE -- '--(bin|bench) [A-Za-z0-9_-]+' \
+echo "==> docs name only targets that exist (--bin / --bench / benches/*.rs in the four measurement docs)"
+missing=$(grep -ohE -- '--(bin|bench) [A-Za-z0-9_-]+|benches/[A-Za-z0-9_]+\.rs' \
     README.md DESIGN.md EXPERIMENTS.md census_bench/README.md | sort -u |
   while IFS= read -r hit; do
     name=${hit##* }
-    [ -f "src/bin/$name.rs" ] || [ -f "crates/bench/src/bin/$name.rs" ] \
-      || { [ "$name" = census_bench ] && [ -f census_bench/Cargo.toml ]; } \
-      || echo "    $hit"
+    case $hit in
+      benches/*) [ -f "crates/bench/$hit" ] || echo "    $hit" ;;
+      *) [ -f "src/bin/$name.rs" ] || [ -f "crates/bench/src/bin/$name.rs" ] \
+           || { [ "$name" = census_bench ] && [ -f census_bench/Cargo.toml ]; } \
+           || echo "    $hit" ;;
+    esac
   done)
 [ -z "$missing" ] || { echo "FAIL: docs name targets that do not exist:"; echo "$missing"; exit 1; }
 
@@ -88,11 +91,14 @@ echo "    merge/gallop/bitset/adaptive kernels agree byte-for-byte (threads 1 an
 echo "==> PT kernel equivalence (every algorithm family, byte-identical CSVs; wide clusters; huge radius)"
 # The pattern-driven family shares one cluster kernel; whatever it does to
 # memory, its CSVs must match ND-PVOT's byte for byte at any thread count.
-pt_check() { # $1 = graph, $2 = sql, $3 = label
-  ./target/release/egocensus query "$1" --algorithm nd-pivot --threads 1 --csv "$2" >"$tmpdir/pt_ref.csv"
+pt_check() { # $1 = graph, $2 = sql, $3 = label, [$4 = pattern to define]
+  local def=()
+  [ -z "${4:-}" ] || def=(--define "$4")
+  ./target/release/egocensus query "$1" --algorithm nd-pivot --threads 1 --csv "${def[@]}" "$2" \
+    >"$tmpdir/pt_ref.csv"
   for algo in nd-pivot pt-bas pt-rnd pt-opt; do
     for t in 1 4; do
-      ./target/release/egocensus query "$1" --algorithm "$algo" --threads "$t" --csv "$2" \
+      ./target/release/egocensus query "$1" --algorithm "$algo" --threads "$t" --csv "${def[@]}" "$2" \
         >"$tmpdir/pt_got.csv" \
         || { echo "FAIL: $3: --algorithm $algo --threads $t did not answer"; exit 1; }
       cmp -s "$tmpdir/pt_ref.csv" "$tmpdir/pt_got.csv" \
@@ -109,6 +115,23 @@ pt_check "$tmpdir/g.txt" 'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 70000)) FROM
   "radius 70000"
 [ "$(wc -l <"$tmpdir/pt_ref.csv")" -eq 301 ] \
   || { echo "FAIL: radius 70000 should return one row per node"; exit 1; }
+# Pairwise census credits pairs from the same cluster kernel's PMD rows.
+pair_where='FROM nodes a, nodes b WHERE a.ID < 40 AND b.ID < 40'
+pt_check "$tmpdir/g.txt" \
+  "SELECT a.ID, b.ID, COUNTP(clq3_unlb, SUBGRAPH-INTERSECTION(a.ID, b.ID, 2)) $pair_where" \
+  "pairwise intersection"
+pt_check "$tmpdir/g.txt" \
+  "SELECT a.ID, b.ID, COUNTSP(s, trisp, SUBGRAPH-UNION(a.ID, b.ID, 1)) $pair_where" \
+  "pairwise COUNTSP union" 'PATTERN trisp { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }'
+# A 33-anchor match: union coverage has no anchor cap.
+{
+  echo "# egocensus graph v1"
+  echo "graph undirected nodes=33"
+  for i in $(seq 0 31); do echo "edge $i $((i + 1))"; done
+} >"$tmpdir/path33.txt"
+pt_check "$tmpdir/path33.txt" \
+  'SELECT a.ID, b.ID, COUNTP(p33, SUBGRAPH-INTERSECTION(a.ID, b.ID, 40)) FROM nodes a, nodes b' \
+  "33-anchor pairwise" "PATTERN p33 { $(for i in $(seq 0 31); do printf '?V%d-?V%d; ' "$i" $((i + 1)); done)}"
 # 33 500 disjoint edges: no center reaches most matches, K-means leaves
 # ~33 245 of them in one cluster, and its ~66 490 anchor images need
 # column numbers past u16. PMD is dense (visited nodes x cluster
@@ -122,9 +145,9 @@ if [ "$(awk '/^MemAvailable:/ { print int($2 / 1048576) }' /proc/meminfo)" -ge 1
   pt_check "$tmpdir/frag.txt" 'SELECT ID, COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' \
     "66 490-anchor cluster"
   rm "$tmpdir/frag.txt"
-  echo "    ND-PVOT / PT-BAS / PT-RND / PT-OPT agree byte-for-byte (threads 1 and 4), wide cluster included"
+  echo "    ND-PVOT / PT-BAS / PT-RND / PT-OPT agree byte-for-byte (threads 1 and 4), pairwise and wide cluster included"
 else
-  echo "    ND-PVOT / PT-BAS / PT-RND / PT-OPT agree byte-for-byte (threads 1 and 4);" \
+  echo "    ND-PVOT / PT-BAS / PT-RND / PT-OPT agree byte-for-byte (threads 1 and 4), pairwise included;" \
     "wide-cluster shape SKIPPED (needs 11 GB available)"
 fi
 

@@ -2,7 +2,8 @@
 //! algorithms of Appendix B, against a brute-force oracle.
 
 use egocensus::census::pairwise::{
-    brute_force_pair, run_pair_census, PairCensusSpec, PairKind, PairSelector,
+    brute_force_pair, brute_force_pair_anchored, run_pair_census, PairCensusSpec, PairKind,
+    PairSelector,
 };
 use egocensus::census::Algorithm;
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
@@ -42,6 +43,20 @@ fn patterns() -> Vec<Pattern> {
     ]
 }
 
+/// Patterns with a subpattern, for the COUNTSP leg.
+fn countsp_patterns() -> Vec<(Pattern, &'static str)> {
+    vec![
+        (
+            Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }").unwrap(),
+            "s",
+        ),
+        (
+            Pattern::parse("PATTERN p3 { ?A-?B; ?B-?C; SUBPATTERN ends {?A; ?C;} }").unwrap(),
+            "ends",
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -59,13 +74,25 @@ proptest! {
             PairKind::Intersection => PairCensusSpec::intersection(p, k, PairSelector::AllPairs),
             PairKind::Union => PairCensusSpec::union(p, k, PairSelector::AllPairs),
         };
+        let sp = countsp_patterns();
+        let (q, sub) = &sp[pi % sp.len()];
+        let anchors = q.subpattern(sub).unwrap().nodes.clone();
         for algo in [
             Algorithm::NdBaseline,
             Algorithm::NdPivot,
             Algorithm::PtBaseline,
+            Algorithm::PtRandom,
             Algorithm::PtOpt,
         ] {
             let counts = run_pair_census(&g, &spec, algo).unwrap();
+            // COUNTSP: every algorithm but ND-BAS, which refuses it.
+            let countsp = (algo != Algorithm::NdBaseline).then(|| {
+                let spec = match kind {
+                    PairKind::Intersection => PairCensusSpec::intersection(q, k, PairSelector::AllPairs),
+                    PairKind::Union => PairCensusSpec::union(q, k, PairSelector::AllPairs),
+                };
+                run_pair_census(&g, &spec.with_subpattern(sub), algo).unwrap()
+            });
             for a in g.node_ids() {
                 for b in g.node_ids() {
                     if b <= a {
@@ -78,6 +105,15 @@ proptest! {
                         "{:?} {:?} k={} pair=({},{})",
                         algo, kind, k, a, b
                     );
+                    if let Some(countsp) = &countsp {
+                        let want = brute_force_pair_anchored(&g, q, k, kind, a, b, &anchors);
+                        prop_assert_eq!(
+                            countsp.get(a, b),
+                            want,
+                            "COUNTSP {} {:?} {:?} k={} pair=({},{})",
+                            sub, algo, kind, k, a, b
+                        );
+                    }
                 }
             }
         }

@@ -140,7 +140,13 @@ proptest! {
             PairCensusSpec::intersection(&p, k, PairSelector::AllPairs)
         };
         let config = PtConfig::default();
-        for algo in [Algorithm::NdBaseline, Algorithm::NdPivot, Algorithm::PtOpt] {
+        for algo in [
+            Algorithm::NdBaseline,
+            Algorithm::NdPivot,
+            Algorithm::PtBaseline,
+            Algorithm::PtRandom,
+            Algorithm::PtOpt,
+        ] {
             let seq = run_pair_census_with(&g, &spec, algo, &config).unwrap();
             for threads in [2usize, 4, 8] {
                 let par = run_pair_census_exec(

@@ -312,13 +312,14 @@ fn path33_pairwise() -> (Graph, String, &'static str) {
     (b.build(), format!("PATTERN p33 {{ {edges}}}"), sql)
 }
 
-/// The pattern-driven pairwise census tracks a match's anchors in 32-bit
-/// coverage masks: forced onto it, a 33-anchor pattern used to trip an
-/// assert inside the request thread (contained, but it cost the client
-/// its connection). It is an error reply now.
+/// The pattern-driven pairwise census has no anchor cap: forced onto it,
+/// a 33-anchor pattern gets the oracle's row, and nothing panics.
 #[test]
-fn pairwise_query_past_32_anchors_is_an_error_reply() {
+fn pairwise_query_past_32_anchors_is_answered_under_pt_opt() {
     let (g, define, sql) = path33_pairwise();
+    let p33 = Pattern::parse(&define).expect("pattern");
+    let want = brute_force_pair(&g, &p33, 40, PairKind::Intersection, NodeId(0), NodeId(1));
+    assert_eq!(want, 1);
     let (addr, handle, thread) = spawn_server_on(
         g,
         ServerConfig {
@@ -328,29 +329,18 @@ fn pairwise_query_past_32_anchors_is_an_error_reply() {
     );
     let mut client = Client::connect(addr).expect("connect");
     expect_table(client.define(&define).expect("define"));
-
-    match client
-        .query(sql)
-        .expect("an error reply, not a dropped connection")
-    {
-        Response::Error { message } => assert!(message.contains("ND-PVOT"), "{message}"),
-        Response::Table(_) => panic!("a 33-anchor pairwise census must be refused"),
-        Response::Notify(_) => unreachable!("request() filters notify frames"),
-    }
-    assert_eq!(client.stats().expect("stats").stat("panics"), Some(0));
-    let next = expect_table(
-        client
-            .query("SELECT ID FROM nodes WHERE ID < 3")
-            .expect("next"),
+    let got = expect_table(client.query(sql).expect("query"));
+    assert_eq!(
+        got.rows,
+        vec![vec![Value::Int(0), Value::Int(1), Value::Int(want as i64)]]
     );
-    assert_eq!(next.rows.len(), 3);
+    assert_eq!(client.stats().expect("stats").stat("panics"), Some(0));
 
     handle.shutdown();
     thread.join().expect("server thread");
 }
 
-/// Under the default `Auto` the refusal rule turns the same query away
-/// from PT-OPT before it runs, and ND-PVOT answers it.
+/// Under the default `Auto` the same query gets the same row.
 #[test]
 fn pairwise_query_past_32_anchors_is_answered_under_auto() {
     let (g, define, sql) = path33_pairwise();
