@@ -17,11 +17,12 @@
 //! plan, the batch engine sweeps several plans off one BFS per focal
 //! node, and top-k and pairwise census count through the same plan.
 
-use crate::parallel::{add_censuses, fan_out, workers_for};
+use crate::parallel::add_censuses;
 use crate::result::{CensusError, CountVector};
 use crate::spec::CensusSpec;
 use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
+use ego_graph::parallel::{fan_out, workers_for};
 use ego_graph::{FastHashMap, Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};

@@ -28,12 +28,15 @@
 //!   clusters partitioned as above; each chunk credits pairs into its own
 //!   [`PairCounts`].
 //!
-//! All of them split their work with `fan_out`, the only place the
-//! census spawns threads: one chunk runs on the calling thread, more run
-//! on scoped threads and merge in chunk order. Traversal statistics merge
-//! with [`TraversalStats::add`], and their totals equal the sequential
-//! run's (the same work is done, just partitioned); ND-DIFF's restarted
-//! chains redo match-set work the counters do not measure.
+//! All of them split their work with `ego_graph::parallel::fan_out`,
+//! the one place the census and the matcher spawn threads: one chunk runs
+//! on the calling thread, more run on scoped threads and merge in chunk
+//! order. Traversal statistics merge with [`TraversalStats::add`], and
+//! their totals equal the sequential run's (the same work is done, just
+//! partitioned); ND-DIFF's restarted chains redo match-set work the
+//! counters do not measure. [`exec_matches`] runs the CN matcher at the
+//! same thread count; its match list, order included, does not depend
+//! on it.
 
 use crate::cost::{self, GraphShape};
 use crate::pairwise::{PairCensusSpec, PairCounts, PairSelector};
@@ -41,6 +44,7 @@ use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, FocalNodes, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
 use crate::Algorithm;
+use ego_graph::parallel::{fan_out, workers_for};
 use ego_graph::{Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::Pattern;
@@ -88,15 +92,11 @@ impl Default for ExecConfig {
     }
 }
 
-/// Compute the global match list, using the parallel matcher when more
-/// than one thread is available. The embedding set (and hence the
-/// deduplicated match list) is identical to the sequential matcher's.
+/// Compute the global match list with the CN matcher on `threads`
+/// workers. The list, order included, is the same at every thread count.
 pub fn exec_matches(g: &Graph, p: &Pattern, threads: usize) -> MatchList {
-    if threads > 1 {
-        MatchList::from_embeddings(p, ego_matcher::parallel::enumerate_parallel(g, p, threads))
-    } else {
-        crate::global_matches(g, p)
-    }
+    let mut stats = ego_matcher::MatchStats::default();
+    MatchList::from_embeddings(p, ego_matcher::cn::enumerate(g, p, &mut stats, threads))
 }
 
 /// Run any census algorithm under an [`ExecConfig`]. Counts are identical
@@ -243,51 +243,6 @@ pub(crate) fn pair_shards(
         shard,
         first_error(|acc: &mut PairCounts, part| acc.merge_add(&part)),
     )
-}
-
-/// How many workers `len` independent items are split over: all
-/// `threads` once each gets at least two items, else one.
-pub(crate) fn workers_for(len: usize, threads: usize) -> usize {
-    if len < 2 * threads {
-        1
-    } else {
-        threads
-    }
-}
-
-/// Cut `items` into `workers` consecutive chunks of `len.div_ceil(workers)`
-/// items, run `work` on each — on the calling thread when that leaves a
-/// single chunk, else one scoped thread per chunk — and fold the results
-/// in chunk order with `merge`. The one place the census spawns threads.
-pub(crate) fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    work: impl Fn(&[T]) -> R + Sync,
-    mut merge: impl FnMut(&mut R, R),
-) -> R {
-    let chunk = items.len().div_ceil(workers.max(1));
-    if chunk >= items.len() {
-        return work(items);
-    }
-    let results: Vec<R> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let work = &work;
-                scope.spawn(move || work(c))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("census worker panicked"))
-            .collect()
-    });
-    let mut results = results.into_iter();
-    let mut acc = results.next().expect("at least two chunks");
-    for r in results {
-        merge(&mut acc, r);
-    }
-    acc
 }
 
 /// Lift a merge of values to a merge of results: the first error (in

@@ -28,10 +28,10 @@
 use crate::bucket_queue::BucketQueue;
 use crate::centers::CenterIndex;
 use crate::clustering::cluster_matches;
-use crate::parallel::fan_out;
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, PtConfig, PtOrdering};
 use crate::tstats::TraversalStats;
+use ego_graph::parallel::fan_out;
 use ego_graph::{Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};

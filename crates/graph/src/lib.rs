@@ -22,6 +22,8 @@
 //!   map ([`store`]) so graphs beyond RAM open in O(1) and processes
 //!   share physical pages.
 //! * Basic network statistics ([`stats`]).
+//! * [`parallel::fan_out`], the one deterministic thread fan-out the
+//!   matcher and the census share.
 //!
 //! ## Example
 //!
@@ -50,6 +52,7 @@ pub mod hash;
 pub mod ids;
 pub mod io;
 pub mod neighborhood;
+pub mod parallel;
 pub mod profile;
 pub mod setops;
 pub mod stats;
@@ -63,6 +66,6 @@ pub use hash::{FastHashMap, FastHashSet};
 pub use ids::{Label, NodeId};
 pub use neighborhood::{khop_nodes, khop_nodes_with_dist, NeighborhoodKind};
 pub use profile::NodeProfile;
-pub use setops::{NodeBitset, SetOpStats, SetOpsTuning};
+pub use setops::{NodeBitset, SetOpStats};
 pub use store::{GraphStore, MmapStore, VecStore};
 pub use subgraph::InducedSubgraph;

@@ -19,7 +19,11 @@
 //!
 //! The [`intersect_into`] dispatcher chooses merge vs gallop from the
 //! size ratio ([`GALLOP_RATIO`]); call sites with reuse opt into bitsets
-//! via [`NodeBitset`] directly. Every choice is tallied in a
+//! via [`NodeBitset`] directly, when [`bitset_pays_off`] says a build
+//! amortizes ([`BITSET_MIN_REUSE`], [`BITSET_MIN_SET`]). The three
+//! thresholds are constants — the measured crossovers — so the kernel a
+//! call gets depends only on its inputs and the configured kernel, never
+//! on what the process ran before. Every choice is tallied in a
 //! [`SetOpStats`] so the dispatcher's behavior is observable (the matcher
 //! folds these into its `MatchStats`; long-running processes expose the
 //! process-wide [`global_snapshot`]).
@@ -29,68 +33,19 @@
 //! `adaptive`); all kernels produce byte-identical sorted output.
 
 use crate::ids::NodeId;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// Default long/short size ratio beyond which galloping beats the linear
+/// Long/short size ratio beyond which galloping beats the linear
 /// merge (the measured crossover on uniform graphs).
 pub const GALLOP_RATIO: usize = 16;
 
-/// Default minimum reuse count (intersections sharing one right-hand
+/// Minimum reuse count (intersections sharing one right-hand
 /// set) for a [`NodeBitset`] build to amortize in the adaptive policy.
 pub const BITSET_MIN_REUSE: usize = 64;
 
-/// Default minimum right-hand set size for a bitset build to beat
+/// Minimum right-hand set size for a bitset build to beat
 /// per-call galloping in the adaptive policy.
 pub const BITSET_MIN_SET: usize = 1024;
-
-/// The adaptive dispatcher's thresholds. Defaults are the measured
-/// constants above; `ANALYZE` re-seeds them per graph shape through
-/// [`set_tuning`] (high degree skew lowers the gallop ratio, density
-/// lowers the bitset bars). Tuning never changes results — all kernels
-/// are element-identical — only which kernel serves a call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SetOpsTuning {
-    /// Long/short size ratio that engages galloping.
-    pub gallop_ratio: usize,
-    /// Minimum reuse count for a bitset build to amortize.
-    pub bitset_min_reuse: usize,
-    /// Minimum set size for a bitset build to amortize.
-    pub bitset_min_set: usize,
-}
-
-impl Default for SetOpsTuning {
-    fn default() -> Self {
-        SetOpsTuning {
-            gallop_ratio: GALLOP_RATIO,
-            bitset_min_reuse: BITSET_MIN_REUSE,
-            bitset_min_set: BITSET_MIN_SET,
-        }
-    }
-}
-
-// Process-wide tunable thresholds, read relaxed on the hot path (plain
-// loads on x86; the dispatcher ratio test already branches).
-static T_GALLOP_RATIO: AtomicUsize = AtomicUsize::new(GALLOP_RATIO);
-static T_BITSET_MIN_REUSE: AtomicUsize = AtomicUsize::new(BITSET_MIN_REUSE);
-static T_BITSET_MIN_SET: AtomicUsize = AtomicUsize::new(BITSET_MIN_SET);
-
-/// Replace the process-wide adaptive thresholds (graph-shape seeding
-/// from `ANALYZE`; [`SetOpsTuning::default`] restores the constants).
-/// A zero `gallop_ratio` is clamped to 1 so the ratio test stays sane.
-pub fn set_tuning(t: SetOpsTuning) {
-    T_GALLOP_RATIO.store(t.gallop_ratio.max(1), Ordering::Relaxed);
-    T_BITSET_MIN_REUSE.store(t.bitset_min_reuse, Ordering::Relaxed);
-    T_BITSET_MIN_SET.store(t.bitset_min_set, Ordering::Relaxed);
-}
-
-/// The currently active adaptive thresholds.
-pub fn current_tuning() -> SetOpsTuning {
-    SetOpsTuning {
-        gallop_ratio: T_GALLOP_RATIO.load(Ordering::Relaxed),
-        bitset_min_reuse: T_BITSET_MIN_REUSE.load(Ordering::Relaxed),
-        bitset_min_set: T_BITSET_MIN_SET.load(Ordering::Relaxed),
-    }
-}
 
 /// Counters for kernel dispatch decisions and scratch-buffer reuse.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -347,7 +302,7 @@ pub fn intersect_into(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>, stats: 
             bits.filter_into(short, out);
         }
         Kernel::Adaptive => {
-            if s == 0 || l >= T_GALLOP_RATIO.load(Ordering::Relaxed) * s {
+            if s == 0 || l >= GALLOP_RATIO * s {
                 stats.gallop_calls += 1;
                 gallop_into(a, b, out);
             } else {
@@ -382,7 +337,7 @@ pub fn intersect_count(a: &[NodeId], b: &[NodeId], stats: &mut SetOpStats) -> us
             bits.count_in(short)
         }
         Kernel::Adaptive => {
-            if s == 0 || l >= T_GALLOP_RATIO.load(Ordering::Relaxed) * s {
+            if s == 0 || l >= GALLOP_RATIO * s {
                 stats.gallop_calls += 1;
                 gallop_count(a, b)
             } else {
@@ -400,10 +355,7 @@ pub fn bitset_pays_off(reuse: usize, set_len: usize) -> bool {
     match configured_kernel() {
         Kernel::Bitset => true,
         Kernel::Merge | Kernel::Gallop => false,
-        Kernel::Adaptive => {
-            reuse >= T_BITSET_MIN_REUSE.load(Ordering::Relaxed)
-                && set_len >= T_BITSET_MIN_SET.load(Ordering::Relaxed)
-        }
+        Kernel::Adaptive => reuse >= BITSET_MIN_REUSE && set_len >= BITSET_MIN_SET,
     }
 }
 
@@ -561,6 +513,12 @@ mod tests {
         // Second call reused `out`'s allocation.
         assert!(stats.saved_allocs >= 1);
         assert_eq!(stats.total_calls(), 2);
+        // The crossover sits exactly at GALLOP_RATIO x the short side.
+        let below: Vec<NodeId> = (0..4 * GALLOP_RATIO as u32 - 1).map(NodeId).collect();
+        intersect_into(&balanced_a, &below, &mut out, &mut stats);
+        assert_eq!((stats.merge_calls, stats.gallop_calls), (2, 1));
+        intersect_into(&balanced_a, &long[..4 * GALLOP_RATIO], &mut out, &mut stats);
+        assert_eq!((stats.merge_calls, stats.gallop_calls), (2, 2));
     }
 
     #[test]
@@ -635,37 +593,6 @@ mod tests {
         assert!(after.gallop_calls >= before.gallop_calls + 3);
         assert!(after.bitset_calls >= before.bitset_calls + 4);
         assert!(after.saved_allocs >= before.saved_allocs + 5);
-    }
-
-    #[test]
-    fn tuning_moves_the_adaptive_crossovers() {
-        let _guard = KERNEL_LOCK.lock().unwrap();
-        set_kernel(Kernel::Adaptive);
-        assert_eq!(current_tuning(), SetOpsTuning::default());
-        // 4-vs-16 is merge territory at ratio 16 but gallop at ratio 2.
-        let a = ids(&[1, 2, 3, 4]);
-        let b: Vec<NodeId> = (0..16u32).map(NodeId).collect();
-        let mut stats = SetOpStats::default();
-        let mut out = Vec::new();
-        intersect_into(&a, &b, &mut out, &mut stats);
-        assert_eq!((stats.merge_calls, stats.gallop_calls), (1, 0));
-        set_tuning(SetOpsTuning {
-            gallop_ratio: 2,
-            bitset_min_reuse: 1,
-            bitset_min_set: 1,
-        });
-        intersect_into(&a, &b, &mut out, &mut stats);
-        assert_eq!((stats.merge_calls, stats.gallop_calls), (1, 1));
-        assert!(bitset_pays_off(1, 1));
-        set_tuning(SetOpsTuning::default());
-        assert!(!bitset_pays_off(1, 1));
-        // Zero gallop ratio is clamped, not a divide-by-zero-ish trap.
-        set_tuning(SetOpsTuning {
-            gallop_ratio: 0,
-            ..SetOpsTuning::default()
-        });
-        assert_eq!(current_tuning().gallop_ratio, 1);
-        set_tuning(SetOpsTuning::default());
     }
 
     #[test]

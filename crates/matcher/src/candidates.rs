@@ -5,25 +5,26 @@
 //! candidate set through a build-once/intersect-many [`NodeBitset`] (or
 //! the merge/gallop kernels when the set is too small to amortize a
 //! build), and the prune fixpoint filters CN lists through per-node alive
-//! bitsets instead of hash lookups. Both phases also parallelize over
-//! deterministic shards — contiguous node ranges for enumeration,
-//! contiguous candidate ranges for CN initialization — so the assembled
-//! results are bit-identical to the sequential order at any thread count.
+//! bitsets instead of hash lookups. Both phases take a thread count and
+//! split through `ego_graph::parallel::fan_out` into contiguous chunks —
+//! node ranges for enumeration, runs of candidate-range tasks for CN
+//! initialization — concatenated in order, so the results are
+//! bit-identical to the sequential order at any thread count. The GQL
+//! and SPath matchers call them with one thread.
 
 use crate::stats::MatchStats;
+use ego_graph::parallel::fan_out;
 use ego_graph::profile::{NodeProfile, ProfileIndex};
 use ego_graph::setops::{self, NodeBitset, SetOpStats};
 use ego_graph::{Graph, NodeId};
 use ego_pattern::{PNode, Pattern};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::ops::Range;
 
 /// Below this many graph nodes the parallel enumeration shards are not
 /// worth their thread spawns.
 const PAR_MIN_NODES: usize = 4096;
 
-/// Minimum candidates per CN-initialization task (smaller tasks drown in
-/// claim overhead).
+/// Minimum candidates per CN-initialization task.
 const CN_TASK_MIN: usize = 256;
 
 /// The candidate space shared by both matchers: per pattern node `v`, the
@@ -47,21 +48,11 @@ pub struct CandidateSpace {
 
 impl CandidateSpace {
     /// Step 1 (Section III-A): enumerate candidates per pattern node using
-    /// label constraints, degree, and profile containment.
+    /// label constraints, degree, and profile containment. On a large
+    /// graph each of `threads` workers filters a contiguous node-id range
+    /// for every pattern node, and the per-range lists concatenate in
+    /// range order, so the lists are the same at every thread count.
     pub fn enumerate(
-        g: &Graph,
-        p: &Pattern,
-        profiles: &ProfileIndex,
-        stats: &mut MatchStats,
-    ) -> Self {
-        Self::enumerate_threads(g, p, profiles, stats, 1)
-    }
-
-    /// [`CandidateSpace::enumerate`] sharded over `threads` workers: each
-    /// worker filters a contiguous node-id range for every pattern node,
-    /// and the per-range lists concatenate in range order — candidate
-    /// lists are bit-identical to the sequential scan.
-    pub fn enumerate_threads(
         g: &Graph,
         p: &Pattern,
         profiles: &ProfileIndex,
@@ -84,39 +75,25 @@ impl CandidateSpace {
             .collect();
 
         let n = g.num_nodes();
-        let threads = threads.max(1).min(n.max(1));
-        let cands: Vec<Vec<NodeId>> = if threads <= 1 || n < PAR_MIN_NODES {
-            enumerate_range(g, p, &pneigh, &pattern_profiles, profiles, 0..n as u32)
-        } else {
-            let chunk = n.div_ceil(threads) as u32;
-            let ranges: Vec<std::ops::Range<u32>> = (0..n as u32)
-                .step_by(chunk as usize)
-                .map(|start| start..(start + chunk).min(n as u32))
-                .collect();
-            let partials: Vec<Vec<Vec<NodeId>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|range| {
-                        let pneigh = &pneigh;
-                        let pattern_profiles = &pattern_profiles;
-                        scope.spawn(move || {
-                            enumerate_range(g, p, pneigh, pattern_profiles, profiles, range)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("candidate enumeration worker panicked"))
-                    .collect()
-            });
-            let mut merged: Vec<Vec<NodeId>> = vec![Vec::new(); np];
-            for partial in partials {
-                for (vi, list) in partial.into_iter().enumerate() {
-                    merged[vi].extend(list);
+        let workers = if n < PAR_MIN_NODES { 1 } else { threads.max(1) };
+        let step = n.div_ceil(workers).max(1);
+        let ranges: Vec<Range<u32>> = (0..n)
+            .step_by(step)
+            .map(|start| start as u32..(start + step).min(n) as u32)
+            .collect();
+        let cands = fan_out(
+            &ranges,
+            workers,
+            |chunk| {
+                let span = chunk.first().map_or(0, |r| r.start)..chunk.last().map_or(0, |r| r.end);
+                enumerate_range(g, p, &pneigh, &pattern_profiles, profiles, span)
+            },
+            |acc: &mut Vec<Vec<NodeId>>, part| {
+                for (list, more) in acc.iter_mut().zip(part) {
+                    list.extend(more);
                 }
-            }
-            merged
-        };
+            },
+        );
         for list in &cands {
             stats.initial_candidates += list.len();
         }
@@ -167,19 +144,13 @@ impl CandidateSpace {
     }
 
     /// Step 2 (Section III-B): initialize `CN(n, v, v') = C(v') ∩ N(n)`
-    /// for every candidate and pattern-neighbor pair.
-    pub fn init_candidate_neighbors(&mut self, g: &Graph, p: &Pattern) {
-        let mut stats = MatchStats::default();
-        self.init_candidate_neighbors_threads(g, p, &mut stats, 1);
-    }
-
-    /// [`CandidateSpace::init_candidate_neighbors`] on the kernel layer,
-    /// sharded over `threads` workers. Candidate sets that get
-    /// intersected many times are materialized once as [`NodeBitset`]s
-    /// (shared read-only across workers); each worker claims contiguous
-    /// candidate ranges of `(v, v')` pairs and fills pre-ordered slots,
-    /// so the CN lists are bit-identical at any thread count.
-    pub fn init_candidate_neighbors_threads(
+    /// for every candidate and pattern-neighbor pair, on the kernel layer.
+    /// Candidate sets that get intersected many times are materialized
+    /// once as [`NodeBitset`]s (shared read-only across workers). The work
+    /// is a list of tasks — contiguous candidate ranges of one `(v, v')`
+    /// pair — split over `threads` workers in contiguous chunks, so the
+    /// CN lists are the same at every thread count.
+    pub fn init_candidate_neighbors(
         &mut self,
         g: &Graph,
         p: &Pattern,
@@ -211,7 +182,7 @@ impl CandidateSpace {
         struct Task {
             vi: usize,
             j: usize,
-            range: std::ops::Range<usize>,
+            range: Range<usize>,
         }
         let threads = threads.max(1);
         let total: usize = (0..np)
@@ -238,74 +209,54 @@ impl CandidateSpace {
             }
         }
 
-        let run_task = |t: &Task, sstats: &mut SetOpStats| -> Vec<Vec<NodeId>> {
-            let v = PNode(t.vi as u8);
-            let vp = self.pneigh[t.vi][t.j];
-            let cvp = &self.cands[vp.index()];
-            let bits = vp_bits[vp.index()].as_ref();
-            let mut adj_scratch = Vec::new();
-            self.cands[t.vi][t.range.clone()]
-                .iter()
-                .map(|&n| {
-                    let adj = Self::relation_adjacency(g, p, n, v, vp, &mut adj_scratch, sstats);
-                    let mut out = Vec::new();
-                    if let Some(bits) = bits {
-                        sstats.bitset_calls += 1;
-                        bits.filter_into(adj, &mut out);
-                    } else {
-                        setops::intersect_into(adj, cvp, &mut out, sstats);
-                    }
-                    out
-                })
-                .collect()
-        };
-
-        let workers = threads.min(tasks.len().max(1));
-        let mut cn: Vec<Vec<Vec<Vec<NodeId>>>> = (0..np)
-            .map(|vi| {
-                (0..self.pneigh[vi].len())
-                    .map(|_| vec![Vec::new(); self.cands[vi].len()])
-                    .collect()
-            })
-            .collect();
-        if workers <= 1 {
+        // One list of CN lists per task, in task order.
+        let run_tasks = |chunk: &[Task]| {
             let mut sstats = SetOpStats::default();
-            for t in &tasks {
-                let lists = run_task(t, &mut sstats);
-                for (offset, list) in lists.into_iter().enumerate() {
-                    cn[t.vi][t.j][t.range.start + offset] = list;
-                }
-            }
-            stats.setops.add(&sstats);
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<(Vec<Vec<NodeId>>, SetOpStats)>> =
-                tasks.iter().map(|_| OnceLock::new()).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let next = &next;
-                    let slots = &slots;
-                    let tasks = &tasks;
-                    let run_task = &run_task;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
+            let mut lists: Vec<Vec<Vec<NodeId>>> = Vec::with_capacity(chunk.len());
+            for t in chunk {
+                let mut adj_scratch = Vec::new();
+                let v = PNode(t.vi as u8);
+                let vp = self.pneigh[t.vi][t.j];
+                let cvp = &self.cands[vp.index()];
+                let bits = vp_bits[vp.index()].as_ref();
+                let task_lists = self.cands[t.vi][t.range.clone()]
+                    .iter()
+                    .map(|&n| {
+                        let adj =
+                            Self::relation_adjacency(g, p, n, v, vp, &mut adj_scratch, &mut sstats);
+                        let mut out = Vec::new();
+                        if let Some(bits) = bits {
+                            sstats.bitset_calls += 1;
+                            bits.filter_into(adj, &mut out);
+                        } else {
+                            setops::intersect_into(adj, cvp, &mut out, &mut sstats);
                         }
-                        let mut sstats = SetOpStats::default();
-                        let lists = run_task(&tasks[i], &mut sstats);
-                        slots[i]
-                            .set((lists, sstats))
-                            .expect("CN task slot written twice");
-                    });
-                }
-            });
-            for (t, slot) in tasks.iter().zip(slots) {
-                let (lists, sstats) = slot.into_inner().expect("CN task never ran");
-                stats.setops.add(&sstats);
-                for (offset, list) in lists.into_iter().enumerate() {
-                    cn[t.vi][t.j][t.range.start + offset] = list;
-                }
+                        out
+                    })
+                    .collect();
+                lists.push(task_lists);
+            }
+            (lists, sstats)
+        };
+        let (lists, sstats) = fan_out(&tasks, threads, run_tasks, |acc, (lists, sstats)| {
+            acc.0.extend(lists);
+            acc.1.add(&sstats);
+        });
+        stats.setops.add(&sstats);
+
+        // A pair's tasks cover its candidates in order: the first one's
+        // lists move in whole, later ones append.
+        let mut cn: Vec<Vec<Vec<Vec<NodeId>>>> = self
+            .pneigh
+            .iter()
+            .map(|pn| vec![Vec::new(); pn.len()])
+            .collect();
+        for (t, task_lists) in tasks.iter().zip(lists) {
+            let slot = &mut cn[t.vi][t.j];
+            if slot.is_empty() {
+                *slot = task_lists;
+            } else {
+                slot.extend(task_lists);
             }
         }
         self.cn = cn;
@@ -416,7 +367,7 @@ fn enumerate_range(
     pneigh: &[Vec<PNode>],
     pattern_profiles: &[NodeProfile],
     profiles: &ProfileIndex,
-    range: std::ops::Range<u32>,
+    range: Range<u32>,
 ) -> Vec<Vec<NodeId>> {
     let mut cands: Vec<Vec<NodeId>> = vec![Vec::new(); p.num_nodes()];
     for v in p.nodes() {
@@ -465,8 +416,8 @@ mod tests {
     fn space(g: &Graph, p: &Pattern) -> (CandidateSpace, MatchStats) {
         let profiles = ProfileIndex::build(g);
         let mut stats = MatchStats::default();
-        let mut cs = CandidateSpace::enumerate(g, p, &profiles, &mut stats);
-        cs.init_candidate_neighbors(g, p);
+        let mut cs = CandidateSpace::enumerate(g, p, &profiles, &mut stats, 1);
+        cs.init_candidate_neighbors(g, p, &mut stats, 1);
         cs.prune(p, &mut stats);
         (cs, stats)
     }

@@ -8,187 +8,176 @@
 //! `v_j` of `v_{i+1}`. These sets are *small* after pruning, which is
 //! where the orders-of-magnitude win over candidate-set scanning comes
 //! from.
+//!
+//! [`enumerate`] is the one entry point, at any thread count. Each phase
+//! splits into contiguous chunks through `ego_graph::parallel::fan_out`
+//! and concatenates them in order; extraction runs one depth-first
+//! subtree per first-level root, so root chunks concatenated in root
+//! order are exactly the sequential depth-first order. Embeddings and
+//! every work counter in [`MatchStats`] are therefore the same at every
+//! thread count. The exception is `setops.saved_allocs`, a buffer-reuse
+//! tally: each worker warms its own buffers.
 
 use crate::candidates::CandidateSpace;
 use crate::filter::passes_filters;
 use crate::stats::MatchStats;
+use ego_graph::parallel::{fan_out, workers_for};
 use ego_graph::profile::ProfileIndex;
 use ego_graph::{setops, Graph, NodeId};
 use ego_pattern::{Pattern, SearchOrder};
 
-/// Reusable buffers for the forward-extraction phase: a pool of per-depth
-/// candidate lists (returned on backtrack, taken on descent) and a
-/// ping-pong buffer for chained intersections. One extraction allocates
-/// at most `pattern depth + 1` vectors over its whole lifetime; parallel
-/// extraction gives each worker one scratch for all its subtrees.
-#[derive(Default)]
-pub struct ExtractScratch {
-    pool: Vec<Vec<NodeId>>,
-    pub(crate) tmp: Vec<NodeId>,
-}
-
-impl ExtractScratch {
-    /// Take a cleared buffer from the pool (or allocate one).
-    pub(crate) fn take(&mut self) -> Vec<NodeId> {
-        let mut v = self.pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Return a buffer to the pool for reuse.
-    pub(crate) fn give(&mut self, v: Vec<NodeId>) {
-        self.pool.push(v);
-    }
-}
-
-/// Enumerate all embeddings of `p` in `g` using the CN algorithm.
-pub fn enumerate(g: &Graph, p: &Pattern, stats: &mut MatchStats) -> Vec<Vec<NodeId>> {
-    let profiles = ProfileIndex::build(g);
-    enumerate_with_profiles(g, p, &profiles, stats)
-}
-
-/// [`enumerate`] reusing a prebuilt profile index (the index depends only
-/// on the graph, so census algorithms build it once per graph).
-pub fn enumerate_with_profiles(
+/// Enumerate all embeddings of `p` in `g` using the CN algorithm, on
+/// `threads` workers (`0` counts as one). Every phase splits into
+/// contiguous chunks that concatenate in order, so the embeddings (order
+/// included) and the work counters in `stats` are the same at every
+/// thread count.
+pub fn enumerate(
     g: &Graph,
     p: &Pattern,
-    profiles: &ProfileIndex,
-    stats: &mut MatchStats,
-) -> Vec<Vec<NodeId>> {
-    enumerate_with_profiles_threads(g, p, profiles, stats, 1)
-}
-
-/// [`enumerate_with_profiles`] with the candidate-enumeration and CN-set
-/// initialization phases sharded over `threads` workers (extraction runs
-/// on the calling thread; [`crate::parallel`] shards that phase).
-/// Results are bit-identical at any thread count.
-pub fn enumerate_with_profiles_threads(
-    g: &Graph,
-    p: &Pattern,
-    profiles: &ProfileIndex,
     stats: &mut MatchStats,
     threads: usize,
 ) -> Vec<Vec<NodeId>> {
-    let mut cs = CandidateSpace::enumerate_threads(g, p, profiles, stats, threads);
-    cs.init_candidate_neighbors_threads(g, p, stats, threads);
+    let profiles = ProfileIndex::build(g);
+    let mut cs = CandidateSpace::enumerate(g, p, &profiles, stats, threads);
+    cs.init_candidate_neighbors(g, p, stats, threads);
     cs.prune(p, stats);
-    let out = extract(g, p, &cs, stats);
+
+    // Step 4: forward extraction, one depth-first subtree per first-level
+    // root. Root chunks concatenate in root order, which is the order a
+    // single depth-first walk visits them in.
+    let order = SearchOrder::new(p);
+    let roots: Vec<NodeId> = cs.alive_candidates(order.order[0]).collect();
+    stats.extension_candidates_scanned += roots.len();
+    let extract = |chunk: &[NodeId]| {
+        let mut x = Extraction::new(g, p, &cs, &order);
+        for &root in chunk {
+            x.place(0, root);
+        }
+        (x.out, x.stats)
+    };
+    let (out, extracted) = fan_out(
+        &roots,
+        workers_for(roots.len(), threads),
+        extract,
+        |acc, (out, part)| {
+            acc.0.extend(out);
+            add_extraction(&mut acc.1, &part);
+        },
+    );
+    add_extraction(stats, &extracted);
     setops::record_global(&stats.setops);
     out
 }
 
-/// Step 4: forward extraction over the pruned candidate space.
-fn extract(
-    g: &Graph,
-    p: &Pattern,
-    cs: &CandidateSpace,
-    stats: &mut MatchStats,
-) -> Vec<Vec<NodeId>> {
-    let order = SearchOrder::new(p);
-    let mut scratch = ExtractScratch::default();
-    let np = p.num_nodes();
-    let mut out = Vec::new();
-    // assignment indexed by pattern node id; usize::MAX sentinel via Option
-    // avoided: track assigned prefix through `depth`.
-    let mut assignment: Vec<NodeId> = vec![NodeId(0); np];
-    let mut stack_iters: Vec<Vec<NodeId>> = Vec::with_capacity(np);
-
-    // Depth-first product over per-depth candidate lists.
-    let first = candidates_for_depth(cs, &order, 0, &assignment, stats, &mut scratch);
-    stack_iters.push(first);
-    let mut cursor = vec![0usize; 1];
-
-    while let Some(&depth_pos) = cursor.last() {
-        let depth = cursor.len() - 1;
-        let options = &stack_iters[depth];
-        if depth_pos >= options.len() {
-            if let Some(done) = stack_iters.pop() {
-                scratch.give(done);
-            }
-            cursor.pop();
-            if let Some(c) = cursor.last_mut() {
-                *c += 1;
-            }
-            continue;
-        }
-        let n = options[depth_pos];
-        // Injectivity: n must not already appear in the partial assignment.
-        let v = order.order[depth];
-        let dup = (0..depth).any(|d| assignment[order.order[d].index()] == n);
-        if dup {
-            *cursor.last_mut().unwrap() += 1;
-            continue;
-        }
-        assignment[v.index()] = n;
-        if depth + 1 == np {
-            stats.raw_embeddings += 1;
-            if passes_filters(g, p, &assignment) {
-                stats.filtered_embeddings += 1;
-                out.push(assignment.clone());
-            }
-            *cursor.last_mut().unwrap() += 1;
-        } else {
-            stats.partial_matches += 1;
-            let next =
-                candidates_for_depth(cs, &order, depth + 1, &assignment, stats, &mut scratch);
-            stack_iters.push(next);
-            cursor.push(0);
-        }
-    }
-    while let Some(done) = stack_iters.pop() {
-        scratch.give(done);
-    }
-    out
+/// Fold the extraction-phase counters of `part` into `acc`.
+fn add_extraction(acc: &mut MatchStats, part: &MatchStats) {
+    acc.extension_candidates_scanned += part.extension_candidates_scanned;
+    acc.partial_matches += part.partial_matches;
+    acc.raw_embeddings += part.raw_embeddings;
+    acc.filtered_embeddings += part.filtered_embeddings;
+    acc.setops.add(&part.setops);
 }
 
-/// Possible images for the pattern node at `depth`: the intersection of
-/// the candidate-neighbor sets of its already-matched pattern neighbors
-/// (or the full alive candidate list when it has none — the first node,
-/// or a new component of a disconnected pattern).
-fn candidates_for_depth(
-    cs: &CandidateSpace,
-    order: &SearchOrder,
-    depth: usize,
-    assignment: &[NodeId],
-    stats: &mut MatchStats,
-    scratch: &mut ExtractScratch,
-) -> Vec<NodeId> {
-    let v = order.order[depth];
-    let back = &order.backward[depth];
-    if back.is_empty() {
-        let mut all = scratch.take();
-        all.extend(cs.alive_candidates(v));
-        stats.extension_candidates_scanned += all.len();
-        return all;
-    }
-    // Start from the smallest CN list, then intersect with the rest
-    // through the kernel layer, ping-ponging between two pooled buffers.
-    let mut lists: Vec<&[NodeId]> = Vec::with_capacity(back.len());
-    for &j in back {
-        let vj = order.order[j];
-        let nj = assignment[vj.index()];
-        lists.push(cs.cn_list(vj, nj, v));
-    }
-    lists.sort_by_key(|l| l.len());
-    let mut current = scratch.take();
-    stats.extension_candidates_scanned += lists[0].len();
-    if let [first, second, ..] = lists[..] {
-        // Fuse the first two lists into one kernel call, skipping the
-        // copy of lists[0] into `current`.
-        stats.extension_candidates_scanned += second.len().min(first.len());
-        setops::intersect_into(first, second, &mut current, &mut stats.setops);
-    } else {
-        current.extend_from_slice(lists[0]);
-    }
-    for l in lists.iter().skip(2) {
-        if current.is_empty() {
-            break;
+/// One worker's extraction state over the pruned candidate space: the
+/// partial assignment (indexed by pattern node), a pool of per-depth
+/// candidate lists (taken on descent, returned on backtrack), a
+/// ping-pong buffer for chained intersections, and what it found.
+struct Extraction<'a> {
+    g: &'a Graph,
+    p: &'a Pattern,
+    cs: &'a CandidateSpace,
+    order: &'a SearchOrder,
+    assignment: Vec<NodeId>,
+    pool: Vec<Vec<NodeId>>,
+    tmp: Vec<NodeId>,
+    out: Vec<Vec<NodeId>>,
+    stats: MatchStats,
+}
+
+impl<'a> Extraction<'a> {
+    fn new(g: &'a Graph, p: &'a Pattern, cs: &'a CandidateSpace, order: &'a SearchOrder) -> Self {
+        Extraction {
+            g,
+            p,
+            cs,
+            order,
+            assignment: vec![NodeId(0); p.num_nodes()],
+            pool: Vec::new(),
+            tmp: Vec::new(),
+            out: Vec::new(),
+            stats: MatchStats::default(),
         }
-        stats.extension_candidates_scanned += l.len().min(current.len());
-        setops::intersect_into(&current, l, &mut scratch.tmp, &mut stats.setops);
-        std::mem::swap(&mut current, &mut scratch.tmp);
     }
-    current
+
+    /// Map the pattern node at `depth` to `n` (unless `n` already appears
+    /// in the partial assignment) and extend depth-first.
+    fn place(&mut self, depth: usize, n: NodeId) {
+        let order = self.order;
+        if (0..depth).any(|d| self.assignment[order.order[d].index()] == n) {
+            return;
+        }
+        self.assignment[order.order[depth].index()] = n;
+        if depth + 1 == self.p.num_nodes() {
+            self.stats.raw_embeddings += 1;
+            if passes_filters(self.g, self.p, &self.assignment) {
+                self.stats.filtered_embeddings += 1;
+                self.out.push(self.assignment.clone());
+            }
+            return;
+        }
+        self.stats.partial_matches += 1;
+        let options = self.candidates(depth + 1);
+        for &m in &options {
+            self.place(depth + 1, m);
+        }
+        self.pool.push(options);
+    }
+
+    /// Possible images for the pattern node at `depth`: the intersection
+    /// of the candidate-neighbor sets of its already-matched pattern
+    /// neighbors (or the full alive candidate list when it has none — a
+    /// new component of a disconnected pattern).
+    fn candidates(&mut self, depth: usize) -> Vec<NodeId> {
+        let (cs, order) = (self.cs, self.order);
+        let v = order.order[depth];
+        let back = &order.backward[depth];
+        let mut current = self.pool.pop().unwrap_or_default();
+        current.clear();
+        if back.is_empty() {
+            current.extend(cs.alive_candidates(v));
+            self.stats.extension_candidates_scanned += current.len();
+            return current;
+        }
+        // Start from the smallest CN list, then intersect with the rest
+        // through the kernel layer, ping-ponging between two buffers.
+        let mut lists: Vec<&[NodeId]> = back
+            .iter()
+            .map(|&j| {
+                let vj = order.order[j];
+                cs.cn_list(vj, self.assignment[vj.index()], v)
+            })
+            .collect();
+        lists.sort_by_key(|l| l.len());
+        let stats = &mut self.stats;
+        stats.extension_candidates_scanned += lists[0].len();
+        if let [first, second, ..] = lists[..] {
+            // Fuse the first two lists into one kernel call, skipping the
+            // copy of lists[0] into `current`.
+            stats.extension_candidates_scanned += second.len().min(first.len());
+            setops::intersect_into(first, second, &mut current, &mut stats.setops);
+        } else {
+            current.extend_from_slice(lists[0]);
+        }
+        for l in lists.iter().skip(2) {
+            if current.is_empty() {
+                break;
+            }
+            stats.extension_candidates_scanned += l.len().min(current.len());
+            setops::intersect_into(&current, l, &mut self.tmp, &mut stats.setops);
+            std::mem::swap(&mut current, &mut self.tmp);
+        }
+        current
+    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub fn enumerate_with_profiles(
     profiles: &ProfileIndex,
     stats: &mut MatchStats,
 ) -> Vec<Vec<NodeId>> {
-    let mut cs = CandidateSpace::enumerate(g, p, profiles, stats);
+    let mut cs = CandidateSpace::enumerate(g, p, profiles, stats, 1);
     refine(g, p, &mut cs, stats);
     search_over(g, p, &cs, stats)
 }

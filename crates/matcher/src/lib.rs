@@ -10,7 +10,8 @@
 //!   neighbor `v'`. Candidate sets and candidate-neighbor sets are pruned
 //!   simultaneously to a fixpoint, then matches are extracted by
 //!   intersecting the (small) candidate-neighbor sets along a
-//!   connected-prefix order.
+//!   connected-prefix order. [`cn::enumerate`] takes a thread count;
+//!   its embeddings, order included, are the same at every count.
 //! * [`gql`] — a GraphQL-style baseline in the spirit of He & Singh
 //!   (SIGMOD 2008): profile filtering plus *semi-perfect matching*
 //!   refinement (a bipartite-matching feasibility check between pattern
@@ -45,7 +46,6 @@ pub mod cn;
 pub mod filter;
 pub mod gql;
 pub mod matches;
-pub mod parallel;
 pub mod spath;
 pub mod stats;
 
@@ -85,7 +85,7 @@ pub fn find_embeddings_with_stats(
     stats: &mut MatchStats,
 ) -> Vec<Vec<NodeId>> {
     match kind {
-        MatcherKind::CandidateNeighbors => cn::enumerate(g, p, stats),
+        MatcherKind::CandidateNeighbors => cn::enumerate(g, p, stats, 1),
         MatcherKind::GqlStyle => gql::enumerate(g, p, stats),
         MatcherKind::SPathStyle => spath::enumerate(g, p, stats),
     }

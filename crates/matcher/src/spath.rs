@@ -147,7 +147,7 @@ pub fn enumerate_with_index(
     stats: &mut MatchStats,
 ) -> Vec<Vec<NodeId>> {
     // Start from the profile-filtered candidates...
-    let mut cs = CandidateSpace::enumerate(g, p, profiles, stats);
+    let mut cs = CandidateSpace::enumerate(g, p, profiles, stats, 1);
     // ...then tighten with d-bounded signatures.
     let sig_radius = sigs.radius.min(longest_pattern_distance(p).max(1));
     let analysis = PatternAnalysis::new(p);

@@ -354,12 +354,10 @@ impl<'g> QueryEngine<'g> {
 
     /// `ANALYZE`: profile the live graph ([`GraphStats::analyze`]),
     /// install the snapshot for the planner (and every engine sharing
-    /// this slot), pre-seed the adaptive set-intersection thresholds
-    /// from the graph's shape, persist the sidecar when a stats path is
-    /// set, and return the snapshot as a key/value table.
+    /// this slot), persist the sidecar when a stats path is set, and
+    /// return the snapshot as a key/value table.
     pub fn analyze(&self) -> Result<Table, QueryError> {
         let stats = Arc::new(GraphStats::analyze(self.graph()));
-        ego_graph::setops::set_tuning(stats.setops_tuning());
         if let Some(path) = &self.stats_path {
             stats.save(path)?;
         }
@@ -1979,6 +1977,30 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(1));
         e.swap_graph(Arc::new(b.build()));
         assert!(basis(&e, explain_sql).contains("stats=stale"));
+    }
+
+    #[test]
+    fn analyze_leaves_the_setops_plan_alone() {
+        // A star: max/avg degree ≈ 100, the shape that used to halve the
+        // gallop ratio process-wide once ANALYZE had run.
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(200, Label(0));
+        for x in 1..200u32 {
+            b.add_edge(NodeId(0), NodeId(x));
+        }
+        let g = b.build();
+        let e = engine(&g);
+        let setops = |e: &QueryEngine<'_>| {
+            let t = e
+                .execute("EXPLAIN SELECT ID, COUNTP(tri, SUBGRAPH(ID, 1)) FROM nodes")
+                .unwrap();
+            explain_rows(&t, "setops")[0][1].to_string()
+        };
+        let before = setops(&e);
+        e.analyze().unwrap();
+        assert_eq!(setops(&e), before);
+        let ratio = format!("gallop_ratio:{}", ego_graph::setops::GALLOP_RATIO);
+        assert!(before.contains(&ratio), "{before}");
     }
 
     #[test]

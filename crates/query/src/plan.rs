@@ -604,6 +604,7 @@ impl PlanNode {
                         pattern,
                         &profiles,
                         &mut ego_matcher::MatchStats::default(),
+                        1,
                     );
                     let cands: Vec<String> = pattern
                         .nodes()
@@ -682,18 +683,16 @@ fn shape(pattern: &Pattern) -> String {
 }
 
 /// The set-intersection kernel plan: which kernel the matcher's hot loops
-/// dispatch to (EGO_SETOPS override or adaptive) and the live adaptive
-/// thresholds (defaults, or ANALYZE-derived). Volatile dispatch *counters*
-/// live in the server `stats` op and `egocensus match --stats`, keeping
-/// EXPLAIN deterministic for identical inputs.
+/// dispatch to (EGO_SETOPS override or adaptive) and the adaptive
+/// policy's thresholds. Volatile dispatch *counters* live in the server
+/// `stats` op and `egocensus match --stats`, keeping EXPLAIN
+/// deterministic for identical inputs.
 fn setops() -> String {
-    let t = ego_graph::setops::current_tuning();
+    use ego_graph::setops::{configured_kernel, BITSET_MIN_REUSE, BITSET_MIN_SET, GALLOP_RATIO};
     format!(
-        "kernel={} gallop_ratio:{} bitset_min_reuse:{} bitset_min_set:{}",
-        ego_graph::setops::configured_kernel().name(),
-        t.gallop_ratio,
-        t.bitset_min_reuse,
-        t.bitset_min_set
+        "kernel={} gallop_ratio:{GALLOP_RATIO} bitset_min_reuse:{BITSET_MIN_REUSE} \
+         bitset_min_set:{BITSET_MIN_SET}",
+        configured_kernel().name(),
     )
 }
 

@@ -15,7 +15,6 @@ use crate::error::QueryError;
 use crate::table::Table;
 use crate::value::Value;
 use ego_census::cost::GraphShape;
-use ego_graph::setops::SetOpsTuning;
 use ego_graph::{stats as gstats, Graph, NodeId};
 use ego_pattern::Pattern;
 use std::path::{Path, PathBuf};
@@ -184,32 +183,6 @@ impl GraphStats {
             d * q.powi(spanning as i32 - 1)
         };
         n * branch * c.powi(closing as i32)
-    }
-
-    /// Derive adaptive set-intersection thresholds from graph shape:
-    /// high degree skew rewards galloping earlier; dense graphs make
-    /// bitset builds pay off sooner. Defaults are the measured-crossover
-    /// constants in [`ego_graph::setops`].
-    pub fn setops_tuning(&self) -> SetOpsTuning {
-        let d = SetOpsTuning::default();
-        let skew = self.max_degree as f64 / self.avg_degree.max(1.0);
-        SetOpsTuning {
-            gallop_ratio: if skew >= 32.0 {
-                (d.gallop_ratio / 2).max(2)
-            } else {
-                d.gallop_ratio
-            },
-            bitset_min_reuse: if self.avg_degree >= 32.0 {
-                (d.bitset_min_reuse / 2).max(2)
-            } else {
-                d.bitset_min_reuse
-            },
-            bitset_min_set: if self.avg_degree >= 32.0 {
-                (d.bitset_min_set / 2).max(64)
-            } else {
-                d.bitset_min_set
-            },
-        }
     }
 
     /// The sidecar path for a graph file: the full file name plus a
@@ -505,21 +478,6 @@ mod tests {
         let p = GraphStats::analyze(&path(100));
         let est = p.est_matches(&wedge);
         assert!(est < 2.5 * p.num_nodes as f64 * p.avg_degree, "{est}");
-    }
-
-    #[test]
-    fn tuning_derivation_is_shape_sensitive() {
-        let defaults = SetOpsTuning::default();
-        let sparse = GraphStats::analyze(&path(40)).setops_tuning();
-        assert_eq!(sparse, defaults);
-        // A hub-and-spoke star has extreme degree skew.
-        let mut b = GraphBuilder::undirected();
-        b.add_nodes(200, Label(0));
-        for x in 1..200u32 {
-            b.add_edge(ego_graph::NodeId(0), ego_graph::NodeId(x));
-        }
-        let star = GraphStats::analyze(&b.build()).setops_tuning();
-        assert!(star.gallop_ratio < defaults.gallop_ratio);
     }
 
     #[test]

@@ -86,7 +86,22 @@ for kernel in merge gallop bitset adaptive; do
       || { echo "FAIL: EGO_SETOPS=$kernel --threads $t diverges from the merge kernel"; exit 1; }
   done
 done
-echo "    merge/gallop/bitset/adaptive kernels agree byte-for-byte (threads 1 and 4)"
+# The match listing too, order included (its first line is the wall time).
+match_wedge='PATTERN w { ?A-?B; ?B-?C; ?A!-?C; }'
+match_listing() { # $1 = kernel, $2 = threads, $3 = output
+  EGO_SETOPS=$1 ./target/release/egocensus match "$tmpdir/g.txt" --threads "$2" \
+    --pattern "$match_wedge" >"$tmpdir/match_raw.txt"
+  tail -n +2 "$tmpdir/match_raw.txt" >"$3"
+}
+match_listing merge 1 "$tmpdir/match_ref.txt"
+for kernel in merge gallop bitset adaptive; do
+  for t in 1 4; do
+    match_listing "$kernel" "$t" "$tmpdir/match_got.txt"
+    cmp -s "$tmpdir/match_ref.txt" "$tmpdir/match_got.txt" \
+      || { echo "FAIL: match under EGO_SETOPS=$kernel --threads $t diverges from merge/threads 1"; exit 1; }
+  done
+done
+echo "    merge/gallop/bitset/adaptive kernels agree byte-for-byte (threads 1 and 4; census and match)"
 
 echo "==> PT kernel equivalence (every algorithm family, byte-identical CSVs; wide clusters; huge radius)"
 # The pattern-driven family shares one cluster kernel; whatever it does to

@@ -21,7 +21,7 @@ use egocensus::census::{
 use egocensus::datagen;
 use egocensus::dynamic::{update_census_exec, DeltaGraph};
 use egocensus::graph::{io, stats, Graph, NodeId};
-use egocensus::matcher::{find_matches, MatcherKind};
+use egocensus::matcher::{cn, find_embeddings_with_stats, MatchList, MatchStats, MatcherKind};
 use egocensus::pattern::Pattern;
 use egocensus::query::{parse_mutations, Catalog, GraphStats, MutationKind, QueryEngine, Table};
 use egocensus::server::{Client, Response, Server, ServerConfig};
@@ -374,26 +374,14 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     let threads = ExecConfig::with_threads(f.parse("threads", 0usize)?).resolve();
     let want_stats = f.has("stats");
     let start = std::time::Instant::now();
-    // Only the CN matcher has parallel candidate/extraction phases; GQL
-    // runs sequentially regardless of --threads.
-    let mut mstats = egocensus::matcher::MatchStats::default();
-    let matches = if want_stats {
-        if kind == MatcherKind::CandidateNeighbors {
-            let embs = egocensus::matcher::parallel::enumerate_parallel_with_stats(
-                &g,
-                &p,
-                threads,
-                &mut mstats,
-            );
-            egocensus::matcher::MatchList::from_embeddings(&p, embs)
-        } else {
-            egocensus::matcher::find_matches_with_stats(&g, &p, kind, &mut mstats)
-        }
-    } else if kind == MatcherKind::CandidateNeighbors {
-        exec_matches(&g, &p, threads)
-    } else {
-        find_matches(&g, &p, kind)
+    // Only the CN matcher splits over threads; GQL runs sequentially
+    // regardless of --threads.
+    let mut mstats = MatchStats::default();
+    let embs = match kind {
+        MatcherKind::CandidateNeighbors => cn::enumerate(&g, &p, &mut mstats, threads),
+        _ => find_embeddings_with_stats(&g, &p, kind, &mut mstats),
     };
+    let matches = MatchList::from_embeddings(&p, embs);
     println!(
         "{} distinct matches of `{}` in {:.3}s",
         matches.len(),

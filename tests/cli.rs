@@ -99,6 +99,31 @@ fn match_subcommand_counts_triangles() {
 }
 
 #[test]
+fn match_listing_is_the_same_at_every_thread_count() {
+    let path = tempfile("g5.txt");
+    run(&[
+        "generate", "--model", "ba", "--nodes", "300", "--param", "3", "--seed", "7", "-o", &path,
+    ]);
+    let wedge = "PATTERN w { ?A-?B; ?B-?C; ?A!-?C; }";
+    // Everything after the first line, which carries the wall time.
+    let listing = |threads: &str, stats: bool| {
+        let mut args = vec!["match", &path, "--pattern", wedge, "--threads", threads];
+        if stats {
+            args.push("--stats");
+        }
+        let (ok, out, err) = run(&args);
+        assert!(ok, "{err}");
+        out.lines().skip(1).collect::<Vec<_>>().join("\n")
+    };
+    for stats in [false, true] {
+        let reference = listing("1", stats);
+        assert!(reference.contains("more"), "{reference}");
+        assert_eq!(listing("4", stats), reference, "--stats: {stats}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn topk_subcommand() {
     let path = tempfile("g3.txt");
     run(&[

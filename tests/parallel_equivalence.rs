@@ -5,35 +5,39 @@
 
 use egocensus::census::pairwise::{run_pair_census_with, PairCensusSpec, PairSelector};
 use egocensus::census::{
-    run_census_exec, run_census_with, run_pair_census_exec, Algorithm, CensusSpec, ExecConfig,
-    FocalNodes, PtConfig,
+    exec_matches, run_census_exec, run_census_with, run_pair_census_exec, Algorithm, CensusSpec,
+    ExecConfig, FocalNodes, PtConfig,
 };
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use proptest::prelude::*;
 
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (8usize..24, any::<u64>()).prop_map(|(n, seed)| {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut b = GraphBuilder::undirected();
-        for _ in 0..n {
-            b.add_node(Label((next() % 2) as u16));
-        }
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                if next() % 3 == 0 {
-                    b.add_edge(NodeId(i), NodeId(j));
-                }
+/// `n` nodes labelled 0/1, each pair an edge with probability
+/// `1 / one_in`, drawn from a xorshift stream seeded with `seed`.
+fn random_graph(n: usize, seed: u64, one_in: u64) -> Graph {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut b = GraphBuilder::undirected();
+    for _ in 0..n {
+        b.add_node(Label((next() % 2) as u16));
+    }
+    for i in 0..n as u32 {
+        for j in (i + 1)..n as u32 {
+            if next() % one_in == 0 {
+                b.add_edge(NodeId(i), NodeId(j));
             }
         }
-        b.build()
-    })
+    }
+    b.build()
+}
+
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    (8usize..24, any::<u64>()).prop_map(|(n, seed)| random_graph(n, seed, 3))
 }
 
 /// COUNTP patterns plus one with a subpattern for COUNTSP.
@@ -47,6 +51,30 @@ fn countp_patterns() -> Vec<Pattern> {
 
 fn countsp_pattern() -> Pattern {
     Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN one {?A;} }").unwrap()
+}
+
+/// The global match list is one list, order included, at every thread
+/// count: a thread count is not allowed to reorder what the census,
+/// the views and `egocensus match` read.
+#[test]
+fn match_list_order_is_thread_invariant() {
+    let g = random_graph(200, 7, 12);
+    for text in [
+        "PATTERN w { ?A-?B; ?B-?C; ?A!-?C; }",
+        "PATTERN lt { ?A-?B; ?B-?C; ?A-?C; [?A.LABEL=0]; [?B.LABEL=1]; }",
+    ] {
+        let p = Pattern::parse(text).unwrap();
+        let reference = exec_matches(&g, &p, 1);
+        // Enough roots that eight workers each get a chunk.
+        assert!(reference.len() > 64, "{text}: {}", reference.len());
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                exec_matches(&g, &p, threads).matches(),
+                reference.matches(),
+                "{text} threads={threads}"
+            );
+        }
+    }
 }
 
 const ALL_ALGOS: [Algorithm; 7] = [
