@@ -119,7 +119,7 @@ pub struct ContinuousStats {
     pub clean_focal: u64,
     /// Match-list survivors kept without re-verification, cumulative.
     pub match_survivors: u64,
-    /// Matches discovered by anchored re-enumeration, cumulative.
+    /// Matches discovered in the ball around the touched endpoints, cumulative.
     pub match_discovered: u64,
     /// Aggregates whose baseline match list was provided by the host
     /// (e.g. gathered from a materialized view) instead of enumerated

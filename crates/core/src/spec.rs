@@ -2,7 +2,7 @@
 
 use crate::result::CensusError;
 use ego_graph::{Graph, NodeId};
-use ego_pattern::{PNode, Pattern};
+use ego_pattern::{PNode, Pattern, PatternAnalysis};
 
 /// Which nodes to run the census for (the SQL `WHERE` clause's result,
 /// `V_σ(G)` in the paper).
@@ -112,9 +112,12 @@ impl<'a> CensusSpec<'a> {
 
     /// How far (in union-graph hops from a touched endpoint) an edge
     /// mutation can perturb this spec's counts: `k` for plain `COUNTP`,
-    /// `k + (|V(p)| - 1)` for `COUNTSP` over a connected pattern,
-    /// unbounded (`None` — every focal node is dirty) for `COUNTSP` over
-    /// a disconnected pattern.
+    /// `k` plus the pattern's diameter ([`PatternAnalysis::diameter`])
+    /// for `COUNTSP` over a connected pattern — a changed match has an
+    /// edge image on a touched pair, so its subpattern images lie within
+    /// the diameter of a touched endpoint — and unbounded (`None` —
+    /// every focal node is dirty) for `COUNTSP` over a disconnected
+    /// pattern.
     pub fn dirty_radius(&self) -> Option<u32> {
         if self.subpattern.is_none() {
             return Some(self.k);
@@ -122,7 +125,7 @@ impl<'a> CensusSpec<'a> {
         if !self.pattern.is_connected() {
             return None;
         }
-        Some(self.k + (self.pattern.num_nodes() as u32).saturating_sub(1))
+        Some(self.k + PatternAnalysis::new(self.pattern).diameter())
     }
 
     /// The pattern nodes whose images must lie inside the neighborhood:

@@ -1,6 +1,11 @@
 //! A mutable edge-delta overlay over the frozen CSR graph.
+//!
+//! Deltas accumulate as canonical edge keys; [`DeltaGraph::compact`]
+//! freezes them into a new CSR by splicing the base's arrays
+//! ([`ego_graph::Graph::with_edits`]), so compaction costs a copy of the
+//! untouched rows plus a merge of the touched ones — never a rebuild.
 
-use ego_graph::{Graph, GraphBuilder, NodeId};
+use ego_graph::{Graph, NodeId};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -35,7 +40,8 @@ impl std::error::Error for DeltaError {}
 /// the invariants: `removed ⊆ E(base)`, `added ∩ E(base) = ∅`, and
 /// `added ∩ removed = ∅`. Inserting an edge whose deletion is pending
 /// cancels the deletion (and vice versa), so a net-empty batch leaves the
-/// overlay exactly equal to the base — including its fingerprint.
+/// overlay exactly equal to the base: its compaction is the base graph,
+/// fingerprint included.
 ///
 /// Neighbor accessors honor the base graph's contract: lists are sorted
 /// by node id and deduplicated. They return owned `Vec`s (the overlay
@@ -246,78 +252,23 @@ impl DeltaGraph {
         out
     }
 
-    /// A mutation-aware fingerprint. Equal to the base fingerprint when
-    /// the overlay is clean; otherwise a hash of the base fingerprint and
-    /// the canonical delta sets, so any pending delta changes the value
-    /// and every fingerprint-keyed cache entry computed on the base stays
-    /// sound (the key can no longer match). Note [`Self::compact`]
-    /// recomputes the canonical content fingerprint, which is what
-    /// queries over the rebuilt CSR key on.
-    pub fn fingerprint(&self) -> u64 {
-        if self.is_clean() {
-            return self.base.fingerprint();
-        }
-        use ego_graph::hash::FxHasher;
-        use std::hash::Hasher;
-        let mut h = FxHasher::default();
-        h.write_u64(self.base.fingerprint());
-        h.write_usize(self.added.len());
-        for &(a, b) in &self.added {
-            h.write_u32(a.0);
-            h.write_u32(b.0);
-        }
-        h.write_usize(self.removed.len());
-        for &(a, b) in &self.removed {
-            h.write_u32(a.0);
-            h.write_u32(b.0);
-        }
-        h.finish()
-    }
-
     /// Freeze the overlay into a plain CSR [`Graph`]: same nodes, labels
-    /// and attributes, with the pending deltas applied. Attributes of
-    /// removed edges are dropped by the builder's orphan filter.
+    /// and attributes, with the pending deltas applied. A splice of the
+    /// base's CSR ([`Graph::with_edits`]): untouched rows are copied,
+    /// touched ones merged with their edits, attributes of removed edges
+    /// dropped. The result, fingerprint included, equals a from-scratch
+    /// build of the edited edge set.
     pub fn compact(&self) -> Graph {
-        let g = &*self.base;
-        let mut b = if g.is_directed() {
-            GraphBuilder::directed()
-        } else {
-            GraphBuilder::undirected()
-        }
-        .with_capacity(g.num_nodes(), self.num_edges());
-        for &l in g.labels() {
-            b.add_node(l);
-        }
-        for (a, bb) in g.edges() {
-            if !self.removed.contains(&(a, bb)) {
-                b.add_edge(a, bb);
-            }
-        }
-        for &(a, bb) in &self.added {
-            b.add_edge(a, bb);
-        }
-        let mut names: Vec<&str> = g.node_attrs().attribute_names().collect();
-        names.sort_unstable();
-        for name in names {
-            for (n, v) in g.node_attrs().column(name) {
-                b.set_node_attr(n, name, v.clone());
-            }
-        }
-        let mut enames: Vec<&str> = g.edge_attrs().attribute_names().collect();
-        enames.sort_unstable();
-        for name in enames {
-            for ((a, bb), v) in g.edge_attrs().column(name) {
-                b.set_edge_attr(NodeId(a), NodeId(bb), name, v.clone());
-            }
-        }
-        b.build()
+        let added: Vec<(NodeId, NodeId)> = self.added().collect();
+        let removed: Vec<(NodeId, NodeId)> = self.removed().collect();
+        self.base.with_edits(&added, &removed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ego_graph::Label;
+    use ego_graph::{GraphBuilder, Label};
 
     fn two_triangles() -> Arc<Graph> {
         // Two triangles sharing node 2, plus a chain 4-5-6.
@@ -345,27 +296,27 @@ mod tests {
         let g = two_triangles();
         let mut d = DeltaGraph::new(g.clone());
         assert!(d.is_clean());
-        assert_eq!(d.fingerprint(), g.fingerprint());
+        assert_eq!(d.compact().fingerprint(), g.fingerprint());
 
         assert!(d.insert_edge(NodeId(4), NodeId(6)).unwrap());
         assert!(!d.insert_edge(NodeId(6), NodeId(4)).unwrap()); // already pending
         assert!(!d.insert_edge(NodeId(0), NodeId(1)).unwrap()); // already in base
-        assert_ne!(d.fingerprint(), g.fingerprint());
+        assert_ne!(d.compact().fingerprint(), g.fingerprint());
         assert_eq!(d.num_edges(), g.num_edges() + 1);
 
         // Deleting the pending insert cancels it: clean again.
         assert!(d.delete_edge(NodeId(4), NodeId(6)).unwrap());
         assert!(d.is_clean());
-        assert_eq!(d.fingerprint(), g.fingerprint());
+        assert_eq!(d.compact().fingerprint(), g.fingerprint());
 
         // Delete a base edge, then re-insert it: clean again.
         assert!(d.delete_edge(NodeId(0), NodeId(1)).unwrap());
         assert!(!d.delete_edge(NodeId(1), NodeId(0)).unwrap()); // already pending
         assert!(!d.delete_edge(NodeId(5), NodeId(0)).unwrap()); // absent: no-op
-        assert_ne!(d.fingerprint(), g.fingerprint());
+        assert_ne!(d.compact().fingerprint(), g.fingerprint());
         assert!(d.insert_edge(NodeId(0), NodeId(1)).unwrap());
         assert!(d.is_clean());
-        assert_eq!(d.fingerprint(), g.fingerprint());
+        assert_eq!(d.compact().fingerprint(), g.fingerprint());
     }
 
     #[test]

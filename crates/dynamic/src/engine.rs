@@ -61,10 +61,11 @@ pub struct IncrementalUpdate {
 /// match is global and only the subpattern image must land in
 /// `S(n, k)`, so a changed match can affect focal nodes up to the
 /// pattern diameter further out. Its dirty radius is therefore widened
-/// to `k + (|V(p)| - 1)` (every changed match contains a touched
-/// endpoint, and — for a connected pattern — its image nodes lie within
-/// `|V(p)| - 1` union-graph hops of it); a disconnected pattern has no
-/// such bound, so every focal node of that spec goes dirty. Without
+/// to `k` plus the pattern's diameter (every changed match has an edge
+/// image on a touched pair, and — for a connected pattern — its image
+/// nodes lie within the diameter of either endpoint, in union-graph
+/// hops); a disconnected pattern has no such bound, so every focal node
+/// of that spec goes dirty. Without
 /// previous match lists, global match lists are recomputed on the new
 /// graph; see [`update_batch_exec_with_matches`] to maintain them
 /// incrementally instead.
@@ -84,8 +85,9 @@ pub fn update_batch_exec(
 /// `previous_matches[i]`, when given, must be the global match list of
 /// `specs[i]`'s pattern on `delta.base()`. Supported patterns
 /// ([`crate::matches::supports_match_maintenance`]) are maintained in
-/// |delta|-scaled work (survivor scan + anchored ball re-enumeration,
-/// see [`crate::matches`]) and fed to [`run_batch_exec`] as provided
+/// |delta|-scaled work (survivor scan + re-enumeration of the ball one
+/// pattern diameter around the touched endpoints, see
+/// [`crate::matches`]) and fed to [`run_batch_exec`] as provided
 /// lists, so the fresh run skips global matching entirely; unsupported
 /// patterns (or `None` slots) recompute as before. The returned
 /// [`IncrementalUpdate::matches`] carries each spec's list on the new
@@ -418,6 +420,63 @@ mod tests {
         assert!(up.counts[0].get(NodeId(1)) > 0);
         // Still a strict subset of the ring.
         assert!(up.stats.dirty_focal < g.num_nodes());
+    }
+
+    #[test]
+    fn countsp_dirty_radius_is_k_plus_the_diameter() {
+        // A 4-node star has diameter 2, one less than |V(p)| - 1: a
+        // changed match holds a touched pair, so its leaf images lie
+        // within 2 of a touched endpoint and k + 2 hops bound the dirty
+        // set. A ring with a chord every 8 nodes gives the star centers.
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(64, Label(0));
+        for i in 0..64 {
+            b.add_edge(NodeId(i), NodeId((i + 1) % 64));
+            if i % 8 == 0 {
+                b.add_edge(NodeId(i), NodeId((i + 3) % 64));
+            }
+        }
+        let g = Arc::new(b.build());
+        let mut d = DeltaGraph::new(g.clone());
+        d.insert_edge(NodeId(20), NodeId(22)).unwrap();
+        d.delete_edge(NodeId(40), NodeId(43)).unwrap();
+
+        let p =
+            Pattern::parse("PATTERN star { ?A-?B; ?A-?C; ?A-?D; SUBPATTERN leaf {?B;} }").unwrap();
+        let k = 1;
+        let spec = CensusSpec::single(&p, k).with_subpattern("leaf");
+        assert_eq!(spec.dirty_radius(), Some(k + 2));
+        for algorithm in [Algorithm::NdPivot, Algorithm::PtOpt] {
+            let run = |g: &Graph| {
+                run_census_exec(
+                    g,
+                    &spec,
+                    algorithm,
+                    &PtConfig::default(),
+                    &ExecConfig::sequential(),
+                )
+                .unwrap()
+            };
+            let prev = run(&g);
+            let up = update_census_exec(
+                &d,
+                &spec,
+                &prev,
+                algorithm,
+                &PtConfig::default(),
+                &ExecConfig::sequential(),
+            )
+            .unwrap();
+            assert_eq!(up.counts[0], run(&up.graph));
+            assert_ne!(up.counts[0], prev, "the delta must change some count");
+            let index = DirtyIndex::build(&d, k + 3);
+            let wider = g.node_ids().filter(|&n| index.is_dirty(n, k + 3)).count();
+            assert!(
+                up.stats.dirty_focal < wider,
+                "k + diameter dirtied {} nodes, k + |V(p)| - 1 would dirty {wider}",
+                up.stats.dirty_focal
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //!
 //! * [`DeltaGraph`] — a mutable overlay over a frozen base graph. Edge
 //!   inserts and deletes accumulate in canonical delta sets (an insert
-//!   cancels a pending delete of the same edge and vice versa), neighbor
-//!   iteration preserves the base graph's sorted-by-id contract, and
-//!   [`DeltaGraph::fingerprint`] is mutation-aware so every existing
-//!   fingerprint-keyed cache entry stays sound. [`DeltaGraph::compact`]
-//!   freezes the overlay back into a plain CSR `Graph`.
+//!   cancels a pending delete of the same edge and vice versa), and
+//!   neighbor iteration preserves the base graph's sorted-by-id
+//!   contract. [`DeltaGraph::compact`] freezes the overlay back into a
+//!   plain CSR `Graph` by splicing the base's arrays
+//!   ([`ego_graph::Graph::with_edits`]): a copy of the untouched rows
+//!   and a merge of the touched ones, equal to a from-scratch build
+//!   fingerprint included.
 //! * [`DirtyIndex`] / [`dirty_focal_nodes`] — the *dirty focal set*:
 //!   exactly the nodes whose `k`-hop neighborhood can see a touched delta
 //!   endpoint, found by a multi-source bounded BFS from the endpoints at
@@ -24,9 +26,10 @@
 //!   (enforced by `tests/incremental_equivalence.rs`).
 //! * [`maintain_match_list`] — incremental **match-list maintenance**:
 //!   the previous global match list is carried across a delta in
-//!   |delta|-scaled work (drop matches touching a mutated pair, re-find
-//!   matches through the mutation by anchored search in the ball around
-//!   the touched endpoints) instead of re-matching the whole graph.
+//!   |delta|-scaled work (drop the matches with an edge image on a
+//!   mutated pair, then find the new graph's such matches in the ball
+//!   one pattern diameter around the touched endpoints) instead of
+//!   re-matching the whole graph.
 //!   [`update_batch_exec_with_matches`] / [`update_batch_on`] feed the
 //!   maintained lists into the batch runner as provided lists, which is
 //!   what lets the continuous subscription tier scale with the delta.

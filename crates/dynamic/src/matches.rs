@@ -6,22 +6,26 @@
 //! every update, however small the delta. This module maintains the list
 //! as a delta structure instead (`dynamic.incremental_ms`):
 //!
-//! 1. **Survivor scan** — a previous match is *suspicious* iff the image
-//!    of any pattern edge (positive *or* negative) lands on a touched
-//!    pair (an inserted or deleted edge, as an unordered endpoint pair).
-//!    Every match invalidated by the delta is suspicious: a valid match
-//!    dies only when a positive-edge image is removed or a negative-edge
-//!    image appears, and both events touch exactly such a pair. All
-//!    suspicious matches are dropped wholesale — no matcher semantics
-//!    are re-implemented here.
-//! 2. **Anchored re-enumeration** — any match that is valid *now* but
-//!    absent from the survivors contains a touched endpoint (it was
-//!    either just created through a delta pair or just dropped as
-//!    suspicious), and — the pattern being connected — lies entirely
-//!    within `|V(p)| - 1` hops of that endpoint in the new graph. The
-//!    matcher therefore runs only on the induced subgraph of that ball,
-//!    and its matches are mapped back through the (strictly monotone)
-//!    id mapping, which preserves automorphism-canonical forms.
+//! 1. **Survivor scan** — a match is *suspicious* iff the image of any
+//!    pattern edge (positive *or* negative) lands on a touched pair (an
+//!    inserted or deleted edge, as an unordered endpoint pair). Every
+//!    match invalidated by the delta is suspicious: a valid match dies
+//!    only when a positive-edge image is removed or a negative-edge image
+//!    appears, and both events touch exactly such a pair. All suspicious
+//!    previous matches are dropped wholesale — no matcher semantics are
+//!    re-implemented here — and the rest survive.
+//! 2. **Discovery** — the same test read the other way: a match that is
+//!    valid *now* but not a survivor is suspicious (it was either created
+//!    through a touched pair or dropped as suspicious), and a suspicious
+//!    tuple can never be a survivor. So the discoveries are exactly the
+//!    suspicious matches of the new graph, and survivors and discoveries
+//!    are disjoint by construction. A suspicious match has a touched
+//!    endpoint among its images, and every other image lies within the
+//!    pattern's diameter ([`ego_pattern::PatternAnalysis::diameter`]) of
+//!    it. The matcher therefore runs only on the induced subgraph of the
+//!    ball of that radius around the touched endpoints, keeps the
+//!    suspicious matches, and maps them back through the (strictly
+//!    monotone) id mapping, which preserves automorphism-canonical forms.
 //!
 //! The maintained list equals the from-scratch list as a *set* (order
 //! may differ: survivors keep their previous order, discoveries are
@@ -38,7 +42,7 @@ use crate::delta::DeltaGraph;
 use ego_census::exec_matches;
 use ego_graph::{khop_nodes, FastHashSet, Graph, InducedSubgraph, NodeId};
 use ego_matcher::{MatchList, PatternMatch};
-use ego_pattern::Pattern;
+use ego_pattern::{Pattern, PatternAnalysis};
 
 /// Work accounting for one maintained pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,10 +50,10 @@ pub struct MaintainStats {
     /// Previous matches kept without re-verification.
     pub survivors: usize,
     /// Previous matches dropped as suspicious (their edges touched the
-    /// delta; still-valid ones are re-found by the ball enumeration).
+    /// delta; still-valid ones are re-found as discoveries).
     pub dropped: usize,
-    /// Matches found by the anchored ball enumeration that were not
-    /// among the survivors.
+    /// Matches found by the ball enumeration that are suspicious, hence
+    /// not among the survivors.
     pub discovered: usize,
     /// Size of the re-enumeration ball (nodes), the |delta|-scaled cost.
     pub ball_nodes: usize,
@@ -90,7 +94,7 @@ pub fn maintain_match_list(
     // Unordered touched pairs: every inserted or deleted edge, as
     // (min, max). Directed deltas are unordered here on purpose — the
     // suspicion test is conservative, and dropped-but-valid matches are
-    // re-found by the ball enumeration.
+    // re-found as discoveries.
     let mut touched_pairs: FastHashSet<(u32, u32)> = FastHashSet::default();
     for (a, b) in delta.added().chain(delta.removed()) {
         touched_pairs.insert((a.0.min(b.0), a.0.max(b.0)));
@@ -98,35 +102,31 @@ pub fn maintain_match_list(
     if touched_pairs.is_empty() {
         return Some((previous.clone(), MaintainStats::default()));
     }
-
-    let mut stats = MaintainStats::default();
-    let mut kept: Vec<PatternMatch> = Vec::with_capacity(previous.len());
-    let mut kept_set: FastHashSet<Vec<NodeId>> = FastHashSet::default();
-    let edges = || {
+    let suspicious = |nodes: &[NodeId]| {
         pattern
             .positive_edges()
             .iter()
             .chain(pattern.negative_edges())
+            .any(|e| {
+                let a = nodes[e.a.index()].0;
+                let b = nodes[e.b.index()].0;
+                touched_pairs.contains(&(a.min(b), a.max(b)))
+            })
     };
-    for m in previous.iter() {
-        let suspicious = edges().any(|e| {
-            let a = m.nodes[e.a.index()].0;
-            let b = m.nodes[e.b.index()].0;
-            touched_pairs.contains(&(a.min(b), a.max(b)))
-        });
-        if suspicious {
-            stats.dropped += 1;
-        } else {
-            kept_set.insert(m.nodes.clone());
-            kept.push(m.clone());
-        }
-    }
-    stats.survivors = kept.len();
 
-    // The anchored ball: all nodes within |V(p)| - 1 new-graph hops of a
-    // touched endpoint. Any not-yet-kept valid match is connected, has a
-    // node on a touched pair, and so lies entirely inside.
-    let radius = (pattern.num_nodes() as u32).saturating_sub(1);
+    let mut stats = MaintainStats::default();
+    let mut kept: Vec<PatternMatch> = previous
+        .iter()
+        .filter(|m| !suspicious(&m.nodes))
+        .cloned()
+        .collect();
+    stats.survivors = kept.len();
+    stats.dropped = previous.len() - kept.len();
+
+    // The ball: all nodes within the pattern's diameter (new-graph hops)
+    // of a touched endpoint. Every suspicious valid match has a touched
+    // endpoint among its images, so it lies entirely inside.
+    let radius = PatternAnalysis::new(pattern).diameter();
     let mut ball: Vec<NodeId> = Vec::new();
     for t in delta.touched_endpoints() {
         ball.extend(khop_nodes(new_graph, t, radius));
@@ -138,13 +138,14 @@ pub fn maintain_match_list(
     // Enumerate inside the ball's induced subgraph (labels carry over;
     // negative edges between ball members are present exactly when they
     // are in the full graph, so filtering is faithful for matches fully
-    // inside — which all of these are). The local→global mapping is
-    // strictly increasing, so canonical representatives stay canonical.
+    // inside — which all of these are) and keep the suspicious ones. The
+    // local→global mapping is strictly increasing, so canonical
+    // representatives stay canonical.
     let sub = InducedSubgraph::extract(new_graph, &ball);
     let local = exec_matches(&sub.graph, pattern, threads);
     for m in local.iter() {
         let global: Vec<NodeId> = m.nodes.iter().map(|&v| sub.to_global(v)).collect();
-        if !kept_set.contains(&global) {
+        if suspicious(&global) {
             kept.push(PatternMatch { nodes: global });
             stats.discovered += 1;
         }

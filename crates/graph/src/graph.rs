@@ -2,7 +2,7 @@
 
 use crate::attrs::{AttrStore, AttrValue, EdgeAttrStore};
 use crate::ids::{Label, NodeId};
-use crate::store::StoreBackend;
+use crate::store::{StoreBackend, VecStore};
 
 /// An immutable labeled, attributed graph in compressed-sparse-row form.
 ///
@@ -246,6 +246,99 @@ impl Graph {
         self.fingerprint
     }
 
+    /// This graph with an edge delta applied, by splicing the CSR arrays
+    /// instead of rebuilding them: runs of untouched rows are copied
+    /// whole and their offsets shifted, and each touched row is merged
+    /// with its sorted edits. The result equals a [`crate::GraphBuilder`]
+    /// build of the edited edge set — adjacency, `num_edges`,
+    /// `num_labels` and fingerprint alike.
+    ///
+    /// `added` and `removed` hold canonical edge keys, as the builder
+    /// normalizes them: `(src, dst)` for directed graphs, `(min, max)`
+    /// for undirected ones; no key may appear in both. Adding a present
+    /// edge or removing an absent one is a no-op. On a directed
+    /// graph the undirected view changes only where a pair's adjacency
+    /// flips: deleting `a -> b` keeps `a`–`b` while `b -> a` remains.
+    /// Labels and node attributes carry over; attributes of removed
+    /// edges are dropped. The result is heap-backed whatever the base's
+    /// storage.
+    pub fn with_edits(&self, added: &[(NodeId, NodeId)], removed: &[(NodeId, NodeId)]) -> Graph {
+        let mut added = added.to_vec();
+        let mut removed = removed.to_vec();
+        added.sort_unstable();
+        removed.sort_unstable();
+        let n = self.num_nodes();
+        let s = &self.store;
+
+        // Row edits `(row, target, insert)` of the out-CSR; the in-CSR
+        // takes them reversed, an undirected CSR both ways.
+        let edits: Vec<(NodeId, NodeId, bool)> = added
+            .iter()
+            .map(|&(a, b)| (a, b, true))
+            .chain(removed.iter().map(|&(a, b)| (a, b, false)))
+            .collect();
+        let reversed = |&(a, b, insert): &(NodeId, NodeId, bool)| (b, a, insert);
+        let (und, out_offsets, out_targets, in_offsets, in_targets) = if self.directed {
+            // The undirected view: one edit per pair whose adjacency
+            // differs before and after the delta.
+            let after = |a: NodeId, b: NodeId| {
+                added.binary_search(&(a, b)).is_ok()
+                    || (self.has_directed_edge(a, b) && removed.binary_search(&(a, b)).is_err())
+            };
+            let mut pairs: Vec<(NodeId, NodeId)> = edits
+                .iter()
+                .map(|&(a, b, _)| (a.min(b), a.max(b)))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let mut und = Vec::new();
+            for (lo, hi) in pairs {
+                let now = after(lo, hi) || after(hi, lo);
+                if now != self.has_undirected_edge(lo, hi) {
+                    und.extend([(lo, hi, now), (hi, lo, now)]);
+                }
+            }
+            let inn = edits.iter().map(reversed).collect();
+            let (oo, ot) = splice_csr(n, s.out_offsets(), s.out_targets(), edits);
+            let (io, it) = splice_csr(n, s.in_offsets(), s.in_targets(), inn);
+            (und, oo, ot, io, it)
+        } else {
+            let und = edits.iter().flat_map(|e| [*e, reversed(e)]).collect();
+            (und, Vec::new(), Vec::new(), Vec::new(), Vec::new())
+        };
+        let (und_offsets, und_targets) = splice_csr(n, s.und_offsets(), s.und_targets(), und);
+        let num_edges = if self.directed {
+            out_targets.len()
+        } else {
+            und_targets.len() / 2
+        };
+
+        let mut edge_attrs = self.edge_attrs.clone();
+        if !removed.is_empty() && !edge_attrs.is_empty() {
+            edge_attrs.retain_edges(|a, b| removed.binary_search(&(NodeId(a), NodeId(b))).is_err());
+        }
+        let store = StoreBackend::Mem(VecStore {
+            labels: s.labels().to_vec(),
+            und_offsets,
+            und_targets,
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_targets,
+        });
+        let mut g = Graph::from_parts(
+            self.directed,
+            self.num_labels,
+            num_edges,
+            store,
+            self.node_attrs.clone(),
+            edge_attrs,
+            0,
+        );
+        g.fingerprint = g.compute_fingerprint();
+        g
+    }
+
     /// Recompute the content hash and compare it with the memoized
     /// fingerprint. Always true for built graphs; for a binary file
     /// (whose header carries the fingerprint and is otherwise trusted)
@@ -307,6 +400,57 @@ impl Graph {
         h.write_u64(attr_acc);
         h.finish()
     }
+}
+
+/// One CSR with row edits `(row, target, insert)` applied: rows without
+/// edits are copied in runs, each edited row is merged with its edits in
+/// target order. Inserting a present target or removing an absent one
+/// is a no-op.
+fn splice_csr(
+    n: usize,
+    offsets: &[u32],
+    targets: &[NodeId],
+    mut edits: Vec<(NodeId, NodeId, bool)>,
+) -> (Vec<u32>, Vec<NodeId>) {
+    edits.sort_unstable();
+    let grown = edits.iter().filter(|e| e.2).count();
+    let mut new_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut new_targets: Vec<NodeId> = Vec::with_capacity(targets.len() + grown);
+    new_offsets.push(0);
+    // Copy rows `from..to` unchanged, shifting their end offsets.
+    let copy_rows = |from: usize, to: usize, off: &mut Vec<u32>, tgt: &mut Vec<NodeId>| {
+        let shift = tgt.len() as i64 - offsets[from] as i64;
+        tgt.extend_from_slice(&targets[offsets[from] as usize..offsets[to] as usize]);
+        off.extend(
+            offsets[from + 1..=to]
+                .iter()
+                .map(|&o| (o as i64 + shift) as u32),
+        );
+    };
+    let mut next_row = 0;
+    let mut rest = &edits[..];
+    while let Some(&(row, _, _)) = rest.first() {
+        let r = row.index();
+        let (row_edits, tail) = rest.split_at(rest.partition_point(|e| e.0 == row));
+        copy_rows(next_row, r, &mut new_offsets, &mut new_targets);
+        let old = &targets[offsets[r] as usize..offsets[r + 1] as usize];
+        let mut at = 0;
+        for &(_, t, insert) in row_edits {
+            let p = at + old[at..].partition_point(|&x| x < t);
+            new_targets.extend_from_slice(&old[at..p]);
+            let present = old.get(p) == Some(&t);
+            if insert && !present {
+                new_targets.push(t);
+            }
+            at = p + (!insert && present) as usize;
+        }
+        new_targets.extend_from_slice(&old[at..]);
+        new_offsets.push(new_targets.len() as u32);
+        next_row = r + 1;
+        rest = tail;
+    }
+    copy_rows(next_row, n, &mut new_offsets, &mut new_targets);
+    (new_offsets, new_targets)
 }
 
 fn hash_attr_value(h: &mut crate::hash::FxHasher, v: &AttrValue) {
@@ -442,6 +586,45 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.node_ids().count(), 0);
+    }
+
+    #[test]
+    fn with_edits_equals_a_builder_build() {
+        let build = |directed: bool, edges: &[(u32, u32)]| {
+            let mut b = if directed {
+                GraphBuilder::directed()
+            } else {
+                GraphBuilder::undirected()
+            };
+            b.add_nodes(5, Label(0));
+            b.set_label(NodeId(4), Label(3));
+            for &(x, y) in edges {
+                b.add_edge(NodeId(x), NodeId(y));
+            }
+            b.build()
+        };
+        let e = |x: u32, y: u32| (NodeId(x), NodeId(y));
+        for directed in [false, true] {
+            let g = build(directed, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 4)]);
+            // Drop `1 -> 0` (on a directed graph its twin keeps 0-1 in the
+            // undirected view) and edit the first and last rows.
+            let drop = if directed { e(1, 0) } else { e(0, 1) };
+            let spliced = g.with_edits(&[e(0, 4), e(0, 2)], &[drop, e(1, 2), e(2, 3)]);
+            let want = if directed {
+                build(true, &[(0, 1), (3, 4), (0, 4), (0, 2)])
+            } else {
+                build(false, &[(3, 4), (0, 4), (0, 2)])
+            };
+            for n in want.node_ids() {
+                assert_eq!(spliced.neighbors(n), want.neighbors(n));
+                assert_eq!(spliced.out_neighbors(n), want.out_neighbors(n));
+                assert_eq!(spliced.in_neighbors(n), want.in_neighbors(n));
+            }
+            assert_eq!(spliced.num_edges(), want.num_edges());
+            assert_eq!(spliced.num_labels(), 4);
+            assert_eq!(spliced.fingerprint(), want.fingerprint());
+            assert_eq!(g.with_edits(&[], &[]).fingerprint(), g.fingerprint());
+        }
     }
 
     #[test]

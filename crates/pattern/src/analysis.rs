@@ -96,6 +96,15 @@ impl PatternAnalysis {
         self.max_v
     }
 
+    /// The pattern's diameter over positive edges: the largest distance
+    /// between two pattern nodes, i.e. the largest eccentricity
+    /// ([`UNREACHABLE`] if the pattern is disconnected). Every image of a
+    /// match lies within this many hops of every other — the locality
+    /// radius of anything a match can touch.
+    pub fn diameter(&self) -> u32 {
+        self.dist.iter().copied().max().unwrap_or(0)
+    }
+
     /// Pattern nodes at distance ≥ `i` from the pivot — Algorithm 2's
     /// `distant[i]`. When a match is found through a database node `n'` at
     /// distance `d(n, n')` from the ego, only the images of
@@ -139,6 +148,19 @@ mod tests {
         assert_eq!(a.distance(n("A"), n("B")), 1);
         assert_eq!(a.distance(n("A"), n("D")), 3);
         assert_eq!(a.distance(n("D"), n("A")), 3);
+    }
+
+    #[test]
+    fn diameter_is_the_largest_eccentricity() {
+        let star = Pattern::parse("PATTERN s { ?A-?B; ?A-?C; ?A-?D; }").unwrap();
+        let tri = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+        let one = Pattern::parse("PATTERN one { ?A; }").unwrap();
+        let split = Pattern::parse("PATTERN p { ?A-?B; ?C; }").unwrap();
+        assert_eq!(PatternAnalysis::new(&path4()).diameter(), 3);
+        assert_eq!(PatternAnalysis::new(&star).diameter(), 2);
+        assert_eq!(PatternAnalysis::new(&tri).diameter(), 1);
+        assert_eq!(PatternAnalysis::new(&one).diameter(), 0);
+        assert_eq!(PatternAnalysis::new(&split).diameter(), UNREACHABLE);
     }
 
     #[test]

@@ -220,7 +220,7 @@ wait "$serve_pid"
 serve_pid=""
 echo "    served 300 rows and shut down cleanly"
 
-echo "==> dynamic smoke test (mutate --verify; server update invalidates caches)"
+echo "==> dynamic smoke test (mutate --verify and its fingerprint, undirected and directed; server update invalidates caches)"
 # Two triangles sharing node 2, chain 4-5-6: inserting (4, 6) closes a
 # third triangle, so node 5's k=1 triangle count goes 0 -> 1.
 cat >"$tmpdir/dyn.txt" <<'EOF'
@@ -238,8 +238,37 @@ EOF
 ./target/release/egocensus mutate "$tmpdir/dyn.txt" \
   --apply 'INSERT EDGE (4, 6); DELETE EDGE (0, 1)' \
   --pattern 'PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }' --k 1 --verify \
-  -o "$tmpdir/dyn2.txt" >/dev/null \
+  -o "$tmpdir/dyn2.txt" >"$tmpdir/mutate_out.txt" \
   || { echo "FAIL: egocensus mutate --verify rejected the incremental counts"; exit 1; }
+# The fingerprint mutate reports is the written graph's: convert
+# re-derives it from the file's contents.
+check_mutate_fingerprint() { # $1 = mutate output, $2 = the graph it wrote
+  mutate_fp=$(sed -n 's/^fingerprint: .* -> \([0-9a-f]*\)$/\1/p' "$1")
+  ./target/release/egocensus convert "$2" -o "$2.egb" --force >"$tmpdir/convert_out.txt"
+  convert_fp=$(sed -n 's/.*fingerprint \([0-9a-f]*\) verified.*/\1/p' "$tmpdir/convert_out.txt")
+  [ -n "$mutate_fp" ] && [ "$mutate_fp" = "$convert_fp" ] \
+    || { echo "FAIL: mutate printed fingerprint '$mutate_fp', $2 has '$convert_fp'"; exit 1; }
+}
+check_mutate_fingerprint "$tmpdir/mutate_out.txt" "$tmpdir/dyn2.txt"
+# Directed leg: deleting 1->0 of the antiparallel pair 0->1 / 1->0 keeps
+# 0-1 in the undirected view; the spliced CSR must agree with a rebuild.
+cat >"$tmpdir/dyn_dir.txt" <<'EOF'
+# egocensus graph v1
+graph directed nodes=6
+edge 0 1
+edge 1 0
+edge 1 2
+edge 2 0
+edge 2 3
+edge 3 4
+edge 4 5
+EOF
+./target/release/egocensus mutate "$tmpdir/dyn_dir.txt" \
+  --apply 'DELETE EDGE (1, 0); INSERT EDGE (5, 3); INSERT EDGE (3, 2); DELETE EDGE (2, 3)' \
+  --pattern 'PATTERN p { ?A->?B; ?B->?C; }' --k 1 --verify \
+  -o "$tmpdir/dyn_dir2.txt" >"$tmpdir/mutate_dir_out.txt" \
+  || { echo "FAIL: directed mutate --verify rejected the incremental counts"; exit 1; }
+check_mutate_fingerprint "$tmpdir/mutate_dir_out.txt" "$tmpdir/dyn_dir2.txt"
 ./target/release/egocensus serve "$tmpdir/dyn.txt" --addr 127.0.0.1:0 \
   --threads 2 --cache-mb 8 >"$tmpdir/dyn-serve.log" &
 serve_pid=$!
@@ -266,7 +295,7 @@ echo "$stats" | grep -q '^cache_invalidations,1$' \
 ./target/release/egocensus client --addr "$addr" --shutdown >/dev/null
 wait "$serve_pid"
 serve_pid=""
-echo "    mutate --verify passed; update re-censused and invalidated the caches"
+echo "    mutate --verify passed and printed the written graph's fingerprint; update re-censused and invalidated the caches"
 
 echo "==> sharded tier smoke test (router + 2 workers on the .egb store, failover)"
 shard_sql='SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)), COUNTP(single_edge, SUBGRAPH(ID, 2)) FROM nodes'

@@ -19,7 +19,7 @@ use egocensus::census::{
     exec_matches, run_census_exec, topk, Algorithm, CensusSpec, ExecConfig, PtConfig,
 };
 use egocensus::datagen;
-use egocensus::dynamic::{update_census_exec, DeltaGraph};
+use egocensus::dynamic::{update_batch_on, DeltaGraph};
 use egocensus::graph::{io, stats, Graph, NodeId};
 use egocensus::matcher::{cn, find_embeddings_with_stats, MatchList, MatchStats, MatcherKind};
 use egocensus::pattern::Pattern;
@@ -544,13 +544,14 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
         base.num_edges(),
         delta.num_edges()
     );
+    let graph = delta.compact();
     println!(
         "fingerprint:  {:016x} -> {:016x}",
         base.fingerprint(),
-        delta.fingerprint()
+        graph.fingerprint()
     );
 
-    let result_graph = if let Some(pattern_text) = f.get("pattern") {
+    if let Some(pattern_text) = f.get("pattern") {
         let algorithm_name = f.get("algorithm").unwrap_or("auto");
         let algorithm = parse_algorithm(algorithm_name)?;
         let exec = ExecConfig::with_threads(f.parse("threads", 0usize)?);
@@ -563,8 +564,17 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
             run_census_exec(&base, &spec, algorithm, &config, &exec).map_err(|e| e.to_string())?;
         let full_time = t0.elapsed();
         let t1 = std::time::Instant::now();
-        let update = update_census_exec(&delta, &spec, &previous, algorithm, &config, &exec)
-            .map_err(|e| e.to_string())?;
+        let update = update_batch_on(
+            &delta,
+            &graph,
+            std::slice::from_ref(&spec),
+            std::slice::from_ref(&previous),
+            &[None],
+            algorithm,
+            &config,
+            &exec,
+        )
+        .map_err(|e| e.to_string())?;
         let inc_time = t1.elapsed();
         println!("census `{}` (k={k}, {algorithm_name}):", p.name());
         println!(
@@ -576,23 +586,20 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
         println!("  full census:  {:.3}s", full_time.as_secs_f64());
         println!("  incremental:  {:.3}s", inc_time.as_secs_f64());
         if f.has("verify") {
-            let fresh = run_census_exec(&update.graph, &spec, algorithm, &config, &exec)
+            let fresh = run_census_exec(&graph, &spec, algorithm, &config, &exec)
                 .map_err(|e| e.to_string())?;
             if update.counts[0] != fresh {
                 return Err("incremental counts diverge from full recompute".into());
             }
             println!("  verify:       incremental == full recompute");
         }
-        update.graph
-    } else {
-        delta.compact()
-    };
+    }
     if let Some(out) = f.get("out") {
-        io::save_path(&result_graph, out).map_err(|e| format!("cannot write {out}: {e}"))?;
+        io::save_path(&graph, out).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!(
             "wrote {} nodes / {} edges to {out}",
-            result_graph.num_nodes(),
-            result_graph.num_edges()
+            graph.num_nodes(),
+            graph.num_edges()
         );
     }
     Ok(())
