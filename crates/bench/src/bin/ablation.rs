@@ -9,8 +9,12 @@
 //! ```
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_from_args, timed, Scale};
-use ego_census::{parallel, Algorithm, CensusSpec, Clustering, PtConfig, PtOrdering};
+use ego_census::{
+    exec_matches, run, Algorithm, Census, CensusSpec, Clustering, ExecConfig, Job, PtConfig,
+    PtOrdering,
+};
 use ego_pattern::builtin;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -22,7 +26,7 @@ fn main() {
     let pattern = builtin::clq3();
     let k = 2;
     let g = eval_graph(n, Some(4), 777);
-    let matches = parallel::exec_matches(&g, &pattern, threads);
+    let matches = Arc::new(exec_matches(&g, &pattern, threads));
     let spec = CensusSpec::single(&pattern, k);
     println!(
         "# PT-OPT ablation ({n} nodes, labeled clq3, k = 2, {} matches, threads = {threads})\n",
@@ -76,9 +80,14 @@ fn main() {
     header(&["variant", "time", "edges traversed", "reinsertions"]);
     let mut reference = None;
     for (name, cfg) in &variants {
-        let ((res, stats), t) = timed(|| {
-            parallel::run_with_matches(&g, &spec, &matches, Algorithm::PtOpt, cfg, threads).unwrap()
-        });
+        let job = Job {
+            config: cfg.clone(),
+            exec: ExecConfig::with_threads(threads),
+            matches: vec![Some(matches.clone())],
+            ..Job::new(Census::Single(&spec), Algorithm::PtOpt)
+        };
+        let (mut out, t) = timed(|| run(&g, &job).unwrap());
+        let (res, stats) = (out.counts.remove(0), out.stats);
         match &reference {
             None => reference = Some(res),
             Some(r) => assert_eq!(&res, r, "{name} disagrees"),

@@ -1,6 +1,6 @@
 //! Batched vs sequential census: four patterns over one BA graph,
-//! evaluated as one [`run_batch_exec`] call vs four independent census
-//! runs. The batch shares one neighborhood sweep per focal node on the
+//! evaluated as one batch job (`ego_census::Census::Batch`) vs four
+//! independent single-census jobs. The batch shares one neighborhood sweep per focal node on the
 //! node-driven side and one center index + pooled traversals on the
 //! pattern-driven side, so it should win on both wall time and
 //! traversal work while producing bit-identical counts.
@@ -10,10 +10,7 @@
 //! ```
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_from_args, timed, Scale};
-use ego_census::{
-    run_batch_exec, run_census_exec_instrumented, Algorithm, CensusSpec, ExecConfig, PtConfig,
-    TraversalStats,
-};
+use ego_census::{run, Algorithm, Census, CensusSpec, ExecConfig, Job, TraversalStats};
 use ego_pattern::builtin;
 
 fn main() {
@@ -32,7 +29,6 @@ fn main() {
         builtin::star3(),
     ];
     let specs: Vec<CensusSpec<'_>> = patterns.iter().map(|p| CensusSpec::single(p, k)).collect();
-    let config = PtConfig::default();
     let exec = ExecConfig::with_threads(threads);
 
     println!(
@@ -52,15 +48,21 @@ fn main() {
             let mut total = TraversalStats::default();
             let mut counts = Vec::new();
             for spec in &specs {
-                let (cv, ts) =
-                    run_census_exec_instrumented(&g, spec, algo, &config, &exec).unwrap();
-                total.add(&ts);
-                counts.push(cv);
+                let job = Job {
+                    exec,
+                    ..Job::new(Census::Single(spec), algo)
+                };
+                let mut out = run(&g, &job).unwrap();
+                total.add(&out.stats);
+                counts.push(out.counts.remove(0));
             }
             (total, counts)
         });
-        let (batch, batch_secs) =
-            timed(|| run_batch_exec(&g, &specs, algo, &config, &exec, &[], None).unwrap());
+        let job = Job {
+            exec,
+            ..Job::new(Census::Batch(&specs), algo)
+        };
+        let (batch, batch_secs) = timed(|| run(&g, &job).unwrap());
         for (i, cv) in seq_stats.1.iter().enumerate() {
             assert_eq!(&batch.counts[i], cv, "{algo:?}: batch diverges on spec {i}");
         }

@@ -14,10 +14,11 @@
 //! parallel layer; counts are identical for every thread count.
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_sweep_from_args, timed, Scale};
-use ego_census::{global_matches, parallel, Algorithm, CensusSpec, CountVector, PtConfig};
+use ego_census::{exec_matches, run, Algorithm, Census, CensusSpec, CountVector, ExecConfig, Job};
 use ego_graph::Graph;
 use ego_matcher::MatchList;
 use ego_pattern::builtin;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -43,7 +44,7 @@ fn run_sweep(sizes: &[usize], bas_size: usize, threads: usize) {
     for &n in sizes {
         let g = eval_graph(n, None, 777);
         let spec = CensusSpec::single(&pattern, k);
-        let (matches, _) = timed(|| parallel::exec_matches(&g, &pattern, threads));
+        let (matches, _) = timed(|| Arc::new(exec_matches(&g, &pattern, threads)));
 
         let run = |algorithm| census(&g, &spec, &matches, algorithm, threads);
         let (r_pvot, t_pvot) = run(Algorithm::NdPivot);
@@ -69,7 +70,7 @@ fn run_sweep(sizes: &[usize], bas_size: usize, threads: usize) {
     // ND-BAS, smallest size only (the paper reports it out-of-plot).
     let g = eval_graph(bas_size, None, 777);
     let spec = CensusSpec::single(&pattern, k);
-    let matches = global_matches(&g, &pattern);
+    let matches = Arc::new(exec_matches(&g, &pattern, threads));
     let run = |algorithm| census(&g, &spec, &matches, algorithm, threads);
     let (r_bas, t_bas) = run(Algorithm::NdBaseline);
     let (r_pvot, _) = run(Algorithm::NdPivot);
@@ -84,18 +85,18 @@ fn run_sweep(sizes: &[usize], bas_size: usize, threads: usize) {
     println!();
 }
 
-/// Time one census through the parallel layer.
+/// Time one census over the precomputed `matches`.
 fn census(
     g: &Graph,
     spec: &CensusSpec<'_>,
-    matches: &MatchList,
+    matches: &Arc<MatchList>,
     algorithm: Algorithm,
     threads: usize,
 ) -> (CountVector, f64) {
-    let config = PtConfig::default();
-    timed(|| {
-        parallel::run_with_matches(g, spec, matches, algorithm, &config, threads)
-            .unwrap()
-            .0
-    })
+    let job = Job {
+        exec: ExecConfig::with_threads(threads),
+        matches: vec![Some(matches.clone())],
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    timed(|| run(g, &job).unwrap().counts.remove(0))
 }

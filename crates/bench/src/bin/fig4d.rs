@@ -20,8 +20,9 @@
 //! stats merge additively.
 
 use ego_bench::{eval_graph, fmt_secs, header, row, threads_sweep_from_args, timed, Scale};
-use ego_census::{parallel, Algorithm, CensusSpec, PtConfig};
+use ego_census::{exec_matches, Algorithm, Census, CensusSpec, ExecConfig, Job};
 use ego_pattern::builtin;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -48,13 +49,17 @@ fn run_sweep(sizes: &[usize], threads: usize) {
     for &n in sizes {
         let g = eval_graph(n, Some(4), 777);
         let spec = CensusSpec::single(&pattern, k);
-        let matches = parallel::exec_matches(&g, &pattern, threads);
+        let matches = Arc::new(exec_matches(&g, &pattern, threads));
 
-        let config = PtConfig::default();
         let run = |algorithm| {
+            let job = Job {
+                exec: ExecConfig::with_threads(threads),
+                matches: vec![Some(matches.clone())],
+                ..Job::new(Census::Single(&spec), algorithm)
+            };
             timed(|| {
-                parallel::run_with_matches(&g, &spec, &matches, algorithm, &config, threads)
-                    .unwrap()
+                let mut out = ego_census::run(&g, &job).unwrap();
+                (out.counts.remove(0), out.stats)
             })
         };
         let ((r_pvot, s_pvot), t_pvot) = run(Algorithm::NdPivot);

@@ -10,11 +10,12 @@
 //! ```
 
 use ego_bench::{eval_graph, fmt_secs, header, row, timed, Scale};
-use ego_census::{global_matches, nd_pivot, pt_opt, CensusSpec, FocalNodes, PtConfig};
+use ego_census::{exec_matches, run, Algorithm, Census, CensusSpec, FocalNodes, Job};
 use ego_graph::NodeId;
 use ego_pattern::builtin;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -37,7 +38,7 @@ fn sweep(n: usize, labeled: bool, title: &str) {
     };
     let k = 2;
     let g = eval_graph(n, if labeled { Some(4) } else { None }, 777);
-    let matches = global_matches(&g, &pattern);
+    let matches = Arc::new(exec_matches(&g, &pattern, 1));
     println!(
         "# Figure 4(e): focal selectivity sweep ({n} nodes, {title}, k = 2, {} matches)\n",
         matches.len()
@@ -52,9 +53,15 @@ fn sweep(n: usize, labeled: bool, title: &str) {
             .collect();
         let spec = CensusSpec::single(&pattern, k).with_focal(FocalNodes::Set(focal.clone()));
 
-        let (r_nd, t_nd) = timed(|| nd_pivot::run(&g, &spec, &matches).unwrap());
-        let (r_pt, t_pt) =
-            timed(|| pt_opt::run(&g, &spec, &matches, &PtConfig::default()).unwrap());
+        let census = |algorithm| {
+            let job = Job {
+                matches: vec![Some(matches.clone())],
+                ..Job::new(Census::Single(&spec), algorithm)
+            };
+            timed(|| run(&g, &job).unwrap().counts.remove(0))
+        };
+        let (r_nd, t_nd) = census(Algorithm::NdPivot);
+        let (r_pt, t_pt) = census(Algorithm::PtOpt);
         assert_eq!(r_nd, r_pt, "algorithms disagree at R={r_pct}");
 
         row(&[

@@ -12,8 +12,9 @@
 //! ```
 
 use ego_bench::{eval_graph, fmt_secs, header, row, timed, Scale};
-use ego_census::{global_matches, pt_opt, CensusSpec, CenterStrategy, PtConfig};
+use ego_census::{exec_matches, run, Algorithm, Census, CensusSpec, CenterStrategy, Job, PtConfig};
 use ego_pattern::builtin;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -24,7 +25,7 @@ fn main() {
     let pattern = builtin::clq3();
     let k = 2;
     let g = eval_graph(n, Some(4), 777);
-    let matches = global_matches(&g, &pattern);
+    let matches = Arc::new(exec_matches(&g, &pattern, 1));
     let spec = CensusSpec::single(&pattern, k);
     println!(
         "# Figure 4(f): effect of centers ({n} nodes, labeled clq3, k = 2, {} matches)\n",
@@ -44,8 +45,13 @@ fn main() {
                 clustering_centers: Some(12),
                 ..PtConfig::default()
             };
-            let ((res, stats), t) =
-                timed(|| pt_opt::run_instrumented(&g, &spec, &matches, &cfg).unwrap());
+            let job = Job {
+                config: cfg,
+                matches: vec![Some(matches.clone())],
+                ..Job::new(Census::Single(&spec), Algorithm::PtOpt)
+            };
+            let (mut out, t) = timed(|| run(&g, &job).unwrap());
+            let (res, stats) = (out.counts.remove(0), out.stats);
             match &reference {
                 None => reference = Some(res),
                 Some(r) => assert_eq!(&res, r, "centers={centers} {strategy:?} disagrees"),

@@ -10,8 +10,12 @@
 //! ```
 
 use ego_bench::{eval_graph, fmt_secs, header, row, timed, Scale};
-use ego_census::{global_matches, pt_opt, CensusSpec, Clustering, PtConfig};
+use ego_census::{
+    exec_matches, run, Algorithm, Census, CensusSpec, Clustering, CountVector, Job, PtConfig,
+    TraversalStats,
+};
 use ego_pattern::builtin;
+use std::sync::Arc;
 
 fn main() {
     let scale = Scale::from_args();
@@ -22,8 +26,17 @@ fn main() {
     let pattern = builtin::clq3();
     let k = 2;
     let g = eval_graph(n, Some(4), 777);
-    let matches = global_matches(&g, &pattern);
+    let matches = Arc::new(exec_matches(&g, &pattern, 1));
     let spec = CensusSpec::single(&pattern, k);
+    let census = |config: PtConfig| -> ((CountVector, TraversalStats), f64) {
+        let job = Job {
+            config,
+            matches: vec![Some(matches.clone())],
+            ..Job::new(Census::Single(&spec), Algorithm::PtOpt)
+        };
+        let (mut out, t) = timed(|| run(&g, &job).unwrap());
+        ((out.counts.remove(0), out.stats), t)
+    };
     println!(
         "# Figure 4(g): effect of clustering ({n} nodes, labeled clq3, k = 2, {} matches)\n",
         matches.len()
@@ -34,8 +47,7 @@ fn main() {
         clustering: Clustering::None,
         ..PtConfig::default()
     };
-    let ((no_res, no_stats), no_t) =
-        timed(|| pt_opt::run_instrumented(&g, &spec, &matches, &no_cfg).unwrap());
+    let ((no_res, no_stats), no_t) = census(no_cfg);
     println!(
         "NO-CLUST: {} / {:.1}M edge traversals\n",
         fmt_secs(no_t),
@@ -51,8 +63,7 @@ fn main() {
                 clustering: strategy,
                 ..PtConfig::default()
             };
-            let ((res, stats), t) =
-                timed(|| pt_opt::run_instrumented(&g, &spec, &matches, &cfg).unwrap());
+            let ((res, stats), t) = census(cfg);
             assert_eq!(res, no_res, "clustering={strategy:?} disagrees");
             cells.push(format!(
                 "{} / {:.1}M",

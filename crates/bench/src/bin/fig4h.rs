@@ -11,7 +11,7 @@
 //! ```
 
 use ego_bench::{fmt_secs, header, row, timed, Scale};
-use ego_census::{run_pair_census, Algorithm, PairCensusSpec, PairSelector};
+use ego_census::{run, Algorithm, Census, Job, PairCensusSpec, PairCounts, PairSelector};
 use ego_datagen::dblp::{self, DblpConfig};
 use ego_datagen::rng;
 use ego_linkpred::measures::{candidate_pairs, CensusMeasure, MeasureKind};
@@ -80,10 +80,9 @@ fn main() {
             let selector = PairSelector::Pairs(pairs.clone());
             let spec = PairCensusSpec::intersection(&pattern, r, selector);
 
-            let (res_nd, t_nd) = timed(|| run_pair_census(g, &spec, Algorithm::NdPivot).unwrap());
-            let (res_ptb, t_ptb) =
-                timed(|| run_pair_census(g, &spec, Algorithm::PtBaseline).unwrap());
-            let (res_pto, t_pto) = timed(|| run_pair_census(g, &spec, Algorithm::PtOpt).unwrap());
+            let (res_nd, t_nd) = pair_census(g, &spec, Algorithm::NdPivot);
+            let (res_ptb, t_ptb) = pair_census(g, &spec, Algorithm::PtBaseline);
+            let (res_pto, t_pto) = pair_census(g, &spec, Algorithm::PtOpt);
             // Spot-check agreement on a few pairs.
             for &(a, b) in pairs.iter().take(50) {
                 assert_eq!(res_nd.get(a, b), res_ptb.get(a, b), "{} r={r}", kind.name());
@@ -103,6 +102,16 @@ fn main() {
     let pattern = MeasureKind::Node.pattern();
     let pairs = candidate_pairs(g, 1);
     let spec = PairCensusSpec::intersection(&pattern, 1, PairSelector::Pairs(pairs));
-    let (_, t_bas) = timed(|| run_pair_census(g, &spec, Algorithm::NdBaseline).unwrap());
+    let (_, t_bas) = pair_census(g, &spec, Algorithm::NdBaseline);
     println!("  nodes@1: {}", fmt_secs(t_bas));
+}
+
+/// Time one pairwise census.
+fn pair_census(
+    g: &ego_graph::Graph,
+    spec: &PairCensusSpec<'_>,
+    algorithm: Algorithm,
+) -> (PairCounts, f64) {
+    let job = Job::new(Census::Pair(spec), algorithm);
+    timed(|| run(g, &job).unwrap().pairs)
 }

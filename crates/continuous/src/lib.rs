@@ -27,7 +27,7 @@
 //! `ego-server` owns the session registry and the push path; a fleet
 //! router owns broadcast and per-shard merging. Both layer on this type.
 
-use ego_census::run_batch_exec;
+use ego_census::{run, Census, Job};
 use ego_dynamic::{update_batch_on, DeltaGraph, MaintainStats, UpdateStats};
 use ego_graph::{Graph, NodeId};
 use ego_query::{ChangedRow, SubscriptionSpec};
@@ -202,14 +202,17 @@ impl ContinuousEngine {
             generation,
         };
         let cspecs = state.census_specs();
-        let provided: Vec<Option<Arc<MatchList>>> = (0..cspecs.len())
-            .map(|i| provided.get(i).cloned().flatten())
-            .collect();
-        let seeded = provided.iter().filter(|m| m.is_some()).count() as u64;
+        let seeded = provided.iter().take(cspecs.len()).flatten().count() as u64;
         if seeded > 0 {
             self.seeded.fetch_add(seeded, Ordering::Relaxed);
         }
-        let batch = run_batch_exec(graph, &cspecs, algorithm, config, exec, &provided, None)?;
+        let job = Job {
+            config: config.clone(),
+            exec: *exec,
+            matches: provided.to_vec(),
+            ..Job::new(Census::Batch(&cspecs), algorithm)
+        };
+        let batch = run(graph, &job)?;
         let focal = state.spec.focal.len();
         drop(cspecs);
         state.counts = batch.counts;

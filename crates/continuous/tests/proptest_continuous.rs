@@ -6,7 +6,7 @@
 //! focal nodes and keep match-list survivors, but none of that is
 //! allowed to change a single pushed row.
 
-use ego_census::{run_batch_exec, CensusSpec, CountVector, FocalNodes};
+use ego_census::{run, Census, CensusSpec, CountVector, FocalNodes, Job};
 use ego_continuous::{diff_counts, Algorithm, ContinuousEngine, ExecConfig, PtConfig};
 use ego_dynamic::DeltaGraph;
 use ego_graph::{Graph, GraphBuilder, Label, NodeId};
@@ -85,18 +85,11 @@ fn full_counts(
             s
         })
         .collect();
-    let provided = vec![None; cspecs.len()];
-    run_batch_exec(
-        g,
-        &cspecs,
-        algorithm,
-        &PtConfig::default(),
-        exec,
-        &provided,
-        None,
-    )
-    .expect("full recompute")
-    .counts
+    let job = Job {
+        exec: *exec,
+        ..Job::new(Census::Batch(&cspecs), algorithm)
+    };
+    run(g, &job).expect("full recompute").counts
 }
 
 proptest! {

@@ -5,20 +5,21 @@
 //! the node-driven family re-extracts each focal node's k-hop
 //! neighborhood once per pattern, and the pattern-driven family re-runs
 //! the simultaneous traversal per pattern.
-//! A [`run_batch_exec`] call plans N specs together and shares that work:
+//! A [`Census::Batch`](crate::Census::Batch) job plans N specs together
+//! and shares that work:
 //!
 //! * **ND side** — specs resolving to ND-PVOT (or ND-DIFF) are grouped by
 //!   focal set. Each group runs **one** BFS sweep per focal node at
 //!   `k_max = max(k_i)` — the same [`crate::nd_pivot`] sweep a single
 //!   ND-PVOT census runs, with one `PivotPlan` per member;
-//!   [`BfsScratch::bounded_bfs`] emits nodes in nondecreasing distance
-//!   order, so every plan reads its own radius as a prefix of the shared
-//!   frontier.
+//!   [`ego_graph::bfs::BfsScratch::bounded_bfs`] emits nodes in
+//!   nondecreasing distance order, so every plan reads its own radius as
+//!   a prefix of the shared frontier.
 //! * **PT side** — specs resolving to a pattern-driven algorithm are
 //!   grouped by equal radius (the PMD saturation value `inf = k + 1` is
 //!   per-group) and share **one** center index across all groups — built
 //!   here, or handed in by a caller that kept the one an earlier batch
-//!   over the same graph returned ([`BatchResult::centers`]). Within a
+//!   over the same graph returned ([`Outcome::centers`]). Within a
 //!   group, the matches of all patterns are pooled and clustered
 //!   together, so one simultaneous traversal (the single-pattern kernel,
 //!   `pt_opt`'s `process_cluster`) relaxes the distance bounds for
@@ -28,7 +29,7 @@
 //!   the reference [`crate::nd_bas`] census per spec, over the same focal
 //!   fan-out as a single ND-BAS census.
 //!
-//! Counts are bit-identical to N sequential [`crate::run_census_exec`]
+//! Counts are bit-identical to N [`Census::Single`](crate::Census::Single)
 //! runs for every algorithm and thread count (property-tested in
 //! `tests/batch_equivalence.rs`). Two documented promotions keep that
 //! guarantee while maximizing sharing: ND-DIFF specs run through the
@@ -40,9 +41,10 @@
 
 use crate::centers::{CenterIndex, CenterStrategy};
 use crate::cost::{self, GraphShape};
+use crate::job::{Job, Outcome};
 use crate::kmeans::kmeans;
 use crate::nd_pivot::{self, PivotPlan};
-use crate::parallel::{exec_matches, run_with_matches, ExecConfig};
+use crate::parallel::run_with_matches;
 use crate::pt_opt::{self, PtContext, PtItem, PtSlot};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{CensusSpec, Clustering, PtConfig, PtOrdering};
@@ -56,7 +58,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// One shared-work unit of a batch plan. Spec indices refer to the order
-/// of the `specs` slice passed to [`run_batch_exec`] / [`plan_stages`].
+/// of the batch's specs (the `specs` slice passed to [`plan_stages`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchStage {
     /// One BFS sweep per focal node at `k_max`, serving every listed
@@ -83,26 +85,6 @@ pub enum BatchStage {
     },
 }
 
-/// The outcome of a batched run, in the input spec order.
-pub struct BatchResult {
-    /// Per-spec census counts (bit-identical to sequential runs).
-    pub counts: Vec<CountVector>,
-    /// Merged traversal statistics for the whole batch.
-    pub stats: TraversalStats,
-    /// Per-spec global match lists (`None` for ND-BAS, which never
-    /// materializes them). Specs sharing a pattern share the `Arc`;
-    /// callers can cache these for future batches.
-    pub matches: Vec<Option<Arc<MatchList>>>,
-    /// The center index this run **built**, for the caller to keep and
-    /// hand to later batches over the same graph. `None` when no PT
-    /// stage ran, when the caller's index was used, and under
-    /// [`CenterStrategy::Random`] (whose centers are a draw from the
-    /// run's RNG stream, not a property of the graph).
-    pub centers: Option<CenterIndex>,
-    /// The executed plan.
-    pub stages: Vec<BatchStage>,
-}
-
 /// How a spec is served inside a batch that shares work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
@@ -112,73 +94,21 @@ enum Mode {
     Pt,
 }
 
-/// Sequential convenience wrapper over [`run_batch_exec`].
-pub fn run_batch<'a>(
+/// Evaluate `specs` as one batch under `job`'s algorithm (applied per
+/// spec; `Auto` resolves per spec, on each spec's exact match count)
+/// over the front's match lists (see [`crate::job`]). A center index in
+/// [`Job::centers`] is used when it is this config's `Degree` index;
+/// one built here is returned in [`Outcome::centers`].
+pub(crate) fn run(
     g: &Graph,
-    specs: &[CensusSpec<'a>],
-    algorithm: Algorithm,
-    config: &PtConfig,
-) -> Result<BatchResult, CensusError> {
-    run_batch_exec(
-        g,
-        specs,
-        algorithm,
-        config,
-        &ExecConfig::sequential(),
-        &[],
-        None,
-    )
-}
-
-/// Evaluate `specs` as one batch under `algorithm` (applied per spec;
-/// `Auto` resolves per spec exactly as [`crate::run_census_exec`] does).
-///
-/// `provided` optionally supplies precomputed global match lists per spec
-/// (e.g. from a server-side cache); missing entries are computed once per
-/// distinct pattern and returned in [`BatchResult::matches`].
-/// `provided_centers` likewise supplies the center index an earlier
-/// batch built **for this graph** under this `config`'s center count;
-/// the caller owns that freshness (exact center distances are a
-/// correctness input: a stale index would miscount).
-pub fn run_batch_exec<'a>(
-    g: &Graph,
-    specs: &[CensusSpec<'a>],
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-    provided: &[Option<Arc<MatchList>>],
-    provided_centers: Option<CenterIndex>,
-) -> Result<BatchResult, CensusError> {
-    for spec in specs {
-        spec.validate(g)?;
-    }
-    let threads = exec.resolve().max(1);
+    specs: &[CensusSpec<'_>],
+    matches: &[Option<Arc<MatchList>>],
+    job: &Job<'_, '_>,
+    threads: usize,
+) -> Result<Outcome, CensusError> {
+    let (algorithm, config) = (job.algorithm, &job.config);
     let mut stats = TraversalStats::default();
-
-    // Global match lists, computed once per distinct pattern. ND-BAS
-    // never materializes matches (parity with the sequential dispatch).
-    let mut matches: Vec<Option<Arc<MatchList>>> = vec![None; specs.len()];
-    if algorithm != Algorithm::NdBaseline {
-        for (slot, m) in provided.iter().enumerate().take(specs.len()) {
-            if let Some(m) = m {
-                matches[slot] = Some(m.clone());
-            }
-        }
-        for i in 0..specs.len() {
-            if matches[i].is_some() {
-                continue;
-            }
-            let reuse = (0..specs.len()).find(|&j| {
-                matches[j].is_some() && std::ptr::eq(specs[j].pattern(), specs[i].pattern())
-            });
-            matches[i] = match reuse {
-                Some(j) => matches[j].clone(),
-                None => Some(Arc::new(exec_matches(g, specs[i].pattern(), threads))),
-            };
-        }
-    }
-
-    let stages = plan_stages(g, specs, algorithm, &matches)?;
+    let stages = plan_stages(g, specs, algorithm, matches)?;
 
     let mut counts: Vec<CountVector> = specs
         .iter()
@@ -196,9 +126,9 @@ pub fn run_batch_exec<'a>(
     let shareable = config.center_strategy == CenterStrategy::Degree;
     let want = CenterIndex::count_for(config).min(g.num_nodes());
     let mut built = None;
-    let full_centers = match provided_centers {
+    let full_centers = match &job.centers {
         _ if !has_pt => CenterIndex::empty(),
-        Some(c) if shareable && c.len() == want => c,
+        Some(c) if shareable && c.len() == want => c.clone(),
         _ => {
             let c = CenterIndex::for_config(g, config, &mut rng);
             stats.index_edges += c.build_edges();
@@ -235,14 +165,8 @@ pub fn run_batch_exec<'a>(
             BatchStage::NdBaseline { specs: idxs } => {
                 let none = MatchList::default();
                 for &i in idxs {
-                    let (cv, ts) = run_with_matches(
-                        g,
-                        &specs[i],
-                        &none,
-                        Algorithm::NdBaseline,
-                        config,
-                        threads,
-                    )?;
+                    let nd_bas = Algorithm::NdBaseline;
+                    let (cv, ts) = run_with_matches(g, &specs[i], &none, nd_bas, config, threads)?;
                     stats.add(&ts);
                     counts[i] = cv;
                 }
@@ -250,7 +174,7 @@ pub fn run_batch_exec<'a>(
             BatchStage::PtGroup { specs: idxs, k } => pt_group_run(
                 g,
                 specs,
-                &matches,
+                matches,
                 idxs,
                 *k,
                 &pmd_centers,
@@ -265,12 +189,12 @@ pub fn run_batch_exec<'a>(
         }
     }
 
-    Ok(BatchResult {
+    Ok(Outcome {
         counts,
         stats,
-        matches,
         centers: built,
         stages,
+        ..Outcome::default()
     })
 }
 
@@ -533,9 +457,23 @@ fn kmeans_item_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_census_exec;
+    use crate::Census;
     use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
+
+    /// A batch job on one thread.
+    fn batch_job(
+        g: &Graph,
+        specs: &[CensusSpec<'_>],
+        algorithm: Algorithm,
+        config: &PtConfig,
+    ) -> Result<Outcome, CensusError> {
+        let job = Job {
+            config: config.clone(),
+            ..Job::new(Census::Batch(specs), algorithm)
+        };
+        crate::run(g, &job)
+    }
 
     fn fixture() -> Graph {
         // Two triangles sharing node 2 plus chain 4-5-6.
@@ -587,11 +525,10 @@ mod tests {
             Algorithm::PtRandom,
             Algorithm::Auto,
         ] {
-            let batch = run_batch(&g, &specs, algo, &config).unwrap();
+            let batch = batch_job(&g, &specs, algo, &config).unwrap();
             for (i, spec) in specs.iter().enumerate() {
-                let seq =
-                    run_census_exec(&g, spec, algo, &config, &ExecConfig::sequential()).unwrap();
-                assert_eq!(batch.counts[i], seq, "{algo:?} spec {i}");
+                let seq = crate::run(&g, &Job::new(Census::Single(spec), algo)).unwrap();
+                assert_eq!(batch.counts[i], seq.counts[0], "{algo:?} spec {i}");
             }
         }
     }
@@ -601,7 +538,7 @@ mod tests {
         let g = fixture();
         let pats = patterns();
         let specs: Vec<CensusSpec<'_>> = pats.iter().map(|p| CensusSpec::single(p, 2)).collect();
-        let batch = run_batch(&g, &specs, Algorithm::NdPivot, &PtConfig::default()).unwrap();
+        let batch = batch_job(&g, &specs, Algorithm::NdPivot, &PtConfig::default()).unwrap();
         // One sweep for 4 specs: nodes_expanded = |V|, not 4·|V|.
         assert_eq!(batch.stats.nodes_expanded, g.num_nodes() as u64);
         assert_eq!(batch.stages.len(), 1);
@@ -623,7 +560,7 @@ mod tests {
             CensusSpec::single(&pats[0], 2),
             CensusSpec::single(&pats[3], 1),
         ];
-        let batch = run_batch(&g, &specs, Algorithm::PtOpt, &PtConfig::default()).unwrap();
+        let batch = batch_job(&g, &specs, Algorithm::PtOpt, &PtConfig::default()).unwrap();
         let mut ks: Vec<u32> = batch
             .stages
             .iter()
@@ -654,7 +591,7 @@ mod tests {
             CensusSpec::single(&pats[0], 1),
             CensusSpec::single(&pats[0], 2),
         ];
-        let batch = run_batch(&g, &specs, Algorithm::NdPivot, &PtConfig::default()).unwrap();
+        let batch = batch_job(&g, &specs, Algorithm::NdPivot, &PtConfig::default()).unwrap();
         let a = batch.matches[0].as_ref().unwrap();
         let b = batch.matches[1].as_ref().unwrap();
         assert!(Arc::ptr_eq(a, b), "same pattern must share one MatchList");
@@ -665,17 +602,12 @@ mod tests {
         let g = fixture();
         let pats = patterns();
         let specs = vec![CensusSpec::single(&pats[0], 1)];
-        let pre = Arc::new(crate::global_matches(&g, &pats[0]));
-        let batch = run_batch_exec(
-            &g,
-            &specs,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-            &[Some(pre.clone())],
-            None,
-        )
-        .unwrap();
+        let pre = Arc::new(crate::exec_matches(&g, &pats[0], 1));
+        let job = Job {
+            matches: vec![Some(pre.clone())],
+            ..Job::new(Census::Batch(&specs), Algorithm::NdPivot)
+        };
+        let batch = crate::run(&g, &job).unwrap();
         assert!(Arc::ptr_eq(batch.matches[0].as_ref().unwrap(), &pre));
     }
 
@@ -685,16 +617,12 @@ mod tests {
         let pats = patterns();
         let specs = vec![CensusSpec::single(&pats[0], 2)];
         let run = |config: &PtConfig, centers| {
-            run_batch_exec(
-                &g,
-                &specs,
-                Algorithm::PtOpt,
-                config,
-                &ExecConfig::sequential(),
-                &[],
+            let job = Job {
+                config: config.clone(),
                 centers,
-            )
-            .unwrap()
+                ..Job::new(Census::Batch(&specs), Algorithm::PtOpt)
+            };
+            crate::run(&g, &job).unwrap()
         };
         let config = PtConfig::default();
         let first = run(&config, None);
@@ -724,7 +652,7 @@ mod tests {
         assert!(fourth.centers.is_none());
         assert_eq!(fourth.counts, first.counts);
         // ND stages never build one.
-        let nd = run_batch(&g, &specs, Algorithm::NdPivot, &config).unwrap();
+        let nd = batch_job(&g, &specs, Algorithm::NdPivot, &config).unwrap();
         assert_eq!(nd.stats.index_edges, 0);
         assert!(nd.centers.is_none());
     }
@@ -736,18 +664,18 @@ mod tests {
         let specs = vec![CensusSpec::single(&p, 1).with_subpattern("s")];
         for algo in [Algorithm::NdBaseline, Algorithm::NdDiff] {
             assert!(
-                run_batch(&g, &specs, algo, &PtConfig::default()).is_err(),
+                batch_job(&g, &specs, algo, &PtConfig::default()).is_err(),
                 "{algo:?} must reject COUNTSP"
             );
         }
         // NdPivot accepts it.
-        assert!(run_batch(&g, &specs, Algorithm::NdPivot, &PtConfig::default()).is_ok());
+        assert!(batch_job(&g, &specs, Algorithm::NdPivot, &PtConfig::default()).is_ok());
     }
 
     #[test]
     fn empty_batch() {
         let g = fixture();
-        let batch = run_batch(&g, &[], Algorithm::Auto, &PtConfig::default()).unwrap();
+        let batch = batch_job(&g, &[], Algorithm::Auto, &PtConfig::default()).unwrap();
         assert!(batch.counts.is_empty());
         assert!(batch.stages.is_empty());
     }

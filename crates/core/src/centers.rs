@@ -8,7 +8,8 @@
 //!
 //! The index depends only on the graph and the center count, so a caller
 //! that serves many queries over one graph builds it once and hands it to
-//! [`crate::run_batch_exec`]; the handle is cheap to clone (shared storage).
+//! later batches ([`crate::Job::centers`]); the handle is cheap to clone
+//! (shared storage).
 
 use crate::spec::PtConfig;
 use ego_graph::bfs::BfsScratch;

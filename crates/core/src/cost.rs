@@ -73,17 +73,20 @@ pub struct CostJob<'s, 'a> {
     pub matches: f64,
 }
 
-/// A census the refusal rule is asked about.
+/// A census: what a [`crate::Job`] runs, and what the refusal rule is
+/// asked about.
 #[derive(Clone, Copy, Debug)]
 pub enum Census<'s, 'a> {
     /// A single-node census.
     Single(&'s CensusSpec<'a>),
+    /// Single-node censuses evaluated together (see [`crate::batch`]).
+    Batch(&'s [CensusSpec<'a>]),
     /// A pairwise census.
     Pair(&'s PairCensusSpec<'a>),
 }
 
 /// The refusal rule: `Err` — the kernel's own error — when `algorithm`
-/// cannot serve `census` on `g`. Built from the kernels' checks, which
+/// cannot serve `census` on `g` (a batch: any of its specs). Built from the kernels' checks, which
 /// stay in the kernels. PMD's radius bound covers the whole PT family,
 /// single-node and pairwise, because the batch runs PT-BAS and PT-RND
 /// through PT-OPT's group kernel and pairwise PT runs on that kernel too.
@@ -91,6 +94,9 @@ pub fn refusal(g: &Graph, census: Census<'_, '_>, algorithm: Algorithm) -> Resul
     use crate::pt_opt::pmd_radius;
     use Algorithm::{NdBaseline, NdDiff, PtBaseline, PtOpt, PtRandom};
     match (census, algorithm) {
+        (Census::Batch(specs), _) => specs
+            .iter()
+            .try_for_each(|spec| refusal(g, Census::Single(spec), algorithm)),
         (Census::Single(spec), NdBaseline) => crate::nd_bas::check(spec),
         (Census::Single(spec), NdDiff) => crate::nd_diff::check(spec),
         (Census::Single(spec), PtBaseline | PtRandom | PtOpt) => pmd_radius(g, spec.k()).map(drop),
@@ -182,7 +188,7 @@ pub fn choose(g: &Graph, shape: &GraphShape, spec: &CensusSpec<'_>, matches: usi
 mod tests {
     use super::*;
     use crate::spec::FocalNodes;
-    use crate::{global_matches, run_census, run_pair_census, PairSelector};
+    use crate::{exec_matches, run, Job, PairSelector};
     use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
 
@@ -292,8 +298,8 @@ mod tests {
             let err = refusal(&g, Census::Pair(&far), a).unwrap_err();
             assert!(err.to_string().contains("use ND-PVOT"), "{err}");
         }
-        let auto = run_pair_census(&g, &far, Algorithm::Auto).unwrap();
-        let nd = run_pair_census(&g, &far, Algorithm::NdPivot).unwrap();
+        let pairs = |a| run(&g, &Job::new(Census::Pair(&far), a)).unwrap().pairs;
+        let (auto, nd) = (pairs(Algorithm::Auto), pairs(Algorithm::NdPivot));
         assert!(nd.get(NodeId(0), NodeId(1)) > 0);
         assert_eq!(
             auto.iter().collect::<Vec<_>>(),
@@ -310,7 +316,7 @@ mod tests {
     fn core_auto_prices_the_spec_it_is_given() {
         let g = path_with_triangle(30);
         let p = tri();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         assert_eq!(m.len(), 1);
         let shape = GraphShape::of(&g);
         // One match next to 30 focal nodes: pattern-driven.
@@ -318,15 +324,15 @@ mod tests {
         assert_eq!(choose(&g, &shape, &spec, m.len()), Algorithm::PtOpt);
         // 30 edge matches next to 2 focal nodes: node-driven.
         let e = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
-        let m = global_matches(&g, &e);
+        let m = exec_matches(&g, &e, 1);
         let spec =
             CensusSpec::single(&e, 2).with_focal(FocalNodes::Set(vec![NodeId(0), NodeId(1)]));
         assert_eq!(choose(&g, &shape, &spec, m.len()), Algorithm::NdPivot);
         // Whatever it picks, the counts are the oracle's.
         for pattern in [&p, &e] {
             let spec = CensusSpec::single(pattern, 1);
-            let auto = run_census(&g, &spec, Algorithm::Auto).unwrap();
-            let oracle = run_census(&g, &spec, Algorithm::NdBaseline).unwrap();
+            let counts = |a| run(&g, &Job::new(Census::Single(&spec), a)).unwrap().counts;
+            let (auto, oracle) = (counts(Algorithm::Auto), counts(Algorithm::NdBaseline));
             assert_eq!(auto, oracle);
         }
     }

@@ -20,8 +20,14 @@
 //! match many times; pattern-driven algorithms process each match once but
 //! may touch a node many times — the duality the evaluation explores.
 //!
+//! Every census runs through one call, [`run`]: a [`Job`] names the
+//! census ([`Census::Single`], [`Census::Batch`] or [`Census::Pair`]),
+//! the algorithm, and anything the caller already holds; the [`Outcome`]
+//! carries the counts, the traversal statistics, and the match lists and
+//! center index the run used or built.
+//!
 //! ```
-//! use ego_census::{run_census, Algorithm, CensusSpec};
+//! use ego_census::{run, Algorithm, Census, CensusSpec, Job};
 //! use ego_graph::{GraphBuilder, Label, NodeId};
 //! use ego_pattern::Pattern;
 //!
@@ -34,9 +40,11 @@
 //! let tri = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
 //!
 //! let spec = CensusSpec::single(&tri, 1);
-//! let counts = run_census(&g, &spec, Algorithm::NdPivot).unwrap();
+//! let outcome = run(&g, &Job::new(Census::Single(&spec), Algorithm::NdPivot)).unwrap();
+//! let counts = &outcome.counts[0];
 //! assert_eq!(counts.get(NodeId(2)), 2);
 //! assert_eq!(counts.get(NodeId(4)), 1);
+//! assert_eq!(outcome.matches[0].as_ref().unwrap().len(), 2);
 //! ```
 
 pub mod batch;
@@ -44,6 +52,7 @@ pub mod bucket_queue;
 pub mod centers;
 pub mod clustering;
 pub mod cost;
+pub mod job;
 pub mod kmeans;
 pub mod nd_bas;
 pub mod nd_diff;
@@ -57,20 +66,18 @@ pub mod spec;
 pub mod topk;
 pub mod tstats;
 
-pub use batch::{plan_stages, run_batch, run_batch_exec, BatchResult, BatchStage};
+pub use batch::{plan_stages, BatchStage};
 pub use centers::{CenterIndex, CenterStrategy};
-pub use pairwise::{
-    run_pair_census, run_pair_census_with, PairCensusSpec, PairCounts, PairKind, PairSelector,
-};
-pub use parallel::{
-    exec_matches, run_census_exec, run_census_exec_instrumented, run_pair_census_exec, ExecConfig,
-};
+pub use cost::Census;
+pub use job::{run, Job, Outcome};
+pub use pairwise::{PairCensusSpec, PairCounts, PairKind, PairSelector};
+pub use parallel::{exec_matches, ExecConfig};
 pub use result::{CensusError, CountVector};
 pub use spec::{CensusSpec, Clustering, FocalNodes, PtConfig, PtOrdering};
 pub use tstats::TraversalStats;
 
 use ego_graph::Graph;
-use ego_matcher::{find_matches, MatchList, MatcherKind};
+use ego_matcher::MatchList;
 
 /// Which census evaluation algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,29 +100,25 @@ pub enum Algorithm {
     Auto,
 }
 
-/// Run a single-node census query (`COUNTP`/`COUNTSP` over `SUBGRAPH`).
-pub fn run_census(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    algorithm: Algorithm,
-) -> Result<CountVector, CensusError> {
-    run_census_with(g, spec, algorithm, &PtConfig::default())
-}
-
-/// [`run_census`] with explicit pattern-driven tuning parameters: the
-/// single-threaded case of [`run_census_exec`], whose drivers run the
-/// sequential algorithms unchanged at one thread.
-pub fn run_census_with(
+/// A single census's counts and traversal statistics: [`run`] on a
+/// [`Census::Single`] job.
+pub fn run_census_exec_instrumented(
     g: &Graph,
     spec: &CensusSpec<'_>,
     algorithm: Algorithm,
     config: &PtConfig,
-) -> Result<CountVector, CensusError> {
-    run_census_exec(g, spec, algorithm, config, &ExecConfig::sequential())
+    exec: &ExecConfig,
+) -> Result<(CountVector, TraversalStats), CensusError> {
+    let job = Job {
+        config: config.clone(),
+        exec: *exec,
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    run(g, &job).map(|mut out| (out.counts.remove(0), out.stats))
 }
 
-/// Find all distinct matches of a pattern in the full graph (the common
-/// first step of ND-PVOT, ND-DIFF, and all pattern-driven algorithms).
+/// Find all distinct matches of a pattern in the full graph on one
+/// thread (the common first step of every algorithm but ND-BAS).
 pub fn global_matches(g: &Graph, p: &ego_pattern::Pattern) -> MatchList {
-    find_matches(g, p, MatcherKind::CandidateNeighbors)
+    exec_matches(g, p, 1)
 }

@@ -14,15 +14,11 @@ use ego_graph::subgraph::InducedSubgraph;
 use ego_graph::Graph;
 use ego_matcher::{find_matches, MatcherKind};
 
-/// Run the baseline. Subpattern queries are rejected: a COUNTSP match may
-/// extend beyond `S(n, k)`, which per-neighborhood matching cannot see.
-pub fn run(g: &Graph, spec: &CensusSpec<'_>) -> Result<CountVector, CensusError> {
-    run_instrumented(g, spec).map(|(cv, _)| cv)
-}
-
-/// [`run`] with traversal-cost instrumentation: the edges its
-/// neighborhood BFSs scan, one expansion per focal node.
-pub fn run_instrumented(
+/// Run the baseline, with the edges its neighborhood BFSs scan and one
+/// expansion per focal node. Subpattern queries are rejected: a COUNTSP
+/// match may extend beyond `S(n, k)`, which per-neighborhood matching
+/// cannot see.
+pub(crate) fn run(
     g: &Graph,
     spec: &CensusSpec<'_>,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
@@ -103,7 +99,7 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let spec = CensusSpec::single(&p, 1);
-        let counts = run(&g, &spec).unwrap();
+        let (counts, _) = run(&g, &spec).unwrap();
         assert_eq!(counts.get(NodeId(0)), 1);
         assert_eq!(counts.get(NodeId(2)), 2); // sees both triangles
         assert_eq!(counts.get(NodeId(4)), 1);
@@ -115,7 +111,7 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let spec = CensusSpec::single(&p, 2);
-        let counts = run(&g, &spec).unwrap();
+        let (counts, _) = run(&g, &spec).unwrap();
         assert_eq!(counts.get(NodeId(0)), 2); // both triangles within 2 hops
         assert_eq!(counts.get(NodeId(5)), 1);
         assert_eq!(counts.get(NodeId(6)), 0);
@@ -126,7 +122,7 @@ mod tests {
         let g = fixture();
         let node = Pattern::parse("PATTERN n { ?A; }").unwrap();
         let spec = CensusSpec::single(&node, 0);
-        let counts = run(&g, &spec).unwrap();
+        let (counts, _) = run(&g, &spec).unwrap();
         for n in g.node_ids() {
             assert_eq!(counts.get(n), 1);
         }
@@ -137,7 +133,7 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
         let spec = CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(vec![NodeId(5)]));
-        let counts = run(&g, &spec).unwrap();
+        let (counts, _) = run(&g, &spec).unwrap();
         // S(5,1) = {4,5,6}: edges 4-5 and 5-6.
         assert_eq!(counts.get(NodeId(5)), 2);
         assert_eq!(counts.get(NodeId(2)), 0); // not focal
@@ -170,7 +166,7 @@ mod tests {
         b.add_edge(NodeId(1), NodeId(2));
         let g = b.build();
         let p = Pattern::parse("PATTERN e { ?A-?B; [?A.LABEL=0]; [?B.LABEL=1]; }").unwrap();
-        let counts = run(&g, &CensusSpec::single(&p, 1)).unwrap();
+        let (counts, _) = run(&g, &CensusSpec::single(&p, 1)).unwrap();
         assert_eq!(counts.get(NodeId(0)), 1);
         assert_eq!(counts.get(NodeId(1)), 2);
         assert_eq!(counts.get(NodeId(2)), 1);

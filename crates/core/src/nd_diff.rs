@@ -37,20 +37,10 @@ impl FullIndex {
     }
 }
 
-/// Run ND-DIFF over precomputed global matches.
-///
-/// Subpattern queries are rejected: differential maintenance tracks full
-/// containment only.
-pub fn run(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-) -> Result<CountVector, CensusError> {
-    run_instrumented(g, spec, matches).map(|(cv, _)| cv)
-}
-
-/// [`run`] with traversal-cost instrumentation.
-pub fn run_instrumented(
+/// Run ND-DIFF over precomputed global matches, with traversal-cost
+/// instrumentation. Subpattern queries are rejected: differential
+/// maintenance tracks full containment only.
+pub(crate) fn run(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
@@ -170,7 +160,7 @@ pub(crate) fn check(spec: &CensusSpec<'_>) -> Result<(), CensusError> {
 mod tests {
     use super::*;
     use crate::spec::FocalNodes;
-    use crate::{global_matches, nd_bas};
+    use crate::{exec_matches, nd_bas};
     use ego_graph::{GraphBuilder, Label};
     use ego_pattern::Pattern;
 
@@ -203,9 +193,9 @@ mod tests {
             let p = Pattern::parse(pat_text).unwrap();
             for k in 0..3 {
                 let spec = CensusSpec::single(&p, k);
-                let m = global_matches(&g, &p);
-                let fast = run(&g, &spec, &m).unwrap();
-                let slow = nd_bas::run(&g, &spec).unwrap();
+                let m = exec_matches(&g, &p, 1);
+                let (fast, _) = run(&g, &spec, &m).unwrap();
+                let (slow, _) = nd_bas::run(&g, &spec).unwrap();
                 for n in g.node_ids() {
                     assert_eq!(fast.get(n), slow.get(n), "{pat_text} k={k} node={n:?}");
                 }
@@ -217,7 +207,7 @@ mod tests {
     fn full_index_covers_all_members() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let idx = FullIndex::build(&m);
         // Triangle node 2 participates in both triangles.
         assert_eq!(idx.get(NodeId(2)).len(), 2);
@@ -237,8 +227,8 @@ mod tests {
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
         let spec =
             CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(vec![NodeId(1), NodeId(4)]));
-        let m = global_matches(&g, &p);
-        let counts = run(&g, &spec, &m).unwrap();
+        let m = exec_matches(&g, &p, 1);
+        let (counts, _) = run(&g, &spec, &m).unwrap();
         assert_eq!(counts.get(NodeId(1)), 2);
         assert_eq!(counts.get(NodeId(4)), 2);
     }
@@ -248,7 +238,7 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; SUBPATTERN s {?A;} }").unwrap();
         let spec = CensusSpec::single(&p, 1).with_subpattern("s");
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         assert!(matches!(
             run(&g, &spec, &m),
             Err(CensusError::Unsupported(_))
@@ -260,8 +250,8 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
         let spec = CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(vec![]));
-        let m = global_matches(&g, &p);
-        let counts = run(&g, &spec, &m).unwrap();
+        let m = exec_matches(&g, &p, 1);
+        let (counts, _) = run(&g, &spec, &m).unwrap();
         assert_eq!(counts.total(), 0);
     }
 }

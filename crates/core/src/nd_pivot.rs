@@ -179,18 +179,9 @@ impl<'m> PivotPlan<'m> {
     }
 }
 
-/// Run ND-PVOT over precomputed global matches.
-pub fn run(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-) -> Result<CountVector, CensusError> {
-    run_threads(g, spec, matches, 1).map(|(cv, _)| cv)
-}
-
-/// [`run`] with traversal-cost instrumentation, over `threads` workers:
-/// the sweep of one plan.
-pub(crate) fn run_threads(
+/// Run ND-PVOT over precomputed global matches on `threads` workers,
+/// with traversal-cost instrumentation: the sweep of one plan.
+pub(crate) fn run(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
@@ -253,7 +244,7 @@ pub(crate) fn sweep(
 mod tests {
     use super::*;
     use crate::spec::FocalNodes;
-    use crate::{global_matches, nd_bas};
+    use crate::{exec_matches, nd_bas};
     use ego_graph::{GraphBuilder, Label};
     use ego_pattern::Pattern;
 
@@ -277,8 +268,8 @@ mod tests {
     }
 
     fn run_spec(g: &Graph, spec: &CensusSpec<'_>) -> CountVector {
-        let m = global_matches(g, spec.pattern());
-        run(g, spec, &m).unwrap()
+        let m = exec_matches(g, spec.pattern(), 1);
+        run(g, spec, &m, 1).unwrap().0
     }
 
     #[test]
@@ -288,7 +279,7 @@ mod tests {
         for k in 0..4 {
             let spec = CensusSpec::single(&p, k);
             let fast = run_spec(&g, &spec);
-            let slow = nd_bas::run(&g, &spec).unwrap();
+            let (slow, _) = nd_bas::run(&g, &spec).unwrap();
             for n in g.node_ids() {
                 assert_eq!(fast.get(n), slow.get(n), "k={k} node={n:?}");
             }
@@ -299,7 +290,7 @@ mod tests {
     fn pivot_index_buckets() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let idx = PivotIndex::build(&m, PNode(0));
         let total: usize = g.node_ids().map(|n| idx.get(n).len()).sum();
         assert_eq!(total, m.len());
@@ -374,7 +365,7 @@ mod tests {
         let p = Pattern::parse("PATTERN p { ?A-?B; ?C; }").unwrap();
         let spec = CensusSpec::single(&p, 1);
         let fast = run_spec(&g, &spec);
-        let slow = nd_bas::run(&g, &spec).unwrap();
+        let (slow, _) = nd_bas::run(&g, &spec).unwrap();
         for n in g.node_ids() {
             assert_eq!(fast.get(n), slow.get(n), "node {n:?}");
         }

@@ -26,7 +26,7 @@
 
 use crate::cost::{refusal, Census};
 use crate::nd_pivot::PivotPlan;
-use crate::parallel::{pair_shards, ExecConfig};
+use crate::parallel::pair_shards;
 use crate::pt_opt::{self, ClusterSink, PtContext, PtSlot, PtWorker};
 use crate::result::{CensusError, CountVector};
 use crate::spec::{Clustering, FocalNodes, PtConfig, PtOrdering};
@@ -187,6 +187,20 @@ impl<'a> PairCensusSpec<'a> {
         self.subpattern.as_deref()
     }
 
+    /// Check spec consistency against a graph: the subpattern exists and
+    /// every node a [`PairSelector::Among`] or [`PairSelector::Pairs`]
+    /// names is in range.
+    pub fn validate(&self, g: &Graph) -> Result<(), CensusError> {
+        self.anchor_nodes()?;
+        let outside = |n: &&NodeId| n.index() >= g.num_nodes();
+        let bad = match &self.selector {
+            PairSelector::AllPairs => None,
+            PairSelector::Among(nodes) => nodes.iter().find(outside),
+            PairSelector::Pairs(pairs) => pairs.iter().flat_map(|(a, b)| [a, b]).find(outside),
+        };
+        bad.map_or(Ok(()), |&n| Err(CensusError::FocalOutOfRange(n)))
+    }
+
     /// Anchor pattern nodes (subpattern members, or all nodes).
     pub fn anchor_nodes(&self) -> Result<Vec<PNode>, CensusError> {
         match &self.subpattern {
@@ -260,29 +274,10 @@ impl PairCounts {
     }
 }
 
-/// Run a pairwise census query.
-pub fn run_pair_census(
-    g: &Graph,
-    spec: &PairCensusSpec<'_>,
-    algorithm: crate::Algorithm,
-) -> Result<PairCounts, CensusError> {
-    run_pair_census_with(g, spec, algorithm, &PtConfig::default())
-}
-
-/// [`run_pair_census`] with explicit pattern-driven tuning: the
-/// single-threaded case of [`crate::run_pair_census_exec`].
-pub fn run_pair_census_with(
-    g: &Graph,
-    spec: &PairCensusSpec<'_>,
-    algorithm: crate::Algorithm,
-    config: &PtConfig,
-) -> Result<PairCounts, CensusError> {
-    crate::run_pair_census_exec(g, spec, algorithm, config, &ExecConfig::sequential())
-}
-
 /// Run `algorithm` over the global `matches` (ignored by ND-BAS) with
 /// `threads` workers: the node-driven kernels over shards of the pair
-/// list, the pattern-driven ones over chunks of their clusters.
+/// list, the pattern-driven ones over chunks of their clusters. Only the
+/// pattern-driven kernels count traversal statistics.
 pub(crate) fn run_with_matches(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
@@ -290,12 +285,15 @@ pub(crate) fn run_with_matches(
     algorithm: crate::Algorithm,
     config: &PtConfig,
     threads: usize,
-) -> Result<PairCounts, CensusError> {
+) -> Result<(PairCounts, TraversalStats), CensusError> {
     use crate::Algorithm::*;
-    let pt = |config: &PtConfig| run_pt(g, spec, matches, config, threads).map(|(c, _)| c);
+    let pt = |config: &PtConfig| run_pt(g, spec, matches, config, threads);
+    let untraced = |counts| (counts, TraversalStats::default());
     match algorithm {
-        NdBaseline => pair_shards(g, spec, threads, |s| nd_bas_pairwise(g, s)),
-        NdPivot | NdDiff => pair_shards(g, spec, threads, |s| nd_pivot_pairwise(g, s, matches)),
+        NdBaseline => pair_shards(g, spec, threads, |s| nd_bas_pairwise(g, s)).map(untraced),
+        NdPivot | NdDiff => {
+            pair_shards(g, spec, threads, |s| nd_pivot_pairwise(g, s, matches)).map(untraced)
+        }
         // Pairwise census is not priced: `Auto` is PT-OPT unless the
         // refusal rule turns it away.
         Auto if refusal(g, Census::Pair(spec), PtOpt).is_err() => {
@@ -641,8 +639,17 @@ pub fn brute_force_pair_anchored(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
+    use crate::{Algorithm, Job};
     use ego_graph::{GraphBuilder, Label};
+
+    /// A pairwise job on one thread.
+    fn pair_census(
+        g: &Graph,
+        spec: &PairCensusSpec<'_>,
+        algorithm: Algorithm,
+    ) -> Result<PairCounts, CensusError> {
+        crate::run(g, &Job::new(Census::Pair(spec), algorithm)).map(|o| o.pairs)
+    }
 
     /// Two triangles sharing node 2 plus chain 4-5-6.
     fn fixture() -> Graph {
@@ -687,7 +694,7 @@ mod tests {
                         Algorithm::PtRandom,
                         Algorithm::PtOpt,
                     ] {
-                        let counts = run_pair_census(&g, &spec, algo).unwrap();
+                        let counts = pair_census(&g, &spec, algo).unwrap();
                         for a in g.node_ids() {
                             for b in g.node_ids() {
                                 if b <= a {
@@ -727,7 +734,7 @@ mod tests {
                     PairCensusSpec::union(&p, k, PairSelector::AllPairs),
                 ] {
                     let pairs = spec.selector().pairs(&g);
-                    let nd = run_pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
+                    let nd = pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
                     let want: Vec<u64> = pairs
                         .iter()
                         .map(|&(a, b)| match n {
@@ -737,7 +744,7 @@ mod tests {
                         .collect();
                     assert!(want.contains(&1) && (k > n || want.contains(&0)));
                     for algo in [Algorithm::PtBaseline, Algorithm::PtRandom, Algorithm::PtOpt] {
-                        let counts = run_pair_census(&g, &spec, algo).unwrap();
+                        let counts = pair_census(&g, &spec, algo).unwrap();
                         let got: Vec<u64> = pairs.iter().map(|&(a, b)| counts.get(a, b)).collect();
                         assert_eq!(got, want, "n={n} k={k} {:?} {algo:?}", spec.kind());
                     }
@@ -756,7 +763,7 @@ mod tests {
         }
         let g = b.build();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = crate::global_matches(&g, &p);
+        let m = crate::exec_matches(&g, &p, 1);
         let spec = PairCensusSpec::union(&p, 2, PairSelector::AllPairs);
         let run = |ordering| {
             let config = PtConfig {
@@ -785,7 +792,7 @@ mod tests {
             1,
             PairSelector::Pairs(vec![(NodeId(1), NodeId(3)), (NodeId(3), NodeId(1))]),
         );
-        let counts = run_pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
+        let counts = pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
         // N_1(1) = {0,1,2}, N_1(3) = {2,3,4} -> intersection {2}.
         assert_eq!(counts.get(NodeId(1), NodeId(3)), 1);
         assert_eq!(counts.get(NodeId(3), NodeId(1)), 1);
@@ -801,7 +808,7 @@ mod tests {
             1,
             PairSelector::Among(vec![NodeId(0), NodeId(1), NodeId(2)]),
         );
-        let counts = run_pair_census(&g, &spec, Algorithm::PtOpt).unwrap();
+        let counts = pair_census(&g, &spec, Algorithm::PtOpt).unwrap();
         for (a, b, _) in counts.iter() {
             assert!(a.0 <= 2 && b.0 <= 2, "unexpected pair ({a},{b})");
         }
@@ -813,7 +820,7 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN n { ?A; }").unwrap();
         let spec = PairCensusSpec::intersection(&p, 1, PairSelector::AllPairs);
-        let counts = run_pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
+        let counts = pair_census(&g, &spec, Algorithm::NdPivot).unwrap();
         let top = counts.top_k(3);
         assert_eq!(top.len(), 3);
         assert!(top[0].2 >= top[1].2 && top[1].2 >= top[2].2);
@@ -846,7 +853,7 @@ mod tests {
             }
             .with_subpattern("one");
             for algo in [Algorithm::NdPivot, Algorithm::PtOpt, Algorithm::PtBaseline] {
-                let counts = run_pair_census(&g, &spec, algo).unwrap();
+                let counts = pair_census(&g, &spec, algo).unwrap();
                 for a in g.node_ids() {
                     for b in g.node_ids() {
                         if b <= a {
@@ -861,11 +868,11 @@ mod tests {
         // ND-BAS rejects COUNTSP.
         let spec =
             PairCensusSpec::intersection(&p, 1, PairSelector::AllPairs).with_subpattern("one");
-        assert!(run_pair_census(&g, &spec, Algorithm::NdBaseline).is_err());
+        assert!(pair_census(&g, &spec, Algorithm::NdBaseline).is_err());
         // Unknown subpattern rejected.
         let bad =
             PairCensusSpec::intersection(&p, 1, PairSelector::AllPairs).with_subpattern("nope");
-        assert!(run_pair_census(&g, &bad, Algorithm::NdPivot).is_err());
+        assert!(pair_census(&g, &bad, Algorithm::NdPivot).is_err());
     }
 
     #[test]
@@ -874,8 +881,8 @@ mod tests {
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
         let si = PairCensusSpec::intersection(&p, 1, PairSelector::AllPairs);
         let su = PairCensusSpec::union(&p, 1, PairSelector::AllPairs);
-        let ci = run_pair_census(&g, &si, Algorithm::NdPivot).unwrap();
-        let cu = run_pair_census(&g, &su, Algorithm::NdPivot).unwrap();
+        let ci = pair_census(&g, &si, Algorithm::NdPivot).unwrap();
+        let cu = pair_census(&g, &su, Algorithm::NdPivot).unwrap();
         for a in g.node_ids() {
             for b in g.node_ids() {
                 if b <= a {
@@ -906,9 +913,53 @@ mod tests {
             let want = brute_force_pair(&g, &p, k, PairKind::Intersection, NodeId(0), NodeId(1));
             assert_eq!(want, u64::from(k == 69_998));
             for algo in [Algorithm::NdPivot, Algorithm::Auto] {
-                let counts = run_pair_census(&g, &spec, algo).unwrap();
+                let counts = pair_census(&g, &spec, algo).unwrap();
                 assert_eq!(counts.get(NodeId(0), NodeId(1)), want, "k={k} {algo:?}");
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_pair_ids_are_errors() {
+        let g = fixture();
+        let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+        let far = NodeId(99);
+        for selector in [
+            PairSelector::Pairs(vec![(NodeId(0), far)]),
+            PairSelector::Among(vec![NodeId(1), far]),
+        ] {
+            for spec in [
+                PairCensusSpec::intersection(&p, 1, selector.clone()),
+                PairCensusSpec::union(&p, 1, selector.clone()),
+            ] {
+                for algorithm in [
+                    Algorithm::NdBaseline,
+                    Algorithm::NdPivot,
+                    Algorithm::NdDiff,
+                    Algorithm::PtBaseline,
+                    Algorithm::PtRandom,
+                    Algorithm::PtOpt,
+                    Algorithm::Auto,
+                ] {
+                    for threads in [1, 4] {
+                        let job = Job {
+                            exec: crate::ExecConfig::with_threads(threads),
+                            ..Job::new(Census::Pair(&spec), algorithm)
+                        };
+                        let err = crate::run(&g, &job).unwrap_err();
+                        assert_eq!(
+                            err,
+                            CensusError::FocalOutOfRange(far),
+                            "{selector:?} {algorithm:?} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+        let bad = PairCensusSpec::union(&p, 1, PairSelector::AllPairs).with_subpattern("nope");
+        assert_eq!(
+            bad.validate(&g),
+            Err(CensusError::UnknownSubpattern("nope".into()))
+        );
     }
 }

@@ -1,9 +1,9 @@
-//! Unified parallel census execution (an extension beyond the paper).
+//! Parallel census execution (an extension beyond the paper).
 //!
-//! [`run_with_matches`] is the one entry point for every algorithm. Each
-//! family has a natural unit of independent work, and all of them merge
-//! by plain addition — so each has a deterministic parallel path whose
-//! counts are **bit-identical** to the sequential run:
+//! Every kernel [`crate::run`] dispatches to has a natural unit of
+//! independent work, and all of them merge by plain addition — so each
+//! has a deterministic parallel path whose counts are **bit-identical**
+//! to the sequential run:
 //!
 //! * **ND-PVOT** — per-focal-node counts depend only on that node's
 //!   neighborhood, so the focal set is sharded over the one pivot sweep
@@ -49,8 +49,7 @@ use ego_graph::{Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::Pattern;
 
-/// How a census query is executed: thread count (and room for future
-/// execution knobs such as shard granularity).
+/// How many worker threads a census runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of worker threads. `0` means "auto": resolve to
@@ -99,38 +98,11 @@ pub fn exec_matches(g: &Graph, p: &Pattern, threads: usize) -> MatchList {
     MatchList::from_embeddings(p, ego_matcher::cn::enumerate(g, p, &mut stats, threads))
 }
 
-/// Run any census algorithm under an [`ExecConfig`]. Counts are identical
-/// to [`crate::run_census_with`] for every algorithm and thread count.
-pub fn run_census_exec(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-) -> Result<CountVector, CensusError> {
-    run_census_exec_instrumented(g, spec, algorithm, config, exec).map(|(cv, _)| cv)
-}
-
-/// [`run_census_exec`] with merged per-thread traversal statistics.
-pub fn run_census_exec_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    let threads = exec.resolve();
-    let matches = match algorithm {
-        // ND-BAS needs no global match phase.
-        Algorithm::NdBaseline => MatchList::default(),
-        _ => exec_matches(g, spec.pattern(), threads),
-    };
-    run_with_matches(g, spec, &matches, algorithm, config, threads)
-}
-
 /// Run `algorithm` over precomputed global `matches` (ignored by ND-BAS)
-/// with `threads` workers. Counts are identical at every thread count.
-pub fn run_with_matches(
+/// with `threads` workers: the single-spec dispatcher behind
+/// [`crate::run`], which has validated the spec. Counts are identical at
+/// every thread count.
+pub(crate) fn run_with_matches(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
@@ -138,28 +110,23 @@ pub fn run_with_matches(
     config: &PtConfig,
     threads: usize,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    spec.validate(g)?;
     match algorithm {
-        Algorithm::NdBaseline => {
-            focal_shards(g, spec, threads, |s| crate::nd_bas::run_instrumented(g, s))
-        }
-        Algorithm::NdPivot => crate::nd_pivot::run_threads(g, spec, matches, threads),
-        Algorithm::NdDiff => focal_shards(g, spec, threads, |s| {
-            crate::nd_diff::run_instrumented(g, s, matches)
-        }),
+        Algorithm::NdBaseline => focal_shards(g, spec, threads, |s| crate::nd_bas::run(g, s)),
+        Algorithm::NdPivot => crate::nd_pivot::run(g, spec, matches, threads),
+        Algorithm::NdDiff => focal_shards(g, spec, threads, |s| crate::nd_diff::run(g, s, matches)),
         Algorithm::PtBaseline => fan_out(
             matches.matches(),
             workers_for(matches.len(), threads),
-            |part| crate::pt_bas::run_slice(g, spec, part),
+            |part| crate::pt_bas::run(g, spec, part),
             first_error(add_census),
         ),
-        Algorithm::PtOpt => crate::pt_opt::run_threads(g, spec, matches, config, threads),
+        Algorithm::PtOpt => crate::pt_opt::run(g, spec, matches, config, threads),
         Algorithm::PtRandom => {
             let cfg = PtConfig {
                 ordering: PtOrdering::Random,
                 ..config.clone()
             };
-            crate::pt_opt::run_threads(g, spec, matches, &cfg, threads)
+            crate::pt_opt::run(g, spec, matches, &cfg, threads)
         }
         Algorithm::Auto => {
             let chosen = cost::choose(g, &GraphShape::of(g), spec, matches.len());
@@ -196,25 +163,6 @@ where
         shard,
         first_error(add_census),
     )
-}
-
-/// Run a pairwise census query under an [`ExecConfig`]: the global match
-/// list is enumerated once and handed to the algorithm's kernel, which
-/// splits its own work (see [`pair_shards`]). The merged result is
-/// identical at every thread count.
-pub fn run_pair_census_exec(
-    g: &Graph,
-    spec: &PairCensusSpec<'_>,
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-) -> Result<PairCounts, CensusError> {
-    let threads = exec.resolve().max(1);
-    let matches = match algorithm {
-        Algorithm::NdBaseline => MatchList::default(),
-        _ => exec_matches(g, spec.pattern(), threads),
-    };
-    crate::pairwise::run_with_matches(g, spec, &matches, algorithm, config, threads)
 }
 
 /// Run `run` on clones of `spec` restricted to shards of its normalized
@@ -277,8 +225,8 @@ pub(crate) fn add_censuses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_matches;
     use crate::pairwise::{PairCensusSpec, PairSelector};
+    use crate::{exec_matches, Census, Job};
     use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
 
@@ -307,9 +255,9 @@ mod tests {
     fn matches_sequential_results() {
         let g = ring_with_chords(64);
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 2);
-        let seq = crate::nd_pivot::run(&g, &spec, &m).unwrap();
+        let (seq, _) = crate::nd_pivot::run(&g, &spec, &m, 1).unwrap();
         for threads in [2, 3, 8] {
             let par = counts(&g, &spec, &m, Algorithm::NdPivot, threads).unwrap();
             for n in g.node_ids() {
@@ -322,7 +270,7 @@ mod tests {
     fn small_focal_set_falls_back() {
         let g = ring_with_chords(16);
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(vec![NodeId(3)]));
         let cv = counts(&g, &spec, &m, Algorithm::NdPivot, 8).unwrap();
         assert!(cv.get(NodeId(3)) > 0);
@@ -332,9 +280,9 @@ mod tests {
     fn subpattern_parallel() {
         let g = ring_with_chords(32);
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 1).with_subpattern("s");
-        let seq = crate::nd_pivot::run(&g, &spec, &m).unwrap();
+        let (seq, _) = crate::nd_pivot::run(&g, &spec, &m, 1).unwrap();
         let par = counts(&g, &spec, &m, Algorithm::NdPivot, 4).unwrap();
         for n in g.node_ids() {
             assert_eq!(par.get(n), seq.get(n));
@@ -345,23 +293,23 @@ mod tests {
     fn every_family_matches_sequential() {
         let g = ring_with_chords(48);
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 2);
         let config = PtConfig::default();
         for threads in [2, 4, 7] {
-            let seq = crate::nd_bas::run(&g, &spec).unwrap();
+            let (seq, _) = crate::nd_bas::run(&g, &spec).unwrap();
             let par = counts(&g, &spec, &m, Algorithm::NdBaseline, threads).unwrap();
             assert_eq!(par, seq, "nd_bas threads={threads}");
 
-            let seq = crate::nd_diff::run(&g, &spec, &m).unwrap();
+            let (seq, _) = crate::nd_diff::run(&g, &spec, &m).unwrap();
             let par = counts(&g, &spec, &m, Algorithm::NdDiff, threads).unwrap();
             assert_eq!(par, seq, "nd_diff threads={threads}");
 
-            let seq = crate::pt_bas::run(&g, &spec, &m).unwrap();
+            let (seq, _) = crate::pt_bas::run(&g, &spec, m.matches()).unwrap();
             let par = counts(&g, &spec, &m, Algorithm::PtBaseline, threads).unwrap();
             assert_eq!(par, seq, "pt_bas threads={threads}");
 
-            let seq = crate::pt_opt::run(&g, &spec, &m, &config).unwrap();
+            let (seq, _) = crate::pt_opt::run(&g, &spec, &m, &config, 1).unwrap();
             let par = counts(&g, &spec, &m, Algorithm::PtOpt, threads).unwrap();
             assert_eq!(par, seq, "pt_opt threads={threads}");
         }
@@ -371,9 +319,9 @@ mod tests {
     fn pt_bas_stats_are_thread_invariant() {
         let g = ring_with_chords(40);
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 1);
-        let (_, seq) = crate::pt_bas::run_instrumented(&g, &spec, &m).unwrap();
+        let (_, seq) = crate::pt_bas::run(&g, &spec, m.matches()).unwrap();
         for threads in [2, 5] {
             let (_, par) = run_with_matches(
                 &g,
@@ -397,7 +345,6 @@ mod tests {
         let g = ring_with_chords(40);
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let spec = CensusSpec::single(&p, 1);
-        let config = PtConfig::default();
         for algo in [
             Algorithm::NdBaseline,
             Algorithm::NdPivot,
@@ -407,10 +354,14 @@ mod tests {
             Algorithm::PtOpt,
             Algorithm::Auto,
         ] {
-            let seq = crate::run_census_with(&g, &spec, algo, &config).unwrap();
+            let seq = crate::run(&g, &Job::new(Census::Single(&spec), algo)).unwrap();
             for exec in [ExecConfig::sequential(), ExecConfig::with_threads(4)] {
-                let par = run_census_exec(&g, &spec, algo, &config, &exec).unwrap();
-                assert_eq!(par, seq, "{algo:?} exec={exec:?}");
+                let job = Job {
+                    exec,
+                    ..Job::new(Census::Single(&spec), algo)
+                };
+                let par = crate::run(&g, &job).unwrap();
+                assert_eq!(par.counts, seq.counts, "{algo:?} exec={exec:?}");
             }
         }
     }
@@ -432,17 +383,14 @@ mod tests {
             PairCensusSpec::union(&p, 1, PairSelector::AllPairs),
         ] {
             for algo in [Algorithm::NdPivot, Algorithm::PtOpt] {
-                let seq =
-                    crate::pairwise::run_pair_census_with(&g, &spec, algo, &PtConfig::default())
-                        .unwrap();
-                let par = run_pair_census_exec(
-                    &g,
-                    &spec,
-                    algo,
-                    &PtConfig::default(),
-                    &ExecConfig::with_threads(4),
-                )
-                .unwrap();
+                let seq = crate::run(&g, &Job::new(Census::Pair(&spec), algo))
+                    .unwrap()
+                    .pairs;
+                let job = Job {
+                    exec: ExecConfig::with_threads(4),
+                    ..Job::new(Census::Pair(&spec), algo)
+                };
+                let par = crate::run(&g, &job).unwrap().pairs;
                 assert_eq!(par.len(), seq.len(), "{algo:?}");
                 for (a, b, c) in seq.iter() {
                     assert_eq!(par.get(a, b), c, "{algo:?} pair=({a},{b})");
@@ -455,7 +403,7 @@ mod tests {
     fn errors_propagate_from_workers() {
         let g = ring_with_chords(32);
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         // ND-DIFF rejects COUNTSP; the subpattern must survive the shard
         // spec cloning for the rejection to fire on every worker.
         let p2 = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }").unwrap();

@@ -11,31 +11,13 @@ use crate::spec::CensusSpec;
 use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::{Graph, NodeId};
-use ego_matcher::{MatchList, PatternMatch};
+use ego_matcher::PatternMatch;
 
-/// Run PT-BAS over precomputed global matches.
-pub fn run(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-) -> Result<CountVector, CensusError> {
-    run_instrumented(g, spec, matches).map(|(cv, _)| cv)
-}
-
-/// [`run`] with traversal-cost instrumentation.
-pub fn run_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    run_slice(g, spec, matches.matches())
-}
-
-/// [`run_instrumented`] over a contiguous run of the matches — the
-/// building block of the parallel layer. Every match contributes
-/// independently (pure `counts.increment`), so running disjoint runs and
-/// summing their counts reproduces the full run exactly.
-pub(crate) fn run_slice(
+/// Run PT-BAS over a contiguous run of the global matches, with
+/// traversal-cost instrumentation. Every match contributes independently
+/// (pure `counts.increment`), so running disjoint runs and summing their
+/// counts reproduces the full run exactly — the parallel layer's split.
+pub(crate) fn run(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &[PatternMatch],
@@ -95,7 +77,7 @@ pub(crate) fn run_slice(
 mod tests {
     use super::*;
     use crate::spec::FocalNodes;
-    use crate::{global_matches, nd_bas, nd_pivot};
+    use crate::{exec_matches, nd_bas, nd_pivot};
     use ego_graph::{GraphBuilder, Label};
     use ego_pattern::Pattern;
 
@@ -128,9 +110,9 @@ mod tests {
             let p = Pattern::parse(pat_text).unwrap();
             for k in 0..4 {
                 let spec = CensusSpec::single(&p, k);
-                let m = global_matches(&g, &p);
-                let fast = run(&g, &spec, &m).unwrap();
-                let slow = nd_bas::run(&g, &spec).unwrap();
+                let m = exec_matches(&g, &p, 1);
+                let (fast, _) = run(&g, &spec, m.matches()).unwrap();
+                let (slow, _) = nd_bas::run(&g, &spec).unwrap();
                 for n in g.node_ids() {
                     assert_eq!(fast.get(n), slow.get(n), "{pat_text} k={k} node={n:?}");
                 }
@@ -144,9 +126,9 @@ mod tests {
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN one {?A;} }").unwrap();
         for k in 0..3 {
             let spec = CensusSpec::single(&p, k).with_subpattern("one");
-            let m = global_matches(&g, &p);
-            let a = run(&g, &spec, &m).unwrap();
-            let b = nd_pivot::run(&g, &spec, &m).unwrap();
+            let m = exec_matches(&g, &p, 1);
+            let (a, _) = run(&g, &spec, m.matches()).unwrap();
+            let (b, _) = nd_pivot::run(&g, &spec, &m, 1).unwrap();
             for n in g.node_ids() {
                 assert_eq!(a.get(n), b.get(n), "k={k} node={n:?}");
             }
@@ -158,8 +140,8 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let spec = CensusSpec::single(&p, 2).with_focal(FocalNodes::Set(vec![NodeId(6)]));
-        let m = global_matches(&g, &p);
-        let counts = run(&g, &spec, &m).unwrap();
+        let m = exec_matches(&g, &p, 1);
+        let (counts, _) = run(&g, &spec, m.matches()).unwrap();
         assert_eq!(counts.get(NodeId(6)), 0);
         assert_eq!(counts.get(NodeId(0)), 0); // non-focal stays zero
         assert_eq!(counts.total(), 0);
@@ -170,9 +152,9 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN k4 { ?A-?B; ?A-?C; ?A-?D; ?B-?C; ?B-?D; ?C-?D; }").unwrap();
         let spec = CensusSpec::single(&p, 3);
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         assert!(m.is_empty());
-        let counts = run(&g, &spec, &m).unwrap();
+        let (counts, _) = run(&g, &spec, m.matches()).unwrap();
         assert_eq!(counts.total(), 0);
     }
 }

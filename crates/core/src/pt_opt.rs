@@ -16,13 +16,13 @@
 //! 5. **Pattern match clustering** — K-means over center-distance
 //!    feature vectors groups overlapping matches into shared traversals.
 //!
-//! PMD lives in flat memory ([`PtWorker`]): one contiguous `u16` slab of
+//! PMD lives in flat memory (`PtWorker`): one contiguous `u16` slab of
 //! rows addressed through an n-sized node→slot array, the best score per
 //! slot beside it, and a node-major center table ([`CenterIndex::row`])
-//! for the first-touch bound. [`PtWorker::process_cluster`] is the only
+//! for the first-touch bound. `PtWorker::process_cluster` is the only
 //! relaxation loop in the crate; the batch engine pools several patterns
 //! into the same call. It hands each converged cluster to a
-//! [`ClusterSink`]: the single-node census counts focal nodes from the
+//! `ClusterSink`: the single-node census counts focal nodes from the
 //! PMD rows, the pairwise census credits node pairs from the same rows.
 
 use crate::bucket_queue::BucketQueue;
@@ -39,32 +39,14 @@ use ego_pattern::PNode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Run PT-OPT (or PT-RND, via `config.ordering`) over precomputed matches.
-pub fn run(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    config: &PtConfig,
-) -> Result<CountVector, CensusError> {
-    run_instrumented(g, spec, matches, config).map(|(cv, _)| cv)
-}
-
-/// [`run`] with traversal-cost instrumentation (edge scans, node
-/// expansions, queue reinsertions) — the disk-I/O proxy metrics the
-/// paper's optimizations target.
-pub fn run_instrumented(
-    g: &Graph,
-    spec: &CensusSpec<'_>,
-    matches: &MatchList,
-    config: &PtConfig,
-) -> Result<(CountVector, TraversalStats), CensusError> {
-    run_threads(g, spec, matches, config, 1)
-}
-
-/// [`run_instrumented`] with the match groups partitioned over `threads`
-/// workers. The seeded plan (centers + clustering) is built once, on the
-/// calling thread, consuming RNG state identically at every thread count.
-pub(crate) fn run_threads(
+/// Run PT-OPT (or PT-RND, via `config.ordering`) over precomputed
+/// matches, with traversal-cost instrumentation (edge scans, node
+/// expansions, queue reinsertions — the disk-I/O proxy metrics the
+/// paper's optimizations target). The match groups are partitioned over
+/// `threads` workers; the seeded plan (centers + clustering) is built
+/// once, on the calling thread, consuming RNG state identically at every
+/// thread count.
+pub(crate) fn run(
     g: &Graph,
     spec: &CensusSpec<'_>,
     matches: &MatchList,
@@ -541,7 +523,7 @@ fn row_score(row: &[u16]) -> usize {
 mod tests {
     use super::*;
     use crate::spec::{Clustering, FocalNodes};
-    use crate::{global_matches, nd_bas, nd_pivot, CenterStrategy};
+    use crate::{exec_matches, nd_bas, nd_pivot, CenterStrategy};
     use ego_graph::{GraphBuilder, Label};
     use ego_pattern::Pattern;
 
@@ -598,12 +580,12 @@ mod tests {
             "PATTERN p3 { ?A-?B; ?B-?C; }",
         ] {
             let p = Pattern::parse(pat_text).unwrap();
-            let m = global_matches(&g, &p);
+            let m = exec_matches(&g, &p, 1);
             for k in 0..4 {
                 let spec = CensusSpec::single(&p, k);
-                let oracle = nd_bas::run(&g, &spec).unwrap();
+                let (oracle, _) = nd_bas::run(&g, &spec).unwrap();
                 for (ci, cfg) in configs().iter().enumerate() {
-                    let fast = run(&g, &spec, &m, cfg).unwrap();
+                    let (fast, _) = run(&g, &spec, &m, cfg, 1).unwrap();
                     for n in g.node_ids() {
                         assert_eq!(
                             fast.get(n),
@@ -620,11 +602,11 @@ mod tests {
     fn subpattern_agrees_with_nd_pivot() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN one {?A;} }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         for k in 0..3 {
             let spec = CensusSpec::single(&p, k).with_subpattern("one");
-            let expect = nd_pivot::run(&g, &spec, &m).unwrap();
-            let got = run(&g, &spec, &m, &PtConfig::default()).unwrap();
+            let (expect, _) = nd_pivot::run(&g, &spec, &m, 1).unwrap();
+            let (got, _) = run(&g, &spec, &m, &PtConfig::default(), 1).unwrap();
             for n in g.node_ids() {
                 assert_eq!(got.get(n), expect.get(n), "k={k} node={n:?}");
             }
@@ -635,10 +617,10 @@ mod tests {
     fn focal_mask_respected() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec =
             CensusSpec::single(&p, 2).with_focal(FocalNodes::Set(vec![NodeId(0), NodeId(6)]));
-        let counts = run(&g, &spec, &m, &PtConfig::default()).unwrap();
+        let (counts, _) = run(&g, &spec, &m, &PtConfig::default(), 1).unwrap();
         assert_eq!(counts.get(NodeId(0)), 2);
         assert_eq!(counts.get(NodeId(6)), 0);
         assert_eq!(counts.get(NodeId(2)), 0); // non-focal
@@ -648,9 +630,9 @@ mod tests {
     fn empty_matches_short_circuits() {
         let g = fixture();
         let p = Pattern::parse("PATTERN k4 { ?A-?B; ?A-?C; ?A-?D; ?B-?C; ?B-?D; ?C-?D; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 2);
-        let counts = run(&g, &spec, &m, &PtConfig::default()).unwrap();
+        let (counts, _) = run(&g, &spec, &m, &PtConfig::default(), 1).unwrap();
         assert_eq!(counts.total(), 0);
     }
 
@@ -665,9 +647,9 @@ mod tests {
         b.add_edge(NodeId(3), NodeId(4));
         let g = b.build();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 3);
-        let counts = run(&g, &spec, &m, &PtConfig::default()).unwrap();
+        let (counts, _) = run(&g, &spec, &m, &PtConfig::default(), 1).unwrap();
         assert_eq!(counts.get(NodeId(0)), 1);
         assert_eq!(counts.get(NodeId(3)), 0);
         assert_eq!(counts.get(NodeId(5)), 0);
@@ -677,9 +659,9 @@ mod tests {
     fn k_zero_single_anchor() {
         let g = fixture();
         let p = Pattern::parse("PATTERN n { ?A; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 0);
-        let counts = run(&g, &spec, &m, &PtConfig::default()).unwrap();
+        let (counts, _) = run(&g, &spec, &m, &PtConfig::default(), 1).unwrap();
         for n in g.node_ids() {
             assert_eq!(counts.get(n), 1);
         }

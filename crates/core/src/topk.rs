@@ -114,14 +114,14 @@ pub fn top_k_exhaustive(
     matches: &MatchList,
     k_results: usize,
 ) -> Result<Vec<(NodeId, u64)>, CensusError> {
-    let counts = crate::nd_pivot::run(g, spec, matches)?;
+    let (counts, _) = crate::nd_pivot::run(g, spec, matches, 1)?;
     Ok(counts.top_k(k_results))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_matches;
+    use crate::exec_matches;
     use crate::spec::FocalNodes;
     use ego_graph::{GraphBuilder, Label};
     use ego_pattern::Pattern;
@@ -149,7 +149,7 @@ mod tests {
     fn matches_exhaustive_top_k() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         for k in 0..4u32 {
             let spec = CensusSpec::single(&p, k);
             for k_results in [1usize, 3, 10] {
@@ -179,7 +179,7 @@ mod tests {
         }
         let g = b.build();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 1);
         let res = top_k_census(&g, &spec, &m, 3).unwrap();
         assert_eq!(res.top, top_k_exhaustive(&g, &spec, &m, 3).unwrap());
@@ -194,7 +194,7 @@ mod tests {
     fn respects_focal_subset() {
         let g = fixture();
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec =
             CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(vec![NodeId(5), NodeId(6)]));
         let res = top_k_census(&g, &spec, &m, 1).unwrap();
@@ -206,7 +206,7 @@ mod tests {
     fn k_results_larger_than_focal() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 2);
         let res = top_k_census(&g, &spec, &m, 100).unwrap();
         assert_eq!(res.top.len(), 7);
@@ -217,7 +217,7 @@ mod tests {
     fn subpattern_top_k() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN me {?A;} }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, 0).with_subpattern("me");
         let res = top_k_census(&g, &spec, &m, 1).unwrap();
         // Node 2 is in both triangles.

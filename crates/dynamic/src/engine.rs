@@ -4,7 +4,7 @@ use crate::delta::DeltaGraph;
 use crate::dirty::DirtyIndex;
 use crate::matches::{maintain_match_list, MaintainStats};
 use ego_census::{
-    run_batch_exec, Algorithm, CensusError, CensusSpec, CountVector, ExecConfig, FocalNodes,
+    run, Algorithm, Census, CensusError, CensusSpec, CountVector, ExecConfig, FocalNodes, Job,
     PtConfig,
 };
 use ego_graph::{Graph, NodeId};
@@ -23,35 +23,19 @@ pub struct UpdateStats {
     pub clean_focal: usize,
 }
 
-/// Result of an incremental update: the compacted graph, the refreshed
-/// per-spec counts, and how much work was avoided.
-#[derive(Clone, Debug)]
-pub struct IncrementalUpdate {
-    /// The base graph with the delta batch applied, frozen back to CSR.
-    pub graph: Graph,
-    /// Per-spec counts, bit-identical to a full recompute on `graph`.
-    pub counts: Vec<CountVector>,
-    /// Per-spec global match lists on the new graph, when available —
-    /// maintained incrementally from the caller's previous lists or
-    /// computed by the fresh run (`None` for ND-BAS, which never
-    /// materializes them). Feed these back on the next update.
-    pub matches: Vec<Option<Arc<MatchList>>>,
-    /// Work accounting.
-    pub stats: UpdateStats,
-    /// Match-list maintenance accounting (summed over specs).
-    pub match_stats: MaintainStats,
-}
-
 /// Incrementally maintain a batch of census results under an edge-delta
-/// batch.
+/// batch: `graph` must be `delta.compact()` (or byte-identical), which
+/// callers maintaining many independent batches over one mutation — the
+/// continuous subscription engine, where every subscription updates
+/// against the same new graph — compact once and share.
 ///
 /// `previous[i]` must be the counts of `specs[i]` on `delta.base()` (same
-/// pattern, radius, and focal set). The delta is compacted into a new
-/// graph, the dirty focal set is derived by one bounded BFS at the
-/// largest spec radius, and only dirty focal nodes are re-censused —
-/// through the ordinary [`run_batch_exec`] path, so every algorithm
-/// family and thread count yields counts bit-identical to a full
-/// recompute. Counts for clean focal nodes are spliced from `previous`.
+/// pattern, radius, and focal set). The dirty focal set is derived by one
+/// bounded BFS at the largest spec radius, and only dirty focal nodes are
+/// re-censused — through one ordinary [`Census::Batch`] job, so every
+/// algorithm family and thread count yields counts bit-identical to a
+/// full recompute. Counts for clean focal nodes are spliced from
+/// `previous`.
 ///
 /// A plain `COUNTP` count for focal node `n` at radius `k` depends only
 /// on `S(n, k)`, the subgraph induced by nodes within `k` of `n`. If no
@@ -65,67 +49,17 @@ pub struct IncrementalUpdate {
 /// image on a touched pair, and — for a connected pattern — its image
 /// nodes lie within the diameter of either endpoint, in union-graph
 /// hops); a disconnected pattern has no such bound, so every focal node
-/// of that spec goes dirty. Without
-/// previous match lists, global match lists are recomputed on the new
-/// graph; see [`update_batch_exec_with_matches`] to maintain them
-/// incrementally instead.
-pub fn update_batch_exec(
-    delta: &DeltaGraph,
-    specs: &[CensusSpec<'_>],
-    previous: &[CountVector],
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-) -> Result<IncrementalUpdate, CensusError> {
-    let none = vec![None; specs.len()];
-    update_batch_exec_with_matches(delta, specs, previous, &none, algorithm, config, exec)
-}
-
-/// [`update_batch_exec`] plus incremental **match-list maintenance**:
+/// of that spec goes dirty.
+///
 /// `previous_matches[i]`, when given, must be the global match list of
 /// `specs[i]`'s pattern on `delta.base()`. Supported patterns
 /// ([`crate::matches::supports_match_maintenance`]) are maintained in
 /// |delta|-scaled work (survivor scan + re-enumeration of the ball one
-/// pattern diameter around the touched endpoints, see
-/// [`crate::matches`]) and fed to [`run_batch_exec`] as provided
-/// lists, so the fresh run skips global matching entirely; unsupported
-/// patterns (or `None` slots) recompute as before. The returned
-/// [`IncrementalUpdate::matches`] carries each spec's list on the new
-/// graph for the caller to feed back on the next update.
-pub fn update_batch_exec_with_matches(
-    delta: &DeltaGraph,
-    specs: &[CensusSpec<'_>],
-    previous: &[CountVector],
-    previous_matches: &[Option<Arc<MatchList>>],
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-) -> Result<IncrementalUpdate, CensusError> {
-    let graph = delta.compact();
-    let out = update_batch_on(
-        delta,
-        &graph,
-        specs,
-        previous,
-        previous_matches,
-        algorithm,
-        config,
-        exec,
-    )?;
-    Ok(IncrementalUpdate {
-        graph,
-        counts: out.counts,
-        matches: out.matches,
-        stats: out.stats,
-        match_stats: out.match_stats,
-    })
-}
-
-/// [`update_batch_exec_with_matches`] minus the compaction: `graph` must
-/// be `delta.compact()` (or byte-identical). Callers maintaining many
-/// independent batches over one mutation — the continuous subscription
-/// engine, where every subscription updates against the same new graph —
-/// compact once and share it.
+/// pattern diameter around the touched endpoints, see [`crate::matches`])
+/// and handed to the re-census as provided lists, so it skips global
+/// matching entirely; unsupported patterns (or `None` slots) are matched
+/// afresh. The returned [`UpdateOutcome::matches`] carries each spec's
+/// list on the new graph for the caller to feed back on the next update.
 #[allow(clippy::too_many_arguments)]
 pub fn update_batch_on(
     delta: &DeltaGraph,
@@ -190,7 +124,7 @@ pub fn update_batch_on(
 
     // Maintain the global match lists the caller handed in. One
     // maintained list per distinct pattern: specs sharing a pattern
-    // (by pointer, as in `run_batch_exec`) share the work.
+    // (by pointer, as in `ego_census::run`) share the work.
     let mut match_stats = MaintainStats::default();
     let mut maintained: Vec<Option<Arc<MatchList>>> = vec![None; specs.len()];
     for i in 0..specs.len() {
@@ -216,16 +150,13 @@ pub fn update_batch_on(
     let fresh = if stats.dirty_focal == 0 {
         None
     } else {
-        let provided: Vec<Option<Arc<MatchList>>> = maintained.clone();
-        Some(run_batch_exec(
-            graph,
-            &restricted,
-            algorithm,
-            config,
-            exec,
-            &provided,
-            None,
-        )?)
+        let job = Job {
+            config: config.clone(),
+            exec: *exec,
+            matches: maintained.clone(),
+            ..Job::new(Census::Batch(&restricted), algorithm)
+        };
+        Some(run(graph, &job)?)
     };
 
     // Splice: dirty nodes take the fresh count, clean focal nodes keep
@@ -278,8 +209,7 @@ pub fn update_batch_on(
     })
 }
 
-/// Counts, match lists, and accounting of one [`update_batch_on`] call
-/// (an [`IncrementalUpdate`] without the graph, which the caller owns).
+/// Counts, match lists, and accounting of one [`update_batch_on`] call.
 #[derive(Clone, Debug)]
 pub struct UpdateOutcome {
     /// Per-spec counts, bit-identical to a full recompute.
@@ -292,32 +222,44 @@ pub struct UpdateOutcome {
     pub match_stats: MaintainStats,
 }
 
-/// Single-spec convenience wrapper around [`update_batch_exec`].
-pub fn update_census_exec(
-    delta: &DeltaGraph,
-    spec: &CensusSpec<'_>,
-    previous: &CountVector,
-    algorithm: Algorithm,
-    config: &PtConfig,
-    exec: &ExecConfig,
-) -> Result<IncrementalUpdate, CensusError> {
-    update_batch_exec(
-        delta,
-        std::slice::from_ref(spec),
-        std::slice::from_ref(previous),
-        algorithm,
-        config,
-        exec,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ego_census::run_census_exec;
     use ego_graph::{GraphBuilder, Label, NodeId};
     use ego_pattern::Pattern;
     use std::sync::Arc;
+
+    /// One spec's counts on one thread.
+    fn census(g: &Graph, spec: &CensusSpec<'_>, algorithm: Algorithm) -> CountVector {
+        let job = Job::new(Census::Single(spec), algorithm);
+        run(g, &job).unwrap().counts.remove(0)
+    }
+
+    /// Compact `d` and update one spec's counts on it, with no previous
+    /// match list, on one thread.
+    fn update(
+        d: &DeltaGraph,
+        spec: &CensusSpec<'_>,
+        prev: &CountVector,
+        algorithm: Algorithm,
+    ) -> (Graph, UpdateOutcome) {
+        let graph = d.compact();
+        let specs = std::slice::from_ref(spec);
+        let config = PtConfig::default();
+        let exec = ExecConfig::sequential();
+        let previous = std::slice::from_ref(prev);
+        let up = update_batch_on(
+            d,
+            &graph,
+            specs,
+            previous,
+            &[None],
+            algorithm,
+            &config,
+            &exec,
+        );
+        (graph, up.unwrap())
+    }
 
     fn ring(n: u32) -> Arc<Graph> {
         let mut b = GraphBuilder::undirected();
@@ -339,38 +281,16 @@ mod tests {
 
         let p = Pattern::parse("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let spec = CensusSpec::single(&p, 1);
-        let prev = run_census_exec(
-            &g,
-            &spec,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let prev = census(&g, &spec, Algorithm::NdPivot);
 
-        let up = update_census_exec(
-            &d,
-            &spec,
-            &prev,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let (graph, up) = update(&d, &spec, &prev, Algorithm::NdPivot);
 
         assert!(up.stats.dirty_focal > 0);
         assert!(
             up.stats.dirty_focal < g.num_nodes(),
             "localized delta must not dirty every node"
         );
-        let full = run_census_exec(
-            &up.graph,
-            &spec,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let full = census(&graph, &spec, Algorithm::NdPivot);
         assert_eq!(up.counts[0], full);
         // The chord creates exactly one triangle 0-1-2.
         assert_eq!(up.counts[0].get(NodeId(1)), 1);
@@ -390,32 +310,10 @@ mod tests {
         let p =
             Pattern::parse("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN one {?A;} }").unwrap();
         let spec = CensusSpec::single(&p, 0).with_subpattern("one");
-        let prev = run_census_exec(
-            &g,
-            &spec,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let prev = census(&g, &spec, Algorithm::NdPivot);
         assert_eq!(prev.get(NodeId(1)), 0);
-        let up = update_census_exec(
-            &d,
-            &spec,
-            &prev,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
-        let full = run_census_exec(
-            &up.graph,
-            &spec,
-            Algorithm::NdPivot,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let (graph, up) = update(&d, &spec, &prev, Algorithm::NdPivot);
+        let full = census(&graph, &spec, Algorithm::NdPivot);
         assert_eq!(up.counts[0], full);
         assert!(up.counts[0].get(NodeId(1)) > 0);
         // Still a strict subset of the ring.
@@ -447,27 +345,10 @@ mod tests {
         let spec = CensusSpec::single(&p, k).with_subpattern("leaf");
         assert_eq!(spec.dirty_radius(), Some(k + 2));
         for algorithm in [Algorithm::NdPivot, Algorithm::PtOpt] {
-            let run = |g: &Graph| {
-                run_census_exec(
-                    g,
-                    &spec,
-                    algorithm,
-                    &PtConfig::default(),
-                    &ExecConfig::sequential(),
-                )
-                .unwrap()
-            };
-            let prev = run(&g);
-            let up = update_census_exec(
-                &d,
-                &spec,
-                &prev,
-                algorithm,
-                &PtConfig::default(),
-                &ExecConfig::sequential(),
-            )
-            .unwrap();
-            assert_eq!(up.counts[0], run(&up.graph));
+            let full = |g: &Graph| census(g, &spec, algorithm);
+            let prev = full(&g);
+            let (graph, up) = update(&d, &spec, &prev, algorithm);
+            assert_eq!(up.counts[0], full(&graph));
             assert_ne!(up.counts[0], prev, "the delta must change some count");
             let index = DirtyIndex::build(&d, k + 3);
             let wider = g.node_ids().filter(|&n| index.is_dirty(n, k + 3)).count();
@@ -488,27 +369,12 @@ mod tests {
 
         let p = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
         let spec = CensusSpec::single(&p, 2);
-        let prev = run_census_exec(
-            &g,
-            &spec,
-            Algorithm::PtBaseline,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
-        let up = update_census_exec(
-            &d,
-            &spec,
-            &prev,
-            Algorithm::PtBaseline,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let prev = census(&g, &spec, Algorithm::PtBaseline);
+        let (graph, up) = update(&d, &spec, &prev, Algorithm::PtBaseline);
         assert_eq!(up.stats.dirty_focal, 0);
         assert_eq!(up.stats.clean_focal, 16);
         assert_eq!(up.counts[0], prev);
-        assert_eq!(up.graph.fingerprint(), g.fingerprint());
+        assert_eq!(graph.fingerprint(), g.fingerprint());
     }
 
     #[test]
@@ -520,31 +386,9 @@ mod tests {
         let p = Pattern::parse("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let focal: Vec<NodeId> = (0..10).map(NodeId).collect();
         let spec = CensusSpec::single(&p, 1).with_focal(FocalNodes::Set(focal));
-        let prev = run_census_exec(
-            &g,
-            &spec,
-            Algorithm::PtOpt,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
-        let up = update_census_exec(
-            &d,
-            &spec,
-            &prev,
-            Algorithm::PtOpt,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
-        let full = run_census_exec(
-            &up.graph,
-            &spec,
-            Algorithm::PtOpt,
-            &PtConfig::default(),
-            &ExecConfig::sequential(),
-        )
-        .unwrap();
+        let prev = census(&g, &spec, Algorithm::PtOpt);
+        let (graph, up) = update(&d, &spec, &prev, Algorithm::PtOpt);
+        let full = census(&graph, &spec, Algorithm::PtOpt);
         assert_eq!(up.counts[0], full);
         // Only focal nodes near the chord were re-censused.
         assert!(up.stats.dirty_focal <= 5);

@@ -18,21 +18,20 @@
 //!   endpoint, found by a multi-source bounded BFS from the endpoints at
 //!   radius `k` over the union of the base and added edges (neighborhoods
 //!   are symmetric, so the reverse bounded-BFS is the same BFS).
-//! * [`update_census_exec`] / [`update_batch_exec`] — re-census *only*
-//!   the dirty focal nodes on the compacted graph via the existing
-//!   [`ego_census::run_batch_exec`] path, then splice the refreshed
-//!   counts into the previous [`ego_census::CountVector`]s. Results are
-//!   bit-identical to a full recompute for every algorithm family
-//!   (enforced by `tests/incremental_equivalence.rs`).
+//! * [`update_batch_on`] — re-census *only* the dirty focal nodes on
+//!   the compacted graph through one [`ego_census::run`] batch job, then
+//!   splice the refreshed counts into the previous
+//!   [`ego_census::CountVector`]s. Results are bit-identical to a full
+//!   recompute for every algorithm family (enforced by
+//!   `tests/incremental_equivalence.rs`).
 //! * [`maintain_match_list`] — incremental **match-list maintenance**:
 //!   the previous global match list is carried across a delta in
 //!   |delta|-scaled work (drop the matches with an edge image on a
 //!   mutated pair, then find the new graph's such matches in the ball
 //!   one pattern diameter around the touched endpoints) instead of
-//!   re-matching the whole graph.
-//!   [`update_batch_exec_with_matches`] / [`update_batch_on`] feed the
-//!   maintained lists into the batch runner as provided lists, which is
-//!   what lets the continuous subscription tier scale with the delta.
+//!   re-matching the whole graph. [`update_batch_on`] hands the
+//!   maintained lists to its re-census as provided lists, which is what
+//!   lets the continuous subscription tier scale with the delta.
 
 pub mod delta;
 pub mod dirty;
@@ -41,8 +40,5 @@ pub mod matches;
 
 pub use delta::{DeltaError, DeltaGraph};
 pub use dirty::{dirty_focal_nodes, DirtyIndex};
-pub use engine::{
-    update_batch_exec, update_batch_exec_with_matches, update_batch_on, update_census_exec,
-    IncrementalUpdate, UpdateOutcome, UpdateStats,
-};
+pub use engine::{update_batch_on, UpdateOutcome, UpdateStats};
 pub use matches::{maintain_match_list, supports_match_maintenance, MaintainStats};

@@ -72,7 +72,7 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
 /// Fails with [`std::io::ErrorKind::InvalidData`] on an attribute *key*
 /// that cannot appear on a `key=value` line (empty, whitespace, `=`, or
 /// control characters); ambiguous `Str` *values* are quoted and escaped
-/// instead (see [`format_str_value`]).
+/// instead (see `format_str_value`).
 pub fn write_graph<W: Write>(g: &Graph, w: &mut W) -> std::io::Result<()> {
     for name in g
         .node_attrs()

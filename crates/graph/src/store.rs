@@ -1,7 +1,7 @@
 //! Graph storage backends: the [`GraphStore`] trait and the on-disk
 //! binary CSR format.
 //!
-//! All adjacency and label access in [`Graph`](crate::Graph) is routed
+//! All adjacency and label access in [`Graph`] is routed
 //! through [`GraphStore`], which has two implementations:
 //!
 //! * [`VecStore`] — the original heap-owned `Vec` arrays, produced by
@@ -31,7 +31,7 @@
 //! ```
 //!
 //! Sections, in table order: node labels (`u16` × n), undirected offsets
-//! (`u32` × n+1), undirected targets (`u32` × und_offsets[n]), out
+//! (`u32` × n+1), undirected targets (`u32` × `und_offsets[n]`), out
 //! offsets, out targets, in offsets, in targets (all zero-length for
 //! undirected graphs), and a serialized attribute blob. Every non-empty
 //! section starts on a 4096-byte boundary, so mapped slices are always

@@ -10,7 +10,7 @@
 //!
 //! with `struct` ∈ {node, edge, triangle} and `r` ∈ {1, 2, 3}.
 
-use ego_census::{run_pair_census, Algorithm, PairCensusSpec, PairCounts, PairSelector};
+use ego_census::{run, Algorithm, Census, Job, PairCensusSpec, PairCounts, PairSelector};
 use ego_graph::bfs::BfsScratch;
 use ego_graph::{Graph, NodeId};
 use ego_pattern::Pattern;
@@ -108,7 +108,8 @@ pub fn census_measure(g: &Graph, measure: CensusMeasure) -> PairCounts {
     // merges per pair — the right shape when every candidate pair is
     // evaluated (pattern-driven shines when matches are rare; common-
     // neighborhood node/edge counts are anything but).
-    run_pair_census(g, &spec, Algorithm::NdPivot).expect("measure query is supported")
+    let job = Job::new(Census::Pair(&spec), Algorithm::NdPivot);
+    run(g, &job).expect("measure query is supported").pairs
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Cross-statement census cache: match lists and count vectors keyed by
 //! (pattern, neighborhood spec, graph fingerprint).
 //!
-//! The server's [`QueryCache`] caches *encoded result tables* keyed by
+//! The server's `QueryCache` caches *encoded result tables* keyed by
 //! the canonical statement text — two different statements over the same
 //! patterns never share anything through it. This cache sits one layer
 //! deeper, inside the query executor, and stores the two reusable
@@ -9,8 +9,9 @@
 //!
 //! * **Match lists** — the global matches of a pattern, keyed by
 //!   `(pattern DSL, graph fingerprint)`. Every algorithm except ND-BAS
-//!   starts from this list; a hit feeds [`ego_census::run_batch_exec`]'s
-//!   `provided` slot and skips global matching entirely.
+//!   starts from this list; a hit fills its spec's slot of the census
+//!   job's provided lists ([`ego_census::Job::matches`]) and skips global
+//!   matching entirely.
 //! * **Count vectors** — a finished census, keyed by
 //!   `(pattern DSL, k, subpattern, focal-set hash, fingerprint)`. The
 //!   algorithm, seed, and thread count are deliberately **not** part of

@@ -25,9 +25,8 @@ use crate::value::Value;
 use crate::views::{ViewEntry, ViewRegistry, DEFAULT_VIEW_BUDGET};
 use ego_census::cost::{refusal, Census};
 use ego_census::{
-    run_batch_exec, run_pair_census_exec, Algorithm, CensusError, CensusSpec, CenterIndex,
-    CenterStrategy, CountVector, ExecConfig, FocalNodes, PairCensusSpec, PairCounts, PairSelector,
-    PtConfig,
+    exec_matches, run, Algorithm, CensusError, CensusSpec, CenterIndex, CenterStrategy,
+    CountVector, ExecConfig, FocalNodes, Job, PairCensusSpec, PairCounts, PairSelector, PtConfig,
 };
 use ego_graph::io::IoError;
 use ego_graph::{Graph, NodeId};
@@ -584,9 +583,12 @@ impl<'g> QueryEngine<'g> {
                 for p in &x.stmt.projections {
                     if let Projection::Agg(agg) = p {
                         let spec = self.pair_spec(agg, PairSelector::Pairs(pairs.clone()))?;
-                        let (g, algo, exec) = (self.graph(), self.algorithm, &self.exec);
-                        let pc = run_pair_census_exec(g, &spec, algo, &self.pt_config, exec)?;
-                        counts.push(Counts::Pair(pc));
+                        let job = Job {
+                            config: self.pt_config.clone(),
+                            exec: self.exec,
+                            ..Job::new(Census::Pair(&spec), self.algorithm)
+                        };
+                        counts.push(Counts::Pair(run(self.graph(), &job)?.pairs));
                     }
                 }
                 Flow::Rows(rows, counts)
@@ -760,7 +762,7 @@ impl<'g> QueryEngine<'g> {
         // Counts served from the census cache come without their list.
         let matches = m
             .matches
-            .then(|| matches.unwrap_or_else(|| Arc::new(ego_census::global_matches(g, pattern))));
+            .then(|| matches.unwrap_or_else(|| Arc::new(exec_matches(g, pattern, 1))));
         let dsl = ego_pattern::to_dsl(pattern);
         let bytes = ViewEntry::estimate_bytes(&counts, matches.as_deref());
         views.insert(ViewEntry {
@@ -859,7 +861,7 @@ impl<'g> QueryEngine<'g> {
     /// Execute every statement in a `;`-separated script, returning one
     /// result table per statement (in order). All census aggregates of
     /// the script's `SELECT`s are compiled into **one**
-    /// [`run_batch_exec`] call, so statements over the same patterns,
+    /// [`Census::Batch`] job, so statements over the same patterns,
     /// radii, or focal sets share neighborhood sweeps, traversal groups,
     /// and global match lists; every other statement runs individually.
     /// The script aborts on the first error.
@@ -1007,15 +1009,14 @@ impl<'g> QueryEngine<'g> {
                 pattern_driven && self.pt_config.center_strategy == CenterStrategy::Degree
             });
             let center_key = CensusCache::center_key(CenterIndex::count_for(&self.pt_config), fp);
-            let batch = run_batch_exec(
-                g,
-                &specs,
-                algorithm,
-                &self.pt_config,
-                &self.exec,
-                &provided,
-                center_cache.and_then(|c| c.get_centers(&center_key)),
-            )?;
+            let job = Job {
+                config: self.pt_config.clone(),
+                exec: self.exec,
+                matches: provided,
+                centers: center_cache.and_then(|c| c.get_centers(&center_key)),
+                ..Job::new(Census::Batch(&specs), algorithm)
+            };
+            let batch = run(g, &job)?;
             if let (Some(c), Some(built)) = (center_cache, batch.centers) {
                 c.put_centers(center_key, built);
             }

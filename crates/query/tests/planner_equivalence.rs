@@ -201,7 +201,7 @@ fn core_auto_picks_what_the_planner_picks() {
         let cache = CensusCache::new(16);
         for (pattern, subpattern) in [("tri", None), ("tria", Some("pair"))] {
             let p = e.catalog().require(pattern).unwrap();
-            let matches = Arc::new(ego_census::global_matches(g, p));
+            let matches = Arc::new(ego_census::exec_matches(g, p, 1));
             let key = CensusCache::match_key(&ego_pattern::to_dsl(p), g.fingerprint());
             cache.put_matches(key, Arc::clone(&matches));
             for k in 1..=3u32 {

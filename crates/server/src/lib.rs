@@ -7,7 +7,7 @@
 //! Databases*).
 //!
 //! * The graph is loaded **once** behind an `Arc`; every connection gets
-//!   a [`Session`](session::Session) with its own
+//!   a [`Session`] with its own
 //!   [`QueryEngine`](ego_query::QueryEngine) and a pattern catalog
 //!   layered over a shared base catalog ([`ego_query::Catalog::layered`]),
 //!   so `define`s are per-session and can never shadow shared built-ins.

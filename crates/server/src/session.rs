@@ -95,7 +95,7 @@ pub struct ServerStats {
     /// Net edges deleted across all graph updates.
     pub edges_deleted: AtomicU64,
     /// Notify frames dropped because a subscriber's outbound queue was
-    /// full (drop-oldest; see [`NOTIFY_QUEUE_FRAMES`]).
+    /// full (drop-oldest; see `NOTIFY_QUEUE_FRAMES`).
     pub notifications_dropped: AtomicU64,
     /// Incremental evaluations that errored. Every live subscription is
     /// dropped when this happens — silence a client can observe and

@@ -16,7 +16,7 @@
 //! cargo run --example brokerage
 //! ```
 
-use egocensus::census::{run_census, Algorithm, CensusSpec};
+use egocensus::census::{run, Algorithm, Census, CensusSpec, Job};
 use egocensus::graph::{GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use rand::rngs::StdRng;
@@ -116,7 +116,8 @@ fn main() {
     println!("\nper-role brokerage leaders (COUNTSP, k = 0):");
     for (role, pattern) in &roles {
         let spec = CensusSpec::single(pattern, 0).with_subpattern("broker");
-        let counts = run_census(&g, &spec, Algorithm::PtOpt).unwrap();
+        let job = Job::new(Census::Single(&spec), Algorithm::PtOpt);
+        let counts = &run(&g, &job).unwrap().counts[0];
         let top = counts.top_k(3);
         let total = counts.total();
         print!("  {role:<15} total={total:<6} top brokers:");

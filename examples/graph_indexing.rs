@@ -14,7 +14,7 @@
 //! cargo run --release --example graph_indexing
 //! ```
 
-use egocensus::census::{run_census, Algorithm, CensusSpec, CountVector};
+use egocensus::census::{self, Algorithm, Census, CensusSpec, CountVector, Job};
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::graph::Graph;
 use egocensus::matcher::{find_matches_with_stats, MatchStats, MatcherKind};
@@ -31,7 +31,8 @@ fn build_signatures(g: &Graph) -> Signatures {
     let run = |text: &str, sp: &str| -> CountVector {
         let p = Pattern::parse(text).unwrap();
         let spec = CensusSpec::single(&p, 0).with_subpattern(sp);
-        run_census(g, &spec, Algorithm::NdPivot).unwrap()
+        let job = Job::new(Census::Single(&spec), Algorithm::NdPivot);
+        census::run(g, &job).unwrap().counts.remove(0)
     };
     Signatures {
         // Edges incident to the node.

@@ -8,7 +8,7 @@
 //! cargo run --release --example node_classification
 //! ```
 
-use egocensus::census::{run_census, Algorithm, CensusSpec};
+use egocensus::census::{run, Algorithm, Census, CensusSpec, Job};
 use egocensus::graph::{GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use rand::rngs::StdRng;
@@ -73,7 +73,8 @@ fn main() {
     )
     .unwrap();
     let spec = CensusSpec::single(&risk, 3).with_subpattern("rel");
-    let counts = run_census(&g, &spec, Algorithm::NdPivot).unwrap();
+    let job = Job::new(Census::Single(&spec), Algorithm::NdPivot);
+    let counts = &run(&g, &job).unwrap().counts[0];
 
     // Validate the feature: children who became smokers should have higher
     // average risk scores than those who did not.

@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use egocensus::census::{run_census, Algorithm, CensusSpec};
+use egocensus::census::{run, Algorithm, Census, CensusSpec, Job};
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::pattern::Pattern;
 use egocensus::query::QueryEngine;
@@ -28,7 +28,8 @@ fn main() {
     // 3. Census: triangles in every node's 2-hop neighborhood, with the
     //    paper's pivot-indexing algorithm.
     let spec = CensusSpec::single(&tri, 2);
-    let counts = run_census(&g, &spec, Algorithm::NdPivot).unwrap();
+    let job = Job::new(Census::Single(&spec), Algorithm::NdPivot);
+    let counts = &run(&g, &job).unwrap().counts[0];
     let top = counts.top_k(5);
     println!("\ntop-5 nodes by triangles within 2 hops:");
     for (node, count) in &top {

@@ -9,7 +9,7 @@
 //! cargo run --example structural_balance
 //! ```
 
-use egocensus::census::{run_census, Algorithm, CensusSpec};
+use egocensus::census::{run, Algorithm, Census, CensusSpec, CountVector, Job};
 use egocensus::datagen::{assign_random_signs, rng, watts_strogatz};
 use egocensus::pattern::Pattern;
 
@@ -49,29 +49,16 @@ fn main() {
     .unwrap();
     let all_triangles = Pattern::parse("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
 
-    // Census each pattern in 2-hop neighborhoods and combine.
+    // Census each pattern in 2-hop neighborhoods — one batch, so the
+    // three share each focal node's sweep — and combine.
     let k = 2;
-    let mut unstable = run_census(
-        &g,
-        &CensusSpec::single(&all_negative, k),
-        Algorithm::NdPivot,
-    )
-    .unwrap();
-    let c = run_census(
-        &g,
-        &CensusSpec::single(&one_negative, k),
-        Algorithm::NdPivot,
-    )
-    .unwrap();
+    let specs = [&all_negative, &one_negative, &all_triangles].map(|p| CensusSpec::single(p, k));
+    let job = Job::new(Census::Batch(&specs), Algorithm::NdPivot);
+    let [mut unstable, c, total]: [CountVector; 3] =
+        run(&g, &job).unwrap().counts.try_into().unwrap();
     for n in g.node_ids() {
         unstable.add(n, c.get(n));
     }
-    let total = run_census(
-        &g,
-        &CensusSpec::single(&all_triangles, k),
-        Algorithm::NdPivot,
-    )
-    .unwrap();
 
     // Report the most unstable neighborhoods.
     let mut scored: Vec<(f64, u64, u64, u32)> = g

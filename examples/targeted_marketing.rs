@@ -10,8 +10,7 @@
 //! cargo run --example targeted_marketing
 //! ```
 
-use egocensus::census::pairwise::{run_pair_census, PairCensusSpec, PairSelector};
-use egocensus::census::Algorithm;
+use egocensus::census::{run, Algorithm, Census, Job, PairCensusSpec, PairSelector};
 use egocensus::graph::{GraphBuilder, Label, NodeId};
 use egocensus::pattern::builtin::couples_square;
 use rand::rngs::StdRng;
@@ -57,7 +56,8 @@ fn main() {
     // edges. Census it in the union of each couple's 2-hop neighborhoods.
     let pattern = couples_square();
     let spec = PairCensusSpec::union(&pattern, 2, PairSelector::Pairs(couple_pairs.clone()));
-    let counts = run_pair_census(&g, &spec, Algorithm::PtOpt).unwrap();
+    let job = Job::new(Census::Pair(&spec), Algorithm::PtOpt);
+    let counts = run(&g, &job).unwrap().pairs;
 
     let mut ranked: Vec<(NodeId, NodeId, u64)> = couple_pairs
         .iter()

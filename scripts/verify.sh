@@ -24,6 +24,9 @@ missing=$(grep -ohE -- '--(bin|bench) [A-Za-z0-9_-]+|benches/[A-Za-z0-9_]+\.rs' 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: cargo doc --workspace --no-deps with warnings as errors (broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -250,6 +253,11 @@ check_mutate_fingerprint() { # $1 = mutate output, $2 = the graph it wrote
     || { echo "FAIL: mutate printed fingerprint '$mutate_fp', $2 has '$convert_fp'"; exit 1; }
 }
 check_mutate_fingerprint "$tmpdir/mutate_out.txt" "$tmpdir/dyn2.txt"
+# The base census's match list is maintained across the delta, not
+# re-matched: deleting (0, 1) drops {0,1,2}, inserting (4, 6) finds
+# {4,5,6}, and {2,3,4} survives.
+grep -q '^  matches: *1 survivors, 1 dropped, 1 discovered$' "$tmpdir/mutate_out.txt" \
+  || { cat "$tmpdir/mutate_out.txt"; echo "FAIL: mutate did not maintain the base census's match list"; exit 1; }
 # Directed leg: deleting 1->0 of the antiparallel pair 0->1 / 1->0 keeps
 # 0-1 in the undirected view; the spliced CSR must agree with a rebuild.
 cat >"$tmpdir/dyn_dir.txt" <<'EOF'
@@ -295,7 +303,7 @@ echo "$stats" | grep -q '^cache_invalidations,1$' \
 ./target/release/egocensus client --addr "$addr" --shutdown >/dev/null
 wait "$serve_pid"
 serve_pid=""
-echo "    mutate --verify passed and printed the written graph's fingerprint; update re-censused and invalidated the caches"
+echo "    mutate --verify passed, maintained the match list and printed the written graph's fingerprint; update re-censused and invalidated the caches"
 
 echo "==> sharded tier smoke test (router + 2 workers on the .egb store, failover)"
 shard_sql='SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)), COUNTP(single_edge, SUBGRAPH(ID, 2)) FROM nodes'

@@ -15,9 +15,7 @@
 //!     'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes LIMIT 10'
 //! ```
 
-use egocensus::census::{
-    exec_matches, run_census_exec, topk, Algorithm, CensusSpec, ExecConfig, PtConfig,
-};
+use egocensus::census::{self, exec_matches, topk, Algorithm, Census, CensusSpec, ExecConfig, Job};
 use egocensus::datagen;
 use egocensus::dynamic::{update_batch_on, DeltaGraph};
 use egocensus::graph::{io, stats, Graph, NodeId};
@@ -555,23 +553,27 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
         let algorithm_name = f.get("algorithm").unwrap_or("auto");
         let algorithm = parse_algorithm(algorithm_name)?;
         let exec = ExecConfig::with_threads(f.parse("threads", 0usize)?);
-        let config = PtConfig::default();
         let p = Pattern::parse(pattern_text).map_err(|e| e.to_string())?;
         let k: u32 = f.parse("k", 2)?;
         let spec = CensusSpec::single(&p, k);
+        let job = Job {
+            exec,
+            ..Job::new(Census::Single(&spec), algorithm)
+        };
         let t0 = std::time::Instant::now();
-        let previous =
-            run_census_exec(&base, &spec, algorithm, &config, &exec).map_err(|e| e.to_string())?;
+        let previous = census::run(&base, &job).map_err(|e| e.to_string())?;
         let full_time = t0.elapsed();
+        // The base run's match list is carried across the delta, as the
+        // server carries its cached lists.
         let t1 = std::time::Instant::now();
         let update = update_batch_on(
             &delta,
             &graph,
             std::slice::from_ref(&spec),
-            std::slice::from_ref(&previous),
-            &[None],
+            &previous.counts,
+            &previous.matches,
             algorithm,
-            &config,
+            &job.config,
             &exec,
         )
         .map_err(|e| e.to_string())?;
@@ -583,12 +585,16 @@ fn cmd_mutate(args: &[String]) -> Result<(), String> {
             base.num_nodes(),
             update.stats.clean_focal
         );
+        let ms = update.match_stats;
+        println!(
+            "  matches:      {} survivors, {} dropped, {} discovered",
+            ms.survivors, ms.dropped, ms.discovered
+        );
         println!("  full census:  {:.3}s", full_time.as_secs_f64());
         println!("  incremental:  {:.3}s", inc_time.as_secs_f64());
         if f.has("verify") {
-            let fresh = run_census_exec(&graph, &spec, algorithm, &config, &exec)
-                .map_err(|e| e.to_string())?;
-            if update.counts[0] != fresh {
+            let fresh = census::run(&graph, &job).map_err(|e| e.to_string())?;
+            if update.counts != fresh.counts {
                 return Err("incremental counts diverge from full recompute".into());
             }
             println!("  verify:       incremental == full recompute");

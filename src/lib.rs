@@ -37,9 +37,16 @@
 //! // Count triangles in every node's 1-hop neighborhood.
 //! let pattern = Pattern::parse("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
 //! let spec = CensusSpec::single(&pattern, 1);
-//! let counts = run_census(&g, &spec, Algorithm::NdPivot).unwrap();
+//! let outcome = run(&g, &Job::new(Census::Single(&spec), Algorithm::NdPivot)).unwrap();
+//! let counts = &outcome.counts[0];
 //! assert_eq!(counts.get(NodeId(2)), 2); // node 2 sees both triangles
 //! assert_eq!(counts.get(NodeId(0)), 1);
+//!
+//! // The same call counts pairs: triangles inside both nodes' 1-hop
+//! // neighborhoods.
+//! let pair = PairCensusSpec::intersection(&pattern, 1, PairSelector::AllPairs);
+//! let outcome = run(&g, &Job::new(Census::Pair(&pair), Algorithm::PtOpt)).unwrap();
+//! assert_eq!(outcome.pairs.get(NodeId(0), NodeId(1)), 1);
 //! ```
 
 pub use ego_census as census;
@@ -55,9 +62,9 @@ pub use ego_shard as shard;
 
 /// Commonly used items, re-exported flat.
 pub mod prelude {
-    pub use ego_census::pairwise::{run_pair_census, PairCensusSpec, PairSelector};
     pub use ego_census::{
-        run_census, run_census_with, Algorithm, CensusSpec, CountVector, PtConfig,
+        run, Algorithm, Census, CensusSpec, CountVector, ExecConfig, Job, Outcome, PairCensusSpec,
+        PairSelector, PtConfig,
     };
     pub use ego_graph::{Graph, GraphBuilder, Label, NodeId};
     pub use ego_matcher::{find_matches, MatcherKind};

@@ -1,13 +1,13 @@
 //! Property-based equivalence for the batched census engine: evaluating
-//! N patterns as one [`run_batch_exec`] call must produce counts
-//! bit-identical to N sequential [`run_census_exec`] runs — for every
-//! algorithm, batch size 1–4, random radii, random graphs, and both
-//! threads=1 and threads=auto — while doing **no more** traversal work.
+//! N patterns as one batch job must produce counts bit-identical to N
+//! single-census jobs — for every algorithm, batch size 1–4, random
+//! radii, random graphs, and both threads=1 and threads=auto — while
+//! doing **no more** traversal work.
 
 use egocensus::census::topk::{top_k_census, top_k_exhaustive};
 use egocensus::census::{
-    global_matches, run_batch, run_batch_exec, run_census_exec, run_census_exec_instrumented,
-    Algorithm, BatchStage, CensusSpec, ExecConfig, FocalNodes, PtConfig,
+    exec_matches, run, Algorithm, BatchStage, Census, CensusSpec, CountVector, ExecConfig,
+    FocalNodes, Job, Outcome, PtConfig, TraversalStats,
 };
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::dynamic::DeltaGraph;
@@ -16,6 +16,40 @@ use egocensus::pattern::Pattern;
 use egocensus::query::{Catalog, CensusCache, QueryEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A batch job under `config` and `exec`.
+fn batch_exec(
+    g: &Graph,
+    specs: &[CensusSpec<'_>],
+    algorithm: Algorithm,
+    config: &PtConfig,
+    exec: &ExecConfig,
+) -> Outcome {
+    let job = Job {
+        config: config.clone(),
+        exec: *exec,
+        ..Job::new(Census::Batch(specs), algorithm)
+    };
+    run(g, &job).unwrap()
+}
+
+/// One census under `config` and `exec`: its counts and traversal
+/// statistics.
+fn census_exec(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+    config: &PtConfig,
+    exec: &ExecConfig,
+) -> (CountVector, TraversalStats) {
+    let job = Job {
+        config: config.clone(),
+        exec: *exec,
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    let mut out = run(g, &job).unwrap();
+    (out.counts.remove(0), out.stats)
+}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (8usize..24, any::<u64>()).prop_map(|(n, seed)| {
@@ -123,9 +157,9 @@ proptest! {
         for algo in ALL_ALGOS {
             for threads in [1usize, 0] {
                 let exec = ExecConfig::with_threads(threads);
-                let batch = run_batch_exec(&g, &specs, algo, &config, &exec, &[], None).unwrap();
+                let batch = batch_exec(&g, &specs, algo, &config, &exec);
                 for (i, spec) in specs.iter().enumerate() {
-                    let seq = run_census_exec(&g, spec, algo, &config, &exec).unwrap();
+                    let seq = census_exec(&g, spec, algo, &config, &exec).0;
                     prop_assert_eq!(
                         &batch.counts[i], &seq,
                         "{:?} threads={} spec {}", algo, threads, i
@@ -150,13 +184,12 @@ proptest! {
         let specs: Vec<CensusSpec<'_>> = (0..nspecs)
             .map(|i| CensusSpec::single(&pats[i % pats.len()], ks[i]))
             .collect();
-        let batch = run_batch(&g, &specs, Algorithm::NdPivot, &config).unwrap();
+        let exec = ExecConfig::sequential();
+        let batch = batch_exec(&g, &specs, Algorithm::NdPivot, &config, &exec);
         let mut seq_nodes = 0u64;
         let mut seq_edges = 0u64;
         for spec in &specs {
-            let (_, ts) = run_census_exec_instrumented(
-                &g, spec, Algorithm::NdPivot, &config, &ExecConfig::sequential(),
-            ).unwrap();
+            let (_, ts) = census_exec(&g, spec, Algorithm::NdPivot, &config, &exec);
             seq_nodes += ts.nodes_expanded;
             seq_edges += ts.edges_traversed;
         }
@@ -189,17 +222,18 @@ proptest! {
             .zip(&ks)
             .map(|(p, &k)| CensusSpec::single(p, k))
             .collect();
-        let oracle = run_batch(&g, &specs, Algorithm::NdPivot, &config).unwrap();
+        let sequential = ExecConfig::sequential();
+        let oracle = batch_exec(&g, &specs, Algorithm::NdPivot, &config, &sequential);
         for algo in [Algorithm::PtBaseline, Algorithm::PtRandom, Algorithm::PtOpt] {
             for threads in [1usize, 0] {
                 let exec = ExecConfig::with_threads(threads);
-                let batch = run_batch_exec(&g, &specs, algo, &config, &exec, &[], None).unwrap();
+                let batch = batch_exec(&g, &specs, algo, &config, &exec);
                 for (i, spec) in specs.iter().enumerate() {
                     prop_assert_eq!(
                         &batch.counts[i], &oracle.counts[i],
                         "batched {:?} threads={} spec {}", algo, threads, i
                     );
-                    let seq = run_census_exec(&g, spec, algo, &config, &exec).unwrap();
+                    let seq = census_exec(&g, spec, algo, &config, &exec).0;
                     prop_assert_eq!(
                         &seq, &oracle.counts[i],
                         "single {:?} threads={} spec {}", algo, threads, i
@@ -276,11 +310,10 @@ proptest! {
             CensusSpec::single(&e, k2),
         ];
         for algo in [Algorithm::NdPivot, Algorithm::PtOpt, Algorithm::PtRandom, Algorithm::Auto] {
-            let batch = run_batch(&g, &specs, algo, &config).unwrap();
+            let exec = ExecConfig::sequential();
+            let batch = batch_exec(&g, &specs, algo, &config, &exec);
             for (i, spec) in specs.iter().enumerate() {
-                let seq = run_census_exec(
-                    &g, spec, algo, &config, &ExecConfig::sequential(),
-                ).unwrap();
+                let seq = census_exec(&g, spec, algo, &config, &exec).0;
                 prop_assert_eq!(&batch.counts[i], &seq, "{:?} spec {}", algo, i);
             }
         }
@@ -311,7 +344,13 @@ fn four_pattern_batch_on_fixture_shares_one_sweep() {
     let config = PtConfig::default();
     let specs: Vec<CensusSpec<'_>> = pats.iter().map(|p| CensusSpec::single(p, 2)).collect();
 
-    let batch = run_batch(&g, &specs, Algorithm::NdPivot, &config).unwrap();
+    let batch = batch_exec(
+        &g,
+        &specs,
+        Algorithm::NdPivot,
+        &config,
+        &ExecConfig::sequential(),
+    );
     assert_eq!(
         batch.stages,
         vec![BatchStage::NdSweep {
@@ -322,14 +361,13 @@ fn four_pattern_batch_on_fixture_shares_one_sweep() {
 
     let mut seq_nodes = 0u64;
     for (i, spec) in specs.iter().enumerate() {
-        let (cv, ts) = run_census_exec_instrumented(
+        let (cv, ts) = census_exec(
             &g,
             spec,
             Algorithm::NdPivot,
             &config,
             &ExecConfig::sequential(),
-        )
-        .unwrap();
+        );
         assert_eq!(batch.counts[i], cv, "spec {i}");
         seq_nodes += ts.nodes_expanded;
     }
@@ -355,18 +393,14 @@ fn pt_opt_counters(g: &Graph, pattern: &str, k: u32) -> [(u64, u64, u64); 2] {
     let catalog = Catalog::with_builtins();
     let spec = CensusSpec::single(catalog.require(pattern).unwrap(), k);
     let (config, exec) = (PtConfig::default(), ExecConfig::sequential());
-    let batch = run_batch_exec(
+    let batch = batch_exec(
         g,
         std::slice::from_ref(&spec),
         Algorithm::PtOpt,
         &config,
         &exec,
-        &[],
-        None,
-    )
-    .unwrap();
-    let (counts, single) =
-        run_census_exec_instrumented(g, &spec, Algorithm::PtOpt, &config, &exec).unwrap();
+    );
+    let (counts, single) = census_exec(g, &spec, Algorithm::PtOpt, &config, &exec);
     assert_eq!(batch.counts[0], counts, "{pattern} k={k}");
     [batch.stats, single].map(|ts| (ts.edges_traversed, ts.nodes_expanded, ts.reinsertions))
 }
@@ -415,8 +449,8 @@ fn nd_counters(
         let exec = ExecConfig::with_threads(threads);
         for &algo in algorithms {
             let specs = std::slice::from_ref(&spec);
-            let batch = run_batch_exec(g, specs, algo, &config, &exec, &[], None).unwrap();
-            let single = run_census_exec_instrumented(g, &spec, algo, &config, &exec).unwrap();
+            let batch = batch_exec(g, specs, algo, &config, &exec);
+            let single = census_exec(g, &spec, algo, &config, &exec);
             assert_eq!(batch.counts[0], single.0, "{pattern} k={k} {algo:?}");
             runs.push((batch.stats, batch.counts[0].total(), algo, threads));
             runs.push((single.1, single.0.total(), algo, threads));
@@ -472,7 +506,7 @@ fn top_k_results_match_the_per_caller_kernel() {
     ] {
         let p = catalog.require(pattern).unwrap();
         let spec = CensusSpec::single(p, k).with_focal(focal);
-        let matches = global_matches(&g, p);
+        let matches = exec_matches(&g, p, 1);
         let res = top_k_census(&g, &spec, &matches, 20).unwrap();
         assert_eq!(res.evaluated, evaluated, "{pattern} k={k}");
         assert_eq!(res.top[0], (NodeId(best.0), best.1), "{pattern} k={k}");

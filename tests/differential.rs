@@ -2,10 +2,27 @@
 //! must agree with the ND-BAS extract-and-match oracle on arbitrary
 //! graphs, patterns, and radii.
 
-use egocensus::census::{run_census_with, Algorithm, CensusSpec, Clustering, PtConfig, PtOrdering};
+use egocensus::census::{
+    run, Algorithm, Census, CensusError, CensusSpec, Clustering, CountVector, Job, PtConfig,
+    PtOrdering,
+};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use proptest::prelude::*;
+
+/// One census under `config` on one thread.
+fn census_with(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+    config: &PtConfig,
+) -> Result<CountVector, CensusError> {
+    let job = Job {
+        config: config.clone(),
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    run(g, &job).map(|mut out| out.counts.remove(0))
+}
 
 /// An arbitrary undirected labeled graph from an edge-probability matrix
 /// seedable by proptest.
@@ -55,7 +72,7 @@ proptest! {
         let pats = patterns();
         let p = &pats[pi];
         let spec = CensusSpec::single(p, k);
-        let oracle = run_census_with(&g, &spec, Algorithm::NdBaseline, &PtConfig::default())
+        let oracle = census_with(&g, &spec, Algorithm::NdBaseline, &PtConfig::default())
             .unwrap();
         let configs = [
             (Algorithm::NdPivot, PtConfig::default()),
@@ -81,7 +98,7 @@ proptest! {
             (Algorithm::Auto, PtConfig::default()),
         ];
         for (algo, cfg) in configs {
-            let got = run_census_with(&g, &spec, algo, &cfg).unwrap();
+            let got = census_with(&g, &spec, algo, &cfg).unwrap();
             for n in g.node_ids() {
                 prop_assert_eq!(
                     got.get(n),
@@ -99,7 +116,7 @@ proptest! {
         // that subset.
         let pats = patterns();
         let p = &pats[3]; // triangle
-        let all = run_census_with(
+        let all = census_with(
             &g,
             &CensusSpec::single(p, k),
             Algorithm::NdPivot,
@@ -110,7 +127,7 @@ proptest! {
         let spec = CensusSpec::single(p, k)
             .with_focal(egocensus::census::FocalNodes::Set(subset.clone()));
         for algo in [Algorithm::NdPivot, Algorithm::PtOpt, Algorithm::NdDiff] {
-            let got = run_census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
+            let got = census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
             for &n in &subset {
                 prop_assert_eq!(got.get(n), all.get(n), "algo={:?} node={:?}", algo, n);
             }
@@ -124,7 +141,7 @@ proptest! {
         let p = &pats[pi];
         let mut prev: Option<Vec<u64>> = None;
         for k in 0..4u32 {
-            let cv = run_census_with(
+            let cv = census_with(
                 &g,
                 &CensusSpec::single(p, k),
                 Algorithm::NdPivot,
@@ -147,14 +164,14 @@ proptest! {
         // every match inside that component.
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let k = g.num_nodes() as u32; // >= any diameter
-        let cv = run_census_with(
+        let cv = census_with(
             &g,
             &CensusSpec::single(&p, k),
             Algorithm::NdPivot,
             &PtConfig::default(),
         )
         .unwrap();
-        let oracle = run_census_with(
+        let oracle = census_with(
             &g,
             &CensusSpec::single(&p, k),
             Algorithm::NdBaseline,

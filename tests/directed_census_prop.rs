@@ -2,10 +2,26 @@
 //! algorithms must agree with ND-BAS for directed patterns (including
 //! negated directed edges and COUNTSP anchors).
 
-use egocensus::census::{run_census_with, Algorithm, CensusSpec, PtConfig};
+use egocensus::census::{
+    exec_matches, run, Algorithm, Census, CensusError, CensusSpec, CountVector, Job, PtConfig,
+};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use proptest::prelude::*;
+
+/// One census under `config` on one thread.
+fn census_with(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+    config: &PtConfig,
+) -> Result<CountVector, CensusError> {
+    let job = Job {
+        config: config.clone(),
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    run(g, &job).map(|mut out| out.counts.remove(0))
+}
 
 fn arb_digraph() -> impl Strategy<Value = Graph> {
     (4usize..20, any::<u64>(), 1u16..3).prop_map(|(n, seed, labels)| {
@@ -50,7 +66,7 @@ proptest! {
         let pats = patterns();
         let p = &pats[pi];
         let spec = CensusSpec::single(p, k);
-        let oracle = run_census_with(&g, &spec, Algorithm::NdBaseline, &PtConfig::default())
+        let oracle = census_with(&g, &spec, Algorithm::NdBaseline, &PtConfig::default())
             .unwrap();
         for algo in [
             Algorithm::NdPivot,
@@ -59,7 +75,7 @@ proptest! {
             Algorithm::PtOpt,
             Algorithm::Auto,
         ] {
-            let got = run_census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
+            let got = census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
             for n in g.node_ids() {
                 prop_assert_eq!(
                     got.get(n),
@@ -80,9 +96,9 @@ proptest! {
         )
         .unwrap();
         let spec = CensusSpec::single(&p, k).with_subpattern("mid");
-        let a = run_census_with(&g, &spec, Algorithm::NdPivot, &PtConfig::default()).unwrap();
+        let a = census_with(&g, &spec, Algorithm::NdPivot, &PtConfig::default()).unwrap();
         for algo in [Algorithm::PtBaseline, Algorithm::PtOpt] {
-            let b = run_census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
+            let b = census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
             for n in g.node_ids() {
                 prop_assert_eq!(a.get(n), b.get(n), "algo={:?} node={:?}", algo, n);
             }
@@ -98,11 +114,11 @@ proptest! {
             "PATTERN dp { ?A->?B; ?B->?C; SUBPATTERN mid {?B;} }",
         )
         .unwrap();
-        let matches = egocensus::census::global_matches(&g, &p);
+        let matches = exec_matches(&g, &p, 1);
         let mid = p.node_by_name("B").unwrap();
         let spec = CensusSpec::single(&p, 0).with_subpattern("mid");
         let counts =
-            run_census_with(&g, &spec, Algorithm::NdPivot, &PtConfig::default()).unwrap();
+            census_with(&g, &spec, Algorithm::NdPivot, &PtConfig::default()).unwrap();
         for n in g.node_ids() {
             let direct = matches.iter().filter(|m| m.image(mid) == n).count() as u64;
             prop_assert_eq!(counts.get(n), direct, "node {:?}", n);

@@ -1,7 +1,7 @@
 //! Property-based tests for the future-work extensions: top-k census and
 //! the pattern DSL printer round-trip.
 
-use egocensus::census::{global_matches, topk, CensusSpec};
+use egocensus::census::{exec_matches, topk, CensusSpec};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::{to_dsl, Pattern};
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn topk_matches_exhaustive(g in arb_graph(), k in 0u32..3, kr in 1usize..6) {
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-        let m = global_matches(&g, &p);
+        let m = exec_matches(&g, &p, 1);
         let spec = CensusSpec::single(&p, k);
         let fast = topk::top_k_census(&g, &spec, &m, kr).unwrap();
         let slow = topk::top_k_exhaustive(&g, &spec, &m, kr).unwrap();

@@ -6,13 +6,47 @@
 //! a localized delta dirties strictly fewer focal nodes than `|V|`.
 
 use egocensus::census::{
-    run_census_exec, Algorithm, CensusSpec, CountVector, ExecConfig, FocalNodes, PtConfig,
+    run, Algorithm, Census, CensusSpec, CountVector, ExecConfig, FocalNodes, Job, PtConfig,
 };
-use egocensus::dynamic::{dirty_focal_nodes, update_batch_exec, update_census_exec, DeltaGraph};
+use egocensus::dynamic::{dirty_focal_nodes, update_batch_on, DeltaGraph, UpdateOutcome};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// One census under `config` and `exec`.
+fn census_exec(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+    config: &PtConfig,
+    exec: &ExecConfig,
+) -> CountVector {
+    let job = Job {
+        config: config.clone(),
+        exec: *exec,
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    run(g, &job).unwrap().counts.remove(0)
+}
+
+/// Compact `delta` and update `previous` (the counts of `specs` on its
+/// base) onto the new graph, with no previous match lists.
+fn update_exec(
+    delta: &DeltaGraph,
+    specs: &[CensusSpec<'_>],
+    previous: &[CountVector],
+    algorithm: Algorithm,
+    config: &PtConfig,
+    exec: &ExecConfig,
+) -> (Graph, UpdateOutcome) {
+    let graph = delta.compact();
+    let none = vec![None; specs.len()];
+    let update = update_batch_on(
+        delta, &graph, specs, previous, &none, algorithm, config, exec,
+    );
+    (graph, update.unwrap())
+}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (8usize..24, any::<u64>()).prop_map(|(n, seed)| {
@@ -107,11 +141,10 @@ proptest! {
         for algo in ALL_ALGOS {
             for threads in [1usize, 4] {
                 let exec = ExecConfig::with_threads(threads);
-                let previous = run_census_exec(&g, &spec, algo, &config, &exec).unwrap();
-                let update =
-                    update_census_exec(&delta, &spec, &previous, algo, &config, &exec).unwrap();
-                let fresh =
-                    run_census_exec(&update.graph, &spec, algo, &config, &exec).unwrap();
+                let previous = [census_exec(&g, &spec, algo, &config, &exec)];
+                let specs = std::slice::from_ref(&spec);
+                let (graph, update) = update_exec(&delta, specs, &previous, algo, &config, &exec);
+                let fresh = census_exec(&graph, &spec, algo, &config, &exec);
                 prop_assert_eq!(
                     &update.counts[0], &fresh,
                     "{:?} threads={} focal={}", algo, threads, explicit_focal
@@ -136,11 +169,10 @@ proptest! {
         for algo in COUNTSP_ALGOS {
             for threads in [1usize, 4] {
                 let exec = ExecConfig::with_threads(threads);
-                let previous = run_census_exec(&g, &spec, algo, &config, &exec).unwrap();
-                let update =
-                    update_census_exec(&delta, &spec, &previous, algo, &config, &exec).unwrap();
-                let fresh =
-                    run_census_exec(&update.graph, &spec, algo, &config, &exec).unwrap();
+                let previous = [census_exec(&g, &spec, algo, &config, &exec)];
+                let specs = std::slice::from_ref(&spec);
+                let (graph, update) = update_exec(&delta, specs, &previous, algo, &config, &exec);
+                let fresh = census_exec(&graph, &spec, algo, &config, &exec);
                 prop_assert_eq!(
                     &update.counts[0], &fresh,
                     "{:?} threads={}", algo, threads
@@ -166,14 +198,12 @@ proptest! {
         let exec = ExecConfig::with_threads(2);
         let previous: Vec<CountVector> = specs
             .iter()
-            .map(|s| run_census_exec(&g, s, Algorithm::Auto, &config, &exec).unwrap())
+            .map(|s| census_exec(&g, s, Algorithm::Auto, &config, &exec))
             .collect();
-        let update =
-            update_batch_exec(&delta, &specs, &previous, Algorithm::Auto, &config, &exec)
-                .unwrap();
+        let (graph, update) =
+            update_exec(&delta, &specs, &previous, Algorithm::Auto, &config, &exec);
         for (i, spec) in specs.iter().enumerate() {
-            let fresh =
-                run_census_exec(&update.graph, spec, Algorithm::Auto, &config, &exec).unwrap();
+            let fresh = census_exec(&graph, spec, Algorithm::Auto, &config, &exec);
             prop_assert_eq!(&update.counts[i], &fresh, "spec {}", i);
         }
     }
@@ -216,12 +246,12 @@ fn localized_delta_dirties_strictly_fewer_than_all_nodes() {
     let spec = CensusSpec::single(&p, k);
     let config = PtConfig::default();
     let exec = ExecConfig::with_threads(2);
-    let previous = run_census_exec(&g, &spec, Algorithm::NdPivot, &config, &exec).unwrap();
-    let update =
-        update_census_exec(&delta, &spec, &previous, Algorithm::NdPivot, &config, &exec).unwrap();
+    let previous = [census_exec(&g, &spec, Algorithm::NdPivot, &config, &exec)];
+    let specs = std::slice::from_ref(&spec);
+    let (graph, update) = update_exec(&delta, specs, &previous, Algorithm::NdPivot, &config, &exec);
     assert_eq!(update.stats.dirty_focal, dirty.len());
     assert_eq!(update.stats.clean_focal, g.num_nodes() - dirty.len());
-    let fresh = run_census_exec(&update.graph, &spec, Algorithm::NdPivot, &config, &exec).unwrap();
+    let fresh = census_exec(&graph, &spec, Algorithm::NdPivot, &config, &exec);
     assert_eq!(update.counts[0], fresh);
     // The chord 10-12 closes triangle 10-11-12; node 11 now sees it.
     assert_eq!(update.counts[0].get(NodeId(11)), 1);
@@ -248,9 +278,10 @@ fn directed_incremental_equals_full_recompute() {
     let config = PtConfig::default();
     for algo in [Algorithm::NdPivot, Algorithm::PtOpt] {
         let exec = ExecConfig::with_threads(2);
-        let previous = run_census_exec(&g, &spec, algo, &config, &exec).unwrap();
-        let update = update_census_exec(&delta, &spec, &previous, algo, &config, &exec).unwrap();
-        let fresh = run_census_exec(&update.graph, &spec, algo, &config, &exec).unwrap();
+        let previous = [census_exec(&g, &spec, algo, &config, &exec)];
+        let specs = std::slice::from_ref(&spec);
+        let (graph, update) = update_exec(&delta, specs, &previous, algo, &config, &exec);
+        let fresh = census_exec(&graph, &spec, algo, &config, &exec);
         assert_eq!(update.counts[0], fresh, "{algo:?}");
         assert!(update.stats.dirty_focal < g.num_nodes());
     }

@@ -2,13 +2,21 @@
 //! algorithms of Appendix B, against a brute-force oracle.
 
 use egocensus::census::pairwise::{
-    brute_force_pair, brute_force_pair_anchored, run_pair_census, PairCensusSpec, PairKind,
-    PairSelector,
+    brute_force_pair, brute_force_pair_anchored, PairCensusSpec, PairKind, PairSelector,
 };
-use egocensus::census::Algorithm;
+use egocensus::census::{run, Algorithm, Census, CensusError, Job, PairCounts};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use proptest::prelude::*;
+
+/// One pairwise census on one thread.
+fn pair_census(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+    algorithm: Algorithm,
+) -> Result<PairCounts, CensusError> {
+    run(g, &Job::new(Census::Pair(spec), algorithm)).map(|out| out.pairs)
+}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (4usize..16, any::<u64>()).prop_map(|(n, seed)| {
@@ -84,14 +92,14 @@ proptest! {
             Algorithm::PtRandom,
             Algorithm::PtOpt,
         ] {
-            let counts = run_pair_census(&g, &spec, algo).unwrap();
+            let counts = pair_census(&g, &spec, algo).unwrap();
             // COUNTSP: every algorithm but ND-BAS, which refuses it.
             let countsp = (algo != Algorithm::NdBaseline).then(|| {
                 let spec = match kind {
                     PairKind::Intersection => PairCensusSpec::intersection(q, k, PairSelector::AllPairs),
                     PairKind::Union => PairCensusSpec::union(q, k, PairSelector::AllPairs),
                 };
-                run_pair_census(&g, &spec.with_subpattern(sub), algo).unwrap()
+                pair_census(&g, &spec.with_subpattern(sub), algo).unwrap()
             });
             for a in g.node_ids() {
                 for b in g.node_ids() {
@@ -125,14 +133,14 @@ proptest! {
         // the selected pairs.
         let pats = patterns();
         let p = &pats[2]; // triangle
-        let all = run_pair_census(
+        let all = pair_census(
             &g,
             &PairCensusSpec::intersection(p, k, PairSelector::AllPairs),
             Algorithm::NdPivot,
         )
         .unwrap();
         let members: Vec<NodeId> = g.node_ids().filter(|n| n.0 % 2 == 0).collect();
-        let among = run_pair_census(
+        let among = pair_census(
             &g,
             &PairCensusSpec::intersection(p, k, PairSelector::Among(members.clone())),
             Algorithm::PtOpt,
@@ -149,13 +157,13 @@ proptest! {
     fn intersection_bounded_by_union(g in arb_graph(), k in 1u32..3, pi in 0usize..4) {
         let pats = patterns();
         let p = &pats[pi];
-        let inter = run_pair_census(
+        let inter = pair_census(
             &g,
             &PairCensusSpec::intersection(p, k, PairSelector::AllPairs),
             Algorithm::NdPivot,
         )
         .unwrap();
-        let uni = run_pair_census(
+        let uni = pair_census(
             &g,
             &PairCensusSpec::union(p, k, PairSelector::AllPairs),
             Algorithm::NdPivot,

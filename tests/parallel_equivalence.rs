@@ -3,14 +3,45 @@
 //! selection, and thread count, the parallel path must produce counts
 //! bit-identical to the sequential path on random graphs.
 
-use egocensus::census::pairwise::{run_pair_census_with, PairCensusSpec, PairSelector};
 use egocensus::census::{
-    exec_matches, run_census_exec, run_census_with, run_pair_census_exec, Algorithm, CensusSpec,
-    ExecConfig, FocalNodes, PtConfig,
+    exec_matches, run, Algorithm, Census, CensusSpec, CountVector, ExecConfig, FocalNodes, Job,
+    PairCensusSpec, PairCounts, PairSelector, PtConfig,
 };
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use proptest::prelude::*;
+
+/// One census under `config` on `threads` workers.
+fn census_exec(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+    config: &PtConfig,
+    threads: usize,
+) -> CountVector {
+    let job = Job {
+        config: config.clone(),
+        exec: ExecConfig::with_threads(threads),
+        ..Job::new(Census::Single(spec), algorithm)
+    };
+    run(g, &job).unwrap().counts.remove(0)
+}
+
+/// One pairwise census under `config` on `threads` workers.
+fn pair_census_exec(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+    algorithm: Algorithm,
+    config: &PtConfig,
+    threads: usize,
+) -> PairCounts {
+    let job = Job {
+        config: config.clone(),
+        exec: ExecConfig::with_threads(threads),
+        ..Job::new(Census::Pair(spec), algorithm)
+    };
+    run(g, &job).unwrap().pairs
+}
 
 /// `n` nodes labelled 0/1, each pair an edge with probability
 /// `1 / one_in`, drawn from a xorshift stream seeded with `seed`.
@@ -115,11 +146,9 @@ proptest! {
         }
         let config = PtConfig::default();
         for algo in ALL_ALGOS {
-            let seq = run_census_with(&g, &spec, algo, &config).unwrap();
+            let seq = census_exec(&g, &spec, algo, &config, 1);
             for threads in [1usize, 2, 4, 8] {
-                let par = run_census_exec(
-                    &g, &spec, algo, &config, &ExecConfig::with_threads(threads),
-                ).unwrap();
+                let par = census_exec(&g, &spec, algo, &config, threads);
                 prop_assert_eq!(
                     &par, &seq,
                     "{:?} threads={} focal={}", algo, threads, explicit_focal
@@ -142,11 +171,9 @@ proptest! {
         }
         let config = PtConfig::default();
         for algo in COUNTSP_ALGOS {
-            let seq = run_census_with(&g, &spec, algo, &config).unwrap();
+            let seq = census_exec(&g, &spec, algo, &config, 1);
             for threads in [1usize, 2, 4, 8] {
-                let par = run_census_exec(
-                    &g, &spec, algo, &config, &ExecConfig::with_threads(threads),
-                ).unwrap();
+                let par = census_exec(&g, &spec, algo, &config, threads);
                 prop_assert_eq!(
                     &par, &seq,
                     "{:?} threads={} focal={}", algo, threads, explicit_focal
@@ -175,11 +202,9 @@ proptest! {
             Algorithm::PtRandom,
             Algorithm::PtOpt,
         ] {
-            let seq = run_pair_census_with(&g, &spec, algo, &config).unwrap();
+            let seq = pair_census_exec(&g, &spec, algo, &config, 1);
             for threads in [2usize, 4, 8] {
-                let par = run_pair_census_exec(
-                    &g, &spec, algo, &config, &ExecConfig::with_threads(threads),
-                ).unwrap();
+                let par = pair_census_exec(&g, &spec, algo, &config, threads);
                 prop_assert_eq!(par.len(), seq.len(), "{:?} threads={}", algo, threads);
                 for (a, b, c) in seq.iter() {
                     prop_assert_eq!(

@@ -1,10 +1,21 @@
 //! End-to-end pipeline tests: generate → serialize → reload → query.
 
-use egocensus::census::{run_census, Algorithm, CensusSpec};
+use egocensus::census::{
+    run, Algorithm, Census, CensusError, CensusSpec, CountVector, ExecConfig, Job,
+};
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
-use egocensus::graph::io;
+use egocensus::graph::{io, Graph};
 use egocensus::pattern::builtin;
 use egocensus::query::{QueryEngine, Value};
+
+/// One census on one thread.
+fn census(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+) -> Result<CountVector, CensusError> {
+    run(g, &Job::new(Census::Single(spec), algorithm)).map(|mut out| out.counts.remove(0))
+}
 
 #[test]
 fn generate_serialize_reload_census() {
@@ -21,8 +32,8 @@ fn generate_serialize_reload_census() {
     // The census result is identical on the reloaded graph.
     let p = builtin::clq3();
     let spec = CensusSpec::single(&p, 2);
-    let a = run_census(&g, &spec, Algorithm::PtOpt).unwrap();
-    let b = run_census(&g2, &spec, Algorithm::PtOpt).unwrap();
+    let a = census(&g, &spec, Algorithm::PtOpt).unwrap();
+    let b = census(&g2, &spec, Algorithm::PtOpt).unwrap();
     for n in g.node_ids() {
         assert_eq!(a.get(n), b.get(n));
     }
@@ -43,7 +54,7 @@ fn sql_on_generated_graph_matches_api() {
         .unwrap();
 
     let tri = egocensus::pattern::Pattern::parse("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-    let api = run_census(&g, &CensusSpec::single(&tri, 1), Algorithm::Auto).unwrap();
+    let api = census(&g, &CensusSpec::single(&tri, 1), Algorithm::Auto).unwrap();
     assert_eq!(table.num_rows(), g.num_nodes());
     for row in table.rows() {
         let id = row[0].as_int().unwrap() as u32;
@@ -75,17 +86,12 @@ fn parallel_census_agrees_end_to_end() {
     let g = barabasi_albert(500, 4, &mut r);
     let p = builtin::clq3_unlabeled();
     let spec = CensusSpec::single(&p, 2);
-    let matches = egocensus::census::global_matches(&g, &p);
-    let seq = egocensus::census::nd_pivot::run(&g, &spec, &matches).unwrap();
-    let (par, _) = egocensus::census::parallel::run_with_matches(
-        &g,
-        &spec,
-        &matches,
-        egocensus::census::Algorithm::NdPivot,
-        &egocensus::census::PtConfig::default(),
-        4,
-    )
-    .unwrap();
+    let seq = census(&g, &spec, Algorithm::NdPivot).unwrap();
+    let job = Job {
+        exec: ExecConfig::with_threads(4),
+        ..Job::new(Census::Single(&spec), Algorithm::NdPivot)
+    };
+    let par = &run(&g, &job).unwrap().counts[0];
     for n in g.node_ids() {
         assert_eq!(seq.get(n), par.get(n));
     }

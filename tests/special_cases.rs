@@ -6,21 +6,44 @@
 //! * clustering coefficient derives from the two above;
 //! * Jaccard coefficient = node counts over 1-hop intersection and union.
 
-use egocensus::census::pairwise::{run_pair_census, PairCensusSpec, PairSelector};
 use egocensus::census::{
-    global_matches, nd_pivot, pt_opt, run_batch_exec, run_census, run_census_with, Algorithm,
-    CensusError, CensusSpec, ExecConfig, PtConfig,
+    run, Algorithm, Census, CensusError, CensusSpec, CountVector, Job, PairCensusSpec, PairCounts,
+    PairSelector, PtConfig,
 };
 use egocensus::datagen::{barabasi_albert, rng};
-use egocensus::graph::{stats, GraphBuilder, Label, NodeId};
+use egocensus::graph::{stats, Graph, GraphBuilder, Label, NodeId};
 use egocensus::matcher::{MatchList, PatternMatch};
 use egocensus::pattern::Pattern;
+use std::sync::Arc;
+
+/// The first count vector of `job`.
+fn counts(g: &Graph, job: Job<'_, '_>) -> Result<CountVector, CensusError> {
+    run(g, &job).map(|mut out| out.counts.remove(0))
+}
+
+/// One census on one thread.
+fn census(
+    g: &Graph,
+    spec: &CensusSpec<'_>,
+    algorithm: Algorithm,
+) -> Result<CountVector, CensusError> {
+    counts(g, Job::new(Census::Single(spec), algorithm))
+}
+
+/// One pairwise census on one thread.
+fn pair_census(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+    algorithm: Algorithm,
+) -> Result<PairCounts, CensusError> {
+    run(g, &Job::new(Census::Pair(spec), algorithm)).map(|out| out.pairs)
+}
 
 #[test]
 fn degree_is_a_census() {
     let g = barabasi_albert(300, 3, &mut rng(5));
     let node = Pattern::parse("PATTERN n { ?A; }").unwrap();
-    let counts = run_census(&g, &CensusSpec::single(&node, 1), Algorithm::NdPivot).unwrap();
+    let counts = census(&g, &CensusSpec::single(&node, 1), Algorithm::NdPivot).unwrap();
     for n in g.node_ids() {
         // The 1-hop ball includes the ego itself.
         assert_eq!(counts.get(n) as usize, g.degree(n) + 1, "node {n:?}");
@@ -32,7 +55,7 @@ fn local_triangles_is_a_countsp_census() {
     let g = barabasi_albert(300, 4, &mut rng(6));
     let tri = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN me {?A;} }").unwrap();
     let spec = CensusSpec::single(&tri, 0).with_subpattern("me");
-    let counts = run_census(&g, &spec, Algorithm::NdPivot).unwrap();
+    let counts = census(&g, &spec, Algorithm::NdPivot).unwrap();
     for n in g.node_ids() {
         assert_eq!(
             counts.get(n) as usize,
@@ -47,7 +70,7 @@ fn clustering_coefficient_from_census() {
     let g = barabasi_albert(200, 4, &mut rng(7));
     let tri = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN me {?A;} }").unwrap();
     let spec = CensusSpec::single(&tri, 0).with_subpattern("me");
-    let tri_counts = run_census(&g, &spec, Algorithm::PtOpt).unwrap();
+    let tri_counts = census(&g, &spec, Algorithm::PtOpt).unwrap();
     for n in g.node_ids() {
         let d = g.degree(n);
         let cc = if d < 2 {
@@ -67,13 +90,13 @@ fn clustering_coefficient_from_census() {
 fn jaccard_from_pairwise_census() {
     let g = barabasi_albert(120, 3, &mut rng(8));
     let node = Pattern::parse("PATTERN n { ?A; }").unwrap();
-    let inter = run_pair_census(
+    let inter = pair_census(
         &g,
         &PairCensusSpec::intersection(&node, 1, PairSelector::AllPairs),
         Algorithm::NdPivot,
     )
     .unwrap();
-    let uni = run_pair_census(
+    let uni = pair_census(
         &g,
         &PairCensusSpec::union(&node, 1, PairSelector::AllPairs),
         Algorithm::NdPivot,
@@ -115,9 +138,9 @@ fn k_clustering_generalization_runs() {
     // just check it is monotone in k and consistent across algorithms.
     let g = barabasi_albert(150, 3, &mut rng(9));
     let edge = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
-    let c1 = run_census(&g, &CensusSpec::single(&edge, 1), Algorithm::NdPivot).unwrap();
-    let c2 = run_census(&g, &CensusSpec::single(&edge, 2), Algorithm::PtOpt).unwrap();
-    let c2b = run_census(&g, &CensusSpec::single(&edge, 2), Algorithm::NdDiff).unwrap();
+    let c1 = census(&g, &CensusSpec::single(&edge, 1), Algorithm::NdPivot).unwrap();
+    let c2 = census(&g, &CensusSpec::single(&edge, 2), Algorithm::PtOpt).unwrap();
+    let c2b = census(&g, &CensusSpec::single(&edge, 2), Algorithm::NdDiff).unwrap();
     for n in g.node_ids() {
         assert!(c2.get(n) >= c1.get(n));
         assert_eq!(c2.get(n), c2b.get(n));
@@ -144,26 +167,27 @@ fn pt_cluster_with_more_than_65535_anchors_counts_exactly() {
     let g = b.build();
     let edge = Pattern::parse("PATTERN e { ?A-?B; }").unwrap();
     let spec = CensusSpec::single(&edge, 1);
-    let matches = global_matches(&g, &edge);
-    let expect = nd_pivot::run(&g, &spec, &matches).unwrap();
+    let expect = census(&g, &spec, Algorithm::NdPivot).unwrap();
     let no_centers = PtConfig {
         num_centers: 0,
         ..PtConfig::default()
     };
     for config in [PtConfig::default(), no_centers] {
-        let single = pt_opt::run(&g, &spec, &matches, &config).unwrap();
-        assert!(single == expect, "pt_opt::run, {config:?}");
-        let batch = run_batch_exec(
-            &g,
-            std::slice::from_ref(&spec),
-            Algorithm::PtOpt,
-            &config,
-            &ExecConfig::sequential(),
-            &[],
-            None,
-        )
-        .unwrap();
-        assert!(batch.counts[0] == expect, "run_batch_exec, {config:?}");
+        let census = |census| {
+            let config = config.clone();
+            counts(
+                &g,
+                Job {
+                    config,
+                    ..Job::new(census, Algorithm::PtOpt)
+                },
+            )
+            .unwrap()
+        };
+        let single = census(Census::Single(&spec));
+        assert!(single == expect, "single PT-OPT, {config:?}");
+        let batch = census(Census::Batch(std::slice::from_ref(&spec)));
+        assert!(batch == expect, "batched PT-OPT, {config:?}");
     }
 }
 
@@ -173,24 +197,15 @@ fn pt_cluster_with_more_than_65535_anchors_counts_exactly() {
 fn pt_radius_past_u16_is_the_whole_component() {
     let g = barabasi_albert(120, 3, &mut rng(10));
     let tri = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
-    let matches = global_matches(&g, &tri);
     for k in [65_535, 70_000] {
         let spec = CensusSpec::single(&tri, k);
-        let expect = nd_pivot::run(&g, &spec, &matches).unwrap();
+        let expect = census(&g, &spec, Algorithm::NdPivot).unwrap();
         for algo in [Algorithm::PtOpt, Algorithm::PtRandom] {
-            let got = run_census_with(&g, &spec, algo, &PtConfig::default()).unwrap();
+            let got = census(&g, &spec, algo).unwrap();
             assert_eq!(got, expect, "{algo:?} k={k}");
-            let batch = run_batch_exec(
-                &g,
-                std::slice::from_ref(&spec),
-                algo,
-                &PtConfig::default(),
-                &ExecConfig::sequential(),
-                &[],
-                None,
-            )
-            .unwrap();
-            assert_eq!(batch.counts[0], expect, "batched {algo:?} k={k}");
+            let batch = Census::Batch(std::slice::from_ref(&spec));
+            let batch = counts(&g, Job::new(batch, algo)).unwrap();
+            assert_eq!(batch, expect, "batched {algo:?} k={k}");
         }
     }
 }
@@ -203,13 +218,17 @@ fn pt_radius_that_cannot_fit_is_an_error() {
     b.add_nodes(u16::MAX as usize, Label(0));
     let g = b.build();
     let node = Pattern::parse("PATTERN n { ?A; }").unwrap();
-    let one = MatchList::from_matches(vec![PatternMatch {
+    let one = Arc::new(MatchList::from_matches(vec![PatternMatch {
         nodes: vec![NodeId(0)],
-    }]);
+    }]));
+    let pt_opt = |spec| Job {
+        matches: vec![Some(one.clone())],
+        ..Job::new(Census::Single(spec), Algorithm::PtOpt)
+    };
     let spec = CensusSpec::single(&node, 65_535);
-    let err = pt_opt::run(&g, &spec, &one, &PtConfig::default()).unwrap_err();
+    let err = counts(&g, pt_opt(&spec)).unwrap_err();
     assert!(matches!(err, CensusError::Unsupported(_)), "{err:?}");
     let fits = CensusSpec::single(&node, 65_534);
-    let counts = pt_opt::run(&g, &fits, &one, &PtConfig::default()).unwrap();
+    let counts = counts(&g, pt_opt(&fits)).unwrap();
     assert_eq!(counts.total(), 1);
 }

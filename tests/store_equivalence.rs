@@ -5,9 +5,7 @@
 //! acceptance gate for the out-of-core storage layer: the backend is a
 //! pure storage decision, invisible to every algorithm.
 
-use egocensus::census::{
-    run_census_exec, Algorithm, CensusSpec, CountVector, ExecConfig, PtConfig,
-};
+use egocensus::census::{run, Algorithm, Census, CensusSpec, CountVector, ExecConfig, Job};
 use egocensus::datagen;
 use egocensus::graph::{io, Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
@@ -83,14 +81,11 @@ fn with_both_backends(g: &Graph, tag: &str, check: impl FnOnce(&Graph, &Graph)) 
 }
 
 fn census(g: &Graph, spec: &CensusSpec, algo: Algorithm, threads: usize) -> CountVector {
-    run_census_exec(
-        g,
-        spec,
-        algo,
-        &PtConfig::default(),
-        &ExecConfig::with_threads(threads),
-    )
-    .unwrap()
+    let job = Job {
+        exec: ExecConfig::with_threads(threads),
+        ..Job::new(Census::Single(spec), algo)
+    };
+    run(g, &job).unwrap().counts.remove(0)
 }
 
 #[test]
