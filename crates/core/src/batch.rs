@@ -150,7 +150,7 @@ pub(crate) fn run(
                     .iter()
                     .map(|&i| {
                         let m = matches[i].as_deref().expect("pivot mode requires matches");
-                        PivotPlan::new(&specs[i], m)
+                        PivotPlan::new(g, &specs[i], m)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 // All members share the focal set (grouping invariant).

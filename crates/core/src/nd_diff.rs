@@ -5,35 +5,67 @@
 //! matches that touch `N_k(n') − N_k(n)` and are fully contained in
 //! `S(n', k)`, and (2) removing matches that touch `N_k(n) − N_k(n')`.
 //! The match index here is keyed by **all** nodes of each match
-//! (GADDI-style), not just the pivot.
+//! (GADDI-style), not just the pivot: a [`MatchIndex`] with one entry
+//! per image. The working sets are flat too: the focal nodes still to
+//! count are a [`NodeBitset`], and `M[n]` an epoch-stamped array over
+//! match ids, emptied in O(1) when the chain restarts.
 
+use crate::nd_pivot::MatchIndex;
 use crate::result::{CensusError, CountVector};
 use crate::spec::CensusSpec;
 use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
-use ego_graph::{neighborhood, FastHashMap, FastHashSet, Graph, NodeId};
+use ego_graph::{neighborhood, Graph, NodeBitset, NodeId};
 use ego_matcher::MatchList;
 
-/// Match index over all member nodes: `PMI[n]` = matches containing `n`.
-pub struct FullIndex {
-    map: FastHashMap<u32, Vec<u32>>,
+/// The match index over all member nodes: `get(n)` = matches containing `n`.
+pub fn full_index(num_nodes: usize, matches: &MatchList) -> MatchIndex {
+    let entries = matches.matches().iter().enumerate();
+    MatchIndex::build(
+        num_nodes,
+        entries.flat_map(|(i, m)| m.nodes.iter().map(move |&n| (n, i as u32))),
+    )
 }
 
-impl FullIndex {
-    /// Build from a match list.
-    pub fn build(matches: &MatchList) -> Self {
-        let mut map: FastHashMap<u32, Vec<u32>> = FastHashMap::default();
-        for (i, m) in matches.iter().enumerate() {
-            for &n in &m.nodes {
-                map.entry(n.0).or_default().push(i as u32);
-            }
+/// A set of match ids: `id` is in it iff `stamp[id] == epoch`.
+struct MatchSet {
+    stamp: Vec<u32>,
+    epoch: u32,
+    len: u64,
+}
+
+impl MatchSet {
+    fn new(universe: usize) -> Self {
+        MatchSet {
+            stamp: vec![0; universe],
+            epoch: 0,
+            len: 0,
         }
-        FullIndex { map }
     }
 
-    /// Matches containing `n`.
-    pub fn get(&self, n: NodeId) -> &[u32] {
-        self.map.get(&n.0).map(Vec::as_slice).unwrap_or(&[])
+    /// Empty the set. Called once per chain start, so at most once per
+    /// focal node: the epoch never wraps.
+    fn clear(&mut self) {
+        self.epoch += 1;
+        self.len = 0;
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.stamp[id as usize] == self.epoch
+    }
+
+    /// Add `id`, which must not be in the set yet.
+    fn insert(&mut self, id: u32) {
+        debug_assert!(!self.contains(id));
+        self.stamp[id as usize] = self.epoch;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, id: u32) {
+        if self.contains(id) {
+            self.stamp[id as usize] = 0;
+            self.len -= 1;
+        }
     }
 }
 
@@ -47,94 +79,82 @@ pub(crate) fn run(
 ) -> Result<(CountVector, TraversalStats), CensusError> {
     check(spec)?;
     let k = spec.k();
-    let pmi = FullIndex::build(matches);
-    let mask = spec.focal().mask(g);
-    let mut counts = CountVector::new(g.num_nodes(), mask.clone());
+    let pmi = full_index(g.num_nodes(), matches);
+    let focal = spec.focal().nodes(g);
+    let mut counts = CountVector::new(g.num_nodes(), spec.focal().mask(g));
 
-    // Remaining focal set; chained traversal prefers a neighbor of the
-    // current node so neighborhoods overlap.
-    let mut remaining: FastHashSet<u32> = spec.focal().nodes(g).iter().map(|n| n.0).collect();
+    // Focal nodes not yet counted; a restart jumps to the first of them
+    // in focal order, at or after `jump`.
+    let mut remaining = NodeBitset::from_sorted(g.num_nodes(), &focal);
+    let mut jump = 0;
+    let mut current_set = MatchSet::new(matches.len());
     let mut scratch = BfsScratch::new(g.num_nodes());
+    let (mut cur_nodes, mut prev_nodes) = (Vec::new(), Vec::new());
+    let mut have_prev = false;
 
-    let mut current = match spec.focal().nodes(g).first() {
+    let mut current = match focal.first() {
         Some(&n) => n,
         None => return Ok((counts, TraversalStats::default())),
     };
-    let mut prev_nodes: Vec<NodeId> = Vec::new();
-    let mut have_prev = false;
-    let mut current_set: FastHashSet<u32> = FastHashSet::default();
-    let mut buf = Vec::new();
+    loop {
+        remaining.remove(current);
+        cur_nodes.clear();
+        scratch.bounded_bfs(g, current, k, &mut cur_nodes);
+        cur_nodes.sort_unstable();
 
-    while !remaining.is_empty() {
-        remaining.remove(&current.0);
-
-        buf.clear();
-        scratch.bounded_bfs(g, current, k, &mut buf);
-        buf.sort_unstable();
-        let cur_nodes = buf.clone();
-
-        if !have_prev {
-            current_set.clear();
-            // Full computation: every match touching the neighborhood,
-            // filtered for containment.
-            for &n in &cur_nodes {
+        // Admit every match touching `nodes` that the ball holds.
+        let admit = |nodes: &[NodeId], set: &mut MatchSet| {
+            for &n in nodes {
                 for &mi in pmi.get(n) {
-                    if current_set.contains(&mi) {
-                        continue;
+                    let inside = |x: &NodeId| scratch.visited(*x);
+                    if !set.contains(mi) && matches[mi as usize].nodes.iter().all(inside) {
+                        set.insert(mi);
                     }
-                    let m = &matches[mi as usize];
-                    if m.nodes.iter().all(|x| cur_nodes.binary_search(x).is_ok()) {
-                        current_set.insert(mi);
-                    }
+                }
+            }
+        };
+        if have_prev {
+            // Insertions first (paper order); removals then evict
+            // anything that slid out of the neighborhood.
+            admit(
+                &neighborhood::difference_sorted(&cur_nodes, &prev_nodes),
+                &mut current_set,
+            );
+            for n in neighborhood::difference_sorted(&prev_nodes, &cur_nodes) {
+                for &mi in pmi.get(n) {
+                    current_set.remove(mi);
                 }
             }
         } else {
-            let added = neighborhood::difference_sorted(&cur_nodes, &prev_nodes);
-            let removed = neighborhood::difference_sorted(&prev_nodes, &cur_nodes);
-            // Insertions first (paper order); removals then evict anything
-            // that slid out of the neighborhood.
-            for &n in &added {
-                for &mi in pmi.get(n) {
-                    if current_set.contains(&mi) {
-                        continue;
-                    }
-                    let m = &matches[mi as usize];
-                    if m.nodes.iter().all(|x| cur_nodes.binary_search(x).is_ok()) {
-                        current_set.insert(mi);
-                    }
-                }
-            }
-            for &n in &removed {
-                for &mi in pmi.get(n) {
-                    current_set.remove(&mi);
-                }
-            }
+            // Full computation: every match touching the neighborhood,
+            // filtered for containment.
+            current_set.clear();
+            admit(&cur_nodes, &mut current_set);
         }
+        counts.set(current, current_set.len);
 
-        counts.set(current, current_set.len() as u64);
-
-        // Next: prefer an unprocessed neighbor (keeps the diff small).
+        // Next: prefer an unprocessed neighbor (keeps the diff small);
+        // otherwise jump and restart from scratch.
         let next_neighbor = g
             .neighbors(current)
             .iter()
             .copied()
-            .find(|m| remaining.contains(&m.0));
-        match next_neighbor {
-            Some(nb) => {
-                prev_nodes = cur_nodes;
-                have_prev = true;
-                current = nb;
+            .find(|&m| remaining.contains(m));
+        if let Some(nb) = next_neighbor {
+            std::mem::swap(&mut prev_nodes, &mut cur_nodes);
+            have_prev = true;
+            current = nb;
+            continue;
+        }
+        while jump < focal.len() && !remaining.contains(focal[jump]) {
+            jump += 1;
+        }
+        match focal.get(jump) {
+            Some(&n) => {
+                current = n;
+                have_prev = false;
             }
-            None => {
-                // Jump to an arbitrary remaining node; restart from scratch.
-                match remaining.iter().next().copied() {
-                    Some(raw) => {
-                        current = NodeId(raw);
-                        have_prev = false;
-                    }
-                    None => break,
-                }
-            }
+            None => break,
         }
     }
     let tstats = TraversalStats {
@@ -208,7 +228,7 @@ mod tests {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let m = exec_matches(&g, &p, 1);
-        let idx = FullIndex::build(&m);
+        let idx = full_index(g.num_nodes(), &m);
         // Triangle node 2 participates in both triangles.
         assert_eq!(idx.get(NodeId(2)).len(), 2);
         assert_eq!(idx.get(NodeId(6)).len(), 0);

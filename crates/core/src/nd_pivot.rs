@@ -2,8 +2,8 @@
 //!
 //! 1. Find all matches `M` once, globally.
 //! 2. Pick the pattern's *pivot* `v` (minimum eccentricity; for COUNTSP,
-//!    drawn from the subpattern nodes) and index `M` by the image of `v`
-//!    — the pattern match index `PMI_v`.
+//!    drawn from the subpattern nodes) and index `M` by the image of a
+//!    pivot — the pattern match index `PMI_v`.
 //! 3. For each focal node `n`, BFS to depth `k`. For every visited node
 //!    `n'` at distance `d`, the matches in `PMI_v(n')` are candidates:
 //!    * if `d + max_v ≤ k`, **every** such match is fully contained in
@@ -11,6 +11,16 @@
 //!      `|PMI_v(n')|` without looking at the matches;
 //!    * otherwise only anchor nodes at pattern distance `> k - d` from
 //!      the pivot can stick out — check just those (`distant[k-d+1]`).
+//!
+//! Any anchor whose distances to the other anchors reach as far as the
+//! pivot's (the same largest finite distance, the same disconnected
+//! flag) serves as the pivot just as well: step 3's argument uses only
+//! those distances. So each match is keyed at whichever of these *tied*
+//! pivots has the lowest-degree image. Canonical embeddings put the
+//! pivot's image on hubs, and a hub lies within `k` of most focal nodes;
+//! keyed at a low-degree image, a match that needs the explicit check is
+//! met by far fewer balls. A contained match has its key image in the
+//! ball, so it is still counted exactly once.
 //!
 //! That rule is written once, in `PivotPlan::count`, and the per-focal
 //! loop once, in `sweep`: single-pattern ND-PVOT is the sweep of one
@@ -23,60 +33,115 @@ use crate::spec::CensusSpec;
 use crate::tstats::TraversalStats;
 use ego_graph::bfs::BfsScratch;
 use ego_graph::parallel::{fan_out, workers_for};
-use ego_graph::{FastHashMap, Graph, NodeId};
+use ego_graph::{Graph, NodeId};
 use ego_matcher::MatchList;
 use ego_pattern::analysis::{PatternAnalysis, UNREACHABLE};
 use ego_pattern::{PNode, Pattern};
+use std::cmp::Reverse;
+use std::ops::Range;
 
-/// The pattern match index: match indices keyed by the pivot's image.
-pub struct PivotIndex {
-    map: FastHashMap<u32, Vec<u32>>,
-    pivot: PNode,
+/// A pattern match index: match ids bucketed by graph node, as a CSR —
+/// the entries keyed at `n` are `ids()[range(n)]`, in the order they were
+/// handed to [`Self::build`]. A probe is two array reads.
+pub struct MatchIndex {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
 }
 
-impl PivotIndex {
-    /// Index `matches` by the image of `pivot`.
-    pub fn build(matches: &MatchList, pivot: PNode) -> Self {
-        let mut map: FastHashMap<u32, Vec<u32>> = FastHashMap::default();
-        for (i, m) in matches.iter().enumerate() {
-            map.entry(m.image(pivot).0).or_default().push(i as u32);
+impl MatchIndex {
+    /// Bucket `(key, match id)` entries over `num_nodes` nodes by one
+    /// counting sort. `entries` is walked twice (count, then place).
+    ///
+    /// # Panics
+    ///
+    /// If there are `2^32` entries or more: offsets are `u32`, like the
+    /// match ids.
+    pub fn build<I>(num_nodes: usize, entries: I) -> Self
+    where
+        I: Iterator<Item = (NodeId, u32)> + Clone,
+    {
+        let mut offsets = vec![0u32; num_nodes + 1];
+        let mut total = 0usize;
+        for (n, _) in entries.clone() {
+            offsets[n.index() + 1] = offsets[n.index() + 1].wrapping_add(1);
+            total += 1;
         }
-        PivotIndex { map, pivot }
+        assert!(
+            u32::try_from(total).is_ok(),
+            "a match index holds fewer than 2^32 entries"
+        );
+        for i in 0..num_nodes {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![0u32; offsets[num_nodes] as usize];
+        for (n, id) in entries {
+            let at = &mut next[n.index()];
+            ids[*at as usize] = id;
+            *at += 1;
+        }
+        MatchIndex { offsets, ids }
     }
 
-    /// Matches whose pivot image is `n`.
+    /// Where the entries keyed at `n` sit in [`Self::ids`].
+    #[inline(always)]
+    pub fn range(&self, n: NodeId) -> Range<usize> {
+        self.offsets[n.index()] as usize..self.offsets[n.index() + 1] as usize
+    }
+
+    /// Matches keyed at `n`.
     pub fn get(&self, n: NodeId) -> &[u32] {
-        self.map.get(&n.0).map(Vec::as_slice).unwrap_or(&[])
+        &self.ids[self.range(n)]
     }
 
-    /// The pivot this index is keyed on.
-    pub fn pivot(&self) -> PNode {
-        self.pivot
+    /// Every entry's match id, bucket after bucket.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
     }
 }
 
 /// Algorithm 2's containment rule for one spec, set up once from the
 /// spec's pattern, anchors and radius and its global matches.
-pub(crate) struct PivotPlan<'m> {
+pub(crate) struct PivotPlan {
     k: u32,
-    matches: &'m MatchList,
-    index: PivotIndex,
+    pivot: PNode,
+    /// Each match keyed at the image of its key pivot: the tied pivot
+    /// (see the module docs) with the lowest-degree image, the first
+    /// in tie order among equals.
+    index: MatchIndex,
+    /// Per index entry, its match's anchor images far-first from its key
+    /// pivot: disconnected anchors, then decreasing pattern distance.
+    /// Entry `e`'s row is `images[e * stride..][..stride]`.
+    images: Vec<NodeId>,
+    /// Per index entry, its key pivot's position in the tie order.
+    key: Vec<u8>,
+    /// The number of anchors.
+    stride: usize,
     /// The largest pattern distance from the pivot to an anchor. Taken
     /// over anchors only: non-anchor images may fall outside `S(n, k)`.
     max_v: u32,
     /// Some anchor is disconnected from the pivot, so no distance proves
     /// containment and every bucket takes the explicit check.
     has_unreachable: bool,
-    /// `distant[i - 1]`: the anchors at pattern distance `≥ i` from the
-    /// pivot, or disconnected from it, for `i` in `1..=max_v + 1` (the
-    /// extra slot keeps `i = k - d + 1` in range when `d + max_v = k + 1`).
-    distant: Vec<Vec<PNode>>,
+    /// The number of tied pivots.
+    ties: usize,
+    /// `far[(i - 1) * ties + t]`: how many anchors are at pattern
+    /// distance `≥ i` from tied pivot `t`, or disconnected from it — the
+    /// head of its far-first row that can stick out of a ball — for `i`
+    /// in `1..=max_v + 1` (the extra slot keeps `i = k - d + 1` in range
+    /// when `d + max_v = k + 1`).
+    far: Vec<u32>,
 }
 
-impl<'m> PivotPlan<'m> {
+impl PivotPlan {
     /// The plan for a single-node census spec.
-    pub(crate) fn new(spec: &CensusSpec<'_>, matches: &'m MatchList) -> Result<Self, CensusError> {
+    pub(crate) fn new(
+        g: &Graph,
+        spec: &CensusSpec<'_>,
+        matches: &MatchList,
+    ) -> Result<Self, CensusError> {
         Ok(Self::for_anchors(
+            g,
             spec.pattern(),
             &spec.anchor_nodes()?,
             spec.k(),
@@ -87,40 +152,89 @@ impl<'m> PivotPlan<'m> {
     /// The plan for `anchors` of `pattern` at radius `k`; the pivot is
     /// drawn from the anchors.
     pub(crate) fn for_anchors(
+        g: &Graph,
         pattern: &Pattern,
         anchors: &[PNode],
         k: u32,
-        matches: &'m MatchList,
+        matches: &MatchList,
     ) -> Self {
         let analysis = PatternAnalysis::with_pivot_candidates(pattern, Some(anchors));
         let pivot = analysis.pivot();
-        let dist = |a: PNode| analysis.distance(pivot, a);
-        let has_unreachable = anchors.iter().any(|&a| dist(a) == UNREACHABLE);
-        let max_v = anchors
+        let dist = |t: PNode, a: PNode| analysis.distance(t, a);
+        // How far an anchor's matches reach: the largest finite pattern
+        // distance to an anchor, and whether some anchor is out of reach.
+        let reach = |t: PNode| {
+            let finite = anchors
+                .iter()
+                .map(|&a| dist(t, a))
+                .filter(|&d| d != UNREACHABLE);
+            let unreachable = anchors.iter().any(|&a| dist(t, a) == UNREACHABLE);
+            (finite.max().unwrap_or(0), unreachable)
+        };
+        let (max_v, has_unreachable) = reach(pivot);
+        let ties: Vec<PNode> = std::iter::once(pivot)
+            .chain(
+                anchors
+                    .iter()
+                    .copied()
+                    .filter(|&t| t != pivot && reach(t) == (max_v, has_unreachable)),
+            )
+            .take(usize::from(u8::MAX) + 1)
+            .collect();
+        // UNREACHABLE is u32::MAX: disconnected anchors sort first and
+        // count as far at every distance.
+        let rows: Vec<Vec<PNode>> = ties
             .iter()
-            .map(|&a| dist(a))
-            .filter(|&d| d != UNREACHABLE)
-            .max()
-            .unwrap_or(0);
-        let distant = (1..=max_v.max(1) + 1)
-            .map(|i| {
-                let far = |&a: &PNode| dist(a) == UNREACHABLE || dist(a) >= i;
-                anchors.iter().copied().filter(far).collect()
+            .map(|&t| {
+                let mut row = anchors.to_vec();
+                row.sort_by_key(|&a| Reverse(dist(t, a)));
+                row
             })
             .collect();
+        let far = (1..=max_v.max(1) + 1)
+            .flat_map(|i| {
+                let far_from = move |t| anchors.iter().filter(|&&a| dist(t, a) >= i).count();
+                ties.iter().map(move |&t| far_from(t) as u32)
+            })
+            .collect();
+        // Per match, its key pivot: `min_by_key` keeps the first of equal
+        // degrees, i.e. tie order.
+        let tie_of: Vec<u8> = matches
+            .iter()
+            .map(|m| {
+                let degree = |&t: &usize| g.degree(m.image(ties[t]));
+                (0..ties.len()).min_by_key(degree).unwrap_or(0) as u8
+            })
+            .collect();
+        let keyed = matches.matches().iter().zip(&tie_of).enumerate();
+        let index = MatchIndex::build(
+            g.num_nodes(),
+            keyed.map(|(i, (m, &t))| (m.image(ties[t as usize]), i as u32)),
+        );
+        let key: Vec<u8> = index.ids().iter().map(|&mi| tie_of[mi as usize]).collect();
+        let mut images = Vec::with_capacity(key.len() * anchors.len());
+        for (&mi, &t) in index.ids().iter().zip(&key) {
+            let m = &matches[mi as usize];
+            images.extend(rows[t as usize].iter().map(|&a| m.image(a)));
+        }
         PivotPlan {
             k,
-            matches,
-            index: PivotIndex::build(matches, pivot),
+            pivot,
+            index,
+            images,
+            key,
+            stride: anchors.len(),
             max_v,
             has_unreachable,
-            distant,
+            ties: ties.len(),
+            far,
         }
     }
 
-    /// The pattern match index the plan counts from.
-    pub(crate) fn index(&self) -> &PivotIndex {
-        &self.index
+    /// The pivot: the anchor the pattern analysis picked. Every match's
+    /// image of it bounds the matches a ball can hold (top-k's bound).
+    pub(crate) fn pivot(&self) -> PNode {
+        self.pivot
     }
 
     /// The matches contained in one ball: `ball` lists its nodes, all
@@ -134,9 +248,10 @@ impl<'m> PivotPlan<'m> {
         inside: impl Fn(NodeId) -> bool,
     ) -> u64 {
         let k = self.k;
+        let slots = self.far.len() / self.ties;
         let mut total = 0u64;
         for np in ball {
-            let bucket = self.index.get(np);
+            let bucket = self.index.range(np);
             if bucket.is_empty() {
                 continue;
             }
@@ -147,16 +262,19 @@ impl<'m> PivotPlan<'m> {
                 continue;
             }
             // Only anchors that can stick out need checking: pattern
-            // distance > k - d, i.e. >= k - d + 1. Clamping to the last
-            // slot (max_v + 1) leaves exactly the disconnected anchors,
-            // which must always be checked.
-            let i = ((k - d) as usize + 1).min(self.distant.len());
-            let to_check = &self.distant[i - 1];
-            let contained = |&&mi: &&u32| {
-                let m = &self.matches[mi as usize];
-                to_check.iter().all(|&a| inside(m.image(a)))
-            };
-            total += bucket.iter().filter(contained).count() as u64;
+            // distance > k - d, i.e. >= k - d + 1 — the head of each
+            // far-first row. Clamping to the last slot (max_v + 1) leaves
+            // exactly the disconnected anchors, which must always be
+            // checked.
+            let i = ((k - d) as usize + 1).min(slots);
+            let far = &self.far[(i - 1) * self.ties..][..self.ties];
+            for e in bucket {
+                let head = far[usize::from(self.key[e])] as usize;
+                let row = &self.images[e * self.stride..][..head];
+                // No early exit: the rows are short, and a branch per
+                // image costs more than the images left to read.
+                total += row.iter().fold(true, |ok, &img| ok & inside(img)) as u64;
+            }
         }
         total
     }
@@ -187,7 +305,7 @@ pub(crate) fn run(
     matches: &MatchList,
     threads: usize,
 ) -> Result<(CountVector, TraversalStats), CensusError> {
-    let plans = [PivotPlan::new(spec, matches)?];
+    let plans = [PivotPlan::new(g, spec, matches)?];
     let focal = spec.focal();
     let (mut counts, tstats) = sweep(
         g,
@@ -208,7 +326,7 @@ pub(crate) fn sweep(
     focal: &[NodeId],
     mask: &[bool],
     k_max: u32,
-    plans: &[PivotPlan<'_>],
+    plans: &[PivotPlan],
     threads: usize,
 ) -> (Vec<CountVector>, TraversalStats) {
     let shard = |shard: &[NodeId]| {
@@ -287,13 +405,56 @@ mod tests {
     }
 
     #[test]
-    fn pivot_index_buckets() {
+    fn match_index_buckets() {
         let g = fixture();
         let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
         let m = exec_matches(&g, &p, 1);
-        let idx = PivotIndex::build(&m, PNode(0));
+        let idx = MatchIndex::build(
+            g.num_nodes(),
+            m.matches()
+                .iter()
+                .enumerate()
+                .map(|(i, mt)| (mt.image(PNode(0)), i as u32)),
+        );
         let total: usize = g.node_ids().map(|n| idx.get(n).len()).sum();
         assert_eq!(total, m.len());
+        for n in g.node_ids() {
+            assert!(idx
+                .get(n)
+                .iter()
+                .all(|&i| m[i as usize].image(PNode(0)) == n));
+        }
+    }
+
+    #[test]
+    fn matches_are_keyed_off_the_hub() {
+        // A fan: hub 0 closes a triangle with each pair (2i + 1, 2i + 2).
+        // Every canonical triangle puts its pivot image on the hub; all
+        // three nodes are tied pivots, so each match is keyed at a
+        // degree-2 rim node instead and the hub's bucket stays empty.
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(13, Label(0));
+        for i in 0..6u32 {
+            let (x, y) = (NodeId(2 * i + 1), NodeId(2 * i + 2));
+            b.add_edge(NodeId(0), x);
+            b.add_edge(NodeId(0), y);
+            b.add_edge(x, y);
+        }
+        let g = b.build();
+        let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+        let m = exec_matches(&g, &p, 1);
+        assert_eq!(m.len(), 6);
+        let spec = CensusSpec::single(&p, 1);
+        let plan = PivotPlan::new(&g, &spec, &m).unwrap();
+        assert!(m.iter().all(|mt| mt.image(plan.pivot()) == NodeId(0)));
+        assert!(plan.index.get(NodeId(0)).is_empty());
+        let keyed: usize = g.node_ids().map(|n| plan.index.get(n).len()).sum();
+        assert_eq!(keyed, m.len());
+        for k in 0..3 {
+            let spec = CensusSpec::single(&p, k);
+            let (slow, _) = nd_bas::run(&g, &spec).unwrap();
+            assert_eq!(run_spec(&g, &spec), slow, "k={k}");
+        }
     }
 
     #[test]

@@ -276,8 +276,7 @@ impl PairCounts {
 
 /// Run `algorithm` over the global `matches` (ignored by ND-BAS) with
 /// `threads` workers: the node-driven kernels over shards of the pair
-/// list, the pattern-driven ones over chunks of their clusters. Only the
-/// pattern-driven kernels count traversal statistics.
+/// list, the pattern-driven ones over chunks of their clusters.
 pub(crate) fn run_with_matches(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
@@ -288,12 +287,9 @@ pub(crate) fn run_with_matches(
 ) -> Result<(PairCounts, TraversalStats), CensusError> {
     use crate::Algorithm::*;
     let pt = |config: &PtConfig| run_pt(g, spec, matches, config, threads);
-    let untraced = |counts| (counts, TraversalStats::default());
     match algorithm {
-        NdBaseline => pair_shards(g, spec, threads, |s| nd_bas_pairwise(g, s)).map(untraced),
-        NdPivot | NdDiff => {
-            pair_shards(g, spec, threads, |s| nd_pivot_pairwise(g, s, matches)).map(untraced)
-        }
+        NdBaseline => pair_shards(g, spec, threads, |s| nd_bas_pairwise(g, s)),
+        NdPivot | NdDiff => pair_shards(g, spec, threads, |s| nd_pivot_pairwise(g, s, matches)),
         // Pairwise census is not priced: `Auto` is PT-OPT unless the
         // refusal rule turns it away.
         Auto if refusal(g, Census::Pair(spec), PtOpt).is_err() => {
@@ -313,12 +309,17 @@ pub(crate) fn run_with_matches(
 }
 
 /// ND-BAS, pairwise: extract each pair's neighborhood subgraph and match.
-fn nd_bas_pairwise(g: &Graph, spec: &PairCensusSpec<'_>) -> Result<PairCounts, CensusError> {
+/// Counts the BFS edges of both ends of every pair.
+fn nd_bas_pairwise(
+    g: &Graph,
+    spec: &PairCensusSpec<'_>,
+) -> Result<(PairCounts, TraversalStats), CensusError> {
     check_nd_bas(spec)?;
     let p = spec.pattern();
+    let pairs = spec.selector().pairs(g);
     let mut counts = PairCounts::default();
     let mut scratch = BfsScratch::new(g.num_nodes());
-    for (a, b) in spec.selector().pairs(g) {
+    for &(a, b) in &pairs {
         let nodes = match spec.kind() {
             PairKind::Intersection => {
                 neighborhood::khop_intersection(g, &mut scratch, a, b, spec.k())
@@ -334,53 +335,76 @@ fn nd_bas_pairwise(g: &Graph, spec: &PairCensusSpec<'_>) -> Result<PairCounts, C
             counts.add(a, b, m.len() as u64);
         }
     }
-    Ok(counts)
+    let tstats = TraversalStats {
+        edges_traversed: scratch.edges_scanned(),
+        nodes_expanded: 2 * pairs.len() as u64,
+        ..TraversalStats::default()
+    };
+    Ok((counts, tstats))
 }
 
-/// ND-PVOT, pairwise (Appendix B): per-node k-hop lists computed once,
-/// combined per pair with max/min distances, and counted by the same
-/// `PivotPlan` as a single-node ball.
+/// ND-PVOT, pairwise (Appendix B): per-participant k-hop lists computed
+/// once, combined per pair with max/min distances, and counted by the
+/// same `PivotPlan` as a single-node ball. Counts the participants' BFS
+/// edges, once each.
 fn nd_pivot_pairwise(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
     matches: &MatchList,
-) -> Result<PairCounts, CensusError> {
+) -> Result<(PairCounts, TraversalStats), CensusError> {
     let k = spec.k();
-    let plan = PivotPlan::for_anchors(spec.pattern(), &spec.anchor_nodes()?, k, matches);
+    let plan = PivotPlan::for_anchors(g, spec.pattern(), &spec.anchor_nodes()?, k, matches);
 
-    // Per participant: sorted (node, dist) k-hop list.
+    // Per participant, by rank: its (node, dist) k-hop list sorted by
+    // node, `khop[offsets[r]..offsets[r + 1]]`.
     let participants = spec.selector().participants(g);
-    let mut khop: FastHashMap<u32, Vec<(NodeId, u32)>> = FastHashMap::default();
+    let mut offsets = Vec::with_capacity(participants.len() + 1);
+    offsets.push(0);
+    let mut khop: Vec<(NodeId, u32)> = Vec::new();
     let mut scratch = BfsScratch::new(g.num_nodes());
     let mut buf = Vec::new();
     for &n in &participants {
         buf.clear();
         scratch.bounded_bfs(g, n, k, &mut buf);
-        let mut list: Vec<(NodeId, u32)> = buf.iter().map(|&m| (m, scratch.distance(m))).collect();
-        list.sort_unstable();
-        khop.insert(n.0, list);
+        let at = khop.len();
+        khop.extend(buf.iter().map(|&m| (m, scratch.distance(m))));
+        khop[at..].sort_unstable();
+        offsets.push(khop.len());
     }
+    let tstats = TraversalStats {
+        edges_traversed: scratch.edges_scanned(),
+        nodes_expanded: participants.len() as u64,
+        ..TraversalStats::default()
+    };
+    let list = |n: NodeId| {
+        let r = participants
+            .binary_search(&n)
+            .expect("a pair's nodes are participants");
+        &khop[offsets[r]..offsets[r + 1]]
+    };
 
+    // The combined ball of each pair is stamped into `scratch`, one
+    // epoch per pair: membership is exact containment for both kinds
+    // (within k of both balls, or of either).
     let mut counts = PairCounts::default();
     let mut combined: Vec<(NodeId, u32)> = Vec::new();
     for (a, b) in spec.selector().pairs(g) {
-        let la = &khop[&a.0];
-        let lb = &khop[&b.0];
         combined.clear();
-        merge_pair(la, lb, spec.kind(), &mut combined);
+        merge_pair(list(a), list(b), spec.kind(), &mut combined);
         if combined.is_empty() {
             continue;
         }
-        // Membership in the combined set is exact containment for both
-        // kinds: within k of both balls, or of either.
-        let member: FastHashMap<u32, u32> = combined.iter().map(|&(n, d)| (n.0, d)).collect();
+        scratch.begin();
+        for &(n, d) in &combined {
+            scratch.mark(n, d);
+        }
         let ball = combined.iter().map(|&(n, _)| n);
-        let total = plan.count(ball, |n| member[&n.0], |img| member.contains_key(&img.0));
+        let total = plan.count(ball, |n| scratch.distance(n), |img| scratch.visited(img));
         if total > 0 {
             counts.add(a, b, total);
         }
     }
-    Ok(counts)
+    Ok((counts, tstats))
 }
 
 /// Merge two sorted (node, dist) lists under intersection (max) or union
@@ -781,6 +805,33 @@ mod tests {
             v
         };
         assert_eq!(sorted(&opt), sorted(&rnd));
+    }
+
+    #[test]
+    fn node_driven_pair_jobs_report_their_bfs_edges() {
+        let g = fixture();
+        let p = Pattern::parse("PATTERN t { ?A-?B; ?B-?C; ?A-?C; }").unwrap();
+        let members = vec![NodeId(0), NodeId(3), NodeId(5), NodeId(6)];
+        let spec = PairCensusSpec::intersection(&p, 2, PairSelector::Among(members.clone()));
+        let stats = |algorithm, threads| {
+            let job = Job {
+                exec: crate::ExecConfig::with_threads(threads),
+                ..Job::new(Census::Pair(&spec), algorithm)
+            };
+            crate::run(&g, &job).unwrap().stats
+        };
+        // ND-PVOT runs one BFS per participant.
+        let mut scratch = BfsScratch::new(g.num_nodes());
+        for &n in &members {
+            scratch.bounded_bfs(&g, n, 2, &mut Vec::new());
+        }
+        let one = stats(Algorithm::NdPivot, 1);
+        assert_eq!(one.edges_traversed, scratch.edges_scanned());
+        assert_eq!(one.nodes_expanded, members.len() as u64);
+        assert!(stats(Algorithm::NdPivot, 4).edges_traversed > 0);
+        // ND-BAS runs one per end of every pair.
+        assert!(stats(Algorithm::NdBaseline, 1).edges_traversed > one.edges_traversed);
+        assert!(stats(Algorithm::NdBaseline, 4).edges_traversed > 0);
     }
 
     #[test]

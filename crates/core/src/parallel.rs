@@ -34,9 +34,11 @@
 //! order. Traversal statistics merge with [`TraversalStats::add`], and
 //! their totals equal the sequential run's (the same work is done, just
 //! partitioned); ND-DIFF's restarted chains redo match-set work the
-//! counters do not measure. [`exec_matches`] runs the CN matcher at the
-//! same thread count; its match list, order included, does not depend
-//! on it.
+//! counters do not measure, and pairwise ND-PVOT shards each BFS their
+//! own pairs' participants, so one shared by two shards is counted
+//! twice — the work really is done twice. [`exec_matches`] runs the CN
+//! matcher at the same thread count; its match list, order included,
+//! does not depend on it.
 
 use crate::cost::{self, GraphShape};
 use crate::pairwise::{PairCensusSpec, PairCounts, PairSelector};
@@ -173,8 +175,8 @@ pub(crate) fn pair_shards(
     g: &Graph,
     spec: &PairCensusSpec<'_>,
     threads: usize,
-    run: impl Fn(&PairCensusSpec<'_>) -> Result<PairCounts, CensusError> + Sync,
-) -> Result<PairCounts, CensusError> {
+    run: impl Fn(&PairCensusSpec<'_>) -> Result<(PairCounts, TraversalStats), CensusError> + Sync,
+) -> Result<(PairCounts, TraversalStats), CensusError> {
     let pairs = spec.selector().pairs(g);
     let shard = |shard: &[(NodeId, NodeId)]| {
         if shard.len() == pairs.len() {
@@ -189,7 +191,10 @@ pub(crate) fn pair_shards(
         &pairs,
         workers_for(pairs.len(), threads),
         shard,
-        first_error(|acc: &mut PairCounts, part| acc.merge_add(&part)),
+        first_error(|acc: &mut (PairCounts, TraversalStats), part| {
+            acc.0.merge_add(&part.0);
+            acc.1.add(&part.1);
+        }),
     )
 }
 

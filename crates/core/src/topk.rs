@@ -6,9 +6,11 @@
 //! then lazy exact evaluation in decreasing bound order with
 //! threshold-based early termination (NRA-style):
 //!
-//! 1. Let `f(n) = |PMI_v(n)|`, the matches whose pivot image is `n`.
-//!    A node's true count is `Σ_{n' ∈ N_k(n)} (contained matches of n')
-//!    ≤ Σ_{n' ∈ N_k(n)} f(n')`.
+//! 1. Let `f(n)` be the number of matches whose image of the pivot `v`
+//!    is `n` (a histogram of `v`'s images, not the plan's index, which
+//!    keys some matches at other tied pivots). A contained match has its
+//!    `v` image in the ball, so a node's true count is at most
+//!    `Σ_{n' ∈ N_k(n)} f(n')`.
 //! 2. The k-round neighbor aggregation `g_0 = f`,
 //!    `g_{i+1}(n) = g_i(n) + Σ_{m ∈ N(n)} g_i(m)` dominates that sum
 //!    (every node within k hops contributes at least once), so `g_k` is
@@ -44,13 +46,15 @@ pub fn top_k_census(
     k_results: usize,
 ) -> Result<TopKResult, CensusError> {
     let k = spec.k();
-    let plan = PivotPlan::new(spec, matches)?;
+    let plan = PivotPlan::new(g, spec, matches)?;
 
-    // Upper bound g_k via k rounds of neighbor aggregation.
+    // Upper bound g_k via k rounds of neighbor aggregation, from the
+    // pivot-image histogram f.
     let n = g.num_nodes();
-    let mut bound: Vec<u64> = (0..n as u32)
-        .map(|i| plan.index().get(NodeId(i)).len() as u64)
-        .collect();
+    let mut bound = vec![0u64; n];
+    for m in matches.iter() {
+        bound[m.image(plan.pivot()).index()] += 1;
+    }
     let mut next = vec![0u64; n];
     for _ in 0..k {
         for node in g.node_ids() {

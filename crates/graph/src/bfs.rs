@@ -3,11 +3,12 @@
 //! Every census algorithm runs BFS over many (often overlapping)
 //! neighborhoods. Allocating a visited array per traversal would dominate
 //! runtime on large graphs, so [`BfsScratch`] uses *epoch-stamped* marks:
-//! clearing between traversals is a single counter increment.
+//! clearing between traversals is a single counter increment. There is no
+//! separate queue: a traversal's output vector is its queue, read with a
+//! cursor, because BFS emits nodes in exactly the order it expands them.
 
 use crate::graph::Graph;
 use crate::ids::NodeId;
-use std::collections::VecDeque;
 
 /// Reusable BFS workspace sized for one graph.
 #[derive(Clone, Debug)]
@@ -18,7 +19,6 @@ pub struct BfsScratch {
     /// Distance per node, valid only where `stamp[n] == epoch`.
     dist: Vec<u32>,
     epoch: u32,
-    queue: VecDeque<NodeId>,
     /// Cumulative count of neighbor-list entries examined across all
     /// traversals — the disk-I/O proxy metric the paper's pattern-driven
     /// optimizations minimize.
@@ -32,7 +32,6 @@ impl BfsScratch {
             stamp: vec![0; num_nodes],
             dist: vec![0; num_nodes],
             epoch: 0,
-            queue: VecDeque::new(),
             edges_scanned: 0,
         }
     }
@@ -56,7 +55,6 @@ impl BfsScratch {
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
-        self.queue.clear();
     }
 
     /// Whether `n` was visited in the current traversal.
@@ -72,8 +70,11 @@ impl BfsScratch {
         self.dist[n.index()]
     }
 
+    /// Mark `n` visited at distance `d` in the current traversal. A caller
+    /// that builds a node set itself (a pairwise ball, say) can stamp it
+    /// here and read it back through [`Self::visited`] / [`Self::distance`].
     #[inline(always)]
-    fn mark(&mut self, n: NodeId, d: u32) {
+    pub fn mark(&mut self, n: NodeId, d: u32) {
         self.stamp[n.index()] = self.epoch;
         self.dist[n.index()] = d;
     }
@@ -84,23 +85,10 @@ impl BfsScratch {
     /// [`Self::distance`] until the next [`Self::begin`].
     pub fn bounded_bfs(&mut self, g: &Graph, source: NodeId, k: u32, out: &mut Vec<NodeId>) {
         self.begin();
+        let head = out.len();
         self.mark(source, 0);
         out.push(source);
-        self.queue.push_back(source);
-        while let Some(n) = self.queue.pop_front() {
-            let d = self.dist[n.index()];
-            if d == k {
-                continue;
-            }
-            self.edges_scanned += g.degree(n) as u64;
-            for &m in g.neighbors(n) {
-                if !self.visited(m) {
-                    self.mark(m, d + 1);
-                    out.push(m);
-                    self.queue.push_back(m);
-                }
-            }
-        }
+        self.expand(g, k, head, out);
     }
 
     /// Multi-source bounded BFS: distance is the minimum over all sources.
@@ -113,24 +101,32 @@ impl BfsScratch {
         out: &mut Vec<NodeId>,
     ) {
         self.begin();
+        let head = out.len();
         for &s in sources {
             if !self.visited(s) {
                 self.mark(s, 0);
                 out.push(s);
-                self.queue.push_back(s);
             }
         }
-        while let Some(n) = self.queue.pop_front() {
+        self.expand(g, k, head, out);
+    }
+
+    /// Expand `out[head..]` breadth-first to depth `k`, appending what it
+    /// discovers: `out` is the queue. Its nodes are in nondecreasing
+    /// distance order, so the first one at depth `k` ends the traversal —
+    /// nothing after it is expanded either.
+    fn expand(&mut self, g: &Graph, k: u32, mut head: usize, out: &mut Vec<NodeId>) {
+        while let Some(&n) = out.get(head) {
+            head += 1;
             let d = self.dist[n.index()];
             if d == k {
-                continue;
+                break;
             }
             self.edges_scanned += g.degree(n) as u64;
             for &m in g.neighbors(n) {
                 if !self.visited(m) {
                     self.mark(m, d + 1);
                     out.push(m);
-                    self.queue.push_back(m);
                 }
             }
         }
@@ -142,20 +138,10 @@ impl BfsScratch {
     pub fn full_bfs_distances(&mut self, g: &Graph, source: NodeId, dist_out: &mut [u32]) {
         debug_assert_eq!(dist_out.len(), g.num_nodes());
         dist_out.iter_mut().for_each(|d| *d = u32::MAX);
-        self.begin();
-        self.mark(source, 0);
-        dist_out[source.index()] = 0;
-        self.queue.push_back(source);
-        while let Some(n) = self.queue.pop_front() {
-            let d = self.dist[n.index()];
-            self.edges_scanned += g.degree(n) as u64;
-            for &m in g.neighbors(n) {
-                if !self.visited(m) {
-                    self.mark(m, d + 1);
-                    dist_out[m.index()] = d + 1;
-                    self.queue.push_back(m);
-                }
-            }
+        let mut order = Vec::new();
+        self.bounded_bfs(g, source, u32::MAX, &mut order);
+        for n in order {
+            dist_out[n.index()] = self.dist[n.index()];
         }
     }
 }

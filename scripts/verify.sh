@@ -141,6 +141,9 @@ pt_check "$tmpdir/g.txt" \
 pt_check "$tmpdir/g.txt" \
   "SELECT a.ID, b.ID, COUNTSP(s, trisp, SUBGRAPH-UNION(a.ID, b.ID, 1)) $pair_where" \
   "pairwise COUNTSP union" 'PATTERN trisp { ?A-?B; ?B-?C; ?A-?C; SUBPATTERN s {?A;} }'
+# COUNTSP whose two subpattern nodes are tied pivots.
+pt_check "$tmpdir/g.txt" 'SELECT ID, COUNTSP(s, midpath, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' \
+  "tied-subpattern COUNTSP" 'PATTERN midpath { ?A-?B; ?B-?C; ?C-?D; SUBPATTERN s {?B; ?C;} }'
 # A 33-anchor match: union coverage has no anchor cap.
 {
   echo "# egocensus graph v1"
@@ -173,12 +176,14 @@ echo "==> ND kernel equivalence (node-driven family, byte-identical CSVs; a pref
 # ND-PVOT's containment rule and per-focal sweep exist once (single
 # pattern, batch, top-k, pairwise); ND-BAS and ND-DIFF keep their own
 # kernels. Every CSV must match ND-PVOT's at one thread, byte for byte.
-nd_check() { # $1 = sql, $2 = label
-  ./target/release/egocensus query "$tmpdir/g.txt" --algorithm nd-pivot --threads 1 --csv "$1" \
+nd_check() { # $1 = sql, $2 = label, [$3 = pattern to define]
+  local def=()
+  [ -z "${3:-}" ] || def=(--define "$3")
+  ./target/release/egocensus query "$tmpdir/g.txt" --algorithm nd-pivot --threads 1 --csv "${def[@]}" "$1" \
     >"$tmpdir/nd_ref.csv"
   for algo in nd-bas nd-pivot nd-diff; do
     for t in 1 4; do
-      ./target/release/egocensus query "$tmpdir/g.txt" --algorithm "$algo" --threads "$t" --csv "$1" \
+      ./target/release/egocensus query "$tmpdir/g.txt" --algorithm "$algo" --threads "$t" --csv "${def[@]}" "$1" \
         >"$tmpdir/nd_got.csv" \
         || { echo "FAIL: $2: --algorithm $algo --threads $t did not answer"; exit 1; }
       cmp -s "$tmpdir/nd_ref.csv" "$tmpdir/nd_got.csv" \
@@ -191,6 +196,13 @@ nd_check 'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' "
 # a prefix of its frontier.
 nd_check 'SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 2)), COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 1' \
   "two radii, one sweep"
+# ND-PVOT keys each match at the lowest-degree image among its tied
+# pivots: all four corners of a square tie, and so do both ends of the
+# edge in a disconnected pattern, whose every bucket takes the check.
+nd_check 'SELECT ID, COUNTP(sq4, SUBGRAPH(ID, 2)) FROM nodes ORDER BY 1' \
+  "square, four tied pivots" 'PATTERN sq4 { ?A-?B; ?B-?C; ?C-?D; ?D-?A; }'
+nd_check 'SELECT ID, COUNTP(split, SUBGRAPH(ID, 1)) FROM nodes WHERE ID < 60 ORDER BY 1' \
+  "disconnected pattern" 'PATTERN split { ?A-?B; ?C; }'
 # Top-k counts with the same containment rule: its list is the census's head.
 tri='PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }'
 ./target/release/egocensus topk "$tmpdir/g.txt" --pattern "$tri" --k 2 --top 10 \

@@ -2,9 +2,11 @@
 //! must agree with the ND-BAS extract-and-match oracle on arbitrary
 //! graphs, patterns, and radii.
 
+use egocensus::census::pairwise::{PairCensusSpec, PairSelector};
+use egocensus::census::topk::top_k_census;
 use egocensus::census::{
-    run, Algorithm, Census, CensusError, CensusSpec, Clustering, CountVector, Job, PtConfig,
-    PtOrdering,
+    exec_matches, run, Algorithm, Census, CensusError, CensusSpec, Clustering, CountVector,
+    ExecConfig, Job, PairCounts, PtConfig, PtOrdering,
 };
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
@@ -50,6 +52,33 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         }
         b.build()
     })
+}
+
+/// One pairwise census on one thread.
+fn pair_census(g: &Graph, spec: &PairCensusSpec<'_>, algorithm: Algorithm) -> PairCounts {
+    run(g, &Job::new(Census::Pair(spec), algorithm))
+        .unwrap()
+        .pairs
+}
+
+/// Patterns whose matches ND-PVOT keys at a pivot other than the
+/// analysed one: several anchors reach the other anchors exactly as far
+/// as the pivot does. The last is a COUNTSP whose two subpattern nodes
+/// tie, with the subpattern's name.
+fn tied_pivot_patterns() -> Vec<(Pattern, Option<&'static str>)> {
+    let parse = |text| Pattern::parse(text).unwrap();
+    vec![
+        (parse("PATTERN sq { ?A-?B; ?B-?C; ?C-?D; ?D-?A; }"), None),
+        (
+            parse("PATTERN k4 { ?A-?B; ?A-?C; ?A-?D; ?B-?C; ?B-?D; ?C-?D; }"),
+            None,
+        ),
+        (parse("PATTERN split { ?A-?B; ?C; }"), None),
+        (
+            parse("PATTERN mid { ?A-?B; ?B-?C; ?C-?D; SUBPATTERN s {?B; ?C;} }"),
+            Some("s"),
+        ),
+    ]
 }
 
 fn patterns() -> Vec<Pattern> {
@@ -180,6 +209,68 @@ proptest! {
         .unwrap();
         for n in g.node_ids() {
             prop_assert_eq!(cv.get(n), oracle.get(n));
+        }
+    }
+
+    #[test]
+    fn tied_pivots_match_the_oracle(g in arb_graph(), k in 0u32..4, pi in 0usize..4) {
+        // Single, batch, pairwise and top-k ND-PVOT against ND-BAS; the
+        // COUNTSP pattern against PT-OPT, because ND-BAS refuses COUNTSP.
+        let pats = tied_pivot_patterns();
+        let (p, sub) = &pats[pi];
+        let oracle_algo = if sub.is_some() { Algorithm::PtOpt } else { Algorithm::NdBaseline };
+        let spec_at = |k| {
+            let spec = CensusSpec::single(p, k);
+            match sub {
+                Some(name) => spec.with_subpattern(name),
+                None => spec,
+            }
+        };
+        let spec = spec_at(k);
+        let oracle = census_with(&g, &spec, oracle_algo, &PtConfig::default()).unwrap();
+        for threads in [1, 3] {
+            let job = Job {
+                exec: ExecConfig::with_threads(threads),
+                ..Job::new(Census::Single(&spec), Algorithm::NdPivot)
+            };
+            let got = run(&g, &job).unwrap().counts.remove(0);
+            prop_assert_eq!(&got, &oracle, "single {} k={} threads={}", p.name(), k, threads);
+        }
+
+        // A batch sweeps at k and reads radius k - 1 as a prefix.
+        let below = spec_at(k.saturating_sub(1));
+        let below_oracle = census_with(&g, &below, oracle_algo, &PtConfig::default()).unwrap();
+        let specs = [spec.clone(), below];
+        let batch = run(&g, &Job::new(Census::Batch(&specs), Algorithm::NdPivot)).unwrap();
+        prop_assert_eq!(&batch.counts[0], &oracle, "batch {} k={}", p.name(), k);
+        prop_assert_eq!(&batch.counts[1], &below_oracle, "batch {} k={} prefix", p.name(), k);
+
+        let m = exec_matches(&g, p, 1);
+        let top = top_k_census(&g, &spec, &m, 5).unwrap();
+        prop_assert_eq!(top.top, oracle.top_k(5), "top-k {} k={}", p.name(), k);
+
+        let members: Vec<NodeId> = g.node_ids().take(8).collect();
+        let among = PairSelector::Among(members.clone());
+        for pair in [
+            PairCensusSpec::intersection(p, k, among.clone()),
+            PairCensusSpec::union(p, k, among),
+        ] {
+            let pair = match sub {
+                Some(name) => pair.with_subpattern(name),
+                None => pair,
+            };
+            let want = pair_census(&g, &pair, oracle_algo);
+            let got = pair_census(&g, &pair, Algorithm::NdPivot);
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
+                    prop_assert_eq!(
+                        got.get(a, b),
+                        want.get(a, b),
+                        "pairwise {:?} {} k={} pair=({},{})",
+                        pair.kind(), p.name(), k, a, b
+                    );
+                }
+            }
         }
     }
 }
