@@ -18,6 +18,11 @@ impl ColumnRef {
         self.column.eq_ignore_ascii_case("ID")
     }
 
+    /// Is this the node-label pseudo column?
+    pub fn is_label(&self) -> bool {
+        self.column.eq_ignore_ascii_case("LABEL")
+    }
+
     /// The reference as written: `n1.ID`, `age`.
     pub(crate) fn name(&self) -> String {
         match &self.table {

@@ -11,11 +11,13 @@
 //! walks the same tree with `PlanNode::describe`, so it fails exactly
 //! where execution does.
 
-use crate::ast::{AggCall, ColumnRef, Expr, NeighborhoodAst, Projection, SelectStmt, SortDir};
+use crate::ast::{
+    AggCall, ColumnRef, Expr, NeighborhoodAst, OrderKey, Projection, SelectStmt, SortDir,
+};
 use crate::catalog::Catalog;
 use crate::census_cache::CensusCache;
 use crate::error::QueryError;
-use crate::expr::{eval_predicate, RowContext};
+use crate::expr::{eval_predicate, id_range, RowContext};
 use crate::optimizer::{self, union_algorithm, Pass, PassContext, OPTIMIZERS};
 use crate::parser::{parse_query, split_statements, Statement};
 use crate::plan::{build_plan, Plan, PlanNode, StatsBasis, ViewProbeJob};
@@ -35,6 +37,7 @@ use ego_pattern::Pattern;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -450,7 +453,7 @@ impl<'g> QueryEngine<'g> {
             rows: None,
             batch: &[],
         };
-        let rows = self.run(root.relation(), &unbound)?.rows().0.into_owned();
+        let rows = self.run(root.relation(), &unbound)?.0.into_owned();
         Ok((root, rows))
     }
 
@@ -523,35 +526,35 @@ impl<'g> QueryEngine<'g> {
         Ok(())
     }
 
-    /// Run the operator tree under `node`: one arm per operator. The
-    /// relation operators (scan, filter, shard) bind the rows; they run
-    /// once, while the statement binds, because the census passes price
-    /// those rows — a later walk is handed them in `x.rows` and reads them
-    /// back. Census operators add one count column per aggregate; project,
-    /// order and limit turn rows and columns into the result table.
-    fn run<'a>(&self, node: &PlanNode, x: &Exec<'a>) -> Result<Flow<'a>, QueryError> {
+    /// Run the operator tree under `node`, up to `Project`: one arm per
+    /// operator. The relation operators (scan, filter, shard) bind the
+    /// rows; they run once, while the statement binds, because the census
+    /// passes price those rows — a later walk is handed them in `x.rows`
+    /// and reads them back. Census operators add one count column per
+    /// aggregate. [`Self::output`] runs the rest.
+    fn run<'a>(&self, node: &PlanNode, x: &Exec<'a>) -> Result<Rows<'a>, QueryError> {
         if let Some(rows) = x.rows.filter(|_| node.is_relation()) {
-            return Ok(Flow::Rows(Cow::Borrowed(rows), Vec::new()));
+            return Ok((Cow::Borrowed(rows), Vec::new()));
         }
         Ok(match node {
-            PlanNode::Scan { .. } => Flow::Rows(Cow::Owned(self.scan(x.stmt, None)?), Vec::new()),
+            PlanNode::Scan { .. } => (Cow::Owned(self.scan(x.stmt, None)?), Vec::new()),
             PlanNode::Filter { .. } => {
                 let filter = x.stmt.where_clause.as_ref();
-                Flow::Rows(Cow::Owned(self.scan(x.stmt, filter)?), Vec::new())
+                (Cow::Owned(self.scan(x.stmt, filter)?), Vec::new())
             }
             PlanNode::Shard { spec, input } => {
-                let (mut rows, counts) = self.run(input, x)?.rows();
+                let (mut rows, counts) = self.run(input, x)?;
                 let range = spec.range(self.graph().num_nodes());
                 rows.to_mut().retain(|n| range.contains(&n.index()));
-                Flow::Rows(rows, counts)
+                (rows, counts)
             }
             PlanNode::Census(c) => {
-                let rows = self.run(&c.input, x)?.rows().0;
+                let rows = self.run(&c.input, x)?.0;
                 let counts = x.batch.iter().map(|(cv, _)| Counts::Focal(Arc::clone(cv)));
-                Flow::Rows(rows, counts.collect())
+                (rows, counts.collect())
             }
             PlanNode::ViewProbe { probes, input } => {
-                let rows = self.run(input, x)?.rows().0;
+                let rows = self.run(input, x)?.0;
                 let counts = match self.probe_views(probes) {
                     Some(pinned) => pinned.into_iter().map(Counts::Focal).collect(),
                     // A probed view vanished since binding (a concurrent
@@ -571,13 +574,13 @@ impl<'g> QueryEngine<'g> {
                             rows: Some(&bound.rows),
                             batch: &batch,
                         };
-                        self.run(census, &again)?.rows().1
+                        self.run(census, &again)?.1
                     }
                 };
-                Flow::Rows(rows, counts)
+                (rows, counts)
             }
             PlanNode::PairCensus { input, .. } => {
-                let rows = self.run(input, x)?.rows().0;
+                let rows = self.run(input, x)?.0;
                 let pairs: Vec<_> = rows.chunks_exact(2).map(|p| (p[0], p[1])).collect();
                 let mut counts = Vec::new();
                 for p in &x.stmt.projections {
@@ -591,40 +594,117 @@ impl<'g> QueryEngine<'g> {
                         counts.push(Counts::Pair(run(self.graph(), &job)?.pairs));
                     }
                 }
-                Flow::Rows(rows, counts)
+                (rows, counts)
             }
-            PlanNode::Project { input } => {
-                let (rows, counts) = self.run(input, x)?.rows();
-                Flow::Table(self.project(x.stmt, &rows, &counts)?)
-            }
-            PlanNode::Order { keys, input } => {
-                let mut table = self.run(input, x)?.table();
-                // Sort by keys right-to-left with a stable sort = multi-key
-                // ordering.
-                for key in keys.iter().rev() {
-                    match key.dir {
-                        SortDir::Desc => table.sort_desc_by(key.ordinal - 1),
-                        SortDir::Asc => table.sort_asc_by(key.ordinal - 1),
-                    }
-                }
-                Flow::Table(table)
-            }
-            PlanNode::Limit { n, input } => {
-                let mut table = self.run(input, x)?.table();
-                table.truncate(*n);
-                Flow::Table(table)
+            PlanNode::Project { .. } | PlanNode::Order { .. } | PlanNode::Limit { .. } => {
+                unreachable!("output runs the operators from Project up")
             }
         })
+    }
+
+    /// Run a statement's whole tree into its result table. `Limit` and
+    /// `Order` work on the bound rows before `Project` does: every ORDER
+    /// BY key becomes one sort word per row ([`Self::sort_words`]), the
+    /// rows are selected down to the LIMIT by those words and their
+    /// position ([`top_rows`]), and only the kept rows are projected, in
+    /// order. The table is the one a stable sort of every projected row
+    /// followed by a truncation would give.
+    fn output(&self, root: &PlanNode, x: &Exec<'_>) -> Result<Table, QueryError> {
+        let (mut limit, mut keys, mut node) = (usize::MAX, &[][..], root);
+        let input = loop {
+            match node {
+                PlanNode::Limit { n, input } => (limit, node) = (*n, input),
+                PlanNode::Order { keys: k, input } => (keys, node) = (&k[..], input),
+                PlanNode::Project { input } => break input,
+                _ => unreachable!("every SELECT tree ends in project, order, limit"),
+            }
+        };
+        let (rows, counts) = self.run(input, x)?;
+        let num_rows = rows.len() / x.stmt.tables.len();
+        let kept = if keys.is_empty() {
+            (0..num_rows.min(limit)).collect()
+        } else {
+            let words = keys
+                .iter()
+                .map(|&key| self.sort_words(x.stmt, key, &rows, &counts))
+                .collect::<Result<Vec<_>, _>>()?;
+            top_rows(&words, limit)
+        };
+        self.project(x.stmt, &rows, &counts, &kept)
+    }
+
+    /// One ORDER BY key's sort word per bound row, so that ordering rows
+    /// by the word orders them by the key: `ID`, `LABEL` and aggregate keys
+    /// are their integer value, an attribute is its value's rank among the
+    /// column's values under [`Value::total_cmp`], and `DESC` flips the
+    /// word (`!w`). A NULL attribute is `i64::MAX` either way, so it sorts
+    /// last in both directions.
+    fn sort_words(
+        &self,
+        stmt: &SelectStmt,
+        key: OrderKey,
+        rows: &[NodeId],
+        counts: &[Counts],
+    ) -> Result<Vec<i64>, QueryError> {
+        let desc = key.dir == SortDir::Desc;
+        let word = |w: i64| if desc { !w } else { w };
+        let projection = key.ordinal - 1;
+        let c = match &stmt.projections[projection] {
+            Projection::Agg(_) => {
+                let aggs_before = stmt.projections[..projection]
+                    .iter()
+                    .filter(|p| matches!(p, Projection::Agg(_)))
+                    .count();
+                let column = counts[aggs_before].column(rows);
+                return Ok(column.into_iter().map(|n| word(n as i64)).collect());
+            }
+            Projection::Column(c) => c,
+        };
+        let mut ctx = self.row_context(stmt);
+        let values = rows
+            .chunks_exact(stmt.tables.len())
+            .map(|row| {
+                ctx.bind(row);
+                ctx.column_value(c)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if c.is_id() || c.is_label() {
+            let int = |v: &Value| v.as_int().expect("ID and LABEL are integers");
+            return Ok(values.iter().map(|v| word(int(v))).collect());
+        }
+        let mut order: Vec<usize> = (0..values.len())
+            .filter(|&i| !values[i].is_null())
+            .collect();
+        order.sort_unstable_by(|&a, &b| values[a].total_cmp(&values[b]));
+        let mut words = vec![i64::MAX; values.len()];
+        let mut rank = 0;
+        for (j, &i) in order.iter().enumerate() {
+            if j > 0 && values[order[j - 1]].total_cmp(&values[i]).is_ne() {
+                rank += 1;
+            }
+            words[i] = word(rank);
+        }
+        Ok(words)
     }
 
     /// The scan, with the WHERE `filter` over it when given: bind each row
     /// of the FROM list — every node, or every ordered pair of distinct
     /// nodes — and keep the rows the filter accepts. One seeded `RND()`
     /// stream runs in scan order, so every evaluation keeps the same rows.
-    /// Rows come back flattened, one node per alias.
+    /// Rows come back flattened, one node per alias. A single-table filter
+    /// that is only a node-id range ([`id_range`]) binds that range,
+    /// clipped to the graph, and evaluates nothing.
     fn scan(&self, stmt: &SelectStmt, filter: Option<&Expr>) -> Result<Vec<NodeId>, QueryError> {
         let g = self.graph();
         let width = stmt.tables.len();
+        if let (1, Some(range)) = (
+            width,
+            filter.and_then(|f| id_range(f, &stmt.tables[0].alias)),
+        ) {
+            let n = g.num_nodes() as i128;
+            let ids = range.start.max(0)..range.end.min(n);
+            return Ok(ids.map(|i| NodeId(i as u32)).collect());
+        }
         let mut ctx = self.row_context(stmt);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut rows = Vec::new();
@@ -646,20 +726,22 @@ impl<'g> QueryEngine<'g> {
         Ok(rows)
     }
 
-    /// Project: one result row per bound row, the SELECT list in order,
-    /// each aggregate reading the next count column.
+    /// Project: one result row per `kept` bound row (positions, in
+    /// order), the SELECT list in order, each aggregate reading the next
+    /// count column.
     fn project(
         &self,
         stmt: &SelectStmt,
         rows: &[NodeId],
         counts: &[Counts],
+        kept: &[usize],
     ) -> Result<Table, QueryError> {
         let mut table = Table::new(stmt.projections.iter().map(Projection::name).collect());
         let mut ctx = self.row_context(stmt);
-        for row in rows.chunks_exact(stmt.tables.len()) {
+        let width = stmt.tables.len();
+        for &i in kept {
+            let row = &rows[i * width..(i + 1) * width];
             ctx.bind(row);
-            // Exactly as wide as the SELECT list: ORDER BY reads every row
-            // buffer, so over 10^4 rows any slack in them slows the sort.
             let mut values = Vec::with_capacity(stmt.projections.len());
             let mut counts = counts.iter();
             for p in &stmt.projections {
@@ -916,7 +998,7 @@ impl<'g> QueryEngine<'g> {
                         rows: Some(&bound.rows),
                         batch: &results[range],
                     };
-                    Ok(self.run(&bound.plan.root, &x)?.table())
+                    self.output(&bound.plan.root, &x)
                 }
             })
             .collect()
@@ -1160,29 +1242,55 @@ struct Exec<'a> {
     batch: &'a [CensusResult],
 }
 
-/// What an operator hands the one above it.
-enum Flow<'a> {
-    /// Below `Project`: the bound rows and one count column per census
-    /// aggregate.
-    Rows(Cow<'a, [NodeId]>, Vec<Counts>),
-    /// From `Project` up: the result table.
-    Table(Table),
-}
+/// What an operator under `Project` hands the one above it: the bound
+/// rows and one count column per census aggregate.
+type Rows<'a> = (Cow<'a, [NodeId]>, Vec<Counts>);
 
-impl<'a> Flow<'a> {
-    fn rows(self) -> (Cow<'a, [NodeId]>, Vec<Counts>) {
-        match self {
-            Flow::Rows(rows, counts) => (rows, counts),
-            Flow::Table(_) => unreachable!("every operator under Project hands on rows"),
+/// The positions of the first `limit` rows in ORDER BY order, given one
+/// sort word per key per row.
+///
+/// Each row becomes a record `(first word, tie rank)`, where the tie rank
+/// is the row's place in the order of the remaining keys, position last
+/// (the identity for one key). Records then compare as plain integer
+/// pairs, and no two are equal, so the order is strict and total: keeping
+/// the smallest `limit` and sorting only those gives exactly what a
+/// stable sort of every row followed by a truncation gives. A buffer of up
+/// to `2 * limit` records is cut back to the best `limit` whenever it
+/// fills, and a record no better than the worst one kept after a cut is
+/// skipped with one comparison, so a small LIMIT costs one pass over the
+/// rows.
+fn top_rows(words: &[Vec<i64>], limit: usize) -> Vec<usize> {
+    let (first, rest) = words.split_first().expect("ORDER BY has a key");
+    // Rows in tie order; empty for one key, where tie order is position.
+    let mut order: Vec<usize> = Vec::new();
+    if !rest.is_empty() {
+        order.extend(0..first.len());
+        order.sort_by(|&a, &b| {
+            let mut keys = rest.iter().map(|w| w[a].cmp(&w[b]));
+            keys.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        });
+    }
+    let row = |tie: usize| if order.is_empty() { tie } else { order[tie] };
+    let limit = limit.min(first.len());
+    if limit == 0 {
+        return Vec::new();
+    }
+    let mut kept: Vec<(i64, usize)> = Vec::with_capacity((2 * limit).min(first.len()));
+    let mut worst = None;
+    for record in (0..first.len()).map(|tie| (first[row(tie)], tie)) {
+        if worst.is_some_and(|w| record >= w) {
+            continue;
+        }
+        kept.push(record);
+        if kept.len() == 2 * limit {
+            kept.select_nth_unstable(limit - 1);
+            kept.truncate(limit);
+            worst = kept.last().copied();
         }
     }
-
-    fn table(self) -> Table {
-        match self {
-            Flow::Table(table) => table,
-            Flow::Rows(..) => unreachable!("every operator over Project hands on a table"),
-        }
-    }
+    kept.sort_unstable();
+    kept.truncate(limit);
+    kept.into_iter().map(|(_, tie)| row(tie)).collect()
 }
 
 /// One aggregate's count column: per focal node, or per node pair.
@@ -1197,6 +1305,15 @@ impl Counts {
         match self {
             Counts::Focal(cv) => cv.get(row[0]),
             Counts::Pair(pc) => pc.get(row[0], row[1]),
+        }
+    }
+
+    /// The count for every bound row, in order (`rows` flattened, one
+    /// node per alias).
+    fn column(&self, rows: &[NodeId]) -> Vec<u64> {
+        match self {
+            Counts::Focal(cv) => rows.iter().map(|&n| cv.get(n)).collect(),
+            Counts::Pair(pc) => rows.chunks_exact(2).map(|p| pc.get(p[0], p[1])).collect(),
         }
     }
 }
@@ -1233,7 +1350,7 @@ fn check_id_column(col: &ColumnRef, aliases: &[&str]) -> Result<(), QueryError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ego_graph::{GraphBuilder, Label};
+    use ego_graph::{AttrValue, GraphBuilder, Label};
 
     /// Two triangles sharing node 2, chain 4-5-6.
     fn fixture() -> Graph {
@@ -1299,6 +1416,95 @@ mod tests {
         let t = e.execute("SELECT ID, age FROM nodes WHERE ID < 2").unwrap();
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.rows()[1][1], Value::Int(10));
+    }
+
+    #[test]
+    fn a_foreign_alias_in_a_range_still_errors() {
+        let g = fixture();
+        let e = engine(&g);
+        let err = e
+            .execute("SELECT ID FROM nodes n WHERE m.ID >= 1 AND n.ID < 3")
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown table alias `m`"), "{err}");
+        let t = e
+            .execute("SELECT ID FROM nodes n WHERE N.ID >= 1 AND n.ID < 3")
+            .unwrap();
+        assert_eq!(t.num_rows(), 2);
+    }
+
+    #[test]
+    fn non_integer_range_literals_evaluate_per_row() {
+        let g = fixture();
+        let e = engine(&g);
+        let ids = |sql: &str| -> Vec<Value> {
+            let t = e.execute(sql).unwrap();
+            t.rows().iter().map(|r| r[0].clone()).collect()
+        };
+        assert_eq!(
+            ids("SELECT ID FROM nodes WHERE ID < 2.5"),
+            [0, 1, 2].map(Value::Int)
+        );
+        assert_eq!(
+            ids("SELECT ID FROM nodes WHERE ID >= 5 AND ID != 6"),
+            [Value::Int(5)]
+        );
+        assert!(ids("SELECT ID FROM nodes WHERE ID = '3'").is_empty());
+    }
+
+    #[test]
+    fn integer_attributes_compare_exactly() {
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(2, Label(0));
+        b.set_node_attr(NodeId(0), "x", 1i64 << 53);
+        b.set_node_attr(NodeId(1), "x", (1i64 << 53) + 1);
+        let g = b.build();
+        let e = engine(&g);
+        let t = e
+            .execute("SELECT ID FROM nodes WHERE x = 9007199254740993")
+            .unwrap();
+        assert_eq!(t.rows(), [vec![Value::Int(1)]]);
+        let t = e
+            .execute("SELECT ID, x FROM nodes ORDER BY 2 DESC")
+            .unwrap();
+        assert_eq!(t.rows()[0][0], Value::Int(1));
+    }
+
+    #[test]
+    fn a_mixed_type_column_orders_by_type_then_value() {
+        let values: [Option<AttrValue>; 9] = [
+            Some(AttrValue::Int(3)),
+            Some(AttrValue::Str("b".into())),
+            Some(AttrValue::Float(1.5)),
+            Some(AttrValue::Bool(true)),
+            None,
+            Some(AttrValue::Int(1)),
+            Some(AttrValue::Float(f64::NAN)),
+            Some(AttrValue::Str("a".into())),
+            Some(AttrValue::Float(3.0)),
+        ];
+        let mut b = GraphBuilder::undirected();
+        b.add_nodes(values.len(), Label(0));
+        for (i, v) in values.iter().enumerate() {
+            if let Some(v) = v {
+                b.set_node_attr(NodeId(i as u32), "m", v.clone());
+            }
+        }
+        let g = b.build();
+        let e = engine(&g);
+        let order = |dir: &str| -> Vec<Value> {
+            let sql = format!("SELECT ID, m FROM nodes ORDER BY 2 {dir}");
+            let t = e.execute(&sql).unwrap();
+            assert_eq!(
+                e.execute(&sql).unwrap().to_csv(),
+                t.to_csv(),
+                "deterministic"
+            );
+            t.rows().iter().map(|r| r[0].clone()).collect()
+        };
+        // Numbers (3 and 3.0 tie, so by position), NaN, strings,
+        // booleans; NULL last either way.
+        assert_eq!(order("ASC"), [5, 2, 0, 8, 6, 7, 1, 3, 4].map(Value::Int));
+        assert_eq!(order("DESC"), [3, 1, 7, 6, 0, 8, 2, 5, 4].map(Value::Int));
     }
 
     #[test]
@@ -1732,7 +1938,6 @@ mod tests {
 
     #[test]
     fn explain_costs_separate_dense_from_sparse() {
-        use ego_graph::{GraphBuilder, Label};
         // Dense clique: huge match list, every ball is the whole graph →
         // the ND side wins. Sparse path: few matches, selective balls →
         // the PT side wins.
@@ -2062,7 +2267,7 @@ mod tests {
             rows: Some(&bound.rows),
             batch: &batch,
         };
-        Ok(e.run(&bound.plan.root, &x)?.table())
+        e.output(&bound.plan.root, &x)
     }
 
     /// Bind and run `sql` under an explicit pass list (the engine's

@@ -6,6 +6,7 @@ use crate::value::Value;
 use ego_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::ops::Range;
 
 /// A row binding: table alias -> node. Single-table queries bind one
 /// alias; pair queries bind two.
@@ -59,7 +60,7 @@ impl<'a> RowContext<'a> {
         if col.is_id() {
             return Ok(Value::Int(node.0 as i64));
         }
-        if col.column.eq_ignore_ascii_case("LABEL") {
+        if col.is_label() {
             return Ok(Value::Int(self.graph.label(node).0 as i64));
         }
         Ok(self
@@ -67,6 +68,50 @@ impl<'a> RowContext<'a> {
             .node_attr(node, &col.column)
             .map(Value::from)
             .unwrap_or(Value::Null))
+    }
+}
+
+/// The node-id range a WHERE keeps, found without evaluating it: `Some`
+/// exactly when `expr` is an `AND` of `ID <op> integer-literal`
+/// comparisons, `op` one of `< <= > >= =`, the `ID` on either side and
+/// either unqualified or qualified with `alias`. The range is the
+/// half-open intersection of the comparisons, unclipped (it may be
+/// empty, or reach past either end of the graph). Any other WHERE is
+/// `None` and evaluates per row.
+pub(crate) fn id_range(expr: &Expr, alias: &str) -> Option<Range<i128>> {
+    let Expr::Binary { op, lhs, rhs } = expr else {
+        return None;
+    };
+    if *op == BinOp::And {
+        let (a, b) = (id_range(lhs, alias)?, id_range(rhs, alias)?);
+        return Some(a.start.max(b.start)..a.end.min(b.end));
+    }
+    let own_id = |c: &ColumnRef| {
+        c.is_id()
+            && c.table
+                .as_deref()
+                .is_none_or(|t| t.eq_ignore_ascii_case(alias))
+    };
+    // Normalised to `ID <op> v`: a literal on the left mirrors the operator.
+    let (op, v) = match (&**lhs, &**rhs) {
+        (Expr::Column(c), Expr::Literal(Value::Int(v))) if own_id(c) => (*op, *v),
+        (Expr::Literal(Value::Int(v)), Expr::Column(c)) if own_id(c) => match op {
+            BinOp::Lt => (BinOp::Gt, *v),
+            BinOp::Le => (BinOp::Ge, *v),
+            BinOp::Gt => (BinOp::Lt, *v),
+            BinOp::Ge => (BinOp::Le, *v),
+            _ => (*op, *v),
+        },
+        _ => return None,
+    };
+    let v = i128::from(v);
+    match op {
+        BinOp::Lt => Some(i128::MIN..v),
+        BinOp::Le => Some(i128::MIN..v + 1),
+        BinOp::Gt => Some(v + 1..i128::MAX),
+        BinOp::Ge => Some(v..i128::MAX),
+        BinOp::Eq => Some(v..v + 1),
+        _ => None,
     }
 }
 
@@ -261,6 +306,36 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(0);
         assert!(eval_predicate(&e, &ctx, &mut rng).is_err());
+    }
+
+    #[test]
+    fn id_ranges_bind_only_their_shape() {
+        let range =
+            |w: &str| id_range(&where_of(&format!("SELECT ID FROM nodes n WHERE {w}")), "n");
+        assert_eq!(range("ID >= 3 AND ID < 9"), Some(3..9));
+        assert_eq!(range("3 <= n.ID AND 9 > ID AND N.ID = 5"), Some(5..6));
+        assert_eq!(range("ID > 4 AND ID <= 4"), Some(5..5));
+        assert_eq!(range("ID < -2"), Some(i128::MIN..-2));
+        assert_eq!(
+            range("-9223372036854775807 < ID"),
+            Some(-9223372036854775806..i128::MAX)
+        );
+        assert_eq!(range("ID <= 9223372036854775807"), Some(i128::MIN..1 << 63));
+        for w in [
+            "ID != 3",
+            "ID < 3 OR ID > 5",
+            "NOT ID < 3",
+            "ID < 2.5",
+            "ID = '3'",
+            "ID < RND()",
+            "LABEL = 1",
+            "age > 3",
+            "m.ID < 3",
+            "ID < ID",
+            "ID < 3 AND age > 1",
+        ] {
+            assert_eq!(range(w), None, "{w}");
+        }
     }
 
     #[test]

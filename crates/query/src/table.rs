@@ -50,39 +50,6 @@ impl Table {
             .position(|c| c.eq_ignore_ascii_case(name))
     }
 
-    /// Sort rows descending by the given column (NULLs last), stable.
-    pub fn sort_desc_by(&mut self, column: usize) {
-        self.rows.sort_by(|a, b| {
-            let va = &a[column];
-            let vb = &b[column];
-            match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => vb.compare(va).unwrap_or(std::cmp::Ordering::Equal),
-            }
-        });
-    }
-
-    /// Sort rows ascending by the given column (NULLs last), stable.
-    pub fn sort_asc_by(&mut self, column: usize) {
-        self.rows.sort_by(|a, b| {
-            let va = &a[column];
-            let vb = &b[column];
-            match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => va.compare(vb).unwrap_or(std::cmp::Ordering::Equal),
-            }
-        });
-    }
-
-    /// Keep only the first `n` rows.
-    pub fn truncate(&mut self, n: usize) {
-        self.rows.truncate(n);
-    }
-
     /// Render as CSV (header + rows). Values containing commas or quotes
     /// are quoted.
     pub fn to_csv(&self) -> String {
@@ -169,17 +136,6 @@ mod tests {
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.column_index("COUNT"), Some(1));
         assert_eq!(t.column_index("missing"), None);
-    }
-
-    #[test]
-    fn sort_desc_nulls_last() {
-        let mut t = sample();
-        t.sort_desc_by(1);
-        assert_eq!(t.rows()[0][0], Value::Int(1));
-        assert_eq!(t.rows()[1][0], Value::Int(0));
-        assert!(t.rows()[2][1].is_null());
-        t.truncate(1);
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]

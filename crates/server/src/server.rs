@@ -366,11 +366,18 @@ fn serve_connection(
     }
 }
 
+/// Write `lines` in order, each newline-terminated, with one `write_all`:
+/// under `TCP_NODELAY` every write leaves as its own segment, so a reply
+/// and the frames queued before it go out together.
 fn write_lines(stream: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
-    for line in lines {
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
+    if lines.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    let mut buf = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+    }
+    stream.write_all(&buf)?;
+    stream.flush()
 }

@@ -42,11 +42,9 @@ fn main() {
         .catalog_mut()
         .define("PATTERN tri { ?A-?B; ?B-?C; ?A-?C; }")
         .unwrap();
-    let mut table = engine
-        .execute("SELECT ID, COUNTP(tri, SUBGRAPH(ID, 2)) FROM nodes")
+    let table = engine
+        .execute("SELECT ID, COUNTP(tri, SUBGRAPH(ID, 2)) FROM nodes ORDER BY 2 DESC LIMIT 5")
         .unwrap();
-    table.sort_desc_by(1);
-    table.truncate(5);
     println!("\nvia SQL:\n{table}");
 
     // The two paths agree.

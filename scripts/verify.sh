@@ -581,6 +581,32 @@ SELECT a.ID, COUNTP(tri, SUBGRAPH-UNION(a.ID, b.ID, 1)) FROM nodes a, nodes b WH
 EOF
 echo "    $parity_checked statements: EXPLAIN and execution fail alike, with identical stderr"
 
+echo "==> top-k and ID ranges (LIMIT k is a prefix of the full order; a range equals its evaluated twin)"
+# ORDER BY ... LIMIT selects the top rows before it projects them, so its
+# CSV must be the first k rows of the unlimited statement's, for k past n
+# too. A WHERE that is only an ID range binds the range without the
+# per-row interpreter; `NOT (ID < a OR ID > b)` is the same set, evaluated.
+topk_sql='SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 2 DESC, 1'
+./target/release/egocensus query "$tmpdir/g.txt" --csv "$topk_sql" >"$tmpdir/order_all.csv"
+order_n=$(($(wc -l <"$tmpdir/order_all.csv") - 1))
+[ "$order_n" -eq 300 ] || { echo "FAIL: the unlimited statement should return 300 rows"; exit 1; }
+for k in 0 1 10 $((order_n + 5)); do
+  ./target/release/egocensus query "$tmpdir/g.txt" --csv "$topk_sql LIMIT $k" >"$tmpdir/order_k.csv"
+  head -n $((k + 1)) "$tmpdir/order_all.csv" | cmp -s - "$tmpdir/order_k.csv" \
+    || { echo "FAIL: LIMIT $k is not the first $k rows of the unlimited order"; exit 1; }
+done
+range_select='SELECT ID, LABEL, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes WHERE'
+for bounds in "40 120" "-5 7" "290 400" "9 3"; do
+  read -r lo hi <<<"$bounds"
+  ./target/release/egocensus query "$tmpdir/g.txt" --csv \
+    "$range_select ID >= $lo AND ID <= $hi ORDER BY 3 DESC LIMIT 20" >"$tmpdir/range.csv"
+  ./target/release/egocensus query "$tmpdir/g.txt" --csv \
+    "$range_select NOT (ID < $lo OR ID > $hi) ORDER BY 3 DESC LIMIT 20" >"$tmpdir/range_twin.csv"
+  cmp -s "$tmpdir/range.csv" "$tmpdir/range_twin.csv" \
+    || { echo "FAIL: WHERE ID >= $lo AND ID <= $hi differs from its evaluated twin"; exit 1; }
+done
+echo "    LIMIT 0/1/10/n+5 are prefixes of the full order; four ID ranges equal their twins byte for byte"
+
 echo "==> census_bench compile surface + smoke suite (the benchmark, unmodified, against this workspace)"
 # BENCHMARK.json's command builds census_bench from its own manifest, so
 # a refactor that breaks what it compiles against, or its in-run
