@@ -38,6 +38,11 @@ impl Table {
         &self.rows
     }
 
+    /// The column names and rows, moved out.
+    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
+        (self.columns, self.rows)
+    }
+
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()

@@ -13,7 +13,7 @@
 //! either: a slow server is not a dead one, and re-sending over the same
 //! stream would desync the request/response pairing.
 
-use crate::protocol::{NotifyFrame, Request, Response, TableData};
+use crate::protocol::{is_notify_line, NotifyFrame, Request, Response, TableData};
 use ego_query::ShardSpec;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -71,6 +71,20 @@ fn is_connection_error(e: &std::io::Error) -> bool {
             | ErrorKind::UnexpectedEof
             | ErrorKind::NotConnected
     )
+}
+
+fn bad_response(e: String) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, format!("bad response: {e}"))
+}
+
+/// Decode a reply line that [`Client::recv_reply_line`] returned.
+fn decode_reply(line: &str) -> std::io::Result<Response> {
+    match Response::decode(line).map_err(bad_response)? {
+        // Frames are recognised by their encoded head; one spelled any
+        // other way is not a reply either.
+        Response::Notify(_) => Err(bad_response("notify frame not in its encoded form".into())),
+        reply => Ok(reply),
+    }
 }
 
 /// A blocking protocol client.
@@ -184,12 +198,20 @@ impl Client {
     /// retried over a fresh connection (bounded by the retry policy) for
     /// idempotent requests; non-idempotent requests fail fast.
     pub fn request(&mut self, req: &Request) -> std::io::Result<Response> {
+        let line = self.request_line(req)?;
+        decode_reply(&line)
+    }
+
+    /// [`Client::request`], returning the reply line as received
+    /// (without its newline) instead of decoding it. The router passes
+    /// worker replies on this way.
+    pub fn request_line(&mut self, req: &Request) -> std::io::Result<String> {
         let line = req.encode();
         let retryable = req.is_idempotent();
         let mut attempt = 0u32;
         loop {
-            match self.send_line(&line).and_then(|()| self.recv_response()) {
-                Ok(resp) => return Ok(resp),
+            match self.send_line(&line).and_then(|()| self.recv_reply_line()) {
+                Ok(reply) => return Ok(reply),
                 Err(e) if retryable && is_connection_error(&e) => {
                     attempt += 1;
                     if attempt >= self.retry.attempts.max(1) {
@@ -218,14 +240,24 @@ impl Client {
     /// buffered, not returned: the caller always gets the answer to its
     /// request.
     pub fn recv_response(&mut self) -> std::io::Result<Response> {
+        let line = self.recv_reply_line()?;
+        decode_reply(&line)
+    }
+
+    /// Read the next pending reply line as received (without its
+    /// newline). Notify frames arriving first are decoded into the
+    /// notification buffer, as [`Client::recv_response`] does — this is
+    /// the one place they are filtered.
+    pub fn recv_reply_line(&mut self) -> std::io::Result<String> {
         loop {
             let raw = self.recv_line()?;
-            let resp = Response::decode(&raw).map_err(|e| {
-                std::io::Error::new(ErrorKind::InvalidData, format!("bad response: {e}"))
-            })?;
-            match resp {
-                Response::Notify(frame) => self.buffer_notification(frame),
-                other => return Ok(other),
+            if !is_notify_line(&raw) {
+                return Ok(raw);
+            }
+            match Response::decode(&raw) {
+                Ok(Response::Notify(frame)) => self.buffer_notification(frame),
+                Ok(_) => unreachable!("a line with a notify head decodes as a notify frame"),
+                Err(e) => return Err(bad_response(e)),
             }
         }
     }
@@ -288,26 +320,29 @@ impl Client {
                 ErrorKind::InvalidData,
                 "unsolicited non-notify response",
             )),
-            Err(e) => Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("bad response: {e}"),
-            )),
+            Err(e) => Err(bad_response(e)),
         }
     }
 
-    /// Write one raw line (no response read).
+    /// Write one raw line (no response read). The line and its newline
+    /// go out in one write: under `TCP_NODELAY` each write is a segment
+    /// of its own.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+        self.writer.write_all(&buf)?;
         self.writer.flush()
     }
 
     /// Read one raw response line, without its trailing newline. A read
     /// that errors mid-line (timeout) keeps the received prefix; the
-    /// next call resumes it, so bounded polls never corrupt framing.
+    /// next call resumes it, so bounded polls never corrupt framing. A
+    /// line cut off by the peer closing the connection is an
+    /// `UnexpectedEof`, like a close between lines: it is not a reply.
     pub fn recv_line(&mut self) -> std::io::Result<String> {
         let n = self.reader.read_line(&mut self.partial)?;
-        if n == 0 {
+        if n == 0 || !self.partial.ends_with('\n') {
             self.partial.clear();
             return Err(std::io::Error::new(
                 ErrorKind::UnexpectedEof,

@@ -6,6 +6,12 @@
 //! Objects preserve insertion order (they are association vectors, not
 //! maps), which makes rendering deterministic — a requirement for the
 //! result cache, whose hit path must return byte-identical responses.
+//!
+//! This is the crate's one tokenizer and its one set of scalar
+//! renderers. [`Json`] is built from them, and so are the protocol's
+//! direct response writer and reader (`protocol.rs`), which use the
+//! `Parser` primitives and `render_*` functions without building a
+//! tree.
 
 use std::fmt::Write as _;
 
@@ -73,15 +79,7 @@ impl Json {
     /// Parse one JSON value from `input`, requiring the whole string to
     /// be consumed (modulo whitespace).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        parse_with(input, |p| p.value())
     }
 
     /// Render to a compact single-line string. Deterministic: the same
@@ -96,9 +94,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                write!(out, "{i}").unwrap();
-            }
+            Json::Int(i) => render_int(*i, out),
             Json::Float(f) => render_float(*f, out),
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
@@ -127,7 +123,32 @@ impl Json {
     }
 }
 
-fn render_float(f: f64, out: &mut String) {
+/// Append `i` in decimal. A digit loop rather than `write!`, which
+/// goes through the formatting machinery for every integer: table
+/// cells are mostly integers, and this loop roughly halves the encode
+/// of an all-integer table.
+pub(crate) fn render_int(i: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Append `f`; non-finite values render as `null`.
+pub(crate) fn render_float(f: f64, out: &mut String) {
     if !f.is_finite() {
         // JSON has no NaN/Infinity; null is the least-bad encoding.
         out.push_str("null");
@@ -142,21 +163,28 @@ fn render_float(f: f64, out: &mut String) {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Append `s` as a quoted JSON string. Every byte that needs an escape
+/// is ASCII, so the runs between them are copied whole — the entire
+/// string when nothing in it needs escaping.
+pub(crate) fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").unwrap(),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -177,8 +205,38 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Parse one value from `input` with `read`, requiring the whole string
+/// to be consumed (modulo whitespace): the one whole-line rule every
+/// JSON reader in the crate shares.
+pub(crate) fn parse_with<T>(
+    input: &str,
+    read: impl FnOnce(&mut Parser<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let mut p = Parser { src: input, pos: 0 };
+    p.skip_ws();
+    let v = read(&mut p)?;
+    p.skip_ws();
+    if p.pos != input.len() {
+        return Err(p.err("trailing characters after JSON value"));
+    }
+    Ok(v)
+}
+
+/// A JSON number, before it becomes a [`Json`] or a table cell.
+pub(crate) enum Number {
+    /// No fraction or exponent, and within `i64`.
+    Int(i64),
+    /// Anything else.
+    Float(f64),
+}
+
+/// The recursive-descent tokenizer. [`Parser::value`] builds a [`Json`]
+/// tree; readers that want a typed result instead call the primitives
+/// it is made of (`array_with`, `object_with`, `string`, `number`,
+/// `literal`, and `value` for what they skip), so they accept and
+/// reject the same text with the same diagnostics.
+pub(crate) struct Parser<'a> {
+    src: &'a str,
     pos: usize,
 }
 
@@ -190,8 +248,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -209,59 +271,89 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+    /// Consume the keyword `text` (`null`, `true` or `false`).
+    pub(crate) fn literal(&mut self, text: &str) -> Result<(), JsonError> {
+        if self.bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{text}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    pub(crate) fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(match self.number()? {
+                Number::Int(i) => Json::Int(i),
+                Number::Float(f) => Json::Float(f),
+            }),
             Some(c) => Err(self.err(&format!("unexpected character `{}`", c as char))),
         }
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
+        self.array_with(|p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    fn object(&mut self) -> Result<Json, JsonError> {
+        let mut fields = Vec::new();
+        self.object_with(|p, key| {
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// Read the array at the cursor, calling `item` with the cursor at
+    /// each item, which it must consume.
+    pub(crate) fn array_with(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `]`")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    /// Read the object at the cursor, calling `field` with each key and
+    /// the cursor at its value, which it must consume.
+    pub(crate) fn object_with(
+        &mut self,
+        mut field: impl FnMut(&mut Self, String) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -269,31 +361,38 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            field(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    pub(crate) fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one
+            // piece: both are ASCII, so a run of a `&str` between them
+            // (or up to its end) is whole UTF-8.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            s.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -310,7 +409,7 @@ impl<'a> Parser<'a> {
                             // Surrogate pairs: a high surrogate must be
                             // followed by an escaped low surrogate.
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if self.bytes()[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     let combined = 0x10000
@@ -332,30 +431,24 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.bytes().len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+        let hex = std::str::from_utf8(&self.bytes()[self.pos..self.pos + 4])
             .map_err(|_| self.err("invalid unicode escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos += 4;
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// An integer within `i64` is a [`Number::Int`]; one with a
+    /// fraction or an exponent, or past `i64`, is parsed as an `f64`.
+    pub(crate) fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -381,21 +474,16 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("invalid number"))
-        } else {
-            match text.parse::<i64>() {
-                Ok(i) => Ok(Json::Int(i)),
-                // Integer overflow: fall back to float like other parsers.
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Json::Float)
-                    .map_err(|_| self.err("invalid number")),
+        let text = &self.src[start..self.pos];
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Number::Int(i));
             }
         }
+        // Integer overflow falls back to float like other parsers.
+        text.parse::<f64>()
+            .map(Number::Float)
+            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -450,6 +538,107 @@ mod tests {
         let text = v.render();
         assert_eq!(Json::parse(&text).unwrap(), v);
         assert_eq!(Json::parse(r#""Aé😀""#).unwrap(), Json::Str("Aé😀".into()));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_roundtrips() {
+        let text = r#""é\"😀\\n""#;
+        let v = Json::parse(text).unwrap();
+        assert_eq!(v, Json::Str("é\"😀\\n".into()));
+        assert_eq!(v.render(), text);
+        for s in ["", "é", "\\é", "é\\", "😀\"😀", "a\u{1}é\u{1f}😀\u{7f}"] {
+            let v = Json::Str(s.into());
+            assert_eq!(Json::parse(&v.render()).unwrap(), v, "{s:?}");
+        }
+        assert_eq!(
+            Json::parse(r#""\u00e9\ud83d\ude00\/""#).unwrap(),
+            Json::Str("é😀/".into())
+        );
+    }
+
+    /// The writer escapes exactly what a per-character loop would.
+    #[test]
+    fn strings_render_as_a_per_character_escape_would() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let pieces = [
+            "a", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "😀",
+        ];
+        for i in 0..pieces.len() {
+            for j in 0..pieces.len() {
+                for k in 0..pieces.len() {
+                    let s = [pieces[i], pieces[j], pieces[k]].concat();
+                    let mut out = String::new();
+                    render_string(&s, &mut out);
+                    assert_eq!(out, reference(&s), "{s:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut cases = vec![0, 1, -1, 9, 10, -10, i64::MIN, i64::MAX, i64::MIN + 1];
+        for shift in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            cases.push(x as i64 >> shift);
+        }
+        for i in cases {
+            let mut out = String::new();
+            render_int(i, &mut out);
+            assert_eq!(out, i.to_string());
+        }
+    }
+
+    /// Numbers read as `i64` when the text is an integer within range,
+    /// otherwise as `f64`, otherwise are an error.
+    #[test]
+    fn numbers_read_as_str_parse_does() {
+        for text in [
+            "0",
+            "-0",
+            "007",
+            "-007",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551616",
+            "123456789012345678901234567890",
+            "1.5",
+            "-2.5e-3",
+            "1E5",
+            "1e+5",
+            "2.",
+            "-.5",
+            "-",
+            "1e",
+            "1e+",
+            "-e5",
+        ] {
+            let want = match text.parse::<i64>() {
+                Ok(i) if !text.contains(['.', 'e', 'E']) => Ok(Json::Int(i)),
+                _ => text.parse::<f64>().map(Json::Float).map_err(|_| ()),
+            };
+            assert_eq!(Json::parse(text).map_err(|_| ()), want, "{text}");
+        }
     }
 
     #[test]

@@ -90,7 +90,9 @@ pub mod session;
 
 pub use cache::{CacheStats, QueryCache};
 pub use client::{Client, RetryPolicy};
-pub use protocol::{NotifyFrame, OpSpec, Payload, Request, Response, Route, TableData, OPS};
+pub use protocol::{
+    splice_table_lines, NotifyFrame, OpSpec, Payload, Request, Response, Route, TableData, OPS,
+};
 pub use server::{
     serve_lines, LineHandler, LineLimits, Server, ServerConfig, ShutdownHandle,
     MAX_REQUEST_LINE_BYTES,

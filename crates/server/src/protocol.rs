@@ -48,8 +48,17 @@
 //! same connection, so a client that mutates and subscribes on one
 //! connection collects the full delta by reading until its update
 //! response arrives ([`crate::Client`] does this transparently).
+//!
+//! Requests go through a [`Json`] tree. Responses, up to one row per
+//! node of the graph, are written and read directly
+//! ([`Response::encode`], [`Response::decode`]) with the same tokenizer
+//! and scalar renderers, and the encoding is deterministic down to the
+//! byte — which lets the router splice worker replies
+//! ([`splice_table_lines`]) instead of decoding them.
 
-use crate::json::Json;
+use crate::json::{
+    parse_with, render_float, render_int, render_string, Json, JsonError, Number, Parser,
+};
 use ego_query::{ShardSpec, Statement, Table, Value};
 
 /// A client request.
@@ -396,8 +405,27 @@ impl TableData {
     }
 }
 
+impl From<Table> for Response {
+    /// A table response that takes the engine's rows without copying
+    /// them.
+    fn from(t: Table) -> Response {
+        let (columns, rows) = t.into_parts();
+        Response::Table(TableData { columns, rows })
+    }
+}
+
+/// How every encoded table reply begins.
+const TABLE_HEAD: &str = r#"{"ok":true,"type":"table","#;
+/// How every encoded notify frame begins.
+const NOTIFY_HEAD: &str = r#"{"ok":true,"type":"notify","#;
+/// How every encoded error begins.
+const ERROR_HEAD: &str = r#"{"ok":false,"type":"error","#;
+/// What stands between a grid's column list and its first row.
+const ROWS_KEY: &str = r#","rows":["#;
+
 impl Response {
-    /// A table response from an engine result.
+    /// A table response from an engine result (copies its rows; a
+    /// [`Table`] that is no longer needed converts with `From`).
     pub fn table(t: &Table) -> Response {
         Response::Table(TableData::from_table(t))
     }
@@ -436,61 +464,256 @@ impl Response {
     }
 
     /// Encode as a single-line JSON string (no trailing newline).
-    /// Deterministic: equal responses encode to identical bytes.
+    /// Deterministic: equal responses encode to identical bytes. The
+    /// fields are written straight into one string, in a fixed order:
+    /// `ok`, `type`, then `columns` / `rows`, `subscription` /
+    /// `generation` / `columns` / `rows`, or `message`.
     pub fn encode(&self) -> String {
-        let mut fields = vec![
-            ("ok".to_string(), Json::Bool(!self.is_error())),
-            ("type".to_string(), Json::Str(self.type_name().into())),
-        ];
+        let mut out = String::new();
         match self {
-            Response::Table(t) => fields.extend(grid_to_json(&t.columns, &t.rows)),
+            Response::Table(t) => {
+                out.reserve(grid_size_hint(&t.rows));
+                out.push_str(TABLE_HEAD);
+                write_grid(&t.columns, &t.rows, &mut out);
+            }
             Response::Notify(f) => {
-                fields.push(("subscription".into(), Json::Int(f.subscription as i64)));
-                fields.push(("generation".into(), Json::Int(f.generation as i64)));
-                fields.extend(grid_to_json(&f.columns, &f.rows));
+                out.reserve(grid_size_hint(&f.rows));
+                out.push_str(NOTIFY_HEAD);
+                out.push_str(r#""subscription":"#);
+                render_int(f.subscription as i64, &mut out);
+                out.push_str(r#","generation":"#);
+                render_int(f.generation as i64, &mut out);
+                out.push(',');
+                write_grid(&f.columns, &f.rows, &mut out);
             }
             Response::Error { message } => {
-                fields.push(("message".into(), Json::Str(message.clone())));
+                out.push_str(ERROR_HEAD);
+                out.push_str(r#""message":"#);
+                render_string(message, &mut out);
             }
         }
-        Json::Obj(fields).render()
+        out.push('}');
+        out
     }
 
-    fn type_name(&self) -> &'static str {
+    /// Decode one response line, reading it once straight into a
+    /// `Response`. It accepts exactly the lines a JSON parse followed by
+    /// field lookups would: fields in any order, the first occurrence of
+    /// a key wins, unknown fields are skipped, and the whole line must
+    /// be one JSON value.
+    pub fn decode(line: &str) -> Result<Response, String> {
+        parse_with(line, |p| {
+            if p.peek() == Some(b'{') {
+                Fields::read(p)
+            } else {
+                // Not an object: no fields, so no `type`.
+                p.value().map(|_| Fields::default())
+            }
+        })
+        .map_err(|e| e.to_string())?
+        .into_response()
+    }
+}
+
+/// Concatenate encoded table replies in order without decoding them:
+/// leg 0's head (every byte through `,"rows":[`), then each non-empty
+/// leg's row body joined by `,`, then `]}` — byte for byte the encoding
+/// of the table whose rows are the legs' rows in order, because every
+/// reply is a deterministic encoding. `None` when there are no legs, or
+/// a leg is not a table reply with exactly leg 0's head.
+pub fn splice_table_lines(legs: &[String]) -> Option<String> {
+    let (head, _) = split_table_line(legs.first()?)?;
+    let mut out = String::with_capacity(legs.iter().map(String::len).sum());
+    out.push_str(head);
+    let mut empty = true;
+    for leg in legs {
+        match split_table_line(leg)? {
+            (h, _) if h != head => return None,
+            (_, "") => {}
+            (_, rows) => {
+                if !empty {
+                    out.push(',');
+                }
+                out.push_str(rows);
+                empty = false;
+            }
+        }
+    }
+    out.push_str("]}");
+    Some(out)
+}
+
+/// Split an encoded table reply into its head — every byte up to and
+/// including `,"rows":[` — and its row body, the rows' encodings joined
+/// by `,`. `None` for any line that is not a table reply. Inside a JSON
+/// string every `"` is escaped, so the first `,"rows":[` in a table
+/// reply is the structural one, whatever its column names hold.
+fn split_table_line(line: &str) -> Option<(&str, &str)> {
+    if !line.starts_with(TABLE_HEAD) {
+        return None;
+    }
+    let body = line.find(ROWS_KEY)? + ROWS_KEY.len();
+    let rows = line[body..].strip_suffix("]}")?;
+    Some((&line[..body], rows))
+}
+
+/// True when `line` is an encoded notify frame.
+pub(crate) fn is_notify_line(line: &str) -> bool {
+    line.starts_with(NOTIFY_HEAD)
+}
+
+/// A capacity that holds a grid of short numeric cells without a
+/// regrow.
+fn grid_size_hint(rows: &[Vec<Value>]) -> usize {
+    64 + rows.iter().map(|r| 2 + 6 * r.len()).sum::<usize>()
+}
+
+/// The `columns` / `rows` fields tables and notify frames share.
+fn write_grid(columns: &[String], rows: &[Vec<Value>], out: &mut String) {
+    out.push_str(r#""columns":["#);
+    for (i, c) in columns.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render_string(c, out);
+    }
+    out.push(']');
+    out.push_str(ROWS_KEY);
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match v {
+                Value::Int(i) => render_int(*i, out),
+                Value::Float(f) => render_float(*f, out),
+                Value::Str(s) => render_string(s, out),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Null => out.push_str("null"),
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// One response field as the reader found it.
+#[derive(Default)]
+enum Field<T> {
+    /// Not in the line.
+    #[default]
+    Absent,
+    /// Present, with a JSON type the field cannot have.
+    Mistyped,
+    /// An array holding an item of the wrong type; the diagnostic.
+    BadItem(&'static str),
+    /// Read.
+    Read(T),
+}
+
+impl<T> Field<T> {
+    fn value(self) -> Option<T> {
         match self {
-            Response::Table(_) => "table",
-            Response::Notify(_) => "notify",
-            Response::Error { .. } => "error",
+            Field::Read(v) => Some(v),
+            _ => None,
         }
     }
 
-    /// Decode one response line.
-    pub fn decode(line: &str) -> Result<Response, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match v.get("type").and_then(Json::as_str) {
+    /// A grid field of a `what` response, or its diagnostic.
+    fn grid_part(self, what: &str, name: &str) -> Result<T, String> {
+        match self {
+            Field::Read(v) => Ok(v),
+            Field::BadItem(message) => Err(message.into()),
+            Field::Absent | Field::Mistyped => Err(format!("{what} missing `{name}`")),
+        }
+    }
+}
+
+/// The first occurrence of every field a response is built from. Later
+/// duplicates are skipped, as [`Json::get`] finds the first.
+#[derive(Default)]
+struct Fields {
+    kind: Field<String>,
+    message: Field<String>,
+    subscription: Field<i64>,
+    generation: Field<i64>,
+    columns: Field<Vec<String>>,
+    rows: Field<Vec<Vec<Value>>>,
+}
+
+impl Fields {
+    /// Read one object with the tokenizer's object loop.
+    fn read(p: &mut Parser<'_>) -> Result<Fields, JsonError> {
+        let mut fields = Fields::default();
+        p.object_with(|p, key| fields.read_value(&key, p))?;
+        Ok(fields)
+    }
+
+    fn read_value(&mut self, key: &str, p: &mut Parser<'_>) -> Result<(), JsonError> {
+        fn unread<T>(field: &Field<T>) -> bool {
+            matches!(field, Field::Absent)
+        }
+        match key {
+            "type" if unread(&self.kind) => self.kind = scalar(text(p)?),
+            "message" if unread(&self.message) => self.message = scalar(text(p)?),
+            "subscription" if unread(&self.subscription) => self.subscription = scalar(int(p)?),
+            "generation" if unread(&self.generation) => self.generation = scalar(int(p)?),
+            "columns" if unread(&self.columns) => {
+                self.columns = array(p, text, "non-string column")?
+            }
+            "rows" if unread(&self.rows) => {
+                let row = |p: &mut Parser<'_>| match p.peek() {
+                    Some(b'[') => items(p, |p| cell(p).map(Some)),
+                    _ => p.value().map(|_| None),
+                };
+                self.rows = array(p, row, "non-array row")?;
+            }
+            _ => {
+                p.value()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn into_response(self) -> Result<Response, String> {
+        let Fields {
+            kind,
+            message,
+            subscription,
+            generation,
+            columns,
+            rows,
+        } = self;
+        let grid = |what: &str| -> Result<(Vec<String>, Vec<Vec<Value>>), String> {
+            Ok((
+                columns.grid_part(what, "columns")?,
+                rows.grid_part(what, "rows")?,
+            ))
+        };
+        match kind.value().as_deref() {
             Some("error") => Ok(Response::Error {
-                message: v
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-                    .to_string(),
+                message: message.value().unwrap_or_else(|| "unknown error".into()),
             }),
             Some("table") => {
-                let (columns, rows) = grid_from_json(&v, "table response")?;
+                let (columns, rows) = grid("table response")?;
                 Ok(Response::Table(TableData { columns, rows }))
             }
             Some("notify") => {
-                let uint = |name: &str| -> Result<u64, String> {
-                    v.get(name)
-                        .and_then(Json::as_i64)
+                let (columns, rows) = grid("notify frame")?;
+                let uint = |field: Field<i64>, name: &str| {
+                    field
+                        .value()
                         .filter(|&i| i >= 0)
                         .map(|i| i as u64)
                         .ok_or(format!("notify frame missing `{name}`"))
                 };
-                let (columns, rows) = grid_from_json(&v, "notify frame")?;
                 Ok(Response::Notify(NotifyFrame {
-                    subscription: uint("subscription")?,
-                    generation: uint("generation")?,
+                    subscription: uint(subscription, "subscription")?,
+                    generation: uint(generation, "generation")?,
                     columns,
                     rows,
                 }))
@@ -500,62 +723,77 @@ impl Response {
     }
 }
 
-/// The `columns` / `rows` fields tables and notify frames share.
-fn grid_to_json(columns: &[String], rows: &[Vec<Value>]) -> [(String, Json); 2] {
-    let columns = Json::Arr(columns.iter().cloned().map(Json::Str).collect());
-    let rows = Json::Arr(
-        rows.iter()
-            .map(|r| Json::Arr(r.iter().map(value_to_json).collect()))
-            .collect(),
-    );
-    [("columns".into(), columns), ("rows".into(), rows)]
+/// A scalar field: read, or present with the wrong type.
+fn scalar<T>(read: Option<T>) -> Field<T> {
+    read.map_or(Field::Mistyped, Field::Read)
 }
 
-/// Inverse of [`grid_to_json`]; `what` names the response kind in
-/// diagnostics.
-fn grid_from_json(v: &Json, what: &str) -> Result<(Vec<String>, Vec<Vec<Value>>), String> {
-    let columns = v
-        .get("columns")
-        .and_then(Json::as_array)
-        .ok_or(format!("{what} missing `columns`"))?
-        .iter()
-        .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_array)
-        .ok_or(format!("{what} missing `rows`"))?
-        .iter()
-        .map(|r| {
-            r.as_array()
-                .ok_or("non-array row")
-                .map(|cells| cells.iter().map(json_to_value).collect::<Vec<_>>())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((columns, rows))
-}
-
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Int(*i),
-        Value::Float(f) => Json::Float(*f),
-        Value::Str(s) => Json::Str(s.clone()),
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Null => Json::Null,
+/// A string, or `None` after skipping a value of any other type.
+fn text(p: &mut Parser<'_>) -> Result<Option<String>, JsonError> {
+    match p.peek() {
+        Some(b'"') => p.string().map(Some),
+        _ => p.value().map(|_| None),
     }
 }
 
-fn json_to_value(v: &Json) -> Value {
-    match v {
-        Json::Int(i) => Value::Int(*i),
-        Json::Float(f) => Value::Float(*f),
-        Json::Str(s) => Value::Str(s.clone()),
-        Json::Bool(b) => Value::Bool(*b),
-        Json::Null => Value::Null,
+/// An integer within `i64`, or `None` after skipping any other value.
+fn int(p: &mut Parser<'_>) -> Result<Option<i64>, JsonError> {
+    match p.peek() {
+        Some(b'-' | b'0'..=b'9') => Ok(match p.number()? {
+            Number::Int(i) => Some(i),
+            Number::Float(_) => None,
+        }),
+        _ => p.value().map(|_| None),
+    }
+}
+
+/// An array field whose items `item` reads; `bad` is the diagnostic
+/// for an item of the wrong type.
+fn array<T>(
+    p: &mut Parser<'_>,
+    item: impl FnMut(&mut Parser<'_>) -> Result<Option<T>, JsonError>,
+    bad: &'static str,
+) -> Result<Field<Vec<T>>, JsonError> {
+    if p.peek() != Some(b'[') {
+        p.value()?;
+        return Ok(Field::Mistyped);
+    }
+    Ok(items(p, item)?.map_or(Field::BadItem(bad), Field::Read))
+}
+
+/// The items of the array at `p`; `None` when `item` rejected one (the
+/// rest are still read, so the line is checked to its end).
+fn items<T>(
+    p: &mut Parser<'_>,
+    mut item: impl FnMut(&mut Parser<'_>) -> Result<Option<T>, JsonError>,
+) -> Result<Option<Vec<T>>, JsonError> {
+    let mut out = Some(Vec::new());
+    p.array_with(|p| {
+        match (item(p)?, &mut out) {
+            (Some(v), Some(out)) => out.push(v),
+            _ => out = None,
+        }
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// One table cell.
+fn cell(p: &mut Parser<'_>) -> Result<Value, JsonError> {
+    Ok(match p.peek() {
+        Some(b'"') => Value::Str(p.string()?),
+        Some(b'-' | b'0'..=b'9') => match p.number()? {
+            Number::Int(i) => Value::Int(i),
+            Number::Float(f) => Value::Float(f),
+        },
+        Some(b'n') => p.literal("null").map(|()| Value::Null)?,
+        Some(b't') => p.literal("true").map(|()| Value::Bool(true))?,
+        Some(b'f') => p.literal("false").map(|()| Value::Bool(false))?,
         // Nested structures never appear in table cells; render as text
-        // rather than dropping data.
-        other => Value::Str(other.render()),
-    }
+        // rather than dropping data (and report anything else as a
+        // value would).
+        _ => Value::Str(p.value()?.render()),
+    })
 }
 
 #[cfg(test)]

@@ -261,7 +261,7 @@ pub fn serve_lines<H: LineHandler>(
                     if served.is_err() {
                         on_panic();
                         let message = "internal error: the request handler panicked";
-                        let _ = write_lines(&mut stream, &[Response::error(message).encode()]);
+                        let _ = write_lines(&mut stream, vec![Response::error(message).encode()]);
                     }
                 })
                 .expect("spawn worker thread")
@@ -325,13 +325,13 @@ fn serve_connection(
             let response = handler.handle_line(line);
             let mut lines = handler.take_frames();
             lines.push(response);
-            if write_lines(stream, &lines).is_err() {
+            if write_lines(stream, lines).is_err() {
                 return;
             }
         }
         if buf.len() > MAX_REQUEST_LINE_BYTES {
             let message = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
-            let _ = write_lines(stream, &[Response::error(message).encode()]);
+            let _ = write_lines(stream, vec![Response::error(message).encode()]);
             return;
         }
         partial_since = if buf.is_empty() {
@@ -350,13 +350,14 @@ fn serve_connection(
                 // Idle poll tick: push frames produced by *other*
                 // connections' updates to this subscriber.
                 handler.idle_tick();
-                if write_lines(stream, &handler.take_frames()).is_err() {
+                if write_lines(stream, handler.take_frames()).is_err() {
                     return;
                 }
                 // An idle connection may wait forever; a half-received
                 // request may not.
                 if partial_since.is_some_and(|since| since.elapsed() >= limits.request_timeout) {
-                    let _ = write_lines(stream, &[Response::error("request timed out").encode()]);
+                    let _ =
+                        write_lines(stream, vec![Response::error("request timed out").encode()]);
                     return;
                 }
             }
@@ -368,16 +369,18 @@ fn serve_connection(
 
 /// Write `lines` in order, each newline-terminated, with one `write_all`:
 /// under `TCP_NODELAY` every write leaves as its own segment, so a reply
-/// and the frames queued before it go out together.
-fn write_lines(stream: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
-    if lines.is_empty() {
+/// and the frames queued before it go out together. The first line's
+/// buffer carries the rest, so a lone reply is written without a copy.
+fn write_lines(stream: &mut TcpStream, lines: Vec<String>) -> std::io::Result<()> {
+    let mut lines = lines.into_iter();
+    let Some(mut buf) = lines.next() else {
         return Ok(());
-    }
-    let mut buf = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    };
+    buf.push('\n');
     for line in lines {
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
+        buf.push_str(&line);
+        buf.push('\n');
     }
-    stream.write_all(&buf)?;
+    stream.write_all(buf.as_bytes())?;
     stream.flush()
 }

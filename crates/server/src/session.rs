@@ -799,7 +799,7 @@ impl Session {
             .queries_executed
             .fetch_add(1, Ordering::Relaxed);
         match run(&self.engine) {
-            Ok(t) => Response::table(&t).encode(),
+            Ok(t) => Response::from(t).encode(),
             Err(e) => Response::error(e.to_string()).encode(),
         }
     }

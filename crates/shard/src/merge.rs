@@ -2,7 +2,7 @@
 //!
 //! Two merge shapes exist:
 //!
-//! * **Result tables** ([`merge_tables`]): shards are contiguous
+//! * **Result tables** (`merge_replies`): shards are contiguous
 //!   node-ID ranges and every single-table census statement emits its
 //!   rows in ascending focal-node order, so concatenating the per-shard
 //!   tables *in shard order* reproduces the exact row order of
@@ -10,7 +10,11 @@
 //!   computes the global match list itself over the shared mmap graph
 //!   (broadcast of work, not of data — the list is memoized in the
 //!   worker's census cache) and only the per-focal containment counts
-//!   are shard-restricted.
+//!   are shard-restricted. Worker replies are deterministic encodings,
+//!   so the concatenation is done on their bytes
+//!   ([`ego_server::splice_table_lines`]); only a gather with a leg
+//!   that is not a table with leg 0's columns is decoded and merged as
+//!   values ([`merge_tables`]).
 //! * **Stats tables** ([`merge_stats`]): per-worker counters are
 //!   combined by a per-key rule — `min`/`max` for latency extrema,
 //!   recomputed quotient for latency means, `max` for the graph
@@ -18,8 +22,33 @@
 //!   the same file), and plain sum for everything else.
 
 use ego_query::Value;
-use ego_server::TableData;
+use ego_server::{splice_table_lines, Response, TableData};
 use std::collections::BTreeMap;
+
+/// The merged reply to a scattered statement, from its per-shard reply
+/// lines in shard order: spliced when every leg is a table with leg 0's
+/// columns, otherwise decoded — the first error in shard order wins,
+/// then [`merge_tables`]' column check.
+pub(crate) fn merge_replies(legs: &[String]) -> String {
+    if let Some(line) = splice_table_lines(legs) {
+        return line;
+    }
+    let mut tables = Vec::with_capacity(legs.len());
+    for (j, leg) in legs.iter().enumerate() {
+        match Response::decode(leg) {
+            Ok(Response::Table(t)) => tables.push(t),
+            Ok(Response::Error { message }) => return Response::error(message).encode(),
+            Ok(Response::Notify(_)) => {
+                return Response::error(format!("shard {j} answered with a notify frame")).encode()
+            }
+            Err(e) => return Response::error(format!("shard {j}: bad response: {e}")).encode(),
+        }
+    }
+    match merge_tables(&tables) {
+        Ok(merged) => Response::Table(merged).encode(),
+        Err(message) => Response::error(message).encode(),
+    }
+}
 
 /// Concatenate per-shard result tables in shard order.
 ///
@@ -149,6 +178,120 @@ mod tests {
     #[test]
     fn empty_part_list_is_an_error() {
         assert!(merge_tables(&[]).is_err());
+    }
+
+    fn line(columns: &[&str], rows: Vec<Vec<Value>>) -> String {
+        Response::Table(table(columns, rows)).encode()
+    }
+
+    /// The reference gather: decode every leg, first error wins, then
+    /// `merge_tables`, re-encoded.
+    fn decoded_merge(legs: &[String]) -> String {
+        let parts: Vec<Response> = legs.iter().map(|l| Response::decode(l).unwrap()).collect();
+        if let Some(e) = parts.iter().find(|r| r.is_error()) {
+            return e.encode();
+        }
+        let tables: Vec<TableData> = parts
+            .into_iter()
+            .map(|r| match r {
+                Response::Table(t) => t,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        match merge_tables(&tables) {
+            Ok(t) => Response::Table(t).encode(),
+            Err(message) => Response::error(message).encode(),
+        }
+    }
+
+    #[test]
+    fn splice_equals_the_decoded_merge_with_empty_legs() {
+        let cols = ["ID", "c"];
+        let row = |i: i64| vec![Value::Int(i), Value::Str(format!("r{i}"))];
+        let full = |ids: &[i64]| line(&cols, ids.iter().map(|&i| row(i)).collect());
+        for legs in [
+            vec![full(&[0, 1]), full(&[2])],
+            // More shards than nodes: empty tails, an empty first leg,
+            // an empty middle, every leg empty.
+            vec![full(&[0]), full(&[]), full(&[])],
+            vec![full(&[]), full(&[0, 1]), full(&[2])],
+            vec![full(&[0]), full(&[]), full(&[1])],
+            vec![full(&[]), full(&[]), full(&[])],
+            vec![full(&[5])],
+        ] {
+            let spliced = splice_table_lines(&legs).expect("tables with one head splice");
+            assert_eq!(spliced, decoded_merge(&legs), "{legs:?}");
+            assert_eq!(merge_replies(&legs), spliced);
+        }
+        assert_eq!(splice_table_lines(&[]), None);
+        assert_eq!(
+            merge_replies(&[]),
+            Response::error("no shard responses to merge").encode()
+        );
+    }
+
+    #[test]
+    fn an_error_on_a_later_leg_is_returned_as_its_bytes() {
+        let ok = line(&["ID"], vec![vec![Value::Int(0)]]);
+        let err = Response::error("unknown pattern `t` \"é\"").encode();
+        let other = Response::error("second").encode();
+        for (legs, want) in [
+            (vec![ok.clone(), err.clone()], &err),
+            (
+                vec![ok.clone(), ok.clone(), err.clone(), other.clone()],
+                &err,
+            ),
+            (vec![other.clone(), err.clone()], &other),
+            // An error outranks a column mismatch on an earlier leg.
+            (vec![ok.clone(), line(&["x"], vec![]), err.clone()], &err),
+        ] {
+            assert_eq!(splice_table_lines(&legs), None);
+            assert_eq!(&merge_replies(&legs), want);
+            assert_eq!(&decoded_merge(&legs), want);
+        }
+    }
+
+    #[test]
+    fn a_column_mismatch_keeps_its_message() {
+        let legs = [
+            line(&["ID", "c"], vec![vec![Value::Int(0), Value::Int(1)]]),
+            line(&["ID", "c"], vec![]),
+            line(&["ID", "d"], vec![vec![Value::Int(2), Value::Int(3)]]),
+        ];
+        assert_eq!(splice_table_lines(&legs), None);
+        assert_eq!(
+            merge_replies(&legs),
+            Response::error(r#"shard 2 returned columns ["ID", "d"], expected ["ID", "c"]"#)
+                .encode()
+        );
+        assert_eq!(merge_replies(&legs), decoded_merge(&legs));
+    }
+
+    /// Column names and cells holding the splice delimiter, quotes,
+    /// backslashes and multi-byte text: inside a JSON string every `"`
+    /// is escaped, so the first `,"rows":[` is still the structural one.
+    #[test]
+    fn escaped_text_that_spells_the_delimiter_splices() {
+        let cols = [r#","rows":["#, "a\"b\\c", "é😀"];
+        let cell = |s: &str| Value::Str(s.to_string());
+        let legs = [
+            line(
+                &cols,
+                vec![vec![cell(r#"]],"rows":[[""#), cell("\\"), cell("\n")]],
+            ),
+            line(&cols, vec![]),
+            line(
+                &cols,
+                vec![vec![cell(r#","rows":["#), cell("é"), cell("\u{1}")]],
+            ),
+        ];
+        let spliced = splice_table_lines(&legs).expect("one head");
+        assert_eq!(spliced, decoded_merge(&legs));
+        let Response::Table(t) = Response::decode(&spliced).unwrap() else {
+            panic!("{spliced}")
+        };
+        assert_eq!(t.columns, cols);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! a survivor — every worker maps the whole graph, so any of them can
 //! answer any shard, and the merged bytes are unchanged.
 
-use crate::merge::{merge_stats, merge_tables};
+use crate::merge::{merge_replies, merge_stats};
 use ego_query::{strip_subscribe, ShardSpec, Statement, Value};
 use ego_server::{
     serve_lines, Client, LineHandler, LineLimits, NotifyFrame, Request, Response, RetryPolicy,
@@ -353,9 +353,10 @@ impl RouterSession {
     }
 
     /// Fan one statement out as one shard per live worker and merge the
-    /// responses in shard order. The shard count is fixed at scatter
-    /// time: when a worker dies mid-query its shard `j/n` is re-sent
-    /// verbatim to a survivor, leaving the merged bytes unchanged.
+    /// reply lines in shard order (`merge_replies`: spliced as bytes,
+    /// not decoded). The shard count is fixed at scatter time: when a
+    /// worker dies mid-query its shard `j/n` is re-sent verbatim to a
+    /// survivor, leaving the merged bytes unchanged.
     fn scatter_query(&mut self, sql: &str, ups: &[usize]) -> String {
         self.shared
             .stats
@@ -383,7 +384,7 @@ impl RouterSession {
         // wait until every pipelined connection is drained, otherwise a
         // retry on a survivor would read that survivor's own pending
         // shard response as its reply.
-        let mut parts: Vec<Option<Response>> = Vec::with_capacity(ups.len());
+        let mut parts: Vec<Option<String>> = Vec::with_capacity(ups.len());
         for (j, &w) in ups.iter().enumerate() {
             if !sent[j] {
                 parts.push(None);
@@ -392,9 +393,9 @@ impl RouterSession {
             match self.conns[w]
                 .as_mut()
                 .expect("sent shards have live connections")
-                .recv_response()
+                .recv_reply_line()
             {
-                Ok(resp) => parts.push(Some(resp)),
+                Ok(line) => parts.push(Some(line)),
                 Err(_) => {
                     self.fail_worker(w);
                     parts.push(None);
@@ -415,32 +416,19 @@ impl RouterSession {
         let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() else {
             return Response::error("no workers available").encode();
         };
-
         // A statement the engine rejects (bad pattern, unsupported
         // algorithm/spec combination) fails identically on every
-        // worker; shard 0's error is the direct engine's bytes.
-        if let Some(Response::Error { message }) = parts.iter().find(|r| r.is_error()) {
-            return Response::error(message.clone()).encode();
-        }
-        let tables: Vec<TableData> = parts
-            .into_iter()
-            .map(|r| match r {
-                Response::Table(t) => t,
-                Response::Error { .. } => unreachable!("errors returned above"),
-                Response::Notify(_) => unreachable!("recv_response filters notify frames"),
-            })
-            .collect();
-        match merge_tables(&tables) {
-            Ok(merged) => Response::Table(merged).encode(),
-            Err(message) => Response::error(message).encode(),
-        }
+        // worker; the first error in shard order is the direct engine's
+        // bytes.
+        merge_replies(&parts)
     }
 
-    /// Run one shard request to completion on any surviving worker.
-    fn retry_shard(&mut self, req: &Request) -> Option<Response> {
+    /// Run one shard request to completion on any surviving worker,
+    /// returning its reply line.
+    fn retry_shard(&mut self, req: &Request) -> Option<String> {
         for w in self.shared.up_indices() {
-            match self.conn(w).and_then(|c| c.request(req)) {
-                Ok(resp) => return Some(resp),
+            match self.conn(w).and_then(|c| c.request_line(req)) {
+                Ok(line) => return Some(line),
                 Err(_) => self.fail_worker(w),
             }
         }
@@ -461,10 +449,8 @@ impl RouterSession {
                 return Response::error("no workers available").encode();
             }
             let w = ups[start % ups.len()];
-            match self.conn(w).and_then(|c| c.request(req)) {
-                // Deterministic encoding: re-encoding the decoded
-                // response reproduces the worker's bytes.
-                Ok(resp) => return resp.encode(),
+            match self.conn(w).and_then(|c| c.request_line(req)) {
+                Ok(line) => return line,
                 Err(_) => self.fail_worker(w),
             }
         }

@@ -351,6 +351,66 @@ wait "$serve_pid" || true
 serve_pid=""
 echo "    router matched the direct engine byte-for-byte, before and after losing a worker"
 
+echo "==> wire codec (a request line at the cap is answered promptly; routed raw replies equal a direct server's)"
+# `egocensus client` prints CSV only, so the raw lines go through bash's
+# /dev/tcp: a reply that decodes to the same CSV could still differ on the
+# wire.
+raw_exchange() { # $1 = host:port, $2 = request line; prints the reply line
+  local reply
+  exec 3<>"/dev/tcp/${1%:*}/${1##*:}"
+  printf '%s\n' "$2" >&3
+  IFS= read -r -t 5 reply <&3 || { exec 3>&-; return 1; }
+  exec 3>&-
+  printf '%s\n' "$reply"
+}
+# One line 64 bytes under the 1 MiB request cap; its string field once
+# took ~18 s to decode.
+pad=$(head -c $((1048576 - 64 - 22)) /dev/zero | tr '\0' x)
+big_line="{\"op\":\"ping\",\"pad\":\"$pad\"}"
+[ "${#big_line}" -eq $((1048576 - 64)) ] || { echo "FAIL: cap line is ${#big_line} bytes"; exit 1; }
+pong='{"ok":true,"type":"table","columns":["reply"],"rows":[["pong"]]}'
+codec_sql='SELECT ID, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)), COUNTP(single_edge, SUBGRAPH(ID, 2)) FROM nodes'
+codec_lines=(
+  "{\"op\":\"query\",\"sql\":\"$codec_sql\"}"
+  "{\"op\":\"query\",\"sql\":\"$codec_sql ORDER BY 3 DESC, 1 LIMIT 10\"}"
+)
+for mode in direct routed; do
+  serve_args=(--threads 2 --cache-mb 8)
+  [ "$mode" = routed ] && serve_args+=(--workers 2)
+  ./target/release/egocensus serve "$tmpdir/g.egb" --addr 127.0.0.1:0 \
+    "${serve_args[@]}" >"$tmpdir/codec-$mode.log" &
+  serve_pid=$!
+  addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^listening on //p' "$tmpdir/codec-$mode.log")
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "FAIL: $mode server never printed its address"; exit 1; }
+  reply=$(raw_exchange "$addr" "$big_line") \
+    || { echo "FAIL: $mode server did not answer a line at the cap within 5 s"; exit 1; }
+  [ "$reply" = "$pong" ] || { echo "FAIL: $mode reply to the cap line: ${reply:0:200}"; exit 1; }
+  for i in "${!codec_lines[@]}"; do
+    raw_exchange "$addr" "${codec_lines[$i]}" >"$tmpdir/codec-$mode-$i.txt" \
+      || { echo "FAIL: $mode server did not answer statement $i"; exit 1; }
+  done
+  if [ "$mode" = routed ]; then
+    ./target/release/egocensus client --addr "$addr" --csv --stats >"$tmpdir/codec-stats.csv"
+    grep -q '^router_scattered_queries,1$' "$tmpdir/codec-stats.csv" \
+      || { echo "FAIL: the router should scatter statement 0 and proxy statement 1"; exit 1; }
+  fi
+  ./target/release/egocensus client --addr "$addr" --shutdown >/dev/null
+  wait "$serve_pid" || true
+  serve_pid=""
+done
+[ "$(grep -o '\],\[' "$tmpdir/codec-direct-0.txt" | wc -l)" -eq 299 ] \
+  || { echo "FAIL: the scattered statement should return 300 rows"; exit 1; }
+for i in "${!codec_lines[@]}"; do
+  cmp -s "$tmpdir/codec-direct-$i.txt" "$tmpdir/codec-routed-$i.txt" \
+    || { echo "FAIL: routed raw reply $i differs from the direct server's"; exit 1; }
+done
+echo "    a line at the cap answered in under 5 s; spliced and proxied raw replies equal a direct server's byte for byte"
+
 echo "==> continuous census smoke test (subscribe; update pushes changed rows)"
 # Same 7-node fixture: INSERT EDGE (4, 6) closes a triangle, so nodes
 # 4/5/6 change and the standing query must push exactly those rows.

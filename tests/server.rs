@@ -9,8 +9,8 @@ use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
 use egocensus::pattern::Pattern;
 use egocensus::query::{Catalog, QueryEngine, ShardSpec, Value, ViewRegistry, DEFAULT_VIEW_BUDGET};
 use egocensus::server::{
-    serve_lines, Client, LineHandler, LineLimits, Request, Response, Server, ServerConfig,
-    ShutdownHandle, TableData,
+    serve_lines, Client, LineHandler, LineLimits, NotifyFrame, Request, Response, Server,
+    ServerConfig, ShutdownHandle, TableData,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -19,6 +19,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+#[path = "../crates/server/tests/oracle/mod.rs"]
+mod oracle;
 
 const SEED: u64 = 0xC0FFEE;
 
@@ -681,8 +684,9 @@ fn subscriber_survives_reconnect_with_fresh_baseline() {
 
 /// Valid inputs to damage: a small graph's `.views` sidecar (a `MATCHES`
 /// view and a `SUBPATTERN` view, so every line kind appears), its node
-/// count, and one encoded request line per payload shape.
-fn byte_corpus() -> (String, usize, Vec<String>) {
+/// count, one encoded request line per payload shape, and one encoded
+/// response line per response kind.
+fn byte_corpus() -> (String, usize, Vec<String>, Vec<String>) {
     let g = barabasi_albert(24, 3, &mut rng(5));
     let mut engine = QueryEngine::with_builtins(&g);
     engine.set_threads(1);
@@ -713,17 +717,52 @@ fn byte_corpus() -> (String, usize, Vec<String>) {
     .map(Request::encode)
     .collect();
     assert!(requests.iter().all(|r| Request::decode(r).is_ok()));
-    (sidecar, g.num_nodes(), requests)
+    let census = engine
+        .execute("SELECT ID, LABEL, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes WHERE ID < 6")
+        .expect("census");
+    let responses: Vec<String> = [
+        Response::from(census),
+        Response::Table(TableData {
+            columns: vec!["s\"é\\".into(), "f".into()],
+            rows: vec![
+                vec![Value::Str("😀\n\u{1}".into()), Value::Float(-0.5)],
+                vec![Value::Bool(true), Value::Float(1e300)],
+                vec![Value::Null, Value::Int(i64::MIN)],
+            ],
+        }),
+        Response::Notify(NotifyFrame {
+            subscription: 4294967296,
+            generation: 3,
+            columns: vec!["c".into()],
+            rows: vec![vec![
+                Value::Int(2),
+                Value::Str("c".into()),
+                Value::Int(0),
+                Value::Int(1),
+            ]],
+        }),
+        Response::error("unknown pattern `é`"),
+    ]
+    .iter()
+    .map(|r| {
+        let line = r.encode();
+        assert_eq!(line, oracle::encode(r));
+        line
+    })
+    .collect();
+    assert!(responses.iter().all(|r| Response::decode(r).is_ok()));
+    (sidecar, g.num_nodes(), requests, responses)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4000))]
+    #![proptest_config(ProptestConfig::with_cases(6000))]
 
-    /// ROADMAP 6a, two of the six byte boundaries: whatever a truncate,
-    /// a byte flip, a boundary number or a splice does to a valid
-    /// `.views` sidecar or a valid request line, the parser returns —
-    /// `Ok` or `Err`, never a panic and never an allocation sized by the
-    /// damaged text.
+    /// ROADMAP 6a, three of the six byte boundaries: whatever a
+    /// truncate, a byte flip, a boundary number or a splice does to a
+    /// valid `.views` sidecar, request line or response line, the parser
+    /// returns — `Ok` or `Err`, never a panic and never an allocation
+    /// sized by the damaged text. A response line is read exactly as the
+    /// tree codec reads it: the same response or the same diagnostic.
     #[test]
     fn damaged_sidecars_and_request_lines_return_without_panicking(
         which in any::<usize>(),
@@ -733,11 +772,19 @@ proptest! {
         len in 0usize..48,
         byte in any::<u8>(),
     ) {
-        static CORPUS: OnceLock<(String, usize, Vec<String>)> = OnceLock::new();
-        let (sidecar, num_nodes, requests) = CORPUS.get_or_init(byte_corpus);
-        // Even cases damage the sidecar, odd ones a request line.
-        let request = (which % 2 == 1).then(|| &requests[which / 2 % requests.len()]);
-        let mut bytes = request.unwrap_or(sidecar).clone().into_bytes();
+        type Corpus = (String, usize, Vec<String>, Vec<String>);
+        static CORPUS: OnceLock<Corpus> = OnceLock::new();
+        let (sidecar, num_nodes, requests, responses) = CORPUS.get_or_init(byte_corpus);
+        // A third of the cases each damage the sidecar, a request line
+        // and a response line.
+        let (kind, pick) = (which % 3, which / 3);
+        let mut bytes = match kind {
+            0 => sidecar,
+            1 => &requests[pick % requests.len()],
+            _ => &responses[pick % responses.len()],
+        }
+        .clone()
+        .into_bytes();
         let at = at % bytes.len();
         match edit {
             0 => bytes.truncate(at),
@@ -763,10 +810,38 @@ proptest! {
             }
         }
         let text = String::from_utf8_lossy(&bytes);
-        if request.is_some() {
-            let _ = Request::decode(&text);
-        } else {
-            let _ = ViewRegistry::parse_sidecar(&text, *num_nodes);
+        match kind {
+            0 => {
+                let _ = ViewRegistry::parse_sidecar(&text, *num_nodes);
+            }
+            1 => {
+                let _ = Request::decode(&text);
+            }
+            _ => prop_assert_eq!(Response::decode(&text), oracle::decode(&text), "{}", text),
         }
     }
+}
+
+/// String decoding is linear: a request line just under the server's
+/// cap decodes well inside a second even unoptimized (it once took 18 s
+/// optimized, re-validating the rest of the line at every character).
+#[test]
+fn a_request_line_at_the_cap_decodes_in_linear_time() {
+    use egocensus::server::MAX_REQUEST_LINE_BYTES;
+    let query = |sql: String| Request::Query { sql, shard: None };
+    let target = MAX_REQUEST_LINE_BYTES - 64;
+    // Multi-byte text next to a quote and a backslash, each written as
+    // a two-byte escape.
+    let unit = "é \"😀\\ ";
+    let room = target - query(String::new()).encode().len();
+    let units = room / (unit.len() + 2);
+    let sql = unit.repeat(units) + &"x".repeat(room - units * (unit.len() + 2));
+    let request = query(sql);
+    let line = request.encode();
+    assert_eq!(line.len(), target);
+    let start = std::time::Instant::now();
+    let decoded = Request::decode(&line).expect("decode");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "decode took {took:?}");
+    assert_eq!(decoded, request);
 }

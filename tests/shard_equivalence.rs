@@ -13,8 +13,9 @@
 //!    in-process worker [`Server`]s must answer byte-identically to a
 //!    single direct server for every census algorithm — including
 //!    error responses where an algorithm rejects `COUNTSP` — and stay
-//!    byte-identical after an `update` mutation and after a worker is
-//!    killed mid-session and its shard re-scattered to a survivor.
+//!    byte-identical after an `update` mutation, after a worker is
+//!    killed mid-session and its shard re-scattered to a survivor, and
+//!    after a worker dies halfway through writing a reply.
 
 use egocensus::datagen::{assign_random_labels, barabasi_albert, rng};
 use egocensus::graph::{Graph, GraphBuilder, Label, NodeId};
@@ -22,7 +23,8 @@ use egocensus::query::{Catalog, QueryEngine, ShardSpec};
 use egocensus::server::{Client, Server, ServerConfig, ShutdownHandle};
 use egocensus::shard::{Router, RouterConfig, RouterShutdownHandle};
 use proptest::prelude::*;
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -204,18 +206,39 @@ fn parse_algo(name: &str) -> egocensus::census::Algorithm {
 /// Spawn `workers` in-process servers over fresh copies of the test
 /// graph plus a router in front of them, all on ephemeral ports.
 fn spawn_fleet(workers: usize, algorithm: &str) -> TestFleet {
+    spawn_fleet_over(test_graph, workers, algorithm)
+}
+
+/// [`spawn_fleet`] over the graph `graph` builds.
+fn spawn_fleet_over(graph: fn() -> Graph, workers: usize, algorithm: &str) -> TestFleet {
+    spawn_fleet_fronted(graph, workers, algorithm, |addr| addr)
+}
+
+/// [`spawn_fleet_over`], with the router reaching worker 0 at the
+/// address `front` returns for it (a stand-in in front of the worker).
+fn spawn_fleet_fronted(
+    graph: fn() -> Graph,
+    workers: usize,
+    algorithm: &str,
+    front: fn(SocketAddr) -> SocketAddr,
+) -> TestFleet {
     let mut worker_addrs = Vec::new();
     let mut worker_handles = Vec::new();
     let mut threads = Vec::new();
     for _ in 0..workers {
         let server = Server::bind(
             ("127.0.0.1", 0),
-            Arc::new(test_graph()),
+            Arc::new(graph()),
             Arc::new(Catalog::with_builtins()),
             server_config(algorithm),
         )
         .expect("bind worker");
-        worker_addrs.push(server.local_addr().expect("worker addr"));
+        let addr = server.local_addr().expect("worker addr");
+        worker_addrs.push(if worker_addrs.is_empty() {
+            front(addr)
+        } else {
+            addr
+        });
         worker_handles.push(server.shutdown_handle());
         threads.push(std::thread::spawn(move || {
             server.run().expect("worker run")
@@ -254,9 +277,14 @@ impl TestFleet {
 /// The reference: one direct server over the same graph and config,
 /// asked the same raw lines.
 fn direct_responses(algorithm: &str, lines: &[String]) -> Vec<String> {
+    direct_responses_over(test_graph, algorithm, lines)
+}
+
+/// [`direct_responses`] over the graph `graph` builds.
+fn direct_responses_over(graph: fn() -> Graph, algorithm: &str, lines: &[String]) -> Vec<String> {
     let server = Server::bind(
         ("127.0.0.1", 0),
-        Arc::new(test_graph()),
+        Arc::new(graph()),
         Arc::new(Catalog::with_builtins()),
         server_config(algorithm),
     )
@@ -328,6 +356,67 @@ fn router_is_byte_identical_to_direct_server_across_workers_and_algorithms() {
             );
             fleet.stop();
         }
+    }
+}
+
+/// The test graph's shape with a Str attribute `s` on most nodes whose
+/// text needs escaping on the wire: quotes, backslashes, control
+/// characters, multi-byte text and the splice delimiter `,"rows":[`.
+fn attr_graph() -> Graph {
+    const TEXT: [&str; 6] = [
+        "plain",
+        "say \"hi\"",
+        "C:\\dir\\",
+        "é😀\u{1}\n",
+        r#"],"rows":[[""#,
+        r#","rows":["#,
+    ];
+    let g = test_graph();
+    let mut b = GraphBuilder::undirected();
+    for v in 0..g.num_nodes() as u32 {
+        b.add_node(g.label(NodeId(v)));
+        if v % 7 != 3 {
+            b.set_node_attr(NodeId(v), "s", TEXT[v as usize % TEXT.len()]);
+        }
+    }
+    for v in 0..g.num_nodes() as u32 {
+        for &w in g.neighbors(NodeId(v)) {
+            if v < w.0 {
+                b.add_edge(NodeId(v), w);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Worker replies are spliced as bytes, not decoded: a scattered
+/// statement whose cells are strings with quotes, backslashes and
+/// multi-byte text is byte-identical to a direct server at 1, 2 and 4
+/// workers, and so is the same statement proxied (`ORDER BY`).
+#[test]
+fn string_cells_splice_byte_identically() {
+    let lines: Vec<String> = [
+        "SELECT ID, s, COUNTP(clq3_unlb, SUBGRAPH(ID, 1)) FROM nodes",
+        "SELECT ID, s FROM nodes WHERE ID > 50",
+        "SELECT ID, s, COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes ORDER BY 3 DESC, 1 LIMIT 9",
+    ]
+    .iter()
+    .map(|sql| raw_query(sql))
+    .collect();
+    let expected = direct_responses_over(attr_graph, "auto", &lines);
+    assert!(expected[0].contains("é😀") && expected[0].contains(r#"say \"hi\""#));
+    for workers in [1usize, 2, 4] {
+        let fleet = spawn_fleet_over(attr_graph, workers, "auto");
+        let mut client = Client::connect(fleet.router_addr).expect("connect router");
+        for (line, want) in lines.iter().zip(&expected) {
+            let got = client.send_raw(line).expect("router response");
+            assert_eq!(&got, want, "workers={workers} line={line}");
+        }
+        if workers > 1 {
+            let stats = client.stats().expect("router stats");
+            assert_eq!(stats.stat("router_scattered_queries"), Some(2));
+        }
+        fleet.stop();
     }
 }
 
@@ -455,6 +544,61 @@ fn killed_worker_has_its_shard_rescattered_to_a_survivor() {
     let mut fresh = Client::connect(fleet.router_addr).expect("fresh connect");
     assert_eq!(fresh.send_raw(&raw_query(sql)).expect("fresh"), expected);
     fleet.stop();
+}
+
+/// A stand-in for a worker that relays each request line to the real
+/// worker at `backend`, but answers its first `query` with half the
+/// reply line and then closes the connection, as a worker dying while
+/// writing a reply would. It accepts no connection after that.
+fn cutting_relay(backend: SocketAddr) -> SocketAddr {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind relay");
+    let addr = listener.local_addr().expect("relay addr");
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let mut stream = stream.expect("accept");
+            let mut worker = Client::connect(backend).expect("connect backend");
+            let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+            for line in reader.lines() {
+                let Ok(line) = line else { break };
+                let reply = worker.send_raw(&line).expect("backend reply");
+                if line.contains(r#""op":"query""#) {
+                    let _ = stream.write_all(&reply.as_bytes()[..reply.len() / 2]);
+                    return;
+                }
+                if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+/// A worker that dies halfway through writing its reply fails over
+/// like one that is already dead: the cut-off line is not passed on,
+/// the shard (or the proxied statement) is re-sent to the survivor, and
+/// the reply is byte-identical to a direct server's.
+#[test]
+fn a_worker_dying_mid_reply_fails_over_byte_identically() {
+    // QUERIES[0] is scattered, QUERIES[4] (`ORDER BY … LIMIT`) proxied;
+    // the proxy's round-robin starts at worker 0, the cutting one.
+    for sql in [QUERIES[0], QUERIES[4]] {
+        let line = raw_query(sql);
+        let expected = direct_responses("auto", std::slice::from_ref(&line)).remove(0);
+        assert!(expected.len() > 100, "{expected}");
+        let fleet = spawn_fleet_fronted(test_graph, 2, "auto", cutting_relay);
+        let mut client = Client::connect(fleet.router_addr).expect("connect router");
+        assert_eq!(
+            client.send_raw(&line).expect("router reply"),
+            expected,
+            "{sql}"
+        );
+        assert_eq!(client.send_raw(&line).expect("again"), expected, "{sql}");
+        let stats = client.stats().expect("router stats");
+        assert_eq!(stats.stat("router_workers_up"), Some(1), "{sql}");
+        assert_eq!(stats.stat("router_worker_failures"), Some(1), "{sql}");
+        fleet.stop();
+    }
 }
 
 #[test]
